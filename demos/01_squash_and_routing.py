@@ -2,14 +2,14 @@
 """Walk through the capsule primitives on paper-sized toy tensors.
 
 Shows the squash nonlinearity compressing vector norms into [0, 1), the
-per-pair linear predictions, and how dynamic routing concentrates coupling
-coefficients on the output capsules the predictions agree about.
+per-pair linear predictions for a batch of utterances, and how dynamic
+routing concentrates each utterance's coupling coefficients on the output
+capsule its predictions agree about, independently of the rest of the batch.
 """
 
 import numpy as np
 
 from capsintent import dynamic_routing, predict_capsules, squash
-from capsintent.capsnet import RoutingTrace, dynamic_routing as routing
 
 rng = np.random.default_rng(0)
 
@@ -19,19 +19,22 @@ for scale in (0.1, 1.0, 3.0, 10.0):
     v = squash(s)
     print(f"|s| = {scale:5.1f}  ->  |squash(s)| = {np.linalg.norm(v):.4f}")
 
-print("\n=== predictions (votes) ===")
-P, K, d_p, n = 6, 3, 4, 2
-u = squash(rng.normal(size=(P, d_p)), axis=1)
+print("\n=== predictions (votes) for a batch ===")
+P, B, K, d_p, n = 6, 2, 3, 4, 2
+u = squash(rng.normal(size=(P, B, d_p)), axis=-1)
 transforms = rng.normal(0.0, 1.0, size=(P, K, d_p, n))
 votes = predict_capsules(u, transforms)
-print(f"{P} primary capsules x {K} output capsules -> votes {votes.shape}")
+print(f"{P} primary capsules x {B} utterances x {K} output capsules -> votes {votes.shape}")
 
 print("\n=== routing by agreement ===")
-# make every primary capsule agree about output 1 and disagree elsewhere
-agreed = rng.normal(size=n)
-votes[:, 1, :] = agreed + rng.normal(0.0, 0.05, size=(P, n))
-caps, state, trace = routing(votes, iters=3, want_trace=True)
+# in utterance b every primary capsule agrees about output b + 1
+for b in range(B):
+    agreed = rng.normal(size=n)
+    votes[:, b, b + 1, :] = agreed + rng.normal(0.0, 0.05, size=(P, n))
+caps, trace = dynamic_routing(votes, iters=3)
 for it, c in enumerate(trace.coefficients):
-    print(f"iteration {it}: mean coupling per output = {c.mean(axis=0).round(3)}")
-print(f"output norms: {caps.norms.round(3)}  (capsule 1 wins the agreement)")
-print(f"coefficient rows sum to 1: {np.allclose(state.coefficients.sum(axis=1), 1.0)}")
+    means = "  ".join(f"utt {b}: {c[:, b].mean(axis=0).round(3)}" for b in range(B))
+    print(f"iteration {it}: mean coupling per output  {means}")
+for b in range(B):
+    print(f"utterance {b} output norms: {caps.norms[b].round(3)}  (capsule {b + 1} wins)")
+print(f"coefficient rows sum to 1: {np.allclose(trace.coefficients[-1].sum(axis=-1), 1.0)}")

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Validate every analytic gradient of a small model against central finite
-differences: encoder BPTT, the routing unroll, the margin loss, and the
-speaker head including the average-capsule quotient rule."""
+differences on a ragged batch of three utterances: encoder BPTT with
+length masking, the routing unroll, the margin loss, and the speaker head
+including the average-capsule quotient rule."""
 
 import numpy as np
 
@@ -16,15 +17,16 @@ cfg = ModelConfig(feat_dim=4, num_labels=3, speaker_count=3, encoder_hidden=4,
 # from the margin hinge corners, where central differences are meaningful
 rng = np.random.default_rng(42)
 params = {k: rng.normal(0.0, 0.6, size=v.shape) for k, v in model.init_params(cfg).items()}
-feats = rng.normal(size=(5, cfg.feat_dim))
-target = np.array([1.0, 0.0, 1.0])
-speaker = 2
+feats = [rng.normal(size=(frames, cfg.feat_dim)) for frames in (5, 1, 3)]
+targets = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+speakers = [2, 0, 1]
 
 report = grad_check(
-    lambda p: model.loss_and_grads(feats, target, speaker, p, cfg)[0].total,
-    lambda p: model.loss_and_grads(feats, target, speaker, p, cfg)[1],
+    lambda p: float(np.sum(model.loss_and_grads(feats, targets, speakers, p, cfg)[0].total)),
+    lambda p: model.loss_and_grads(feats, targets, speakers, p, cfg)[1],
     params,
 )
+print(f"utterance lengths  : {[len(f) for f in feats]}")
 print(f"parameters checked : {report.num_params_checked}")
 print(f"max relative error : {report.max_relative_error:.3e}")
 print(f"worst parameter    : {report.worst_parameter_path}")

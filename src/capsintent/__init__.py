@@ -2,9 +2,8 @@
 task: acoustic features, a from-scratch capsule model with analytic
 gradients, corpora and synthetic data, and a learning-curve harness."""
 
-from .capsnet import (ModelConfig, OutputCapsuleSet, PrimaryCapsuleSet,
-                      RoutingState, decode_labels, dynamic_routing, margin_loss,
-                      predict_capsules, squash)
+from .capsnet import (ModelConfig, OutputCapsuleSet, PrimaryCapsuleSet, decode_labels,
+                      dynamic_routing, margin_loss, predict_capsules, squash)
 from .datasets import (BlockSplit, Corpus, LabelVocabulary, SlotGroup, SynthGroup,
                        SynthSpec, Utterance, load_fluent, load_grabo, load_manifest,
                        mimic_grabo_spec, split_blocks, synth_generate, write_manifest)

@@ -6,6 +6,13 @@ Shapes use P primary capsules of dimension d_p, K output capsules (one per
 task label) of dimension n, and per-pair transform matrices stored as a
 (P, K, d_p, n) tensor. ``votes[i, j]`` is primary capsule i's prediction of
 output capsule j.
+
+Every stage takes one utterance or a batch of B: the batch axis, when
+present, follows the primary-capsule axis of primary capsules (P, B, d_p)
+and votes (P, B, K, n), and leads everywhere else (output capsules
+(B, K, n), losses (B,)). Routing treats each utterance independently, so a
+batch gives the same numbers as its utterances one by one; parameter
+gradients are summed over the batch.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import encoder as enc
-from .errors import ContractError, DataError, ShapeError
+from .errors import ContractError, DataError, DivergenceError, ShapeError
 from .numeric import Params, softmax, softmax_grad
 
 if TYPE_CHECKING:
@@ -59,25 +66,19 @@ class ModelConfig:
 
 @dataclass
 class PrimaryCapsuleSet:
-    vectors: np.ndarray  # (P, d_p), each row post-squash so norm < 1
+    vectors: np.ndarray  # (P, [B,] d_p), each capsule post-squash so norm < 1
 
 
 @dataclass
 class OutputCapsuleSet:
-    vectors: np.ndarray  # (K, n)
-    norms: np.ndarray    # (K,)
-
-
-@dataclass
-class RoutingState:
-    logits: np.ndarray        # (P, K)
-    coefficients: np.ndarray  # (P, K), rows sum to 1 over the K axis
+    vectors: np.ndarray  # ([B,] K, n)
+    norms: np.ndarray    # ([B,] K)
 
 
 @dataclass
 class RoutingTrace:
-    votes: np.ndarray
-    coefficients: list[np.ndarray] = field(default_factory=list)  # per iteration
+    votes: np.ndarray                                             # (P, [B,] K, n)
+    coefficients: list[np.ndarray] = field(default_factory=list)  # (P, [B,] K) per iteration
     pooled: list[np.ndarray] = field(default_factory=list)        # pre-squash s, per iteration
     outputs: list[np.ndarray] = field(default_factory=list)       # post-squash v, per iteration
 
@@ -86,12 +87,11 @@ class RoutingTrace:
 class ForwardTrace:
     """Every intermediate needed to replay the forward pass exactly."""
 
-    features: np.ndarray
     encoder_cache: dict
-    readout: np.ndarray
-    primary_pre: np.ndarray       # (P, d_p) pre-squash
-    primary: np.ndarray           # (P, d_p) post-squash
-    votes: np.ndarray             # (P, K, n)
+    readout: np.ndarray           # ([B,] 2H)
+    primary_pre: np.ndarray       # ([B,] P, d_p) pre-squash
+    primary: np.ndarray           # (P, [B,] d_p) post-squash
+    votes: np.ndarray             # (P, [B,] K, n)
     routing: RoutingTrace = None
     output: OutputCapsuleSet = None
     config: ModelConfig = None
@@ -118,55 +118,67 @@ def squash_grad(upstream: np.ndarray, s: np.ndarray, axis: int = -1) -> np.ndarr
     return upstream * scale + s * (proj * radial)
 
 
+def _stacked(transforms: np.ndarray) -> np.ndarray:
+    """(P, K, d_p, n) transforms as P matrices of shape (d_p, K*n)."""
+    P, K, d_p, n = transforms.shape
+    return transforms.transpose(0, 2, 1, 3).reshape(P, d_p, K * n)
+
+
 def predict_capsules(primary: PrimaryCapsuleSet | np.ndarray, transforms: np.ndarray) -> np.ndarray:
-    """Per-pair linear predictions: votes[i, j] = transforms[i, j].T @ u_i."""
+    """Per-pair linear predictions: votes[i, ..., j, :] = transforms[i, j].T @ u_i.
+
+    Primary capsules (P, [B,] d_p) give votes (P, [B,] K, n): one matrix
+    product per primary capsule over the whole batch.
+    """
     u = primary.vectors if isinstance(primary, PrimaryCapsuleSet) else np.asarray(primary)
-    if transforms.ndim != 4 or u.ndim != 2 or transforms.shape[0] != u.shape[0] \
-            or transforms.shape[2] != u.shape[1]:
+    if transforms.ndim != 4 or u.ndim not in (2, 3) or transforms.shape[0] != u.shape[0] \
+            or transforms.shape[2] != u.shape[-1]:
         raise ShapeError(
             f"transforms {transforms.shape} incompatible with primary capsules {u.shape}"
         )
-    return np.einsum("pkdn,pd->pkn", transforms, u)
+    P, K, d_p, n = transforms.shape
+    votes = u.reshape(P, -1, d_p) @ _stacked(transforms)
+    return votes.reshape(u.shape[:-1] + (K, n))
 
 
 def predict_capsules_backward(d_votes: np.ndarray, primary: np.ndarray, transforms: np.ndarray):
-    d_transforms = np.einsum("pkn,pd->pkdn", d_votes, primary)
-    d_primary = np.einsum("pkdn,pkn->pd", transforms, d_votes)
-    return d_transforms, d_primary
+    """Gradients on the transforms (summed over the batch) and on the
+    primary capsules, each one matrix product per primary capsule."""
+    P, K, d_p, n = transforms.shape
+    u = primary.reshape(P, -1, d_p)
+    dv = d_votes.reshape(P, -1, K * n)
+    d_transforms = (u.transpose(0, 2, 1) @ dv).reshape(P, d_p, K, n).transpose(0, 2, 1, 3)
+    d_primary = dv @ _stacked(transforms).transpose(0, 2, 1)
+    return d_transforms, d_primary.reshape(primary.shape)
 
 
-def dynamic_routing(votes: np.ndarray, iters: int, want_trace: bool = False):
-    """Iterative routing by agreement.
+def dynamic_routing(votes: np.ndarray, iters: int):
+    """Iterative routing by agreement, independently per utterance.
 
-    Logits start at zero. Each iteration: coefficients = softmax of logits
-    over the output axis, pooled input s_j = sum_i c_ij * votes[i, j],
-    v_j = squash(s_j), then logits[i, j] += votes[i, j] . v_j (the update is
-    skipped after the final iteration).
+    ``votes`` is (P, [B,] K, n). Logits start at zero. Each iteration:
+    coefficients = softmax of logits over the output axis, pooled input
+    s_j = sum_i c_ij * votes[i, j], v_j = squash(s_j), then
+    logits[i, j] += votes[i, j] . v_j (the update is skipped after the final
+    iteration).
 
-    Returns (OutputCapsuleSet, RoutingState) or, with ``want_trace``, a third
-    RoutingTrace element recording per-iteration state for the backward pass.
+    Returns (OutputCapsuleSet, RoutingTrace); the trace records the
+    per-iteration state the backward pass needs.
     """
     if iters < 1:
         raise ShapeError(f"routing needs at least one iteration, got {iters}")
-    P, K, n = votes.shape
-    logits = np.zeros((P, K))
-    trace = RoutingTrace(votes=votes) if want_trace else None
-    coeff = None
+    logits = np.zeros(votes.shape[:-1])
+    trace = RoutingTrace(votes=votes)
     for it in range(iters):
-        coeff = softmax(logits, axis=1)
-        pooled = np.einsum("pk,pkn->kn", coeff, votes)
-        out = squash(pooled, axis=1)
-        if want_trace:
-            trace.coefficients.append(coeff)
-            trace.pooled.append(pooled)
-            trace.outputs.append(out)
+        coeff = softmax(logits, axis=-1)
+        pooled = np.einsum("p...k,p...kn->...kn", coeff, votes)
+        out = squash(pooled, axis=-1)
+        trace.coefficients.append(coeff)
+        trace.pooled.append(pooled)
+        trace.outputs.append(out)
         if it < iters - 1:
-            logits = logits + np.einsum("pkn,kn->pk", votes, out)
-    caps = OutputCapsuleSet(vectors=out, norms=np.linalg.norm(out, axis=1))
-    state = RoutingState(logits=logits, coefficients=coeff)
-    if want_trace:
-        return caps, state, trace
-    return caps, state
+            logits = logits + np.einsum("p...kn,...kn->p...k", votes, out)
+    caps = OutputCapsuleSet(vectors=out, norms=np.linalg.norm(out, axis=-1))
+    return caps, trace
 
 
 def routing_backward(trace: RoutingTrace, d_out: np.ndarray) -> np.ndarray:
@@ -177,29 +189,32 @@ def routing_backward(trace: RoutingTrace, d_out: np.ndarray) -> np.ndarray:
     """
     votes = trace.votes
     iters = len(trace.outputs)
-    d_votes = np.zeros_like(votes)
-    d_logits = np.zeros((votes.shape[0], votes.shape[1]))
+    # every pooling (coefficients x pooled gradient) and every logit update
+    # (logit gradient x output) adds a[i, j] * b_j to d_votes[i, j]; the
+    # terms are collected and contracted once, with no votes-sized temporary
+    # per term
+    left, right = [], []
+    d_logits = None
     d_v = np.asarray(d_out, dtype=np.float64)
     for it in range(iters - 1, -1, -1):
         coeff = trace.coefficients[it]
-        pooled = trace.pooled[it]
-        out = trace.outputs[it]
-        if it < iters - 1:
+        if d_logits is not None:
             # logits' = logits + votes . v  contributed d_logits; split it
-            d_votes += np.einsum("pk,kn->pkn", d_logits, out)
-            d_v = np.einsum("pk,pkn->kn", d_logits, votes)
-            d_logits_carry = d_logits
-        else:
-            d_logits_carry = np.zeros_like(d_logits)
-        d_pooled = squash_grad(d_v, pooled, axis=1)
-        d_coeff = np.einsum("kn,pkn->pk", d_pooled, votes)
-        d_votes += np.einsum("pk,kn->pkn", coeff, d_pooled)
-        d_logits = d_logits_carry + softmax_grad(d_coeff, coeff, axis=1)
-    return d_votes
+            left.append(d_logits)
+            right.append(trace.outputs[it])
+            d_v = np.einsum("p...k,p...kn->...kn", d_logits, votes)
+        d_pooled = squash_grad(d_v, trace.pooled[it], axis=-1)
+        left.append(coeff)
+        right.append(d_pooled)
+        d_softmax = softmax_grad(np.einsum("...kn,p...kn->p...k", d_pooled, votes), coeff, axis=-1)
+        d_logits = d_softmax if d_logits is None else d_logits + d_softmax
+    return np.einsum("p...kt,...ktn->p...kn", np.stack(left, axis=-1), np.stack(right, axis=-2),
+                     optimize=True)
 
 
-def margin_loss(caps: OutputCapsuleSet, target: np.ndarray, config: ModelConfig) -> float:
-    """Hinge loss on output-capsule norms.
+def margin_loss(caps: OutputCapsuleSet, target: np.ndarray, config: ModelConfig):
+    """Hinge loss on output-capsule norms, per utterance: a float for one
+    utterance, a (B,) array for a batch.
 
     Present labels (target 1) pay max(0, margin_present - |v_k|); absent
     labels pay max(0, |v_k| - margin_absent), scaled by absent_loss_scale
@@ -210,7 +225,7 @@ def margin_loss(caps: OutputCapsuleSet, target: np.ndarray, config: ModelConfig)
         raise ShapeError(f"target shape {target.shape} != capsule count {caps.norms.shape}")
     present = np.maximum(0.0, config.margin_present - caps.norms)
     absent = np.maximum(0.0, caps.norms - config.margin_absent)
-    return float(np.sum(target * present + config.absent_loss_scale * (1.0 - target) * absent))
+    return np.sum(target * present + config.absent_loss_scale * (1.0 - target) * absent, axis=-1)
 
 
 def margin_loss_grad(caps: OutputCapsuleSet, target: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -221,8 +236,8 @@ def margin_loss_grad(caps: OutputCapsuleSet, target: np.ndarray, config: ModelCo
     d_norm = d_norm + np.where(
         (target == 0) & (norms > config.margin_absent), config.absent_loss_scale, 0.0
     )
-    unit = caps.vectors / (norms[:, None] + NORM_GUARD)
-    return d_norm[:, None] * unit
+    unit = caps.vectors / (norms[..., None] + NORM_GUARD)
+    return d_norm[..., None] * unit
 
 
 def decode_labels(caps: OutputCapsuleSet, vocab: "LabelVocabulary") -> list[str]:
@@ -277,66 +292,78 @@ def init_core_params(config: ModelConfig, rng: np.random.Generator) -> Params:
     return params
 
 
-def encode(feats: np.ndarray, params: Params, config: ModelConfig, want_cache: bool = False):
+def encode(feats: np.ndarray, params: Params, config: ModelConfig, want_cache: bool = False,
+           lengths: Optional[np.ndarray] = None):
     """Frames -> bidirectional final states -> affine projection -> squashed
-    primary capsules."""
+    primary capsules.
+
+    ``feats`` is one (T, feat_dim) utterance or a zero-padded time-major
+    (T_max, B, feat_dim) batch with its (B,) ``lengths``
+    (``encoder.pad_batch``); the capsules are (P, d_p) or (P, B, d_p).
+    """
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1:
-        raise DataError(f"expected a non-empty (frames, dim) matrix, got {feats.shape}")
-    if feats.shape[1] != config.feat_dim:
-        raise ShapeError(f"feature dim {feats.shape[1]} != configured {config.feat_dim}")
+    if feats.ndim not in (2, 3) or feats.shape[0] < 1:
+        raise DataError(f"expected non-empty time-major features, got {feats.shape}")
+    if feats.shape[-1] != config.feat_dim:
+        raise ShapeError(f"feature dim {feats.shape[-1]} != configured {config.feat_dim}")
     readout, cache = enc.encoder_forward(
-        params, feats, config.encoder_hidden, config.encoder_layers
+        params, feats, config.encoder_hidden, config.encoder_layers, lengths
     )
     primary_pre = (readout @ params["proj.W"] + params["proj.b"]).reshape(
-        config.num_primary, config.primary_dim
+        readout.shape[:-1] + (config.num_primary, config.primary_dim)
     )
-    primary = squash(primary_pre, axis=1)
-    caps = PrimaryCapsuleSet(vectors=primary)
+    caps = PrimaryCapsuleSet(vectors=np.moveaxis(squash(primary_pre, axis=-1), -2, 0))
     if want_cache:
         return caps, {"encoder": cache, "readout": readout, "primary_pre": primary_pre}
     return caps
 
 
-def forward(feats: np.ndarray, params: Params, config: ModelConfig, want_trace: bool = True):
-    """Full core forward pass; the trace is sufficient to replay backward()."""
-    from .errors import DivergenceError
+def forward(feats: np.ndarray, params: Params, config: ModelConfig, want_trace: bool = True,
+            lengths: Optional[np.ndarray] = None):
+    """Full core forward pass of one utterance or a padded batch (see
+    ``encode``); the trace is sufficient to replay backward().
 
-    primary, cache = encode(feats, params, config, want_cache=True)
+    Raises DivergenceError, with the batch position of the first utterance
+    affected, when capsule predictions are non-finite.
+    """
+    primary, cache = encode(feats, params, config, want_cache=True, lengths=lengths)
     votes = predict_capsules(primary, params["caps.W"])
-    if not np.all(np.isfinite(votes)):
-        raise DivergenceError("non-finite capsule predictions")
-    if want_trace:
-        caps, _, routing_trace = dynamic_routing(votes, config.routing_iters, want_trace=True)
-        trace = ForwardTrace(
-            features=np.asarray(feats, dtype=np.float64),
-            encoder_cache=cache["encoder"],
-            readout=cache["readout"],
-            primary_pre=cache["primary_pre"],
-            primary=primary.vectors,
-            votes=votes,
-            routing=routing_trace,
-            output=caps,
-            config=config,
-        )
-        return caps, trace
-    caps, _ = dynamic_routing(votes, config.routing_iters)
-    return caps, None
+    finite = np.isfinite(votes).all(axis=(0, -2, -1))
+    if not np.all(finite):
+        raise DivergenceError("non-finite capsule predictions", index=int(np.argmin(finite)))
+    caps, routing = dynamic_routing(votes, config.routing_iters)
+    if not want_trace:
+        return caps, None
+    trace = ForwardTrace(
+        encoder_cache=cache["encoder"],
+        readout=cache["readout"],
+        primary_pre=cache["primary_pre"],
+        primary=primary.vectors,
+        votes=votes,
+        routing=routing,
+        output=caps,
+        config=config,
+    )
+    return caps, trace
 
 
 def backward(trace: ForwardTrace, d_out: np.ndarray, params: Params) -> Params:
     """Analytic gradients of a loss with upstream gradient ``d_out`` on the
-    output capsule vectors, for every core parameter."""
+    output capsule vectors, for every core parameter, summed over the batch."""
     config = trace.config
-    if params["caps.W"].shape != trace.votes.shape[:2] + (config.primary_dim, config.output_dim):
+    P, K = trace.votes.shape[0], trace.votes.shape[-2]
+    if params["caps.W"].shape != (P, K, config.primary_dim, config.output_dim):
         raise ContractError("trace does not match the supplied parameters")
-    d_votes = routing_backward(trace.routing, d_out)
-    d_transforms, d_primary = predict_capsules_backward(d_votes, trace.primary, params["caps.W"])
-    d_primary_pre = squash_grad(d_primary, trace.primary_pre, axis=1)
-    flat = d_primary_pre.reshape(-1)
-    d_readout = params["proj.W"] @ flat
+    # the votes gradient is the size of the votes: let it go before the encoder runs
+    d_transforms, d_primary = predict_capsules_backward(
+        routing_backward(trace.routing, d_out), trace.primary, params["caps.W"]
+    )
+    d_primary_pre = squash_grad(np.moveaxis(d_primary, 0, -2), trace.primary_pre, axis=-1)
+    flat = d_primary_pre.reshape(d_primary_pre.shape[:-2] + (-1,))
+    d_readout = flat @ params["proj.W"].T
     grads = enc.encoder_backward(params, trace.encoder_cache, d_readout)
-    grads["proj.W"] = np.outer(trace.readout, flat)
-    grads["proj.b"] = flat
+    rows = flat.reshape(-1, flat.shape[-1])
+    grads["proj.W"] = trace.readout.reshape(-1, trace.readout.shape[-1]).T @ rows
+    grads["proj.b"] = rows.sum(axis=0)
     grads["caps.W"] = d_transforms
     return grads

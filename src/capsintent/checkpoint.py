@@ -3,7 +3,9 @@
 A checkpoint is a single ``.npz`` file with a versioned JSON header under the
 ``__meta__`` key (format version, full model config, seed, and optionally the
 label vocabulary and speaker roster) plus one array entry per parameter path
-prefixed with ``param/``. Writes are atomic (temp file + rename).
+prefixed with ``param/``. Writes are atomic (temp file + rename). Loading
+validates the header's config and every parameter's name and shape against
+that config, so a bad file fails when it is read, not at first use.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .capsnet import ModelConfig
-from .errors import FormatError
+from .errors import FormatError, ShapeError
+from .model import param_shapes
 from .numeric import Params
 
 FORMAT_VERSION = 1
@@ -65,5 +68,25 @@ def load_checkpoint(path: str):
             }
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    config = ModelConfig(**meta["config"])
+    config = _config_from(meta.get("config"), path)
+    expected = param_shapes(config)
+    if set(params) != set(expected):
+        raise FormatError(f"{path}: parameters missing {sorted(set(expected) - set(params))}, "
+                          f"unexpected {sorted(set(params) - set(expected))}")
+    for name, shape in expected.items():
+        if params[name].shape != shape:
+            raise FormatError(f"{path}: parameter {name} has shape {params[name].shape}, "
+                              f"the config needs {shape}")
     return config, params, meta.get("vocab")
+
+
+def _config_from(raw, path: str) -> ModelConfig:
+    if not isinstance(raw, dict):
+        raise FormatError(f"{path}: checkpoint header carries no model config")
+    unknown = set(raw) - {f.name for f in dataclasses.fields(ModelConfig)}
+    if unknown:
+        raise FormatError(f"{path}: unknown model config keys {sorted(unknown)}")
+    try:
+        return ModelConfig(**raw)
+    except (TypeError, ShapeError) as exc:
+        raise FormatError(f"{path}: invalid model config: {exc}") from exc

@@ -184,6 +184,7 @@ def build_corpus(run: RunConfig, cache_override: Optional[str] = None,
 
 def model_config_from(run: RunConfig, corpus: Corpus) -> ModelConfig:
     fields = dict(run.model)
+    _check_keys(fields, MODEL_KEYS, "model")
     fields.setdefault("feat_dim", corpus.feat_dim())
     if fields["feat_dim"] != corpus.feat_dim():
         raise UsageError(

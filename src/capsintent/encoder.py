@@ -8,11 +8,21 @@ along the last axis of the weight matrices:
     n = tanh   (x Wx[:, 2H:]  + r * (h Wh[:, 2H:]) + b[2H:])
     h' = z * h + (1 - z) * n
 
-The encoder runs ``layers`` bidirectional layers over the frame sequence and
-reads out the concatenated final states of both directions of the top layer.
+Sequences are time-major: one utterance is a (T, dim) matrix, a batch is a
+zero-padded (T_max, B, dim) array with per-utterance lengths (``pad_batch``).
+Every step runs all B sequences at once. Past a sequence's end a per-frame
+mask forces its update gate to exactly 1 (pre-activation +inf), so the cell
+copies its state unchanged and every gradient through that frame is exactly
+zero: the state at T_max - 1 is the sequence's final state, with no masking
+work inside the frame loops. The backward direction reads each sequence
+reversed within its own length, so its final state is also at T_max - 1. The
+encoder reads out the concatenated final states of both directions of the
+top layer.
 """
 
 from __future__ import annotations
+
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -21,12 +31,8 @@ from .numeric import Params
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # the tanh form never overflows and avoids boolean-mask indexing
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 # A zero-initialized update gate keeps only half the state per frame, wiping
@@ -49,61 +55,90 @@ def gru_param_init(rng: np.random.Generator, in_dim: int, hidden: int) -> dict[s
     }
 
 
-def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray):
-    """Run the cell over ``xs`` (T, in_dim). Returns (states (T, H), cache)."""
-    T = xs.shape[0]
+def pad_batch(feats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-pad B (frames, dim) utterances into a time-major (T_max, B, dim)
+    array. Returns it and the (B,) frame counts."""
+    mats = [np.asarray(f, dtype=np.float64) for f in feats]
+    if not mats:
+        raise DataError("cannot pad an empty batch")
+    for m in mats:
+        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] != mats[0].shape[1]:
+            raise DataError(f"batch needs non-empty (frames, dim) matrices of one dim, "
+                            f"got shape {m.shape}")
+    lengths = np.array([m.shape[0] for m in mats])
+    xs = np.zeros((int(lengths.max()), len(mats), mats[0].shape[1]))
+    for b, m in enumerate(mats):
+        xs[:m.shape[0], b] = m
+    return xs, lengths
+
+
+def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: Optional[np.ndarray] = None):
+    """Run the cell over time-major ``xs`` (T, [B,] in_dim).
+
+    ``mask`` (T, B, 1) is False on padding frames, where the update gate is
+    forced to 1 so the state is held. Returns (states (T, [B,] H), cache).
+    """
     hidden = p["Wh"].shape[0]
-    xx_all = xs @ p["Wx"] + p["b"]
-    hs = np.empty((T, hidden))
-    cache = {"xs": xs, "r": np.empty((T, hidden)), "z": np.empty((T, hidden)),
-             "n": np.empty((T, hidden)), "hh_n": np.empty((T, hidden)),
-             "h_prev": np.empty((T, hidden))}
-    h = np.zeros(hidden)
-    for t in range(T):
+    xx = xs @ p["Wx"] + p["b"]
+    if mask is not None:
+        np.copyto(xx[..., hidden:2 * hidden], np.inf, where=~mask)
+    xx_rz, xx_n = xx[..., :2 * hidden], xx[..., 2 * hidden:]
+    states = np.empty(xs.shape[:-1] + (hidden,))
+    rz = np.empty(xs.shape[:-1] + (2 * hidden,))
+    n_all = np.empty_like(states)
+    h = np.zeros(xs.shape[1:-1] + (hidden,))
+    for t in range(xs.shape[0]):
         hh = h @ p["Wh"]
-        r = _sigmoid(xx_all[t, :hidden] + hh[:hidden])
-        z = _sigmoid(xx_all[t, hidden:2 * hidden] + hh[hidden:2 * hidden])
-        hh_n = hh[2 * hidden:]
-        n = np.tanh(xx_all[t, 2 * hidden:] + r * hh_n)
-        cache["h_prev"][t] = h
-        cache["r"][t], cache["z"][t], cache["n"][t] = r, z, n
-        cache["hh_n"][t] = hh_n
-        h = z * h + (1.0 - z) * n
-        hs[t] = h
-    return hs, cache
+        rz[t] = gates = _sigmoid(xx_rz[t] + hh[..., :2 * hidden])
+        r, z = gates[..., :hidden], gates[..., hidden:]
+        n_all[t] = n = np.tanh(xx_n[t] + r * hh[..., 2 * hidden:])
+        states[t] = h = z * h + (1.0 - z) * n
+    cache = {"xs": xs, "states": states, "r": rz[..., :hidden], "z": rz[..., hidden:],
+             "n": n_all}
+    return states, cache
 
 
 def gru_backward(p, cache, d_steps, d_last):
     """BPTT through one direction.
 
-    d_steps: (T, H) per-step gradients on the emitted states (may be None),
-    d_last: extra gradient on the final state. Returns (param grads, dxs).
+    d_steps: (T, [B,] H) per-step gradients on the emitted states (may be
+    None), d_last: extra gradient on the final state. Returns (param grads
+    summed over the batch, dxs).
+
+    Each gate pre-activation's gradient is the state gradient times a factor
+    that depends only on the forward pass, so all factors are computed up
+    front over every (step, sequence) pair and the frame loop runs only the
+    recurrence. The weight and input gradients are then one matrix product
+    each over all pairs.
     """
-    xs = cache["xs"]
-    T, hidden = cache["r"].shape
-    dWx = np.zeros_like(p["Wx"])
-    dWh = np.zeros_like(p["Wh"])
-    db = np.zeros_like(p["b"])
-    dxs = np.zeros_like(xs)
+    xs, states = cache["xs"], cache["states"]
+    r, z, n = cache["r"], cache["z"], cache["n"]
+    hidden = p["Wh"].shape[0]
+    h_prev = np.concatenate([np.zeros_like(states[:1]), states[:-1]])
+    hh_n = h_prev @ p["Wh"][:, 2 * hidden:]
+    d_n = (1.0 - z) * (1.0 - n * n)
+    # per unit state gradient: [reset, update, candidate] pre-activations on
+    # the h @ Wh side (the candidate's is scaled by r), then the candidate's
+    # on the x @ Wx side
+    factors = np.stack([d_n * hh_n * r * (1.0 - r), (h_prev - n) * z * (1.0 - z),
+                        d_n * r, d_n], axis=-2)
+    d_pre = np.empty_like(factors)
+    d_pre_h = d_pre[..., :3, :].reshape(d_pre.shape[:-2] + (3 * hidden,))
+    Wh_T = p["Wh"].T
     dh = np.array(d_last, dtype=np.float64, copy=True)
-    for t in range(T - 1, -1, -1):
+    for t in range(xs.shape[0] - 1, -1, -1):
         if d_steps is not None:
             dh = dh + d_steps[t]
-        r, z, n = cache["r"][t], cache["z"][t], cache["n"][t]
-        h_prev, hh_n = cache["h_prev"][t], cache["hh_n"][t]
-        da_z = dh * (h_prev - n) * z * (1.0 - z)
-        da_n = dh * (1.0 - z) * (1.0 - n * n)
-        dr = da_n * hh_n
-        dhh_n = da_n * r
-        da_r = dr * r * (1.0 - r)
-        d_pre_x = np.concatenate([da_r, da_z, da_n])
-        d_pre_h = np.concatenate([da_r, da_z, dhh_n])
-        dWx += np.outer(xs[t], d_pre_x)
-        dWh += np.outer(h_prev, d_pre_h)
-        db += d_pre_x
-        dxs[t] = d_pre_x @ p["Wx"].T
-        dh = dh * z + d_pre_h @ p["Wh"].T
-    return {"Wx": dWx, "Wh": dWh, "b": db}, dxs
+        np.multiply(dh[..., None, :], factors[t], out=d_pre[t])
+        dh = dh * z[t] + d_pre_h[t] @ Wh_T
+    d_pre_x = np.concatenate([d_pre[..., :2, :], d_pre[..., 3:, :]], axis=-2)
+    d_pre_x = d_pre_x.reshape(-1, 3 * hidden)
+    grads = {
+        "Wx": xs.reshape(-1, xs.shape[-1]).T @ d_pre_x,
+        "Wh": h_prev.reshape(-1, hidden).T @ d_pre_h.reshape(-1, 3 * hidden),
+        "b": d_pre_x.sum(axis=0),
+    }
+    return grads, (d_pre_x @ p["Wx"].T).reshape(xs.shape)
 
 
 def _layer_params(params: Params, layer: int, direction: str) -> dict[str, np.ndarray]:
@@ -123,44 +158,72 @@ def init_encoder_params(rng: np.random.Generator, feat_dim: int, hidden: int, la
     return params
 
 
-def encoder_forward(params: Params, feats: np.ndarray, hidden: int, layers: int):
-    """Encode a (T, feat_dim) utterance into the (2*hidden,) final-state readout."""
+def _reversal(lengths: Optional[np.ndarray], T: int):
+    """Gather index (rows, cols) that reverses each sequence within its own
+    length and leaves padding in place; None when every sequence fills T."""
+    if lengths is None or np.all(lengths == T):
+        return None
+    t = np.arange(T)[:, None]
+    rows = np.where(t < lengths, lengths - 1 - t, t)
+    return rows, np.arange(lengths.shape[0])
+
+
+def _reverse(x: np.ndarray, reversal) -> np.ndarray:
+    return x[::-1] if reversal is None else x[reversal]
+
+
+def encoder_forward(params: Params, feats: np.ndarray, hidden: int, layers: int,
+                    lengths: Optional[np.ndarray] = None):
+    """Encode time-major features into the final-state readout.
+
+    ``feats`` is one (T, feat_dim) utterance, giving a (2*hidden,) readout,
+    or a padded (T_max, B, feat_dim) batch with its (B,) ``lengths`` (all
+    T_max when omitted), giving (B, 2*hidden).
+    """
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] < 1:
-        raise DataError(f"encoder needs a non-empty (frames, dim) matrix, got shape {feats.shape}")
+    if feats.ndim not in (2, 3) or feats.shape[0] < 1:
+        raise DataError(f"encoder needs non-empty time-major features, got shape {feats.shape}")
+    T = feats.shape[0]
+    mask = None
+    if lengths is not None and np.any(lengths < T):
+        mask = (np.arange(T)[:, None] < lengths)[..., None]
+    reversal = _reversal(lengths, T)
     xs = feats
     caches = []
     for layer in range(layers):
-        hs_f, cache_f = gru_forward(_layer_params(params, layer, "f"), xs)
-        hs_b_rev, cache_b = gru_forward(_layer_params(params, layer, "b"), xs[::-1])
+        hs_f, cache_f = gru_forward(_layer_params(params, layer, "f"), xs, mask)
+        hs_b_rev, cache_b = gru_forward(_layer_params(params, layer, "b"), _reverse(xs, reversal),
+                                        mask)
         caches.append((cache_f, cache_b))
-        xs = np.concatenate([hs_f, hs_b_rev[::-1]], axis=1)
-    # xs rows are [h_f_t, h_b_t]; forward final lives at t = T-1, backward final at t = 0
-    readout = np.concatenate([xs[-1, :hidden], xs[0, hidden:]])
-    return readout, {"caches": caches, "layers": layers, "hidden": hidden, "T": feats.shape[0]}
+        if layer < layers - 1:
+            xs = np.concatenate([hs_f, _reverse(hs_b_rev, reversal)], axis=-1)
+    readout = np.concatenate([hs_f[-1], hs_b_rev[-1]], axis=-1)
+    return readout, {"caches": caches, "layers": layers, "hidden": hidden, "T": T,
+                     "reversal": reversal}
 
 
 def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
-    """Backprop the readout gradient through every layer and time step."""
-    layers, hidden = cache["layers"], cache["hidden"]
-    T = cache["T"]
+    """Backprop the readout gradient through every layer and time step;
+    parameter gradients are summed over the batch."""
+    layers, hidden, reversal = cache["layers"], cache["hidden"], cache["reversal"]
     grads: Params = {}
     d_steps_f = None
     d_steps_b_rev = None
-    d_last_f = d_readout[:hidden]
-    d_last_b = d_readout[hidden:]
+    d_last_f = d_readout[..., :hidden]
+    d_last_b = d_readout[..., hidden:]
     for layer in range(layers - 1, -1, -1):
         cache_f, cache_b = cache["caches"][layer]
         g_f, dx_f = gru_backward(_layer_params(params, layer, "f"), cache_f, d_steps_f, d_last_f)
-        g_b, dx_b_rev = gru_backward(_layer_params(params, layer, "b"), cache_b, d_steps_b_rev, d_last_b)
+        g_b, dx_b_rev = gru_backward(_layer_params(params, layer, "b"), cache_b, d_steps_b_rev,
+                                     d_last_b)
         for key, val in g_f.items():
             grads[f"enc.{layer}.f.{key}"] = val
         for key, val in g_b.items():
             grads[f"enc.{layer}.b.{key}"] = val
-        d_xs = dx_f + dx_b_rev[::-1]  # (T, in_dim of this layer)
         if layer > 0:
-            d_steps_f = d_xs[:, :hidden]
-            d_steps_b_rev = d_xs[::-1, hidden:]
-            d_last_f = np.zeros(hidden)
-            d_last_b = np.zeros(hidden)
+            d_xs = dx_f + _reverse(dx_b_rev, reversal)  # (T, [B,] in_dim of this layer)
+            d_steps_f = d_xs[..., :hidden]
+            d_steps_b_rev = _reverse(d_xs[..., hidden:], reversal)
+            d_last_f = np.zeros_like(d_last_f)
+            d_last_b = np.zeros_like(d_last_b)
     return grads

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: UsageError -> 2, DivergenceError -> 3,
 DataError (and subclasses) -> 4.
 """
 
+from typing import Optional
+
 
 class CapsIntentError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,4 +32,12 @@ class ContractError(CapsIntentError):
 
 
 class DivergenceError(CapsIntentError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss.
+
+    ``index`` is the batch position of the first utterance affected, when
+    the error concerns one.
+    """
+
+    def __init__(self, message: str, index: Optional[int] = None):
+        super().__init__(message)
+        self.index = index

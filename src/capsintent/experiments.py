@@ -2,9 +2,10 @@
 
 Training is plain mini-batch Adam (lr 1e-3, batch 32, epoch budget 60) with
 early stopping once the epoch-mean total loss stops improving by 1e-4 for 5
-consecutive epochs. Utterances pass through the recurrent encoder one at a
-time; batch gradients are accumulated means. Everything is deterministic
-from the config seed; curve points derive per-(point, repeat) seeds from it.
+consecutive epochs. Each minibatch goes through the model as one padded,
+length-masked batch (one ``model.loss_and_grads`` call) and the step uses the
+mean gradient. Everything is deterministic from the config seed; curve points
+derive per-(point, repeat) seeds from it.
 """
 
 from __future__ import annotations
@@ -154,23 +155,21 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
         perm = order_rng.permutation(n)
         sums = np.zeros(3)
         for start in range(0, n, batch_size):
-            batch = perm[start:start + batch_size]
-            acc = model.zero_grads_like(params)
-            for idx in batch:
-                utt = train[idx]
+            batch = [train[i] for i in perm[start:start + batch_size]]
+            try:
                 breakdown, grads = model.loss_and_grads(
-                    utt.features, utt.target, utt.speaker_index, params, config,
+                    [u.features for u in batch], [u.target for u in batch],
+                    [u.speaker_index for u in batch], params, config,
                     force_speaker_path=force_speaker_path,
                 )
-                if not np.isfinite(breakdown.total):
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch}, utterance {utt.id}"
-                    )
-                for key in acc:
-                    acc[key] += grads[key]
-                sums += (breakdown.label_loss, breakdown.speaker_loss, breakdown.total)
+            except DivergenceError as exc:
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch}, utterance {batch[exc.index].id}"
+                ) from exc
+            sums += (breakdown.label_loss.sum(), breakdown.speaker_loss.sum(),
+                     breakdown.total.sum())
             scale = 1.0 / len(batch)
-            opt.step(params, {k: v * scale for k, v in acc.items()})
+            opt.step(params, {k: v * scale for k, v in grads.items()})
         stats = EpochStats(*(sums / n))
         history.append(stats)
         if select_metric is not None:

@@ -4,7 +4,8 @@ The head averages the output capsules into a single vector
 z = sum_k v_k / sum_k |v_k|, projects it through an n x M matrix (plus an
 optional bias) and a softmax to per-speaker probabilities, and scores the
 true speaker with cross entropy. The total training objective is
-label_loss + speaker_weight * speaker_loss.
+label_loss + speaker_weight * speaker_loss. Like the capsule core, every
+function takes one utterance or a batch with a leading batch axis.
 """
 
 from __future__ import annotations
@@ -23,28 +24,30 @@ NORM_GUARD = 1e-12
 
 @dataclass
 class AverageCapsule:
-    vector: np.ndarray     # (n,)
-    degenerate: bool       # all capsule norms were zero; vector is zeros
+    vector: np.ndarray     # ([B,] n)
+    degenerate: np.ndarray | bool  # per utterance: all capsule norms were zero, vector zeros
 
 
 @dataclass
 class SpeakerDistribution:
-    probs: np.ndarray      # (M,), positive, sums to 1
+    probs: np.ndarray      # ([B,] M), positive, sums to 1
 
 
 @dataclass
 class LossBreakdown:
-    label_loss: float
-    speaker_loss: float
-    total: float
+    """Losses of one utterance (floats) or of a batch ((B,) arrays)."""
+
+    label_loss: float | np.ndarray
+    speaker_loss: float | np.ndarray
+    total: float | np.ndarray
 
 
 @dataclass
 class HeadTrace:
-    capsules: np.ndarray          # (K, n)
-    norms: np.ndarray             # (K,)
+    capsules: np.ndarray          # ([B,] K, n)
+    norms: np.ndarray             # ([B,] K)
     average: AverageCapsule
-    probs: np.ndarray             # (M,)
+    probs: np.ndarray             # ([B,] M)
 
 
 # The average capsule has norm <= 1, so unit-bound weights keep initial
@@ -67,29 +70,37 @@ def average_capsule(caps: OutputCapsuleSet) -> AverageCapsule:
     All-zero capsules make the ratio undefined; that case returns the zero
     vector with the degenerate flag set instead of raising.
     """
-    denom = float(np.sum(caps.norms))
-    if denom <= 0.0:
-        return AverageCapsule(vector=np.zeros(caps.vectors.shape[1]), degenerate=True)
-    return AverageCapsule(vector=np.sum(caps.vectors, axis=0) / denom, degenerate=False)
+    denom = np.sum(caps.norms, axis=-1)
+    degenerate = denom <= 0.0
+    vector = np.sum(caps.vectors, axis=-2) / np.where(degenerate, 1.0, denom)[..., None]
+    return AverageCapsule(vector=np.where(degenerate[..., None], 0.0, vector),
+                          degenerate=degenerate)
 
 
 def speaker_distribution(avg: AverageCapsule, params: Params) -> SpeakerDistribution:
     """Softmax over the linear projection of the average capsule."""
     w = params["spk.W"]
-    if avg.vector.shape[0] != w.shape[0]:
-        raise ShapeError(f"average capsule dim {avg.vector.shape[0]} != projection rows {w.shape[0]}")
+    if avg.vector.shape[-1] != w.shape[0]:
+        raise ShapeError(f"average capsule dim {avg.vector.shape[-1]} "
+                         f"!= projection rows {w.shape[0]}")
     logits = avg.vector @ w + params["spk.b"]
-    return SpeakerDistribution(probs=softmax(logits))
+    return SpeakerDistribution(probs=softmax(logits, axis=-1))
 
 
-def speaker_loss(dist: SpeakerDistribution, speaker_index: int) -> float:
-    """Cross entropy against the one-hot true speaker: -log P[speaker]."""
-    if not 0 <= speaker_index < dist.probs.shape[0]:
-        raise ShapeError(f"speaker index {speaker_index} out of range {dist.probs.shape[0]}")
-    return float(-np.log(max(dist.probs[speaker_index], PROB_FLOOR)))
+def speaker_loss(dist: SpeakerDistribution, speaker_index):
+    """Cross entropy against the one-hot true speaker: -log P[speaker].
+
+    One index gives a float; B indices against (B, M) probabilities give
+    a (B,) array.
+    """
+    index = np.asarray(speaker_index)
+    if np.any((index < 0) | (index >= dist.probs.shape[-1])):
+        raise ShapeError(f"speaker index {speaker_index} out of range {dist.probs.shape[-1]}")
+    p = np.take_along_axis(dist.probs, index[..., None], axis=-1)[..., 0]
+    return -np.log(np.maximum(p, PROB_FLOOR))[()]
 
 
-def total_loss(label_loss: float, spk_loss: float, speaker_weight: float) -> LossBreakdown:
+def total_loss(label_loss, spk_loss, speaker_weight: float) -> LossBreakdown:
     """Weighted sum of the two objectives."""
     return LossBreakdown(
         label_loss=label_loss,
@@ -103,8 +114,8 @@ def decode_speaker(dist: SpeakerDistribution) -> int:
     return int(np.argmax(dist.probs))
 
 
-def head_forward(caps: OutputCapsuleSet, params: Params, speaker_index: int):
-    """Run the full head; returns (loss value, trace for head_backward)."""
+def head_forward(caps: OutputCapsuleSet, params: Params, speaker_index):
+    """Run the full head; returns (loss value(s), trace for head_backward)."""
     avg = average_capsule(caps)
     dist = speaker_distribution(avg, params)
     loss = speaker_loss(dist, speaker_index)
@@ -112,28 +123,27 @@ def head_forward(caps: OutputCapsuleSet, params: Params, speaker_index: int):
     return loss, trace
 
 
-def head_backward(trace: HeadTrace, speaker_index: int, speaker_weight: float, params: Params):
+def head_backward(trace: HeadTrace, speaker_index, speaker_weight: float, params: Params):
     """Gradients of speaker_weight * speaker_loss.
 
-    Returns (head param grads, gradient on the output capsule vectors). The
-    capsule gradient applies the quotient rule of the average:
-    d z / d v_k goes through both sum(v) and sum(|v|). A degenerate average
-    (all-zero capsules) contributes zero gradient everywhere.
+    Returns (head param grads summed over the batch, gradient on the output
+    capsule vectors). The capsule gradient applies the quotient rule of the
+    average: d z / d v_k goes through both sum(v) and sum(|v|). A degenerate
+    average (all-zero capsules) contributes zero gradient everywhere.
     """
-    K, n = trace.capsules.shape
-    if trace.average.degenerate:
-        zeros = {"spk.W": np.zeros_like(params["spk.W"]), "spk.b": np.zeros_like(params["spk.b"])}
-        return zeros, np.zeros((K, n))
-    onehot = np.zeros_like(trace.probs)
-    onehot[speaker_index] = 1.0
+    M = trace.probs.shape[-1]
+    onehot = np.arange(M) == np.asarray(speaker_index)[..., None]
     d_logits = speaker_weight * (trace.probs - onehot)
+    d_logits = np.where(np.asarray(trace.average.degenerate)[..., None], 0.0, d_logits)
     z = trace.average.vector
+    rows = d_logits.reshape(-1, M)
     grads = {
-        "spk.W": np.outer(z, d_logits),
-        "spk.b": d_logits.copy(),
+        "spk.W": z.reshape(-1, z.shape[-1]).T @ rows,
+        "spk.b": rows.sum(axis=0),
     }
-    d_z = params["spk.W"] @ d_logits
-    denom = float(np.sum(trace.norms))
-    unit = trace.capsules / (trace.norms[:, None] + NORM_GUARD)
-    d_caps = (d_z[None, :] - float(d_z @ z) * unit) / denom
+    d_z = d_logits @ params["spk.W"].T
+    denom = np.sum(trace.norms, axis=-1)
+    denom = np.where(denom > 0.0, denom, 1.0)[..., None, None]
+    unit = trace.capsules / (trace.norms[..., None] + NORM_GUARD)
+    d_caps = (d_z[..., None, :] - np.sum(d_z * z, axis=-1)[..., None, None] * unit) / denom
     return grads, d_caps

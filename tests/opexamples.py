@@ -2,9 +2,9 @@
 
 Each entry exercises one documented example of one public operation, with
 derived expectations recomputed by the stated independent oracle (hand
-arithmetic, finite differences, counting, geometry). Unit test modules
-parametrize over their module's entries; the acceptance suite runs the whole
-registry.
+arithmetic, finite differences, counting, geometry). Each unit test module
+parametrizes its ``test_op_examples`` over its module's entries, so the
+whole registry runs with the test suite.
 """
 
 import math
@@ -31,7 +31,6 @@ class OpExample:
     op: str
     label: str
     fn: callable
-    heavy: bool = False
 
     @property
     def id(self) -> str:
@@ -41,15 +40,15 @@ class OpExample:
 EXAMPLES: list[OpExample] = []
 
 
-def example(module, op, label, heavy=False):
+def example(module, op, label):
     def wrap(fn):
-        EXAMPLES.append(OpExample(module, op, label, fn, heavy))
+        EXAMPLES.append(OpExample(module, op, label, fn))
         return fn
     return wrap
 
 
-def by_module(name, include_heavy=False):
-    return [e for e in EXAMPLES if e.module == name and (include_heavy or not e.heavy)]
+def by_module(name):
+    return [e for e in EXAMPLES if e.module == name]
 
 
 # ===========================================================================
@@ -297,8 +296,8 @@ def _():
 @example("capsnet", "dynamic_routing", "single_pass_hand")
 def _():
     votes = np.random.default_rng(4).normal(size=(1, 2, 3))
-    caps, state = capsnet.dynamic_routing(votes, iters=1)
-    assert np.allclose(state.coefficients, 0.5, atol=1e-12)
+    caps, trace = capsnet.dynamic_routing(votes, iters=1)
+    assert np.allclose(trace.coefficients[-1], 0.5, atol=1e-12)
     for j in range(2):
         assert np.allclose(caps.vectors[j], capsnet.squash(0.5 * votes[0, j]), atol=1e-12)
 
@@ -309,16 +308,16 @@ def _():
     base = rng.normal(size=(6, 1, 4))
     votes = np.repeat(base, 3, axis=1)  # identical predictions for every output
     for iters in (1, 2, 4):
-        caps, state, trace = capsnet.dynamic_routing(votes, iters, want_trace=True)
+        caps, trace = capsnet.dynamic_routing(votes, iters)
         for c in trace.coefficients:
             assert np.allclose(c, 1.0 / 3.0, atol=1e-12)
 
 
 @example("capsnet", "dynamic_routing", "zero_votes")
 def _():
-    caps, state = capsnet.dynamic_routing(np.zeros((4, 3, 2)), iters=3)
+    caps, trace = capsnet.dynamic_routing(np.zeros((4, 3, 2)), iters=3)
     assert np.all(caps.vectors == 0.0)
-    assert np.allclose(state.coefficients, 1.0 / 3.0, atol=1e-12)
+    assert np.allclose(trace.coefficients[-1], 1.0 / 3.0, atol=1e-12)
 
 
 # capsnet.encode
@@ -440,7 +439,7 @@ def _():
     assert np.allclose(pipeline(audio), pipeline(2.0 * audio), atol=1e-9)
 
 
-@example("capsnet", "forward", "cross_process_determinism", heavy=True)
+@example("capsnet", "forward", "cross_process_determinism")
 def _():
     code = (
         "import numpy as np\n"
@@ -462,7 +461,7 @@ def _():
 # capsnet.backward
 
 
-@example("capsnet", "backward", "tiny_model_grad_check", heavy=True)
+@example("capsnet", "backward", "tiny_model_grad_check")
 def _():
     cfg = tiny_model_config(num_primary=3, num_labels=2, primary_dim=2, output_dim=2,
                             routing_iters=2, speaker_weight=0.0)
@@ -501,7 +500,7 @@ def _():
     assert all(np.all(g == 0.0) for g in grads.values())
 
 
-@example("capsnet", "backward", "oracle_agreement_second_instance", heavy=True)
+@example("capsnet", "backward", "oracle_agreement_second_instance")
 def _():
     # same oracle on a different random instance (covers routes where some
     # coupling coefficients are near zero)
@@ -647,7 +646,7 @@ def _():
 # multitask.head_backward
 
 
-@example("multitask", "head_backward", "full_grad_check", heavy=True)
+@example("multitask", "head_backward", "full_grad_check")
 def _():
     cfg = tiny_model_config(speaker_weight=0.7)
     params = well_conditioned_params(cfg, seed=41)
@@ -878,7 +877,7 @@ def _small_config(**overrides):
     return capsnet.ModelConfig(**base)
 
 
-@example("experiments", "learning_curve", "single_point_protocol", heavy=True)
+@example("experiments", "learning_curve", "single_point_protocol")
 def _():
     corpus = _small_corpus()
     split = datasets.split_blocks(corpus, 6, "speaker_independent", seed=0)
@@ -904,7 +903,7 @@ def _():
     assert len(test_ids) == 5800
 
 
-@example("experiments", "learning_curve", "monotone_on_clean_data", heavy=True)
+@example("experiments", "learning_curve", "monotone_on_clean_data")
 def _():
     wins = 0
     for seed in range(5):
@@ -920,7 +919,7 @@ def _():
 # experiments.fit
 
 
-@example("experiments", "fit", "baseline_reaches_f1", heavy=True)
+@example("experiments", "fit", "baseline_reaches_f1")
 def _():
     corpus = _small_corpus(noise=0.1, per_speaker=40, seed=3)
     rng = np.random.default_rng(0)
@@ -933,7 +932,7 @@ def _():
     assert scores["f1"] >= 0.95, scores
 
 
-@example("experiments", "fit", "loss_decreases_early", heavy=True)
+@example("experiments", "fit", "loss_decreases_early")
 def _():
     ok = 0
     for seed in range(5):

@@ -42,7 +42,7 @@ def test_routing_simplex_invariant(seed, iters):
     rng = np.random.default_rng(seed)
     P, K, n = rng.integers(1, 8), rng.integers(2, 6), rng.integers(2, 5)
     votes = rng.normal(size=(P, K, n))
-    caps, state, trace = capsnet.dynamic_routing(votes, iters, want_trace=True)
+    caps, trace = capsnet.dynamic_routing(votes, iters)
     for coeff in trace.coefficients:
         assert np.all(coeff >= 0)
         assert np.allclose(coeff.sum(axis=1), 1.0, atol=1e-9)
@@ -63,7 +63,7 @@ def test_routing_agreement_mostly_monotone():
     for seed in range(trials):
         rng = np.random.default_rng(seed)
         votes = rng.normal(size=(6, 4, 3))
-        _, _, trace = capsnet.dynamic_routing(votes, 4, want_trace=True)
+        _, trace = capsnet.dynamic_routing(votes, 4)
         agreements = [
             float(np.einsum("pk,pkn,kn->", c, votes, v))
             for c, v in zip(trace.coefficients, trace.outputs)

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -47,3 +50,56 @@ def test_checkpoint_reload_reproduces_predictions(tmp_path):
     after = model.evaluate(feats, params2, cfg)
     assert before.capsules.vectors.tobytes() == after.capsules.vectors.tobytes()
     assert before.speaker_probs.tobytes() == after.speaker_probs.tobytes()
+
+
+def _resave(path, out, params=None, config=None):
+    """Copy a checkpoint with its parameters or header config replaced."""
+    with np.load(str(path)) as data:
+        arrays = {key: np.array(data[key]) for key in data.files}
+    if params is not None:
+        arrays = {k: v for k, v in arrays.items() if not k.startswith("param/")}
+        arrays.update({f"param/{k}": v for k, v in params.items()})
+    if config is not None:
+        meta = json.loads(bytes(arrays["__meta__"]).decode())
+        meta["config"] = config
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(str(out), **arrays)
+    return str(out)
+
+
+@pytest.mark.parametrize("axis", range(4))
+def test_checkpoint_truncated_transforms_rejected(tmp_path, axis):
+    cfg = tiny_model_config(seed=3)
+    params = model.init_params(cfg)
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, params)
+    truncated = dict(params)
+    truncated["caps.W"] = np.delete(params["caps.W"], -1, axis=axis)
+    bad = _resave(path, tmp_path / "bad.npz", params=truncated)
+    with pytest.raises(FormatError, match="caps.W"):
+        checkpoint.load_checkpoint(bad)
+
+
+def test_checkpoint_missing_or_extra_parameter_rejected(tmp_path):
+    cfg = tiny_model_config()
+    params = model.init_params(cfg)
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, params)
+    missing = {k: v for k, v in params.items() if k != "spk.b"}
+    with pytest.raises(FormatError, match="spk.b"):
+        checkpoint.load_checkpoint(_resave(path, tmp_path / "a.npz", params=missing))
+    extra = {**params, "enc.9.f.Wx": np.zeros((2, 2))}
+    with pytest.raises(FormatError, match="enc.9.f.Wx"):
+        checkpoint.load_checkpoint(_resave(path, tmp_path / "b.npz", params=extra))
+
+
+def test_checkpoint_bad_config_rejected(tmp_path):
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg))
+    config = dataclasses.asdict(cfg)
+    with pytest.raises(FormatError, match="bogus"):
+        checkpoint.load_checkpoint(_resave(path, tmp_path / "a.npz", config={**config, "bogus": 1}))
+    del config["feat_dim"]
+    with pytest.raises(FormatError):
+        checkpoint.load_checkpoint(_resave(path, tmp_path / "b.npz", config=config))

@@ -7,6 +7,8 @@ import yaml
 
 from capsintent import cli, datasets
 from capsintent.checkpoint import load_checkpoint
+from capsintent.errors import UsageError
+from capsintent.features import FeatureCache, FeatureRecipe
 
 from helpers import write_wav
 
@@ -251,3 +253,40 @@ def test_replicate_fluent_report(tmp_path, capsys):
     assert "0.8890" in out and "0.9660" in out
     report = json.loads((out_dir / "replication.json").read_text())
     assert "accuracy_partial" in report and "accuracy_full" in report
+
+
+def test_model_config_unknown_key_is_usage_error(tmp_path):
+    run = cli.load_run_config(write_config(tmp_path))
+    run.model["bogus"] = 1
+    corpus = cli.build_corpus(run)
+    with pytest.raises(UsageError, match="bogus"):
+        cli.model_config_from(run, corpus)
+
+
+def test_eval_non_finite_features_is_data_error(tmp_path, capsys):
+    root = make_audio_corpus_tree(tmp_path)
+    cache = str(tmp_path / "cache")
+    path = write_config(tmp_path, corpus={"kind": "grabo", "root": str(root),
+                                          "cache_dir": cache},
+                        model={"encoder_hidden": 4, "num_primary": 4,
+                               "primary_dim": 2, "output_dim": 2,
+                               "routing_iters": 2, "speaker_weight": 0.0},
+                        training={"epochs": 1})
+    assert cli.main(["train", path]) == 0
+    corpus = datasets.load_grabo(str(root))
+    manifest = tmp_path / "eval.csv"
+    datasets.write_manifest(corpus, str(manifest))
+    # poison one cached feature matrix
+    wav = corpus.utterances[3].audio_path
+    feats, was_cached = FeatureCache(cache).get_or_compute(wav)
+    assert was_cached
+    feats = feats.copy()
+    feats[0, 0] = np.nan
+    FeatureCache(cache).store(wav, FeatureRecipe(), feats)
+    capsys.readouterr()
+    code = cli.main(["eval", "--checkpoint", str(tmp_path / "out" / "model.npz"),
+                     "--manifest", str(manifest), "--cache-dir", cache,
+                     "--output", str(tmp_path / "evalout")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "diverged" not in err

@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import capsintent.model as model
-from capsintent import experiments
-from capsintent.errors import DivergenceError
+from capsintent import capsnet, datasets, encoder, experiments, multitask
+from capsintent.errors import DataError, DivergenceError
+from capsintent.numeric import grad_check
 
-from helpers import tiny_model_config
+from helpers import tiny_model_config, well_conditioned_params
 from opexamples import _small_config, _small_corpus
 
 
@@ -105,3 +108,118 @@ def test_predict_returns_labels_and_speaker():
     labels, speaker = model.predict(utt.features, params, cfg, corpus.vocab)
     assert isinstance(labels, list)
     assert 0 <= speaker < cfg.speaker_count
+
+
+def test_param_shapes_match_init_params():
+    for cfg in (tiny_model_config(), tiny_model_config(encoder_layers=3, output_dim=5),
+                _small_config()):
+        assert model.param_shapes(cfg) == {k: v.shape for k, v in model.init_params(cfg).items()}
+
+
+def test_evaluate_rejects_non_finite_features():
+    corpus = _small_corpus(per_speaker=2)
+    cfg = _small_config()
+    params = model.init_params(cfg)
+    feats = corpus.utterances[0].features.copy()
+    feats[1, 2] = np.nan
+    with pytest.raises(DataError):
+        model.evaluate(feats, params, cfg)
+    with pytest.raises(DataError):
+        model.predict(feats, params, cfg, corpus.vocab)
+
+
+# ---------------------------------------------------------------------------
+# the batched path
+
+
+def _ragged_batch(cfg, lengths, seed):
+    rng = np.random.default_rng(seed)
+    feats = [rng.normal(size=(T, cfg.feat_dim)) for T in lengths]
+    targets = (rng.random((len(lengths), cfg.num_labels)) < 0.4).astype(float)
+    speakers = rng.integers(0, cfg.speaker_count, len(lengths))
+    return feats, targets, speakers
+
+
+def _max_rel(got, want):
+    scale = np.max(np.abs(want))
+    return np.max(np.abs(got - want)) / scale if scale else np.max(np.abs(got))
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=20),
+       weight=st.sampled_from([0.0, 1.0]), force=st.booleans(), seed=st.integers(0, 1000))
+@example(lengths=[1] + [7] * 16 + [12, 3], weight=1.0, force=False, seed=0)
+def test_batch_call_equals_sum_of_single_calls(lengths, weight, force, seed):
+    cfg = tiny_model_config(speaker_weight=weight)
+    params = well_conditioned_params(cfg, seed=seed)
+    feats, targets, speakers = _ragged_batch(cfg, lengths, seed)
+    batch, grads = model.loss_and_grads(feats, targets, speakers, params, cfg,
+                                        force_speaker_path=force)
+    summed = {k: np.zeros_like(v) for k, v in params.items()}
+    for b in range(len(lengths)):
+        one, one_grads = model.loss_and_grads(feats[b], targets[b], speakers[b], params, cfg,
+                                              force_speaker_path=force)
+        for name in ("label_loss", "speaker_loss", "total"):
+            want = getattr(one, name)
+            assert abs(getattr(batch, name)[b] - want) <= 1e-10 * max(abs(want), 1e-3), name
+        for key in summed:
+            summed[key] += one_grads[key]
+    assert set(grads) == set(summed)
+    for key in summed:
+        assert _max_rel(grads[key], summed[key]) <= 1e-10, key
+
+
+@settings(max_examples=20, deadline=None)
+@given(lengths=st.lists(st.integers(1, 10), min_size=1, max_size=8),
+       extra=st.integers(1, 15), seed=st.integers(0, 1000))
+def test_padding_with_a_longer_utterance_leaves_losses_unchanged(lengths, extra, seed):
+    cfg = tiny_model_config(speaker_weight=1.0)
+    params = well_conditioned_params(cfg, seed=seed)
+    feats, targets, speakers = _ragged_batch(cfg, lengths + [max(lengths) + extra], seed)
+    alone, _ = model.loss_and_grads(feats[:-1], targets[:-1], speakers[:-1], params, cfg)
+    padded, _ = model.loss_and_grads(feats, targets, speakers, params, cfg)
+    for name in ("label_loss", "speaker_loss", "total"):
+        np.testing.assert_allclose(getattr(padded, name)[:-1], getattr(alone, name),
+                                   rtol=1e-12, atol=1e-15)
+
+
+def test_grad_check_on_ragged_batch():
+    cfg = tiny_model_config(speaker_weight=0.7)
+    params = well_conditioned_params(cfg, seed=51)
+    feats, targets, speakers = _ragged_batch(cfg, [1, 4, 6], seed=52)
+    xs, lengths = encoder.pad_batch(feats)
+
+    def loss(p):
+        # forward only, composed here independently of loss_and_grads
+        caps, _ = capsnet.forward(xs, p, cfg, want_trace=False, lengths=lengths)
+        spk, _ = multitask.head_forward(caps, p, speakers)
+        return float(np.sum(capsnet.margin_loss(caps, targets, cfg) + cfg.speaker_weight * spk))
+
+    rep = grad_check(loss, lambda p: model.loss_and_grads(feats, targets, speakers, p, cfg)[1],
+                     params)
+    assert rep.max_relative_error < 1e-4, rep
+
+
+def test_empty_batch_rejected():
+    cfg = tiny_model_config()
+    with pytest.raises(DataError):
+        model.loss_and_grads([], np.zeros((0, cfg.num_labels)), [], model.init_params(cfg), cfg)
+
+
+def test_divergence_names_the_first_bad_utterance():
+    cfg = tiny_model_config()
+    params = model.init_params(cfg)
+    feats, targets, speakers = _ragged_batch(cfg, [3] * 20, seed=1)
+    for bad in (17, 19):
+        feats[bad] = feats[bad] * np.inf
+    with pytest.raises(DivergenceError) as info:
+        model.loss_and_grads(feats, targets, speakers, params, cfg)
+    assert info.value.index == 17
+
+    corpus = _small_corpus(per_speaker=6)
+    utts = list(corpus.utterances)
+    bad = utts[5]
+    utts[5] = datasets.Utterance(id=bad.id, target=bad.target, speaker_index=bad.speaker_index,
+                                 features=bad.features * np.inf)
+    with pytest.raises(DivergenceError, match=f"utterance {bad.id}$"):
+        experiments.fit(utts, _small_config(), epochs=1, batch_size=len(utts))
