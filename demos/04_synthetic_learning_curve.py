@@ -3,7 +3,7 @@
 
 Builds a small deterministic corpus, splits it into blocks, trains on an
 increasing number of blocks, tests on the rest, and writes the standard
-curve CSV. Takes a couple of minutes on a laptop CPU."""
+curve CSV. Takes a few seconds on a laptop CPU."""
 
 import tempfile
 from pathlib import Path

@@ -18,6 +18,6 @@ from .model import init_params, loss_and_grads, predict
 from .multitask import (AverageCapsule, LossBreakdown, SpeakerDistribution,
                         average_capsule, decode_speaker, speaker_distribution,
                         speaker_loss, total_loss)
-from .numeric import GradCheckReport, grad_check, matmul, softmax
+from .numeric import GradCheckReport, grad_check, softmax
 
 __version__ = "0.1.0"

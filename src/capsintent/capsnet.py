@@ -163,6 +163,9 @@ def dynamic_routing(votes: np.ndarray, iters: int):
 
     Returns (OutputCapsuleSet, RoutingTrace); the trace records the
     per-iteration state the backward pass needs.
+
+    Votes too large to square (above about 1e154) raise DivergenceError
+    with the batch position of the first utterance affected.
     """
     if iters < 1:
         raise ShapeError(f"routing needs at least one iteration, got {iters}")
@@ -172,6 +175,9 @@ def dynamic_routing(votes: np.ndarray, iters: int):
         coeff = softmax(logits, axis=-1)
         pooled = np.einsum("p...k,p...kn->...kn", coeff, votes)
         out = squash(pooled, axis=-1)
+        if not np.isfinite(out).all():
+            finite = np.isfinite(out).all(axis=(-2, -1))
+            raise DivergenceError("non-finite routing outputs", index=int(np.argmin(finite)))
         trace.coefficients.append(coeff)
         trace.pooled.append(pooled)
         trace.outputs.append(out)

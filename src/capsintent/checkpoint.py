@@ -3,24 +3,25 @@
 A checkpoint is a single ``.npz`` file with a versioned JSON header under the
 ``__meta__`` key (format version, full model config, seed, and optionally the
 label vocabulary and speaker roster) plus one array entry per parameter path
-prefixed with ``param/``. Writes are atomic (temp file + rename). Loading
-validates the header's config and every parameter's name and shape against
-that config, so a bad file fails when it is read, not at first use.
+prefixed with ``param/``. Writes are atomic (``features.atomic_write``).
+Loading validates the header's config, the vocabulary and roster, and every
+parameter's name and shape against that config, so a bad file fails when it
+is read, not at first use.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import tempfile
 import zipfile
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .capsnet import ModelConfig
-from .errors import FormatError, ShapeError
+from .datasets import LabelVocabulary, SlotGroup
+from .errors import DataError, FormatError, ShapeError
+from .features import atomic_write
 from .model import param_shapes
 from .numeric import Params
 
@@ -39,20 +40,12 @@ def save_checkpoint(path: str, config: ModelConfig, params: Params,
         meta["vocab"] = vocab_payload
     arrays = {f"param/{name}": value for name, value in params.items()}
     arrays["__meta__"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    atomic_write(path, lambda fh: np.savez(fh, **arrays))
 
 
 def load_checkpoint(path: str):
-    """Returns (config, params, vocab_payload or None)."""
+    """Returns (config, params, vocab_payload or None); a payload must
+    decode to the config's num_labels labels and speaker_count speakers."""
     try:
         with np.load(path) as data:
             if "__meta__" not in data:
@@ -77,7 +70,47 @@ def load_checkpoint(path: str):
         if params[name].shape != shape:
             raise FormatError(f"{path}: parameter {name} has shape {params[name].shape}, "
                               f"the config needs {shape}")
-    return config, params, meta.get("vocab")
+    payload = meta.get("vocab")
+    if payload is not None:
+        try:
+            vocab, speakers = vocab_from_payload(payload)
+        except FormatError as exc:
+            raise FormatError(f"{path}: {exc}") from exc
+        if (len(vocab), len(speakers)) != (config.num_labels, config.speaker_count):
+            raise FormatError(f"{path}: vocabulary has {len(vocab)} labels and "
+                              f"{len(speakers)} speakers, the config needs "
+                              f"{config.num_labels} and {config.speaker_count}")
+    return config, params, payload
+
+
+def vocab_payload(vocab: LabelVocabulary, speakers: Sequence[str]) -> dict:
+    """The checkpoint header's encoding of a vocabulary and speaker roster."""
+    return {
+        "labels": list(vocab.labels),
+        "slot_groups": [
+            {"name": g.name, "labels": list(g.labels), "required": g.required}
+            for g in vocab.slot_groups
+        ],
+        "speakers": list(speakers),
+    }
+
+
+def vocab_from_payload(payload: dict) -> tuple[LabelVocabulary, list[str]]:
+    """Inverse of ``vocab_payload``; a malformed payload raises FormatError."""
+    try:
+        vocab = LabelVocabulary(
+            labels=tuple(payload["labels"]),
+            slot_groups=tuple(
+                SlotGroup(name=g["name"], labels=tuple(g["labels"]), required=g["required"])
+                for g in payload["slot_groups"]
+            ),
+        )
+        speakers = list(payload["speakers"])
+    except (KeyError, TypeError, DataError) as exc:
+        raise FormatError(f"malformed vocabulary: {exc!r}") from exc
+    if len(set(speakers)) != len(speakers):
+        raise FormatError("malformed vocabulary: duplicate speaker names")
+    return vocab, speakers
 
 
 def _config_from(raw, path: str) -> ModelConfig:

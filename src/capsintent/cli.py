@@ -2,32 +2,37 @@
 
 Subcommands: ``features``, ``train``, ``eval``, ``curve``,
 ``replicate-fluent``, ``validate-config``. Runs are described by a single
-YAML config file (documented in the README); flags only override paths and
-verbosity. Exit codes: 0 success, 2 usage/config errors, 3 training
-divergence, 4 data errors.
+YAML config file; flags only override paths and verbosity. Exit codes: 0
+success, 2 usage/config errors, 3 training divergence, 4 data errors.
+
+Config keys (unknown keys are rejected): ``output_dir`` (required);
+``seed``; ``corpus`` (required): ``kind`` (synth | grabo | fluent |
+manifest), ``root``, ``manifest``, ``cache_dir``, and for synth ``preset``,
+``per_speaker_count``, ``noise_level``, ``feat_dim``, ``seed``; ``model``:
+the ``MODEL_KEYS`` fields of ``ModelConfig``; ``experiment``: ``mode``
+(speaker_independent | speaker_dependent), ``num_blocks``, ``schedule``,
+``repeats``, ``sweep`` (``axis`` output_dim | speaker_weight, ``values``);
+``training``: the fields of ``TrainingConfig``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
 import yaml
 
-from . import datasets, experiments, model
+from . import datasets, experiments
 from .capsnet import ModelConfig
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, vocab_from_payload, vocab_payload
 from .datasets import Corpus, ensure_features, load_manifest
 from .errors import (CapsIntentError, ContractError, DataError, DivergenceError,
                      UsageError)
-from .features import FeatureRecipe
 
 log = logging.getLogger("capsintent")
 
@@ -228,9 +233,9 @@ def cmd_train(args) -> int:
     config = model_config_from(run, corpus)
     result = experiments.fit(corpus.utterances, config, **run.training.fit_options())
     out_dir = args.output or run.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     ckpt_path = os.path.join(out_dir, "model.npz")
-    save_checkpoint(ckpt_path, config, result.params, vocab_payload=vocab_payload(corpus))
+    save_checkpoint(ckpt_path, config, result.params,
+                    vocab_payload=vocab_payload(corpus.vocab, corpus.speakers))
     history_path = os.path.join(out_dir, "history.json")
     experiments.write_summary_json(history_path, {
         "epochs": [dataclasses.asdict(h) for h in result.history],
@@ -242,70 +247,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def vocab_payload(corpus: Corpus) -> dict:
-    return {
-        "labels": list(corpus.vocab.labels),
-        "slot_groups": [
-            {"name": g.name, "labels": list(g.labels), "required": g.required}
-            for g in corpus.vocab.slot_groups
-        ],
-        "speakers": list(corpus.speakers),
-    }
-
-
-def vocab_from_payload(payload: dict) -> tuple[datasets.LabelVocabulary, list[str]]:
-    vocab = datasets.LabelVocabulary(
-        labels=tuple(payload["labels"]),
-        slot_groups=tuple(
-            datasets.SlotGroup(name=g["name"], labels=tuple(g["labels"]), required=g["required"])
-            for g in payload["slot_groups"]
-        ),
-    )
-    return vocab, list(payload["speakers"])
-
-
 def cmd_eval(args) -> int:
     config, params, payload = load_checkpoint(args.checkpoint)
     if payload is None:
         raise ContractError(f"{args.checkpoint} carries no vocabulary; cannot decode")
     vocab, speakers = vocab_from_payload(payload)
     corpus = load_manifest(args.manifest)
-    unknown = set(corpus.vocab.labels) - set(vocab.labels)
-    if unknown:
-        raise ContractError(
-            f"manifest labels not in checkpoint vocabulary: {sorted(unknown)[:5]}"
-        )
-    unknown_speakers = set(corpus.speakers) - set(speakers)
-    if unknown_speakers:
-        raise ContractError(
-            f"manifest speakers not in checkpoint roster: {sorted(unknown_speakers)[:5]}"
-        )
-    cache = args.cache_dir or os.environ.get(CACHE_ENV_VAR)
-    ensure_features(corpus, cache_dir=cache)
+    for what, names, known, where in (("labels", corpus.vocab.labels, vocab.labels, "vocabulary"),
+                                      ("speakers", corpus.speakers, speakers, "roster")):
+        unknown = set(names) - set(known)
+        if unknown:
+            raise ContractError(f"manifest {what} not in checkpoint {where}: {sorted(unknown)[:5]}")
+    ensure_features(corpus, cache_dir=args.cache_dir or os.environ.get(CACHE_ENV_VAR))
+    utts = corpus.utterances
+    preds, pred_speakers = experiments.predict_corpus(utts, params, config, vocab)
+    refs = [corpus.vocab.names_of(u.target) for u in utts]
+    ref_names = [corpus.speakers[u.speaker_index] for u in utts]
+    # reference speakers as indices of the checkpoint roster
     spk_map = {name: i for i, name in enumerate(speakers)}
-    preds, pred_speakers, refs, ref_speakers = [], [], [], []
-    rows = []
-    for utt in corpus.utterances:
-        labels, speaker = model.predict(utt.features, params, config, vocab)
-        ref_names = corpus.vocab.names_of(utt.target)
-        ref_spk = spk_map[corpus.speakers[utt.speaker_index]]
-        preds.append(labels)
-        pred_speakers.append(speaker)
-        refs.append(ref_names)
-        ref_speakers.append(ref_spk)
-        rows.append(f"{utt.id},{';'.join(labels)},{speakers[speaker]},"
-                    f"{';'.join(ref_names)},{corpus.speakers[utt.speaker_index]}")
-    metrics = {
-        "f1": experiments.f1_score(preds, refs),
-        "speaker_accuracy": experiments.speaker_accuracy(pred_speakers, ref_speakers),
-    }
-    if vocab.slot_groups:
-        metrics["intent_accuracy"] = experiments.intent_accuracy(preds, refs, vocab)
+    metrics = experiments.scores(preds, pred_speakers, refs,
+                                 [spk_map[name] for name in ref_names], vocab)
+    rows = [f"{u.id},{';'.join(labels)},{speakers[spk]},{';'.join(ref)},{ref_spk}"
+            for u, labels, spk, ref, ref_spk in zip(utts, preds, pred_speakers, refs, ref_names)]
     out_dir = args.output or "."
-    os.makedirs(out_dir, exist_ok=True)
     pred_path = os.path.join(out_dir, "predictions.csv")
     header = "id,predicted_labels,predicted_speaker,reference_labels,reference_speaker"
-    experiments._atomic_write(pred_path, "\n".join([header, *rows]) + "\n")
+    experiments.write_text(pred_path, "\n".join([header, *rows]) + "\n")
     experiments.write_summary_json(os.path.join(out_dir, "metrics.json"), metrics)
     for key, value in sorted(metrics.items()):
         print(f"{key}: {value:.4f}")
@@ -326,7 +293,6 @@ def cmd_curve(args) -> int:
                                   mode=run.experiment.mode, seed=run.seed)
     schedule = run.experiment.schedule or experiments.default_schedule(split.num_blocks)
     out_dir = args.output or run.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     experiments.write_run_manifest(os.path.join(out_dir, "run.json"),
                                    run.raw, corpus.name, _experiment_seeds(run))
     fit_options = run.training.fit_options()
@@ -365,7 +331,6 @@ def cmd_replicate_fluent(args) -> int:
     report = experiments.train_test_replication(corpus, config,
                                                 fit_options=run.training.fit_options())
     out_dir = args.output or run.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     experiments.write_summary_json(os.path.join(out_dir, "replication.json"), report)
     print(f"{'setting':24s} {'partial':>8s} {'full':>8s}")
     print(f"{'this run':24s} {report['accuracy_partial']:8.4f} {report['accuracy_full']:8.4f}")
@@ -428,16 +393,13 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
-    except (UsageError, ContractError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return 3
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except CapsIntentError as exc:
+    except CapsIntentError as exc:   # UsageError, ContractError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -25,6 +23,7 @@ from . import model
 from .capsnet import ModelConfig
 from .datasets import BlockSplit, Corpus, LabelVocabulary, Utterance
 from .errors import ContractError, DivergenceError, UsageError
+from .features import atomic_write
 from .numeric import Params
 
 log = logging.getLogger(__name__)
@@ -87,6 +86,19 @@ def intent_accuracy(predicted: Sequence, reference: Sequence, vocab: LabelVocabu
     return hits / len(reference)
 
 
+def scores(preds: Sequence, pred_speakers: Sequence[int], ref_labels: Sequence,
+           ref_speakers: Sequence[int], vocab: LabelVocabulary) -> dict[str, float]:
+    """Label F1 and speaker accuracy, plus intent accuracy when ``vocab``
+    has slot groups."""
+    out = {
+        "f1": f1_score(preds, ref_labels),
+        "speaker_accuracy": speaker_accuracy(pred_speakers, ref_speakers),
+    }
+    if vocab.slot_groups:
+        out["intent_accuracy"] = intent_accuracy(preds, ref_labels, vocab)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # optimizer and fitting
 
@@ -136,12 +148,21 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
         select_metric: Optional[str] = None) -> FitResult:
     """Train a fresh model on ``train``.
 
-    With ``valid``/``vocab``/``select_metric`` ("intent_accuracy" or "f1")
-    the epoch checkpoint scoring best on the validation set is returned
-    instead of the final one.
+    With ``valid``/``vocab``/``select_metric`` (a key of ``evaluate_model``:
+    "f1", "speaker_accuracy", or "intent_accuracy" when the vocabulary has
+    slot groups) the epoch checkpoint scoring best on the validation set is
+    returned instead of the final one. A bad selection setup is a
+    UsageError before the first step.
     """
     if not train:
         raise UsageError("cannot fit on an empty training set")
+    if select_metric is not None:
+        if not valid or vocab is None:
+            raise UsageError("validation selection needs valid utterances and a vocabulary")
+        known = {"f1", "speaker_accuracy"} | ({"intent_accuracy"} if vocab.slot_groups else set())
+        if select_metric not in known:
+            raise UsageError(f"cannot select on {select_metric!r} with this vocabulary; "
+                             f"choose from {sorted(known)}")
     params = model.init_params(config)
     opt = Adam(params, lr=lr)
     order_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
@@ -173,10 +194,7 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
         stats = EpochStats(*(sums / n))
         history.append(stats)
         if select_metric is not None:
-            if valid is None or vocab is None:
-                raise UsageError("validation selection needs valid utterances and a vocabulary")
-            scores = evaluate_model(valid, params, config, vocab)
-            score = scores[select_metric]
+            score = evaluate_model(valid, params, config, vocab)[select_metric]
             if score > best_score:
                 best_score, best_epoch = score, epoch
                 best_params = {k: v.copy() for k, v in params.items()}
@@ -196,7 +214,8 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
 
 def predict_corpus(utts: Sequence[Utterance], params: Params, config: ModelConfig,
                    vocab: LabelVocabulary):
-    """Decode labels and speakers for a list of utterances."""
+    """Decode labels and speakers for a list of utterances: the package's
+    one decoding loop, behind evaluation, curves, replication and ``eval``."""
     label_sets, speakers = [], []
     for utt in utts:
         labels, speaker = model.predict(utt.features, params, config, vocab)
@@ -207,15 +226,11 @@ def predict_corpus(utts: Sequence[Utterance], params: Params, config: ModelConfi
 
 def evaluate_model(utts: Sequence[Utterance], params: Params, config: ModelConfig,
                    vocab: LabelVocabulary) -> dict[str, float]:
+    """``scores`` of the model's predictions against the utterances' own
+    labels (named by ``vocab``) and speaker indices."""
     preds, speakers = predict_corpus(utts, params, config, vocab)
-    refs = [vocab.names_of(u.target) for u in utts]
-    out = {
-        "f1": f1_score(preds, refs),
-        "speaker_accuracy": speaker_accuracy(speakers, [u.speaker_index for u in utts]),
-    }
-    if vocab.slot_groups:
-        out["intent_accuracy"] = intent_accuracy(preds, refs, vocab)
-    return out
+    return scores(preds, speakers, [vocab.names_of(u.target) for u in utts],
+                  [u.speaker_index for u in utts], vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -278,67 +293,65 @@ def _blocks_train_test(blocks: list[list[str]], k: int):
     return train, test
 
 
+def curve_jobs(split: BlockSplit, k: int, seed: int, p_idx: int, rep: int) -> list[tuple]:
+    """The (train_ids, test_ids, seed) of every model one curve repeat
+    trains on the first ``k`` blocks: one job on a speaker-independent
+    split, one per speaker (in sorted order) on a speaker-dependent one."""
+    if split.mode == "speaker_independent":
+        return [(*_blocks_train_test(split.blocks, k), derive_seed(seed, p_idx, rep))]
+    return [(*_blocks_train_test(split.per_speaker[spk], k), derive_seed(seed, p_idx, rep, spk))
+            for spk in sorted(split.per_speaker)]
+
+
 def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
                    config: ModelConfig, repeats: Optional[int] = None,
                    fit_options: Optional[dict] = None) -> list[LearningCurvePoint]:
     """Train on the first k blocks and test on the rest, for each k.
 
-    Speaker-dependent splits run the protocol per speaker and average the
-    metrics over speakers. Each (point, repeat) trains a fresh model with a
-    seed derived from (config seed, point index, repeat). Diverging points
-    are flagged failed and the run continues.
+    Each (point, repeat) fits and evaluates the jobs of ``curve_jobs``, each
+    a fresh model with its own derived seed, and averages their metrics:
+    speaker-dependent splits average over speakers. Diverging points are
+    flagged failed and the run continues.
     """
     schedule = validate_schedule(schedule, split.num_blocks)
     fit_options = fit_options or {}
     points = []
     for p_idx, k in enumerate(schedule):
-        n_rep = point_repeats(k, repeats)
-        f1s, spk_accs, train_sizes = [], [], []
+        reps = []                      # (f1, speaker accuracy, train size) per repeat
         failed = False
-        for rep in range(n_rep):
+        for rep in range(point_repeats(k, repeats)):
+            runs = []
             try:
-                if split.mode == "speaker_independent":
-                    train_ids, test_ids = _blocks_train_test(split.blocks, k)
-                    cfg = config.with_seed(derive_seed(config.seed, p_idx, rep))
+                for train_ids, test_ids, seed in curve_jobs(split, k, config.seed, p_idx, rep):
+                    cfg = config.with_seed(seed)
                     result = fit(corpus.subset(train_ids), cfg, **fit_options)
-                    scores = evaluate_model(corpus.subset(test_ids), result.params, cfg,
-                                            corpus.vocab)
-                    f1s.append(scores["f1"])
-                    spk_accs.append(scores["speaker_accuracy"])
-                    train_sizes.append(len(train_ids))
-                else:
-                    spk_f1, spk_acc, sizes = [], [], []
-                    for spk in sorted(split.per_speaker):
-                        train_ids, test_ids = _blocks_train_test(split.per_speaker[spk], k)
-                        cfg = config.with_seed(derive_seed(config.seed, p_idx, rep, spk))
-                        result = fit(corpus.subset(train_ids), cfg, **fit_options)
-                        scores = evaluate_model(corpus.subset(test_ids), result.params, cfg,
-                                                corpus.vocab)
-                        spk_f1.append(scores["f1"])
-                        spk_acc.append(scores["speaker_accuracy"])
-                        sizes.append(len(train_ids))
-                    f1s.append(float(np.mean(spk_f1)))
-                    spk_accs.append(float(np.mean(spk_acc)))
-                    train_sizes.append(int(round(np.mean(sizes))))
+                    job = evaluate_model(corpus.subset(test_ids), result.params, cfg,
+                                         corpus.vocab)
+                    runs.append((job["f1"], job["speaker_accuracy"], len(train_ids)))
             except DivergenceError as exc:
                 log.warning("curve point %d blocks, repeat %d diverged: %s", k, rep, exc)
                 failed = True
-        if f1s:
-            stddev = float(np.std(f1s, ddof=1)) if len(f1s) > 1 else 0.0
-            points.append(LearningCurvePoint(
-                train_utterances=int(round(np.mean(train_sizes))),
-                f1=float(np.mean(f1s)),
-                stddev_f1=stddev,
-                speaker_acc=float(np.mean(spk_accs)),
-                repeats=len(f1s),
-                failed=failed,
-            ))
-        else:
-            points.append(LearningCurvePoint(
-                train_utterances=0, f1=float("nan"), stddev_f1=float("nan"),
-                speaker_acc=float("nan"), repeats=0, failed=True,
-            ))
+                continue
+            reps.append(_means(runs))
+        if not reps:
+            nan = float("nan")
+            points.append(LearningCurvePoint(0, nan, nan, nan, repeats=0, failed=True))
+            continue
+        f1, speaker_acc, size = _means(reps)
+        f1s = [r[0] for r in reps]
+        points.append(LearningCurvePoint(
+            train_utterances=size, f1=f1,
+            stddev_f1=float(np.std(f1s, ddof=1)) if len(f1s) > 1 else 0.0,
+            speaker_acc=speaker_acc, repeats=len(reps), failed=failed,
+        ))
     return points
+
+
+def _means(rows) -> tuple[float, float, int]:
+    """Column means of (f1, speaker accuracy, train size) rows, the size
+    rounded; 1-D means, as a 2-D mean sums in another order."""
+    f1s, accs, sizes = zip(*rows)
+    return float(np.mean(f1s)), float(np.mean(accs)), int(round(np.mean(sizes)))
 
 
 def run_sweep(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
@@ -372,9 +385,8 @@ def train_test_replication(corpus: Corpus, config: ModelConfig,
     for tag, ids in (("partial", fluent_partial_ids(corpus)), ("full", corpus.splits["train"])):
         result = fit(corpus.subset(ids), config, valid=valid, vocab=corpus.vocab,
                      select_metric="intent_accuracy", **fit_options)
-        preds, _ = predict_corpus(test, result.params, config, corpus.vocab)
-        refs = [corpus.vocab.names_of(u.target) for u in test]
-        report[f"accuracy_{tag}"] = intent_accuracy(preds, refs, corpus.vocab)
+        report[f"accuracy_{tag}"] = evaluate_model(test, result.params, config,
+                                                   corpus.vocab)["intent_accuracy"]
         report[f"train_size_{tag}"] = len(ids)
     return report
 
@@ -383,17 +395,9 @@ def train_test_replication(corpus: Corpus, config: ModelConfig,
 # result files
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+def write_text(path: str, text: str) -> None:
+    """Atomically write ``text`` (UTF-8) to ``path``."""
+    atomic_write(path, lambda fh: fh.write(text.encode()))
 
 
 CURVE_CSV_HEADER = "train_utterances,f1,stddev_f1,speaker_acc,repeats"
@@ -407,7 +411,7 @@ def write_curve_csv(path: str, points: Sequence[LearningCurvePoint]) -> None:
             continue
         lines.append(f"{pt.train_utterances},{pt.f1:.6f},{pt.stddev_f1:.6f},"
                      f"{pt.speaker_acc:.6f},{pt.repeats}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def points_payload(points: Sequence[LearningCurvePoint]) -> list[dict]:
@@ -425,7 +429,7 @@ def points_payload(points: Sequence[LearningCurvePoint]) -> list[dict]:
 
 
 def write_summary_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def git_blob_hash(content: bytes) -> str:
@@ -439,5 +443,5 @@ def write_run_manifest(path: str, config_payload: dict, corpus_name: str,
     body = {"config": config_payload, "corpus": corpus_name, "seeds": seeds}
     canonical = json.dumps(body, sort_keys=True).encode()
     body["content_hash"] = git_blob_hash(canonical)
-    _atomic_write(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
+    write_summary_json(path, body)
     return body["content_hash"]

@@ -14,6 +14,7 @@ import os
 import tempfile
 import wave
 from dataclasses import dataclass, asdict
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -201,6 +202,24 @@ def compute_features(clip: AudioClip, recipe: FeatureRecipe = FeatureRecipe()) -
     return feats
 
 
+def atomic_write(path: str, write: Callable[[BinaryIO], object]) -> None:
+    """Create or replace ``path`` atomically, the package's one such writer
+    (here because every writer can import this module): ``write`` fills a
+    binary temp file in the same directory, which is then renamed over
+    ``path``; if it raises, ``path`` is left as it was and the temp file is
+    removed. Missing parent directories are created."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def _file_digest(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -213,9 +232,8 @@ class FeatureCache:
     """Disk cache of per-utterance feature matrices.
 
     One ``.npy`` file (float64, shape (frames, dim)) per utterance, named
-    ``<audio-sha256-prefix>_<recipe-digest>.npy``. Writes go to a temp file in
-    the cache directory followed by an atomic rename, so concurrent writers
-    of the same key are safe.
+    ``<audio-sha256-prefix>_<recipe-digest>.npy``. Writes go through
+    ``atomic_write``, so concurrent writers of the same key are safe.
     """
 
     def __init__(self, directory: str):
@@ -232,15 +250,7 @@ class FeatureCache:
         return None
 
     def store(self, audio_path: str, recipe: FeatureRecipe, feats: np.ndarray) -> None:
-        key = self._key_path(audio_path, recipe)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".npy.tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.save(fh, feats)
-            os.replace(tmp, key)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        atomic_write(self._key_path(audio_path, recipe), lambda fh: np.save(fh, feats))
 
     def get_or_compute(self, audio_path: str, recipe: FeatureRecipe = FeatureRecipe()):
         """Returns (features, was_cached)."""

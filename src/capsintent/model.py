@@ -60,11 +60,10 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 @dataclass
 class EvalOutput:
     capsules: OutputCapsuleSet
-    speaker_probs: Optional[np.ndarray]
+    speaker_probs: np.ndarray
 
 
-def evaluate(feats: np.ndarray, params: Params, config: ModelConfig,
-             with_speaker: bool = True) -> EvalOutput:
+def evaluate(feats: np.ndarray, params: Params, config: ModelConfig) -> EvalOutput:
     """Inference-only forward pass of one (frames, feat_dim) utterance: the
     same forward as training, with no batch axis and no trace kept.
 
@@ -75,11 +74,8 @@ def evaluate(feats: np.ndarray, params: Params, config: ModelConfig,
     if not np.all(np.isfinite(feats)):
         raise DataError("features contain non-finite values")
     caps, _ = capsnet.forward(feats, params, config, want_trace=False)
-    probs = None
-    if with_speaker:
-        avg = multitask.average_capsule(caps)
-        probs = multitask.speaker_distribution(avg, params).probs
-    return EvalOutput(capsules=caps, speaker_probs=probs)
+    dist = multitask.speaker_distribution(multitask.average_capsule(caps), params)
+    return EvalOutput(capsules=caps, speaker_probs=dist.probs)
 
 
 # Utterances go through the model in slices of at most this many, and the
@@ -170,7 +166,7 @@ def _loss_and_grads(xs, lengths, target, speaker_index, params, config, force_sp
 def predict(feats: np.ndarray, params: Params, config: ModelConfig,
             vocab: "LabelVocabulary"):
     """Decode the label set and the most probable speaker for one utterance."""
-    out = evaluate(feats, params, config, with_speaker=True)
+    out = evaluate(feats, params, config)
     labels = capsnet.decode_labels(out.capsules, vocab)
-    speaker = int(np.argmax(out.speaker_probs))
+    speaker = multitask.decode_speaker(multitask.SpeakerDistribution(out.speaker_probs))
     return labels, speaker

@@ -11,25 +11,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, UsageError
+from .errors import ContractError, UsageError
 
 Params = dict[str, np.ndarray]
 
 REL_ERR_FLOOR = 1e-12
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two 2-D arrays with explicit shape validation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise ArithmeticError("matmul produced non-finite entries")
-    return out
 
 
 def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:

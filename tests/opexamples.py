@@ -52,27 +52,6 @@ def by_module(name):
 
 
 # ===========================================================================
-# numeric.matmul
-
-
-@example("numeric", "matmul", "identity")
-def _():
-    m = np.arange(9.0).reshape(3, 3) + 1
-    assert np.array_equal(numeric.matmul(np.eye(3), m), m)
-
-
-@example("numeric", "matmul", "hand_product")
-def _():
-    out = numeric.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-    assert np.array_equal(out, np.array([[3.0], [7.0]]))
-
-
-@example("numeric", "matmul", "zeros")
-def _():
-    m = np.arange(4.0).reshape(2, 2)
-    assert np.array_equal(numeric.matmul(np.zeros((2, 2)), m), np.zeros((2, 2)))
-
-
 # numeric.softmax
 
 

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import capsintent.model as model
 from capsintent import capsnet, datasets
-from capsintent.errors import ContractError, DataError, ShapeError
+from capsintent.errors import ContractError, DataError, DivergenceError, ShapeError
 
 from helpers import tiny_model_config
 from opexamples import by_module
@@ -173,3 +173,14 @@ def test_model_config_validation():
         tiny_model_config(routing_iters=0)
     with pytest.raises(ShapeError):
         tiny_model_config(margin_present=0.1, margin_absent=0.9)
+
+
+def test_routing_overflow_is_divergence():
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        capsnet.dynamic_routing(np.full((2, 2, 2), 1e160), 2)
+    assert info.value.index == 0
+    votes = np.ones((2, 3, 2, 2))      # (P, B, K, n): only utterance 1 overflows
+    votes[:, 1] = 1e160
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        capsnet.dynamic_routing(votes, 2)
+    assert info.value.index == 1

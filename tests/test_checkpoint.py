@@ -103,3 +103,48 @@ def test_checkpoint_bad_config_rejected(tmp_path):
     del config["feat_dim"]
     with pytest.raises(FormatError):
         checkpoint.load_checkpoint(_resave(path, tmp_path / "b.npz", config=config))
+
+
+def test_vocab_codec_roundtrip():
+    from capsintent.datasets import LabelVocabulary, SlotGroup
+
+    vocab = LabelVocabulary(labels=("a:x", "a:y", "b"),
+                            slot_groups=(SlotGroup("a", ("a:x", "a:y"), True),))
+    payload = checkpoint.vocab_payload(vocab, ["s1", "s2"])
+    assert json.loads(json.dumps(payload)) == payload
+    assert checkpoint.vocab_from_payload(payload) == (vocab, ["s1", "s2"])
+
+
+GOOD_VOCAB = {"labels": ["a", "b", "c", "d"], "slot_groups": [], "speakers": ["x", "y", "z"]}
+
+
+@pytest.mark.parametrize("payload, match", [
+    ({"labels": ["a", "b", "c", "d"]}, "slot_groups"),
+    ({"labels": ["a", "b", "c", "d"], "slot_groups": []}, "speakers"),
+    ({**GOOD_VOCAB, "labels": ["a", "b"]}, "2 labels"),
+    ({**GOOD_VOCAB, "speakers": ["x", "y"]}, "2 speakers"),
+    ({**GOOD_VOCAB, "labels": ["a", "b", "a", "d"]}, "duplicate label"),
+    ({**GOOD_VOCAB, "speakers": ["x", "y", "x"]}, "duplicate speaker"),
+    ({**GOOD_VOCAB, "slot_groups": [{"name": "g", "labels": ["q"], "required": True}]},
+     "unknown label"),
+], ids=["no_slot_groups", "no_speakers", "too_few_labels", "too_few_speakers",
+        "duplicate_label", "duplicate_speaker", "unknown_group_label"])
+def test_checkpoint_bad_vocabulary_rejected(tmp_path, payload, match):
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg), vocab_payload=payload)
+    with pytest.raises(FormatError, match=match):
+        checkpoint.load_checkpoint(str(path))
+
+
+def test_eval_with_bad_vocabulary_is_data_error(tmp_path, capsys):
+    from capsintent import cli
+
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg),
+                               vocab_payload={"labels": ["a", "b", "c", "d"]})
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("id,audio,speaker,labels\nu,a.wav,s,a\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--manifest", str(manifest)]) == 4
+    assert "slot_groups" in capsys.readouterr().err

@@ -290,3 +290,33 @@ def test_eval_non_finite_features_is_data_error(tmp_path, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "non-finite" in err and "diverged" not in err
+
+
+def test_eval_metrics_equal_evaluate_model(tmp_path):
+    from capsintent import experiments
+    from capsintent.checkpoint import vocab_from_payload
+
+    root = make_audio_corpus_tree(tmp_path)
+    cache = str(tmp_path / "cache")
+    path = write_config(tmp_path, corpus={"kind": "grabo", "root": str(root),
+                                          "cache_dir": cache},
+                        model={"encoder_hidden": 4, "num_primary": 4,
+                               "primary_dim": 2, "output_dim": 3,
+                               "routing_iters": 2, "speaker_weight": 1.0},
+                        training={"epochs": 2})
+    assert cli.main(["train", path]) == 0
+    ckpt = str(tmp_path / "out" / "model.npz")
+    manifest = tmp_path / "eval.csv"
+    datasets.write_manifest(datasets.load_grabo(str(root)), str(manifest))
+    eval_dir = tmp_path / "evalout"
+    assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", str(manifest),
+                     "--cache-dir", cache, "--output", str(eval_dir)]) == 0
+
+    config, params, payload = load_checkpoint(ckpt)
+    vocab, speakers = vocab_from_payload(payload)
+    corpus = datasets.load_manifest(str(manifest))
+    datasets.ensure_features(corpus, cache_dir=cache)
+    assert list(corpus.speakers) == speakers
+    expected = experiments.evaluate_model(corpus.utterances, params, config, vocab)
+    assert "intent_accuracy" in expected
+    assert json.loads((eval_dir / "metrics.json").read_text()) == expected

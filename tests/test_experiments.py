@@ -230,3 +230,67 @@ def test_train_test_replication_on_synthetic_splits():
     assert report["reference"]["baseline_reference"] == {"partial": 0.889, "full": 0.966}
     assert 0.0 <= report["accuracy_partial"] <= 1.0
     assert report["train_size_partial"] < report["train_size_full"]
+
+
+# ---------------------------------------------------------------------------
+# fit's validation-selection setup
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"select_metric": "bogus"}, "bogus"),
+    ({"select_metric": "f1", "valid": None}, "valid"),
+    ({"select_metric": "f1", "valid": []}, "valid"),
+    ({"select_metric": "f1", "vocab": None}, "vocabulary"),
+    ({"select_metric": "intent_accuracy",
+      "vocab": datasets.LabelVocabulary(labels=("a", "b", "c", "d"))}, "intent_accuracy"),
+], ids=["unknown_metric", "no_valid", "empty_valid", "no_vocab", "intent_without_groups"])
+def test_fit_rejects_bad_selection_before_training(monkeypatch, kwargs, match):
+    corpus = _small_corpus(per_speaker=4)
+    options = {"valid": corpus.utterances[:4], "vocab": corpus.vocab, **kwargs}
+
+    def no_training(*args, **kw):
+        raise AssertionError("fit trained before checking its selection setup")
+
+    monkeypatch.setattr(model, "loss_and_grads", no_training)
+    with pytest.raises(UsageError, match=match):
+        experiments.fit(corpus.utterances, _small_config(), epochs=1, **options)
+
+
+# ---------------------------------------------------------------------------
+# one curve-job loop
+
+
+def test_curve_jobs_per_mode():
+    corpus = _small_corpus(per_speaker=8)
+    split = datasets.split_blocks(corpus, 4, "speaker_independent", seed=1)
+    (train, test, seed), = experiments.curve_jobs(split, 1, 5, 2, 1)
+    assert (train, test) == experiments._blocks_train_test(split.blocks, 1)
+    assert seed == experiments.derive_seed(5, 2, 1)
+    split = datasets.split_blocks(corpus, 4, "speaker_dependent", seed=1)
+    jobs = experiments.curve_jobs(split, 2, 5, 0, 0)
+    assert [s for _, _, s in jobs] == [experiments.derive_seed(5, 0, 0, spk)
+                                       for spk in sorted(split.per_speaker)]
+
+
+def test_dependent_point_is_the_mean_over_speakers():
+    corpus = _small_corpus(per_speaker=12, noise=0.1)
+    split = datasets.split_blocks(corpus, 4, "speaker_dependent", seed=1)
+    cfg = _small_config(speaker_weight=0.5)
+    fit_options = {"epochs": 2}
+    point, = experiments.learning_curve(corpus, split, [2], cfg, repeats=1,
+                                        fit_options=fit_options)
+    f1s, accs, sizes = [], [], []
+    for spk in sorted(split.per_speaker):
+        train = [i for block in split.per_speaker[spk][:2] for i in block]
+        test = [i for block in split.per_speaker[spk][2:] for i in block]
+        job_cfg = cfg.with_seed(experiments.derive_seed(cfg.seed, 0, 0, spk))
+        result = experiments.fit(corpus.subset(train), job_cfg, **fit_options)
+        scores = experiments.evaluate_model(corpus.subset(test), result.params, job_cfg,
+                                            corpus.vocab)
+        f1s.append(scores["f1"])
+        accs.append(scores["speaker_accuracy"])
+        sizes.append(len(train))
+    assert point.f1 == float(np.mean(f1s))
+    assert point.speaker_acc == float(np.mean(accs))
+    assert point.train_utterances == int(round(np.mean(sizes)))
+    assert (point.repeats, point.stddev_f1, point.failed) == (1, 0.0, False)

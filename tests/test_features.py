@@ -132,3 +132,23 @@ def test_cache_concurrent_writers(tmp_path, wav_factory):
 def test_resample_identity():
     x = np.arange(10.0)
     assert features.resample_linear(x, 16000, 16000) is x
+
+
+def test_atomic_write_failure_leaves_target_untouched(tmp_path):
+    target = tmp_path / "out.bin"
+    features.atomic_write(str(target), lambda fh: fh.write(b"old contents"))
+
+    def broken(fh):
+        fh.write(b"partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        features.atomic_write(str(target), broken)
+    assert target.read_bytes() == b"old contents"
+    assert os.listdir(tmp_path) == ["out.bin"]
+
+
+def test_atomic_write_creates_directories(tmp_path):
+    target = tmp_path / "a" / "b" / "out.bin"
+    features.atomic_write(str(target), lambda fh: fh.write(b"x"))
+    assert target.read_bytes() == b"x"

@@ -223,3 +223,32 @@ def test_divergence_names_the_first_bad_utterance():
                                  features=bad.features * np.inf)
     with pytest.raises(DivergenceError, match=f"utterance {bad.id}$"):
         experiments.fit(utts, _small_config(), epochs=1, batch_size=len(utts))
+
+
+def test_routing_overflow_in_loss_and_grads_is_divergence():
+    cfg = tiny_model_config()
+    params = model.init_params(cfg)
+    params["caps.W"] = params["caps.W"] * 1e158
+    feats, targets, speakers = _ragged_batch(cfg, [3, 4], seed=2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as info:
+            model.loss_and_grads(feats[0], targets[0], speakers[0], params, cfg)
+        assert info.value.index == 0
+        with pytest.raises(DivergenceError) as info:
+            model.loss_and_grads(feats, targets, speakers, params, cfg)
+        assert info.value.index == 0
+
+
+def test_fit_names_the_utterance_whose_routing_overflows(monkeypatch):
+    init = model.init_params
+
+    def exploding(config, rng=None):
+        params = init(config, rng)
+        params["caps.W"] = params["caps.W"] * 1e158
+        return params
+
+    monkeypatch.setattr(model, "init_params", exploding)
+    utts = list(_small_corpus(per_speaker=2).utterances)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        experiments.fit(utts, _small_config(), epochs=1, batch_size=len(utts))
+    assert str(info.value).startswith("non-finite loss at epoch 0, utterance ")

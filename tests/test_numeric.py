@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capsintent import numeric
-from capsintent.errors import ContractError, ShapeError, UsageError
+from capsintent.errors import ContractError, UsageError
 
 from opexamples import by_module
 
@@ -13,29 +13,6 @@ from opexamples import by_module
 @pytest.mark.parametrize("ex", by_module("numeric"), ids=lambda e: e.id)
 def test_op_examples(ex):
     ex.fn()
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError) as err:
-        numeric.matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-    assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
-
-
-def test_matmul_rejects_non_2d():
-    with pytest.raises(ShapeError):
-        numeric.matmul(np.zeros(3), np.zeros((3, 2)))
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    a=arrays(np.float64, (3, 4), elements=st.floats(-10, 10)),
-    b=arrays(np.float64, (4, 2), elements=st.floats(-10, 10)),
-    c=arrays(np.float64, (2, 5), elements=st.floats(-10, 10)),
-)
-def test_matmul_associative(a, b, c):
-    left = numeric.matmul(numeric.matmul(a, b), c)
-    right = numeric.matmul(a, numeric.matmul(b, c))
-    assert np.allclose(left, right, rtol=1e-9, atol=1e-9)
 
 
 def test_softmax_empty_vector_rejected():
