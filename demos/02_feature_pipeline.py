@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from capsintent import FeatureCache, FeatureRecipe, add_deltas, compute_fbank, load_wav, normalize
+from capsintent import FeatureCache, add_deltas, compute_fbank, load_wav, normalize
 from capsintent.features import AudioClip, mel_filterbank
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -38,7 +38,7 @@ with tempfile.TemporaryDirectory() as tmp:
           f"{np.abs(full.mean(axis=0)).max():.2e}")
 
     cache = FeatureCache(str(Path(tmp) / "cache"))
-    _, hit = cache.get_or_compute(str(path), FeatureRecipe())
+    _, hit = cache.get_or_compute(str(path))
     print(f"first cache lookup was a hit: {hit}")
-    _, hit = cache.get_or_compute(str(path), FeatureRecipe())
+    _, hit = cache.get_or_compute(str(path))
     print(f"second cache lookup was a hit: {hit}")

@@ -34,7 +34,8 @@ print(f"\n{'train':>6s} {'f1':>7s} {'spk_acc':>8s}")
 for pt in points:
     print(f"{pt.train_utterances:6d} {pt.f1:7.3f} {pt.speaker_acc:8.3f}")
 
-out = Path(tempfile.mkdtemp()) / "curve.csv"
-write_curve_csv(str(out), points)
-print(f"\nwrote {out}")
-print(out.read_text())
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "curve.csv"
+    write_curve_csv(str(out), points)
+    print(f"\nwrote {out}")
+    print(out.read_text())

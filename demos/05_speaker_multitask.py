@@ -35,7 +35,7 @@ for weight in (0.0, 1.0):
     scores = evaluate_model(test, result.params, config, corpus.vocab)
     z_norms = []
     for utt in test[:50]:
-        caps, _ = forward(utt.features, result.params, config, want_trace=False)
+        caps, _ = forward(utt.features, result.params, config)
         z_norms.append(np.linalg.norm(average_capsule(caps).vector))
     print(f"speaker_weight={weight}: f1={scores['f1']:.3f} "
           f"speaker_acc={scores['speaker_accuracy']:.3f} "

@@ -12,8 +12,8 @@ from .errors import (CapsIntentError, ContractError, DataError, DivergenceError,
 from .experiments import (LearningCurvePoint, SweepSpec, f1_score, fit,
                           intent_accuracy, learning_curve, run_sweep,
                           speaker_accuracy, train_test_replication)
-from .features import (AudioClip, FeatureCache, FeatureRecipe, add_deltas,
-                       compute_fbank, compute_features, load_wav, normalize)
+from .features import (AudioClip, FeatureCache, add_deltas, compute_fbank,
+                       compute_features, load_wav, normalize)
 from .model import init_params, loss_and_grads, predict
 from .multitask import (AverageCapsule, LossBreakdown, SpeakerDistribution,
                         average_capsule, decode_speaker, speaker_distribution,

@@ -17,7 +17,7 @@ gradients are summed over the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -59,9 +59,6 @@ class ModelConfig:
             raise ShapeError(f"routing_iters must be >= 1, got {self.routing_iters}")
         if not self.margin_present > self.margin_absent:
             raise ShapeError("margin_present must exceed margin_absent")
-
-    def with_seed(self, seed: int) -> "ModelConfig":
-        return replace(self, seed=seed)
 
 
 @dataclass
@@ -298,7 +295,7 @@ def init_core_params(config: ModelConfig, rng: np.random.Generator) -> Params:
     return params
 
 
-def encode(feats: np.ndarray, params: Params, config: ModelConfig, want_cache: bool = False,
+def encode(feats: np.ndarray, params: Params, config: ModelConfig,
            lengths: Optional[np.ndarray] = None):
     """Frames -> bidirectional final states -> affine projection -> squashed
     primary capsules.
@@ -306,6 +303,7 @@ def encode(feats: np.ndarray, params: Params, config: ModelConfig, want_cache: b
     ``feats`` is one (T, feat_dim) utterance or a zero-padded time-major
     (T_max, B, feat_dim) batch with its (B,) ``lengths``
     (``encoder.pad_batch``); the capsules are (P, d_p) or (P, B, d_p).
+    Returns (PrimaryCapsuleSet, cache of the intermediates backward needs).
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim not in (2, 3) or feats.shape[0] < 1:
@@ -319,12 +317,10 @@ def encode(feats: np.ndarray, params: Params, config: ModelConfig, want_cache: b
         readout.shape[:-1] + (config.num_primary, config.primary_dim)
     )
     caps = PrimaryCapsuleSet(vectors=np.moveaxis(squash(primary_pre, axis=-1), -2, 0))
-    if want_cache:
-        return caps, {"encoder": cache, "readout": readout, "primary_pre": primary_pre}
-    return caps
+    return caps, {"encoder": cache, "readout": readout, "primary_pre": primary_pre}
 
 
-def forward(feats: np.ndarray, params: Params, config: ModelConfig, want_trace: bool = True,
+def forward(feats: np.ndarray, params: Params, config: ModelConfig,
             lengths: Optional[np.ndarray] = None):
     """Full core forward pass of one utterance or a padded batch (see
     ``encode``); the trace is sufficient to replay backward().
@@ -332,14 +328,12 @@ def forward(feats: np.ndarray, params: Params, config: ModelConfig, want_trace: 
     Raises DivergenceError, with the batch position of the first utterance
     affected, when capsule predictions are non-finite.
     """
-    primary, cache = encode(feats, params, config, want_cache=True, lengths=lengths)
+    primary, cache = encode(feats, params, config, lengths=lengths)
     votes = predict_capsules(primary, params["caps.W"])
     finite = np.isfinite(votes).all(axis=(0, -2, -1))
     if not np.all(finite):
         raise DivergenceError("non-finite capsule predictions", index=int(np.argmin(finite)))
     caps, routing = dynamic_routing(votes, config.routing_iters)
-    if not want_trace:
-        return caps, None
     trace = ForwardTrace(
         encoder_cache=cache["encoder"],
         readout=cache["readout"],

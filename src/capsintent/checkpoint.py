@@ -95,17 +95,27 @@ def vocab_payload(vocab: LabelVocabulary, speakers: Sequence[str]) -> dict:
     }
 
 
+def _strings(value, what: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise FormatError(f"malformed vocabulary: {what} must be a list of strings")
+    return tuple(value)
+
+
 def vocab_from_payload(payload: dict) -> tuple[LabelVocabulary, list[str]]:
-    """Inverse of ``vocab_payload``; a malformed payload raises FormatError."""
+    """Inverse of ``vocab_payload``; a malformed payload, or one whose
+    labels, speakers, group names and ``required`` flags are not lists of
+    strings, strings and booleans, raises FormatError."""
     try:
-        vocab = LabelVocabulary(
-            labels=tuple(payload["labels"]),
-            slot_groups=tuple(
-                SlotGroup(name=g["name"], labels=tuple(g["labels"]), required=g["required"])
-                for g in payload["slot_groups"]
-            ),
-        )
-        speakers = list(payload["speakers"])
+        labels = _strings(payload["labels"], "labels")
+        groups = []
+        for g in payload["slot_groups"]:
+            if not isinstance(g["name"], str) or not isinstance(g["required"], bool):
+                raise FormatError("malformed vocabulary: a slot group needs a string name "
+                                  "and a boolean 'required'")
+            groups.append(SlotGroup(name=g["name"], labels=_strings(g["labels"], "group labels"),
+                                    required=g["required"]))
+        vocab = LabelVocabulary(labels=labels, slot_groups=tuple(groups))
+        speakers = list(_strings(payload["speakers"], "speakers"))
     except (KeyError, TypeError, DataError) as exc:
         raise FormatError(f"malformed vocabulary: {exc!r}") from exc
     if len(set(speakers)) != len(speakers):

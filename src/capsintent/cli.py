@@ -12,17 +12,18 @@ manifest), ``root``, ``manifest``, ``cache_dir``, and for synth ``preset``,
 the ``MODEL_KEYS`` fields of ``ModelConfig``; ``experiment``: ``mode``
 (speaker_independent | speaker_dependent), ``num_blocks``, ``schedule``,
 ``repeats``, ``sweep`` (``axis`` output_dim | speaker_weight, ``values``);
-``training``: the fields of ``TrainingConfig``.
+``training``: ``epochs``, ``lr``, ``batch_size``, ``early_stop_delta``,
+``early_stop_patience``, passed to ``experiments.fit``, whose defaults apply
+to the keys left out.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import yaml
@@ -38,11 +39,9 @@ log = logging.getLogger("capsintent")
 
 CACHE_ENV_VAR = "CAPSINTENT_CACHE_DIR"
 
-MODEL_KEYS = {
-    "feat_dim", "encoder_hidden", "encoder_layers", "num_primary", "primary_dim",
-    "output_dim", "routing_iters", "speaker_weight", "margin_present",
-    "margin_absent", "absent_loss_scale", "speaker_bias",
-}
+# the corpus sets num_labels and speaker_count, the top-level seed sets seed
+MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"num_labels", "speaker_count", "seed"}
+TRAINING_KEYS = {"epochs", "lr", "batch_size", "early_stop_delta", "early_stop_patience"}
 
 
 @dataclass
@@ -68,29 +67,19 @@ class ExperimentConfig:
 
 
 @dataclass
-class TrainingConfig:
-    epochs: int = 60
-    lr: float = 1e-3
-    batch_size: int = 32
-    early_stop_delta: float = 1e-4
-    early_stop_patience: int = 5
-
-    def fit_options(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass
 class RunConfig:
     corpus: CorpusConfig
     output_dir: str
-    seed: int = 0
-    model: dict = field(default_factory=dict)
-    experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
-    training: TrainingConfig = field(default_factory=TrainingConfig)
-    raw: dict = field(default_factory=dict)
+    seed: int
+    model: dict                  # ModelConfig fields
+    experiment: ExperimentConfig
+    training: dict               # fit options
+    raw: dict
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise UsageError(f"{where} config must be a mapping, got {type(section).__name__}")
     unknown = set(section) - allowed
     if unknown:
         raise UsageError(f"unknown {where} config keys: {sorted(unknown)}")
@@ -112,7 +101,7 @@ def load_run_config(path: str) -> RunConfig:
             raise UsageError(f"{path}: missing required key {required!r}")
 
     corpus_raw = raw["corpus"] or {}
-    _check_keys(corpus_raw, {f.name for f in dataclasses.fields(CorpusConfig)}, "corpus")
+    _check_keys(corpus_raw, {f.name for f in fields(CorpusConfig)}, "corpus")
     if "kind" not in corpus_raw:
         raise UsageError("corpus.kind is required (synth | grabo | fluent | manifest)")
     corpus_cfg = CorpusConfig(**corpus_raw)
@@ -128,21 +117,19 @@ def load_run_config(path: str) -> RunConfig:
     model_raw = raw.get("model") or {}
     _check_keys(model_raw, MODEL_KEYS, "model")
 
-    exp_raw = dict(raw.get("experiment") or {})
-    _check_keys(exp_raw, {f.name for f in dataclasses.fields(ExperimentConfig)}, "experiment")
+    exp_raw = raw.get("experiment") or {}
+    _check_keys(exp_raw, {f.name for f in fields(ExperimentConfig)}, "experiment")
     sweep = None
     if exp_raw.get("sweep") is not None:
         sweep_raw = exp_raw["sweep"]
         _check_keys(sweep_raw, {"axis", "values"}, "sweep")
         sweep = experiments.SweepSpec(**sweep_raw)
-    exp_raw["sweep"] = sweep
-    experiment = ExperimentConfig(**exp_raw)
+    experiment = ExperimentConfig(**{**exp_raw, "sweep": sweep})
     if experiment.mode not in ("speaker_independent", "speaker_dependent"):
         raise UsageError(f"unknown experiment.mode {experiment.mode!r}")
 
-    training_raw = raw.get("training") or {}
-    _check_keys(training_raw, {f.name for f in dataclasses.fields(TrainingConfig)}, "training")
-    training = TrainingConfig(**training_raw)
+    training = raw.get("training") or {}
+    _check_keys(training, TRAINING_KEYS, "training")
 
     return RunConfig(
         corpus=corpus_cfg,
@@ -155,8 +142,10 @@ def load_run_config(path: str) -> RunConfig:
     )
 
 
-def cache_dir_for(run: RunConfig, override: Optional[str]) -> Optional[str]:
-    return override or os.environ.get(CACHE_ENV_VAR) or run.corpus.cache_dir
+def cache_dir_for(override: Optional[str], configured: Optional[str] = None) -> Optional[str]:
+    """The feature cache directory: the ``--cache-dir`` flag, else the
+    environment variable, else ``corpus.cache_dir`` of the config."""
+    return override or os.environ.get(CACHE_ENV_VAR) or configured
 
 
 def build_corpus(run: RunConfig, cache_override: Optional[str] = None,
@@ -183,7 +172,7 @@ def build_corpus(run: RunConfig, cache_override: Optional[str] = None,
     else:
         corpus = load_manifest(cc.manifest)
     if with_features:
-        ensure_features(corpus, cache_dir=cache_dir_for(run, cache_override))
+        ensure_features(corpus, cache_dir=cache_dir_for(cache_override, cc.cache_dir))
     return corpus
 
 
@@ -218,8 +207,9 @@ def cmd_features(args) -> int:
     run = load_run_config(args.config)
     if run.corpus.kind == "synth":
         raise UsageError("synthetic corpora carry features inline; nothing to extract")
-    corpus = build_corpus(run, cache_override=args.cache_dir, with_features=False)
-    counts = ensure_features(corpus, cache_dir=cache_dir_for(run, args.cache_dir),
+    corpus = build_corpus(run, with_features=False)
+    counts = ensure_features(corpus, cache_dir=cache_dir_for(args.cache_dir,
+                                                             run.corpus.cache_dir),
                              on_error="skip")
     total = sum(counts.values())
     print(f"features: computed={counts['computed']} skipped(cached)={counts['cached']} "
@@ -231,14 +221,14 @@ def cmd_train(args) -> int:
     run = load_run_config(args.config)
     corpus = build_corpus(run, cache_override=args.cache_dir)
     config = model_config_from(run, corpus)
-    result = experiments.fit(corpus.utterances, config, **run.training.fit_options())
+    result = experiments.fit(corpus.utterances, config, **run.training)
     out_dir = args.output or run.output_dir
     ckpt_path = os.path.join(out_dir, "model.npz")
     save_checkpoint(ckpt_path, config, result.params,
                     vocab_payload=vocab_payload(corpus.vocab, corpus.speakers))
     history_path = os.path.join(out_dir, "history.json")
     experiments.write_summary_json(history_path, {
-        "epochs": [dataclasses.asdict(h) for h in result.history],
+        "epochs": [asdict(h) for h in result.history],
         "stopped_early": result.stopped_early,
     })
     print(f"checkpoint: {ckpt_path}")
@@ -258,7 +248,7 @@ def cmd_eval(args) -> int:
         unknown = set(names) - set(known)
         if unknown:
             raise ContractError(f"manifest {what} not in checkpoint {where}: {sorted(unknown)[:5]}")
-    ensure_features(corpus, cache_dir=args.cache_dir or os.environ.get(CACHE_ENV_VAR))
+    ensure_features(corpus, cache_dir=cache_dir_for(args.cache_dir))
     utts = corpus.utterances
     preds, pred_speakers = experiments.predict_corpus(utts, params, config, vocab)
     refs = [corpus.vocab.names_of(u.target) for u in utts]
@@ -289,19 +279,18 @@ def cmd_curve(args) -> int:
     run = load_run_config(args.config)
     corpus = build_corpus(run, cache_override=args.cache_dir)
     config = model_config_from(run, corpus)
-    split = datasets.split_blocks(corpus, num_blocks=run.experiment.num_blocks,
-                                  mode=run.experiment.mode, seed=run.seed)
+    split = datasets.split_blocks(corpus, run.experiment.num_blocks, run.experiment.mode,
+                                  seed=run.seed)
     schedule = run.experiment.schedule or experiments.default_schedule(split.num_blocks)
     out_dir = args.output or run.output_dir
     experiments.write_run_manifest(os.path.join(out_dir, "run.json"),
                                    run.raw, corpus.name, _experiment_seeds(run))
-    fit_options = run.training.fit_options()
     summary = {"corpus": corpus.name, "mode": run.experiment.mode,
                "num_blocks": run.experiment.num_blocks, "schedule": list(schedule)}
     if run.experiment.sweep is not None:
         curves = experiments.run_sweep(corpus, split, schedule, config,
                                        run.experiment.sweep, repeats=run.experiment.repeats,
-                                       fit_options=fit_options)
+                                       fit_options=run.training)
         summary["sweep"] = {"axis": run.experiment.sweep.axis, "curves": {}}
         for value, points in curves.items():
             name = f"curve_{run.experiment.sweep.axis}_{value}.csv"
@@ -311,7 +300,7 @@ def cmd_curve(args) -> int:
     else:
         points = experiments.learning_curve(corpus, split, schedule, config,
                                             repeats=run.experiment.repeats,
-                                            fit_options=fit_options)
+                                            fit_options=run.training)
         experiments.write_curve_csv(os.path.join(out_dir, "curve.csv"), points)
         summary["points"] = experiments.points_payload(points)
         for pt in points:
@@ -329,7 +318,7 @@ def cmd_replicate_fluent(args) -> int:
     corpus = build_corpus(run, cache_override=args.cache_dir)
     config = model_config_from(run, corpus)
     report = experiments.train_test_replication(corpus, config,
-                                                fit_options=run.training.fit_options())
+                                                fit_options=run.training)
     out_dir = args.output or run.output_dir
     experiments.write_summary_json(os.path.join(out_dir, "replication.json"), report)
     print(f"{'setting':24s} {'partial':>8s} {'full':>8s}")

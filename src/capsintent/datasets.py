@@ -20,11 +20,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DataError, UsageError
-from .features import FeatureCache, FeatureRecipe, compute_features, load_wav
+from .features import FeatureCache, compute_features, load_wav
 
 log = logging.getLogger(__name__)
 
 EXPECTED_FLUENT_LABELS = 31
+FLUENT_PARTIAL_FRACTION = 0.1   # share of each speaker's training utterances
+FLUENT_PARTIAL_SEED = 0
 
 # synthetic-corpus constants
 SEGMENT_FRAMES = 8
@@ -139,7 +141,11 @@ class Corpus:
         K, M = len(self.vocab), len(self.speakers)
         if M < 1:
             raise DataError("corpus needs at least one speaker")
+        seen: set[str] = set()
         for utt in self.utterances:
+            if utt.id in seen:
+                raise DataError(f"duplicate utterance id {utt.id!r}")
+            seen.add(utt.id)
             if utt.target.shape != (K,):
                 raise DataError(f"{utt.id}: target length {utt.target.shape} != {K}")
             if not utt.target.any():
@@ -149,7 +155,6 @@ class Corpus:
 
 
 def ensure_features(corpus: Corpus, cache_dir: Optional[str] = None,
-                    recipe: FeatureRecipe = FeatureRecipe(),
                     on_error: str = "raise") -> dict[str, int]:
     """Materialize features for every utterance; returns counter dict."""
     cache = FeatureCache(cache_dir) if cache_dir else None
@@ -164,9 +169,9 @@ def ensure_features(corpus: Corpus, cache_dir: Optional[str] = None,
             raise DataError(f"{utt.id}: neither features nor audio available")
         try:
             if cache is not None:
-                feats, was_cached = cache.get_or_compute(utt.audio_path, recipe)
+                feats, was_cached = cache.get_or_compute(utt.audio_path)
             else:
-                feats, was_cached = compute_features(load_wav(utt.audio_path), recipe), False
+                feats, was_cached = compute_features(load_wav(utt.audio_path)), False
         except DataError:
             if on_error == "raise":
                 raise
@@ -276,7 +281,7 @@ def _resample_frames(mat: np.ndarray, n_out: int) -> np.ndarray:
     return mat[lo] * (1.0 - frac) + mat[hi] * frac
 
 
-def synth_generate(spec: SynthSpec, seed: int = 0, name: str = "synth") -> Corpus:
+def synth_generate(spec: SynthSpec, seed: int) -> Corpus:
     """Deterministic synthetic corpus.
 
     Every label owns a prototype feature segment; an utterance concatenates
@@ -312,13 +317,13 @@ def synth_generate(spec: SynthSpec, seed: int = 0, name: str = "synth") -> Corpu
             target = np.zeros(len(vocab))
             target[active] = 1.0
             utterances.append(Utterance(
-                id=f"{name}-s{s:02d}-u{u:04d}",
+                id=f"synth-s{s:02d}-u{u:04d}",
                 target=target,
                 speaker_index=s,
                 features=feats,
             ))
     corpus = Corpus(
-        name=name,
+        name="synth",
         utterances=utterances,
         vocab=vocab,
         speakers=[f"spk{s:02d}" for s in range(spec.speaker_count)],
@@ -349,7 +354,27 @@ def write_manifest(corpus: Corpus, path: str) -> None:
             ])
 
 
-def load_manifest(path: str, name: Optional[str] = None) -> Corpus:
+def _corpus_from_rows(name: str, rows: list[tuple], speakers: Optional[list[str]] = None,
+                      warnings: Optional[dict[str, int]] = None,
+                      splits: Optional[dict[str, list[str]]] = None) -> Corpus:
+    """A validated corpus from ``(id, audio path, speaker, label names)``
+    rows; ``speakers`` defaults to the sorted speakers of the rows."""
+    vocab = vocabulary_from_labels([labels for *_, labels in rows])
+    if speakers is None:
+        speakers = sorted({speaker for _, _, speaker, _ in rows})
+    spk_index = {s: i for i, s in enumerate(speakers)}
+    utterances = [
+        Utterance(id=utt_id, target=vocab.to_multi_hot(labels),
+                  speaker_index=spk_index[speaker], audio_path=audio)
+        for utt_id, audio, speaker, labels in rows
+    ]
+    corpus = Corpus(name=name, utterances=utterances, vocab=vocab, speakers=speakers,
+                    warnings=warnings or {}, splits=splits)
+    corpus.validate()
+    return corpus
+
+
+def load_manifest(path: str) -> Corpus:
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"manifest {path} does not exist")
@@ -363,25 +388,11 @@ def load_manifest(path: str, name: Optional[str] = None) -> Corpus:
             if len(row) != 4:
                 raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
             utt_id, audio, speaker, labels = row
+            audio = str(audio if os.path.isabs(audio) else path.parent / audio)
             rows.append((utt_id, audio, speaker, [x for x in labels.split(";") if x]))
     if not rows:
         raise UsageError(f"manifest {path} lists no utterances")
-    vocab = vocabulary_from_labels([labels for *_, labels in rows])
-    speakers = sorted({speaker for _, _, speaker, _ in rows})
-    spk_index = {s: i for i, s in enumerate(speakers)}
-    base = path.parent
-    utterances = [
-        Utterance(
-            id=utt_id,
-            target=vocab.to_multi_hot(labels),
-            speaker_index=spk_index[speaker],
-            audio_path=str(audio if os.path.isabs(audio) else base / audio),
-        )
-        for utt_id, audio, speaker, labels in rows
-    ]
-    corpus = Corpus(name=name or path.stem, utterances=utterances, vocab=vocab, speakers=speakers)
-    corpus.validate()
-    return corpus
+    return _corpus_from_rows(path.stem, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -419,31 +430,18 @@ def load_grabo(root: str) -> Corpus:
         raise DataError(f"{root}: no per-speaker directories found")
     rows = []
     warnings = {"missing_annotation": 0}
-    for spk_idx, spk_dir in enumerate(speaker_dirs):
+    for spk_dir in speaker_dirs:
         for wav in sorted(spk_dir.rglob("*.wav")):
             ann = wav.with_suffix(".xml")
             if not ann.is_file():
                 warnings["missing_annotation"] += 1
                 continue
             labels = _parse_frame_xml(ann)
-            rows.append((f"{spk_dir.name}/{wav.stem}", str(wav), spk_idx, labels))
+            rows.append((f"{spk_dir.name}/{wav.stem}", str(wav), spk_dir.name, labels))
     if not rows:
         raise DataError(f"{root}: no annotated recordings found")
-    vocab = vocabulary_from_labels([labels for *_, labels in rows])
-    utterances = [
-        Utterance(id=utt_id, target=vocab.to_multi_hot(labels),
-                  speaker_index=spk_idx, audio_path=wav)
-        for utt_id, wav, spk_idx, labels in rows
-    ]
-    corpus = Corpus(
-        name="grabo",
-        utterances=utterances,
-        vocab=vocab,
-        speakers=[d.name for d in speaker_dirs],
-        warnings=warnings,
-    )
-    corpus.validate()
-    return corpus
+    return _corpus_from_rows("grabo", rows, speakers=[d.name for d in speaker_dirs],
+                             warnings=warnings)
 
 
 FLUENT_TABLES = {"train": "train_data.csv", "valid": "valid_data.csv", "test": "test_data.csv"}
@@ -487,40 +485,30 @@ def load_fluent(root: str) -> Corpus:
             splits["train_partial"] = [rec["path"] for rec in csv.DictReader(fh)]
     if not rows:
         raise DataError(f"{root}: index tables reference no existing audio")
-    vocab = vocabulary_from_labels([labels for *_, labels in rows])
-    if len(vocab) != EXPECTED_FLUENT_LABELS:
+    corpus = _corpus_from_rows("fluent", rows, warnings=warnings, splits=splits)
+    if len(corpus.vocab) != EXPECTED_FLUENT_LABELS:
         log.warning("fluent slot-value union has %d labels, expected %d",
-                    len(vocab), EXPECTED_FLUENT_LABELS)
-    speakers = sorted({spk for _, _, spk, _ in rows})
-    spk_index = {s: i for i, s in enumerate(speakers)}
-    utterances = [
-        Utterance(id=utt_id, target=vocab.to_multi_hot(labels),
-                  speaker_index=spk_index[spk], audio_path=wav)
-        for utt_id, wav, spk, labels in rows
-    ]
-    corpus = Corpus(name="fluent", utterances=utterances, vocab=vocab,
-                    speakers=speakers, warnings=warnings, splits=splits)
-    if len(vocab) != EXPECTED_FLUENT_LABELS:
-        corpus.warnings["unexpected_label_count"] = len(vocab)
-    corpus.validate()
+                    len(corpus.vocab), EXPECTED_FLUENT_LABELS)
+        corpus.warnings["unexpected_label_count"] = len(corpus.vocab)
     return corpus
 
 
-def fluent_partial_ids(corpus: Corpus, fraction: float = 0.1, seed: int = 0) -> list[str]:
+def fluent_partial_ids(corpus: Corpus) -> list[str]:
     """The reduced training split: the published table when present,
-    otherwise a pinned speaker-stratified subsample of the training split."""
+    otherwise a pinned speaker-stratified subsample (``FLUENT_PARTIAL_FRACTION``
+    of each speaker) of the training split."""
     if corpus.splits is None or "train" not in corpus.splits:
         raise UsageError("corpus has no train split")
     if "train_partial" in corpus.splits:
         return list(corpus.splits["train_partial"])
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FLUENT_PARTIAL_SEED)
     by_speaker: dict[int, list[str]] = {}
     for utt_id in corpus.splits["train"]:
         by_speaker.setdefault(corpus.by_id(utt_id).speaker_index, []).append(utt_id)
     chosen: list[str] = []
     for spk in sorted(by_speaker):
         ids = by_speaker[spk]
-        take = max(1, int(round(fraction * len(ids))))
+        take = max(1, int(round(FLUENT_PARTIAL_FRACTION * len(ids))))
         picks = rng.choice(len(ids), size=take, replace=False)
         chosen.extend(ids[i] for i in sorted(picks))
     return chosen
@@ -543,8 +531,7 @@ def _round_robin(ids: list[str], num_blocks: int) -> list[list[str]]:
     return [ids[b::num_blocks] for b in range(num_blocks)]
 
 
-def split_blocks(corpus: Corpus, num_blocks: int = 150,
-                 mode: str = "speaker_independent", seed: int = 0) -> BlockSplit:
+def split_blocks(corpus: Corpus, num_blocks: int, mode: str, seed: int) -> BlockSplit:
     """Shuffle-then-round-robin partition into ``num_blocks`` blocks.
 
     Independent mode shuffles the whole corpus; dependent mode partitions

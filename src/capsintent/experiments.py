@@ -1,11 +1,12 @@
 """Cross-validation learning curves, parameter sweeps, metrics, and training.
 
-Training is plain mini-batch Adam (lr 1e-3, batch 32, epoch budget 60) with
-early stopping once the epoch-mean total loss stops improving by 1e-4 for 5
-consecutive epochs. Each minibatch goes through the model as one padded,
-length-masked batch (one ``model.loss_and_grads`` call) and the step uses the
-mean gradient. Everything is deterministic from the config seed; curve points
-derive per-(point, repeat) seeds from it.
+Training is plain mini-batch Adam with early stopping once the epoch-mean
+total loss stops improving by ``early_stop_delta`` for ``early_stop_patience``
+consecutive epochs; ``fit``'s signature holds the defaults. Each minibatch
+goes through the model as one padded, length-masked batch (one
+``model.loss_and_grads`` call) and the step uses the mean gradient.
+Everything is deterministic from the config seed; curve points derive
+per-(point, repeat) seeds from it.
 """
 
 from __future__ import annotations
@@ -103,25 +104,29 @@ def scores(preds: Sequence, pred_speakers: Sequence[int], ref_labels: Sequence,
 # optimizer and fitting
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    def __init__(self, params: Params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, params: Params, lr: float):
+        self.lr = lr
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
 
     def step(self, params: Params, grads: Params) -> None:
         self.t += 1
-        correct1 = 1.0 - self.beta1 ** self.t
-        correct2 = 1.0 - self.beta2 ** self.t
+        correct1 = 1.0 - ADAM_BETA1 ** self.t
+        correct2 = 1.0 - ADAM_BETA2 ** self.t
         for key in sorted(params):
             g = grads[key]
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * (g * g)
+            self.m[key] = ADAM_BETA1 * self.m[key] + (1.0 - ADAM_BETA1) * g
+            self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self.m[key] / correct1
             v_hat = self.v[key] / correct2
-            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -323,7 +328,7 @@ def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
             runs = []
             try:
                 for train_ids, test_ids, seed in curve_jobs(split, k, config.seed, p_idx, rep):
-                    cfg = config.with_seed(seed)
+                    cfg = dataclasses.replace(config, seed=seed)
                     result = fit(corpus.subset(train_ids), cfg, **fit_options)
                     job = evaluate_model(corpus.subset(test_ids), result.params, cfg,
                                          corpus.vocab)

@@ -3,8 +3,7 @@
 The fixed front-end recipe: PCM WAV in, resampled to 16 kHz mono, 40 log-mel
 filterbank energies over 25 ms windows with a 10 ms hop, plus delta and
 delta-delta appended (120 coefficients), then per-utterance mean/variance
-normalization. Features are cached on disk keyed by (audio content hash,
-recipe hash).
+normalization. Features are cached on disk keyed by the audio content hash.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import hashlib
 import os
 import tempfile
 import wave
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import BinaryIO, Callable
 
 import numpy as np
@@ -23,29 +22,15 @@ from .errors import DataError, FormatError, UsageError
 TARGET_RATE = 16000
 LOG_FLOOR = 1e-10
 VARIANCE_FLOOR = 1e-8
+# cache-file suffix, fixed so that caches written by earlier versions, which
+# named files by a digest of these front-end settings, stay valid
+RECIPE_DIGEST = "9c5e0bf70774413e"
 
 
 @dataclass
 class AudioClip:
     samples: np.ndarray  # float64 in [-1, 1]
     sample_rate: int
-
-
-@dataclass(frozen=True)
-class FeatureRecipe:
-    n_mels: int = 40
-    win_ms: float = 25.0
-    hop_ms: float = 10.0
-    deltas: bool = True
-    mean_var_norm: bool = True
-
-    @property
-    def dim(self) -> int:
-        return self.n_mels * 3 if self.deltas else self.n_mels
-
-    def digest(self) -> str:
-        text = repr(sorted(asdict(self).items()))
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _decode_pcm(raw: bytes, sampwidth: int) -> np.ndarray:
@@ -72,8 +57,8 @@ def resample_linear(samples: np.ndarray, src_rate: int, dst_rate: int) -> np.nda
     return np.interp(t_out, np.arange(len(samples)), samples)
 
 
-def load_wav(path: str, target_rate: int = TARGET_RATE) -> AudioClip:
-    """Read a PCM WAV file as mono float64 at ``target_rate``.
+def load_wav(path: str) -> AudioClip:
+    """Read a PCM WAV file as mono float64 at 16 kHz.
 
     Multi-channel audio is downmixed by channel average; sample rates other
     than the target are converted by linear interpolation.
@@ -96,10 +81,10 @@ def load_wav(path: str, target_rate: int = TARGET_RATE) -> AudioClip:
         raise DataError(f"{path}: empty audio")
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
-    samples = resample_linear(samples, rate, target_rate)
+    samples = resample_linear(samples, rate, TARGET_RATE)
     if samples.size == 0:
         raise DataError(f"{path}: audio vanished during resampling")
-    return AudioClip(samples=samples, sample_rate=target_rate)
+    return AudioClip(samples=samples, sample_rate=TARGET_RATE)
 
 
 def hz_to_mel(f):
@@ -193,13 +178,9 @@ def normalize(feats: np.ndarray) -> np.ndarray:
     return (feats - mean) / std
 
 
-def compute_features(clip: AudioClip, recipe: FeatureRecipe = FeatureRecipe()) -> np.ndarray:
-    feats = compute_fbank(clip, recipe.n_mels, recipe.win_ms, recipe.hop_ms)
-    if recipe.deltas:
-        feats = add_deltas(feats)
-    if recipe.mean_var_norm:
-        feats = normalize(feats)
-    return feats
+def compute_features(clip: AudioClip) -> np.ndarray:
+    """The fixed front end: (frames, 120) normalized log-mel+delta+delta-delta."""
+    return normalize(add_deltas(compute_fbank(clip)))
 
 
 def atomic_write(path: str, write: Callable[[BinaryIO], object]) -> None:
@@ -232,7 +213,7 @@ class FeatureCache:
     """Disk cache of per-utterance feature matrices.
 
     One ``.npy`` file (float64, shape (frames, dim)) per utterance, named
-    ``<audio-sha256-prefix>_<recipe-digest>.npy``. Writes go through
+    ``<audio-sha256-prefix>_<RECIPE_DIGEST>.npy``. Writes go through
     ``atomic_write``, so concurrent writers of the same key are safe.
     """
 
@@ -240,23 +221,23 @@ class FeatureCache:
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
 
-    def _key_path(self, audio_path: str, recipe: FeatureRecipe) -> str:
-        return os.path.join(self.directory, f"{_file_digest(audio_path)}_{recipe.digest()}.npy")
+    def _key_path(self, audio_path: str) -> str:
+        return os.path.join(self.directory, f"{_file_digest(audio_path)}_{RECIPE_DIGEST}.npy")
 
-    def lookup(self, audio_path: str, recipe: FeatureRecipe):
-        key = self._key_path(audio_path, recipe)
+    def lookup(self, audio_path: str):
+        key = self._key_path(audio_path)
         if os.path.exists(key):
             return np.load(key)
         return None
 
-    def store(self, audio_path: str, recipe: FeatureRecipe, feats: np.ndarray) -> None:
-        atomic_write(self._key_path(audio_path, recipe), lambda fh: np.save(fh, feats))
+    def store(self, audio_path: str, feats: np.ndarray) -> None:
+        atomic_write(self._key_path(audio_path), lambda fh: np.save(fh, feats))
 
-    def get_or_compute(self, audio_path: str, recipe: FeatureRecipe = FeatureRecipe()):
+    def get_or_compute(self, audio_path: str):
         """Returns (features, was_cached)."""
-        cached = self.lookup(audio_path, recipe)
+        cached = self.lookup(audio_path)
         if cached is not None:
             return cached, True
-        feats = compute_features(load_wav(audio_path), recipe)
-        self.store(audio_path, recipe, feats)
+        feats = compute_features(load_wav(audio_path))
+        self.store(audio_path, feats)
         return feats, False

@@ -6,7 +6,7 @@ utterances, and prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,15 +20,15 @@ if TYPE_CHECKING:
     from .datasets import LabelVocabulary, Utterance
 
 
-def init_params(config: ModelConfig, rng: Optional[np.random.Generator] = None) -> Params:
-    """Draw all parameters in a fixed order from one RNG stream.
+def init_params(config: ModelConfig) -> Params:
+    """Draw all parameters in a fixed order from one RNG stream, seeded by
+    the config seed.
 
     The speaker head is always initialized, even when speaker_weight is zero,
     so a run with the head disabled consumes the identical RNG sequence and
     stays bit-compatible with a multitask run of the same seed.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     params = capsnet.init_core_params(config, rng)
     params.update(multitask.init_head_params(rng, config.output_dim, config.speaker_count))
     return params
@@ -65,7 +65,7 @@ class EvalOutput:
 
 def evaluate(feats: np.ndarray, params: Params, config: ModelConfig) -> EvalOutput:
     """Inference-only forward pass of one (frames, feat_dim) utterance: the
-    same forward as training, with no batch axis and no trace kept.
+    same forward as training, with no batch axis; its trace is dropped.
 
     Non-finite features raise DataError: they are bad input, not a
     diverged model.
@@ -73,7 +73,7 @@ def evaluate(feats: np.ndarray, params: Params, config: ModelConfig) -> EvalOutp
     feats = np.asarray(feats, dtype=np.float64)
     if not np.all(np.isfinite(feats)):
         raise DataError("features contain non-finite values")
-    caps, _ = capsnet.forward(feats, params, config, want_trace=False)
+    caps, _ = capsnet.forward(feats, params, config)
     dist = multitask.speaker_distribution(multitask.average_capsule(caps), params)
     return EvalOutput(capsules=caps, speaker_probs=dist.probs)
 

@@ -306,7 +306,7 @@ def _():
 def _():
     cfg = tiny_model_config()
     params = {k: np.zeros_like(v) for k, v in model.init_params(cfg).items()}
-    caps = capsnet.encode(np.zeros((4, cfg.feat_dim)), params, cfg)
+    caps, _ = capsnet.encode(np.zeros((4, cfg.feat_dim)), params, cfg)
     assert np.all(caps.vectors == 0.0)
 
 
@@ -315,7 +315,7 @@ def _():
     cfg = tiny_model_config()
     rng = np.random.default_rng(6)
     params = {k: rng.normal(0, 0.8, size=v.shape) for k, v in model.init_params(cfg).items()}
-    caps = capsnet.encode(rng.normal(size=(7, cfg.feat_dim)), params, cfg)
+    caps, _ = capsnet.encode(rng.normal(size=(7, cfg.feat_dim)), params, cfg)
     norms = np.linalg.norm(caps.vectors, axis=1)
     assert np.all(norms < 1.0)
 
@@ -324,8 +324,8 @@ def _():
 def _():
     cfg = tiny_model_config(seed=11)
     feats = np.random.default_rng(7).normal(size=(5, cfg.feat_dim))
-    a = capsnet.encode(feats, model.init_params(cfg), cfg).vectors
-    b = capsnet.encode(feats, model.init_params(cfg), cfg).vectors
+    a = capsnet.encode(feats, model.init_params(cfg), cfg)[0].vectors
+    b = capsnet.encode(feats, model.init_params(cfg), cfg)[0].vectors
     assert a.tobytes() == b.tobytes()
 
 
@@ -412,7 +412,7 @@ def _():
     def pipeline(x):
         clip = features.AudioClip(samples=x, sample_rate=16000)
         feats = features.normalize(features.compute_fbank(clip, n_mels=30))
-        caps, _ = capsnet.forward(feats, params, cfg, want_trace=False)
+        caps, _ = capsnet.forward(feats, params, cfg)
         return caps.vectors
 
     assert np.allclose(pipeline(audio), pipeline(2.0 * audio), atol=1e-9)

@@ -102,7 +102,7 @@ def test_encode_empty_features_rejected():
 def test_encode_single_frame_accepted():
     cfg = tiny_model_config()
     params = model.init_params(cfg)
-    caps = capsnet.encode(np.ones((1, cfg.feat_dim)), params, cfg)
+    caps, _ = capsnet.encode(np.ones((1, cfg.feat_dim)), params, cfg)
     assert caps.vectors.shape == (cfg.num_primary, cfg.primary_dim)
 
 
@@ -131,12 +131,12 @@ def test_permutation_equivariance():
     target = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
     perm = np.array([3, 0, 4, 1, 2])
 
-    caps, _ = capsnet.forward(feats, params, cfg, want_trace=False)
+    caps, _ = capsnet.forward(feats, params, cfg)
     loss = capsnet.margin_loss(caps, target, cfg)
 
     permuted = dict(params)
     permuted["caps.W"] = params["caps.W"][:, perm, :, :]
-    caps_p, _ = capsnet.forward(feats, permuted, cfg, want_trace=False)
+    caps_p, _ = capsnet.forward(feats, permuted, cfg)
     loss_p = capsnet.margin_loss(caps_p, target[perm], cfg)
 
     assert np.allclose(caps_p.vectors, caps.vectors[perm], atol=1e-9)

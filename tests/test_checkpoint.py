@@ -148,3 +148,40 @@ def test_eval_with_bad_vocabulary_is_data_error(tmp_path, capsys):
     manifest.write_text("id,audio,speaker,labels\nu,a.wav,s,a\n")
     assert cli.main(["eval", "--checkpoint", str(path), "--manifest", str(manifest)]) == 4
     assert "slot_groups" in capsys.readouterr().err
+
+
+GROUP = {"name": "g", "labels": ["a", "b"], "required": False}
+MISTYPED_VOCAB = {"labels": "abcd", "speakers": "xyz",
+                  "slot_groups": [{**GROUP, "required": "no"}]}
+
+
+@pytest.mark.parametrize("payload", [
+    MISTYPED_VOCAB,
+    {**GOOD_VOCAB, "labels": "abcd"},
+    {**GOOD_VOCAB, "speakers": "xyz"},
+    {**GOOD_VOCAB, "labels": ["a", "b", "c", 4]},
+    {**GOOD_VOCAB, "slot_groups": [{**GROUP, "required": "no"}]},
+    {**GOOD_VOCAB, "slot_groups": [{**GROUP, "required": 1}]},
+    {**GOOD_VOCAB, "slot_groups": [{**GROUP, "name": 7}]},
+    {**GOOD_VOCAB, "slot_groups": [{**GROUP, "labels": "ab"}]},
+], ids=["all_mistyped", "labels_string", "speakers_string", "label_not_string",
+        "required_string", "required_int", "group_name_int", "group_labels_string"])
+def test_checkpoint_mistyped_vocabulary_rejected(tmp_path, payload):
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg), vocab_payload=payload)
+    with pytest.raises(FormatError, match="malformed vocabulary"):
+        checkpoint.load_checkpoint(str(path))
+
+
+def test_eval_with_mistyped_vocabulary_is_data_error(tmp_path, capsys):
+    from capsintent import cli
+
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg),
+                               vocab_payload=MISTYPED_VOCAB)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--manifest", str(manifest)]) == 4
+    assert "list of strings" in capsys.readouterr().err

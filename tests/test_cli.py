@@ -8,7 +8,7 @@ import yaml
 from capsintent import cli, datasets
 from capsintent.checkpoint import load_checkpoint
 from capsintent.errors import UsageError
-from capsintent.features import FeatureCache, FeatureRecipe
+from capsintent.features import FeatureCache
 
 from helpers import write_wav
 
@@ -62,6 +62,19 @@ def test_validate_config_unknown_key(tmp_path, capsys):
     path = write_config(tmp_path, bogus_section={"x": 1})
     assert cli.main(["validate-config", path]) == 2
     assert "bogus_section" in capsys.readouterr().err
+
+
+def test_validate_config_unknown_training_key(tmp_path, capsys):
+    path = write_config(tmp_path, training={"momentum": 0.9})
+    assert cli.main(["validate-config", path]) == 2
+    assert "momentum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["training", "model", "experiment"])
+def test_validate_config_section_not_a_mapping(tmp_path, capsys, section):
+    path = write_config(tmp_path, **{section: ["epochs"]})
+    assert cli.main(["validate-config", path]) == 2
+    assert "must be a mapping" in capsys.readouterr().err
 
 
 def test_validate_config_missing_file(capsys):
@@ -183,6 +196,23 @@ def test_eval_empty_manifest(tmp_path):
     assert code == 2
 
 
+def test_eval_duplicate_manifest_id_is_data_error(tmp_path, capsys):
+    from capsintent.checkpoint import save_checkpoint
+    from helpers import tiny_model_config
+    import capsintent.model as model
+
+    cfg = tiny_model_config()
+    ckpt = tmp_path / "m.npz"
+    save_checkpoint(str(ckpt), cfg, model.init_params(cfg),
+                    vocab_payload={"labels": ["a", "b", "c", "d"], "slot_groups": [],
+                                   "speakers": ["x", "y", "z"]})
+    manifest = tmp_path / "dup.csv"
+    manifest.write_text("id,audio,speaker,labels\nu1,a.wav,x,a\nu1,b.wav,y,b\n")
+    code = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+    assert code == 4
+    assert "duplicate utterance id 'u1'" in capsys.readouterr().err
+
+
 def test_eval_missing_checkpoint(tmp_path):
     manifest = tmp_path / "m.csv"
     manifest.write_text("id,audio,speaker,labels\nu,a.wav,s,x\n")
@@ -282,7 +312,7 @@ def test_eval_non_finite_features_is_data_error(tmp_path, capsys):
     assert was_cached
     feats = feats.copy()
     feats[0, 0] = np.nan
-    FeatureCache(cache).store(wav, FeatureRecipe(), feats)
+    FeatureCache(cache).store(wav, feats)
     capsys.readouterr()
     code = cli.main(["eval", "--checkpoint", str(tmp_path / "out" / "model.npz"),
                      "--manifest", str(manifest), "--cache-dir", cache,

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from capsintent import datasets, features
+from capsintent import datasets
 from capsintent.errors import DataError, UsageError
 
 from helpers import write_wav
@@ -174,11 +174,18 @@ def test_manifest_bad_header(tmp_path):
         datasets.load_manifest(str(path))
 
 
+def test_manifest_duplicate_id_rejected(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("id,audio,speaker,labels\nu0,a.wav,s,x\nu1,b.wav,s,x\nu1,c.wav,t,y\n")
+    with pytest.raises(DataError, match="duplicate utterance id 'u1'"):
+        datasets.load_manifest(str(path))
+
+
 def test_ensure_features_from_audio(tmp_path):
     corpus = _audio_corpus(tmp_path)
     counts = datasets.ensure_features(corpus, cache_dir=str(tmp_path / "cache"))
     assert counts["computed"] == len(corpus)
-    assert corpus.feat_dim() == features.FeatureRecipe().dim
+    assert corpus.feat_dim() == 120
     counts2 = datasets.ensure_features(_audio_corpus(tmp_path), cache_dir=str(tmp_path / "cache"))
     assert counts2["cached"] == len(corpus)
 
@@ -293,8 +300,8 @@ def test_load_fluent_missing_audio_skipped(tmp_path):
 def test_fluent_partial_ids_pinned_subsample(tmp_path):
     root = _make_fluent_tree(tmp_path / "fluent", rows_per_split=10)
     corpus = datasets.load_fluent(str(root))
-    partial = datasets.fluent_partial_ids(corpus, fraction=0.2, seed=0)
-    assert partial == datasets.fluent_partial_ids(corpus, fraction=0.2, seed=0)
+    partial = datasets.fluent_partial_ids(corpus)
+    assert partial == datasets.fluent_partial_ids(corpus)
     assert set(partial) <= set(corpus.splits["train"])
     # stratified: at least one utterance from every training speaker
     spks = {corpus.by_id(i).speaker_index for i in partial}

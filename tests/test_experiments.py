@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -283,7 +284,7 @@ def test_dependent_point_is_the_mean_over_speakers():
     for spk in sorted(split.per_speaker):
         train = [i for block in split.per_speaker[spk][:2] for i in block]
         test = [i for block in split.per_speaker[spk][2:] for i in block]
-        job_cfg = cfg.with_seed(experiments.derive_seed(cfg.seed, 0, 0, spk))
+        job_cfg = dataclasses.replace(cfg, seed=experiments.derive_seed(cfg.seed, 0, 0, spk))
         result = experiments.fit(corpus.subset(train), job_cfg, **fit_options)
         scores = experiments.evaluate_model(corpus.subset(test), result.params, job_cfg,
                                             corpus.vocab)

@@ -1,6 +1,8 @@
+import hashlib
 import math
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,31 +83,37 @@ def test_normalize_mean_and_variance():
 
 
 def test_recipe_dim_and_digest():
-    recipe = features.FeatureRecipe()
-    assert recipe.dim == 120
-    assert recipe.digest() != features.FeatureRecipe(n_mels=39).digest()
+    clip = features.AudioClip(np.random.default_rng(4).uniform(-0.5, 0.5, 8000), 16000)
+    assert features.compute_features(clip).shape == (48, 120)
+    assert features.RECIPE_DIGEST == "9c5e0bf70774413e"
+
+
+def test_cache_file_name(tmp_path, wav_factory):
+    path = wav_factory("n.wav", np.random.default_rng(9).uniform(-0.5, 0.5, 8000))
+    cache_dir = tmp_path / "cache"
+    features.FeatureCache(str(cache_dir)).get_or_compute(path)
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:24]
+    assert os.listdir(cache_dir) == [f"{digest}_9c5e0bf70774413e.npy"]
 
 
 def test_cache_roundtrip_and_hits(tmp_path, wav_factory):
     path = wav_factory("c.wav", np.random.default_rng(6).uniform(-0.5, 0.5, 8000))
     cache = features.FeatureCache(str(tmp_path / "cache"))
-    recipe = features.FeatureRecipe()
-    first, was_cached = cache.get_or_compute(path, recipe)
+    first, was_cached = cache.get_or_compute(path)
     assert not was_cached
-    second, was_cached = cache.get_or_compute(path, recipe)
+    second, was_cached = cache.get_or_compute(path)
     assert was_cached
     assert first.tobytes() == second.tobytes()
 
 
-def test_cache_key_depends_on_content_and_recipe(tmp_path, wav_factory):
+def test_cache_key_depends_on_content(tmp_path, wav_factory):
     rng = np.random.default_rng(7)
     p1 = wav_factory("k1.wav", rng.uniform(-0.5, 0.5, 8000))
     p2 = wav_factory("k2.wav", rng.uniform(-0.5, 0.5, 8000))
     cache = features.FeatureCache(str(tmp_path / "cache"))
     cache.get_or_compute(p1)
     cache.get_or_compute(p2)
-    cache.get_or_compute(p1, features.FeatureRecipe(n_mels=20))
-    assert len(os.listdir(tmp_path / "cache")) == 3
+    assert len(os.listdir(tmp_path / "cache")) == 2
 
 
 def test_cache_concurrent_writers(tmp_path, wav_factory):

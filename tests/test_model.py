@@ -191,7 +191,7 @@ def test_grad_check_on_ragged_batch():
 
     def loss(p):
         # forward only, composed here independently of loss_and_grads
-        caps, _ = capsnet.forward(xs, p, cfg, want_trace=False, lengths=lengths)
+        caps, _ = capsnet.forward(xs, p, cfg, lengths=lengths)
         spk, _ = multitask.head_forward(caps, p, speakers)
         return float(np.sum(capsnet.margin_loss(caps, targets, cfg) + cfg.speaker_weight * spk))
 
@@ -242,8 +242,8 @@ def test_routing_overflow_in_loss_and_grads_is_divergence():
 def test_fit_names_the_utterance_whose_routing_overflows(monkeypatch):
     init = model.init_params
 
-    def exploding(config, rng=None):
-        params = init(config, rng)
+    def exploding(config):
+        params = init(config)
         params["caps.W"] = params["caps.W"] * 1e158
         return params
 
