@@ -9,8 +9,8 @@ orientations carry (norm of the average capsule)."""
 import numpy as np
 
 from capsintent import ModelConfig, SynthGroup, SynthSpec, synth_generate
-from capsintent.capsnet import forward
 from capsintent.experiments import evaluate_model, fit
+from capsintent.model import evaluate
 from capsintent.multitask import average_capsule
 
 spec = SynthSpec(
@@ -33,10 +33,8 @@ for weight in (0.0, 1.0):
                          routing_iters=3, speaker_weight=weight, seed=1)
     result = fit(train, config, epochs=30)
     scores = evaluate_model(test, result.params, config, corpus.vocab)
-    z_norms = []
-    for utt in test[:50]:
-        caps, _ = forward(utt.features, result.params, config)
-        z_norms.append(np.linalg.norm(average_capsule(caps).vector))
+    caps = evaluate([utt.features for utt in test[:50]], result.params, config).capsules
+    z_norms = np.linalg.norm(average_capsule(caps).vector, axis=-1)
     print(f"speaker_weight={weight}: f1={scores['f1']:.3f} "
           f"speaker_acc={scores['speaker_accuracy']:.3f} "
           f"mean |average capsule|={np.mean(z_norms):.3f} "

@@ -7,23 +7,23 @@ task label) of dimension n, and per-pair transform matrices stored as a
 (P, K, d_p, n) tensor. ``votes[i, j]`` is primary capsule i's prediction of
 output capsule j.
 
-Every stage takes one utterance or a batch of B: the batch axis, when
-present, follows the primary-capsule axis of primary capsules (P, B, d_p)
-and votes (P, B, K, n), and leads everywhere else (output capsules
-(B, K, n), losses (B,)). Routing treats each utterance independently, so a
-batch gives the same numbers as its utterances one by one; parameter
-gradients are summed over the batch.
+Every stage takes a batch of B utterances (one utterance is a batch of
+one): the batch axis follows the primary-capsule axis of primary capsules
+(P, B, d_p) and votes (P, B, K, n), and leads everywhere else (output
+capsules (B, K, n), losses (B,)). Routing treats each utterance
+independently, so a batch gives the same numbers as its utterances one by
+one; parameter gradients are summed over the batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import encoder as enc
-from .errors import ContractError, DataError, DivergenceError, ShapeError
+from .errors import ContractError, DivergenceError, ShapeError
 from .numeric import Params, softmax, softmax_grad
 
 if TYPE_CHECKING:
@@ -62,20 +62,15 @@ class ModelConfig:
 
 
 @dataclass
-class PrimaryCapsuleSet:
-    vectors: np.ndarray  # (P, [B,] d_p), each capsule post-squash so norm < 1
-
-
-@dataclass
 class OutputCapsuleSet:
-    vectors: np.ndarray  # ([B,] K, n)
-    norms: np.ndarray    # ([B,] K)
+    vectors: np.ndarray  # (B, K, n)
+    norms: np.ndarray    # (B, K)
 
 
 @dataclass
 class RoutingTrace:
-    votes: np.ndarray                                             # (P, [B,] K, n)
-    coefficients: list[np.ndarray] = field(default_factory=list)  # (P, [B,] K) per iteration
+    votes: np.ndarray                                             # (P, B, K, n)
+    coefficients: list[np.ndarray] = field(default_factory=list)  # (P, B, K) per iteration
     pooled: list[np.ndarray] = field(default_factory=list)        # pre-squash s, per iteration
     outputs: list[np.ndarray] = field(default_factory=list)       # post-squash v, per iteration
 
@@ -85,10 +80,10 @@ class ForwardTrace:
     """Every intermediate needed to replay the forward pass exactly."""
 
     encoder_cache: dict
-    readout: np.ndarray           # ([B,] 2H)
-    primary_pre: np.ndarray       # ([B,] P, d_p) pre-squash
-    primary: np.ndarray           # (P, [B,] d_p) post-squash
-    votes: np.ndarray             # (P, [B,] K, n)
+    readout: np.ndarray           # (B, 2H)
+    primary_pre: np.ndarray       # (B, P, d_p) pre-squash
+    primary: np.ndarray           # (P, B, d_p) post-squash, each norm < 1
+    votes: np.ndarray             # (P, B, K, n)
     routing: RoutingTrace = None
     output: OutputCapsuleSet = None
     config: ModelConfig = None
@@ -121,38 +116,35 @@ def _stacked(transforms: np.ndarray) -> np.ndarray:
     return transforms.transpose(0, 2, 1, 3).reshape(P, d_p, K * n)
 
 
-def predict_capsules(primary: PrimaryCapsuleSet | np.ndarray, transforms: np.ndarray) -> np.ndarray:
-    """Per-pair linear predictions: votes[i, ..., j, :] = transforms[i, j].T @ u_i.
+def predict_capsules(primary: np.ndarray, transforms: np.ndarray) -> np.ndarray:
+    """Per-pair linear predictions: votes[i, b, j, :] = transforms[i, j].T @ u_ib.
 
-    Primary capsules (P, [B,] d_p) give votes (P, [B,] K, n): one matrix
-    product per primary capsule over the whole batch.
+    Primary capsules (P, B, d_p) give votes (P, B, K, n): one matrix product
+    per primary capsule over the whole batch.
     """
-    u = primary.vectors if isinstance(primary, PrimaryCapsuleSet) else np.asarray(primary)
-    if transforms.ndim != 4 or u.ndim not in (2, 3) or transforms.shape[0] != u.shape[0] \
-            or transforms.shape[2] != u.shape[-1]:
+    if transforms.ndim != 4 or primary.ndim != 3 or transforms.shape[0] != primary.shape[0] \
+            or transforms.shape[2] != primary.shape[-1]:
         raise ShapeError(
-            f"transforms {transforms.shape} incompatible with primary capsules {u.shape}"
+            f"transforms {transforms.shape} incompatible with primary capsules {primary.shape}"
         )
-    P, K, d_p, n = transforms.shape
-    votes = u.reshape(P, -1, d_p) @ _stacked(transforms)
-    return votes.reshape(u.shape[:-1] + (K, n))
+    _, K, _, n = transforms.shape
+    return (primary @ _stacked(transforms)).reshape(primary.shape[:-1] + (K, n))
 
 
 def predict_capsules_backward(d_votes: np.ndarray, primary: np.ndarray, transforms: np.ndarray):
     """Gradients on the transforms (summed over the batch) and on the
     primary capsules, each one matrix product per primary capsule."""
     P, K, d_p, n = transforms.shape
-    u = primary.reshape(P, -1, d_p)
     dv = d_votes.reshape(P, -1, K * n)
-    d_transforms = (u.transpose(0, 2, 1) @ dv).reshape(P, d_p, K, n).transpose(0, 2, 1, 3)
+    d_transforms = (primary.transpose(0, 2, 1) @ dv).reshape(P, d_p, K, n).transpose(0, 2, 1, 3)
     d_primary = dv @ _stacked(transforms).transpose(0, 2, 1)
-    return d_transforms, d_primary.reshape(primary.shape)
+    return d_transforms, d_primary
 
 
 def dynamic_routing(votes: np.ndarray, iters: int):
     """Iterative routing by agreement, independently per utterance.
 
-    ``votes`` is (P, [B,] K, n). Logits start at zero. Each iteration:
+    ``votes`` is (P, B, K, n). Logits start at zero. Each iteration:
     coefficients = softmax of logits over the output axis, pooled input
     s_j = sum_i c_ij * votes[i, j], v_j = squash(s_j), then
     logits[i, j] += votes[i, j] . v_j (the update is skipped after the final
@@ -216,8 +208,8 @@ def routing_backward(trace: RoutingTrace, d_out: np.ndarray) -> np.ndarray:
 
 
 def margin_loss(caps: OutputCapsuleSet, target: np.ndarray, config: ModelConfig):
-    """Hinge loss on output-capsule norms, per utterance: a float for one
-    utterance, a (B,) array for a batch.
+    """Hinge loss on output-capsule norms against (B, K) targets: a (B,)
+    array.
 
     Present labels (target 1) pay max(0, margin_present - |v_k|); absent
     labels pay max(0, |v_k| - margin_absent), scaled by absent_loss_scale
@@ -243,28 +235,30 @@ def margin_loss_grad(caps: OutputCapsuleSet, target: np.ndarray, config: ModelCo
     return d_norm[..., None] * unit
 
 
-def decode_labels(caps: OutputCapsuleSet, vocab: "LabelVocabulary") -> list[str]:
-    """Norm-based decoding against a slotted vocabulary.
+def decode_labels(caps: OutputCapsuleSet, vocab: "LabelVocabulary") -> list[list[str]]:
+    """Norm-based decoding of every utterance of a batch against a slotted
+    vocabulary, in vocabulary order.
 
-    Within each slot group the argmax-norm label wins; optional groups emit
-    their argmax only when its norm exceeds 0.5. Labels outside any group are
-    emitted independently when their norm exceeds 0.5.
+    Within each slot group the argmax-norm label wins (the lowest index on a
+    tie); optional groups emit their argmax only when its norm exceeds 0.5.
+    Labels outside any group are emitted independently when their norm
+    exceeds 0.5.
     """
     norms = caps.norms
-    if len(vocab.labels) != norms.shape[0]:
-        raise ShapeError(f"vocabulary size {len(vocab.labels)} != capsule count {norms.shape[0]}")
-    chosen: list[str] = []
-    grouped = set()
-    for group in vocab.slot_groups:
-        idxs = [vocab.index_of(name) for name in group.labels]
-        grouped.update(idxs)
-        best = max(idxs, key=lambda i: (norms[i], -i))
-        if group.required or norms[best] > 0.5:
-            chosen.append(vocab.labels[best])
-    for i, name in enumerate(vocab.labels):
-        if i not in grouped and norms[i] > 0.5:
-            chosen.append(name)
-    return sorted(chosen, key=vocab.index_of)
+    if len(vocab.labels) != norms.shape[-1]:
+        raise ShapeError(f"vocabulary size {len(vocab.labels)} != capsule count {norms.shape[-1]}")
+    groups = [(sorted(vocab.index_of(name) for name in g.labels), g.required)
+              for g in vocab.slot_groups]
+    grouped = {i for idxs, _ in groups for i in idxs}
+    decoded = []
+    for row in norms.tolist():
+        chosen = [i for i, norm in enumerate(row) if i not in grouped and norm > 0.5]
+        for idxs, required in groups:
+            best = max(idxs, key=row.__getitem__)
+            if required or row[best] > 0.5:
+                chosen.append(best)
+        decoded.append([vocab.labels[i] for i in sorted(chosen)])
+    return decoded
 
 
 # Initialization scales. Recurrent states at uniform +-1/sqrt(fan) init sit
@@ -295,42 +289,36 @@ def init_core_params(config: ModelConfig, rng: np.random.Generator) -> Params:
     return params
 
 
-def encode(feats: np.ndarray, params: Params, config: ModelConfig,
-           lengths: Optional[np.ndarray] = None):
+def encode(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.ndarray):
     """Frames -> bidirectional final states -> affine projection -> squashed
     primary capsules.
 
-    ``feats`` is one (T, feat_dim) utterance or a zero-padded time-major
-    (T_max, B, feat_dim) batch with its (B,) ``lengths``
-    (``encoder.pad_batch``); the capsules are (P, d_p) or (P, B, d_p).
-    Returns (PrimaryCapsuleSet, cache of the intermediates backward needs).
+    ``feats`` is a zero-padded time-major (T_max, B, feat_dim) batch with
+    its (B,) ``lengths`` (``encoder.pad_batch``). Returns the (P, B, d_p)
+    capsules and a cache of the intermediates backward needs.
     """
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim not in (2, 3) or feats.shape[0] < 1:
-        raise DataError(f"expected non-empty time-major features, got {feats.shape}")
     if feats.shape[-1] != config.feat_dim:
         raise ShapeError(f"feature dim {feats.shape[-1]} != configured {config.feat_dim}")
     readout, cache = enc.encoder_forward(
         params, feats, config.encoder_hidden, config.encoder_layers, lengths
     )
     primary_pre = (readout @ params["proj.W"] + params["proj.b"]).reshape(
-        readout.shape[:-1] + (config.num_primary, config.primary_dim)
-    )
-    caps = PrimaryCapsuleSet(vectors=np.moveaxis(squash(primary_pre, axis=-1), -2, 0))
+        -1, config.num_primary, config.primary_dim)
+    caps = np.moveaxis(squash(primary_pre, axis=-1), -2, 0)
     return caps, {"encoder": cache, "readout": readout, "primary_pre": primary_pre}
 
 
-def forward(feats: np.ndarray, params: Params, config: ModelConfig,
-            lengths: Optional[np.ndarray] = None):
-    """Full core forward pass of one utterance or a padded batch (see
-    ``encode``); the trace is sufficient to replay backward().
+def forward(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.ndarray):
+    """Full core forward pass of a padded batch (see ``encode``); the trace
+    is sufficient to replay backward().
 
     Raises DivergenceError, with the batch position of the first utterance
     affected, when capsule predictions are non-finite.
     """
     primary, cache = encode(feats, params, config, lengths=lengths)
     votes = predict_capsules(primary, params["caps.W"])
-    finite = np.isfinite(votes).all(axis=(0, -2, -1))
+    finite = np.isfinite(votes).all(axis=(0, 2, 3))
     if not np.all(finite):
         raise DivergenceError("non-finite capsule predictions", index=int(np.argmin(finite)))
     caps, routing = dynamic_routing(votes, config.routing_iters)
@@ -338,7 +326,7 @@ def forward(feats: np.ndarray, params: Params, config: ModelConfig,
         encoder_cache=cache["encoder"],
         readout=cache["readout"],
         primary_pre=cache["primary_pre"],
-        primary=primary.vectors,
+        primary=primary,
         votes=votes,
         routing=routing,
         output=caps,
@@ -359,11 +347,9 @@ def backward(trace: ForwardTrace, d_out: np.ndarray, params: Params) -> Params:
         routing_backward(trace.routing, d_out), trace.primary, params["caps.W"]
     )
     d_primary_pre = squash_grad(np.moveaxis(d_primary, 0, -2), trace.primary_pre, axis=-1)
-    flat = d_primary_pre.reshape(d_primary_pre.shape[:-2] + (-1,))
-    d_readout = flat @ params["proj.W"].T
-    grads = enc.encoder_backward(params, trace.encoder_cache, d_readout)
-    rows = flat.reshape(-1, flat.shape[-1])
-    grads["proj.W"] = trace.readout.reshape(-1, trace.readout.shape[-1]).T @ rows
-    grads["proj.b"] = rows.sum(axis=0)
+    flat = d_primary_pre.reshape(len(d_primary_pre), -1)
+    grads = enc.encoder_backward(params, trace.encoder_cache, flat @ params["proj.W"].T)
+    grads["proj.W"] = trace.readout.T @ flat
+    grads["proj.b"] = flat.sum(axis=0)
     grads["caps.W"] = d_transforms
     return grads

@@ -5,11 +5,12 @@ Subcommands: ``features``, ``train``, ``eval``, ``curve``,
 YAML config file; flags only override paths and verbosity. Exit codes: 0
 success, 2 usage/config errors, 3 training divergence, 4 data errors.
 
-Config keys (unknown keys are rejected): ``output_dir`` (required);
-``seed``; ``corpus`` (required): ``kind`` (synth | grabo | fluent |
-manifest), ``root``, ``manifest``, ``cache_dir``, and for synth ``preset``,
-``per_speaker_count``, ``noise_level``, ``feat_dim``, ``seed``; ``model``:
-the ``MODEL_KEYS`` fields of ``ModelConfig``; ``experiment``: ``mode``
+Config keys (unknown keys, and values not of the key's declared type, are
+rejected): ``output_dir`` (required); ``seed``; ``corpus`` (required):
+``kind`` (synth | grabo | fluent | manifest), ``root``, ``manifest``,
+``cache_dir``, and for synth ``preset``, ``per_speaker_count``,
+``noise_level``, ``feat_dim``, ``seed``; ``model``: the ``MODEL_KEYS``
+fields of ``ModelConfig``; ``experiment``: ``mode``
 (speaker_independent | speaker_dependent), ``num_blocks``, ``schedule``,
 ``repeats``, ``sweep`` (``axis`` output_dim | speaker_weight, ``values``);
 ``training``: ``epochs``, ``lr``, ``batch_size``, ``early_stop_delta``,
@@ -23,6 +24,7 @@ import argparse
 import logging
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -85,6 +87,32 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise UsageError(f"unknown {where} config keys: {sorted(unknown)}")
 
 
+def _conforms(value, declared) -> bool:
+    """Whether a YAML value has a scalar type as declared: a bool is not an
+    int, an int is a float, null only where Optional; lists of scalars are
+    checked element by element. Other types are checked by their loaders."""
+    origin, args = typing.get_origin(declared), typing.get_args(declared)
+    if origin is typing.Union:
+        return value is None or _conforms(value, args[0])
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(v, args[0]) for v in value)
+    if declared is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if declared in (int, str, bool):
+        return isinstance(value, declared) and (declared is bool or not isinstance(value, bool))
+    return True
+
+
+def _check_types(section: dict, owner, where: str) -> None:
+    """UsageError naming the first key of ``section`` whose value does not
+    conform to its annotation in ``owner`` (a dataclass or a function)."""
+    declared = typing.get_type_hints(owner)
+    for key, value in section.items():
+        if not _conforms(value, declared[key]):
+            raise UsageError(f"{where}{key} must be {owner.__annotations__[key]}, "
+                             f"got {type(value).__name__} {value!r}")
+
+
 def load_run_config(path: str) -> RunConfig:
     if not os.path.isfile(path):
         raise UsageError(f"config file {path} does not exist")
@@ -99,9 +127,11 @@ def load_run_config(path: str) -> RunConfig:
     for required in ("corpus", "output_dir"):
         if required not in raw:
             raise UsageError(f"{path}: missing required key {required!r}")
+    _check_types(raw, RunConfig, "")
 
     corpus_raw = raw["corpus"] or {}
     _check_keys(corpus_raw, {f.name for f in fields(CorpusConfig)}, "corpus")
+    _check_types(corpus_raw, CorpusConfig, "corpus.")
     if "kind" not in corpus_raw:
         raise UsageError("corpus.kind is required (synth | grabo | fluent | manifest)")
     corpus_cfg = CorpusConfig(**corpus_raw)
@@ -116,9 +146,11 @@ def load_run_config(path: str) -> RunConfig:
 
     model_raw = raw.get("model") or {}
     _check_keys(model_raw, MODEL_KEYS, "model")
+    _check_types(model_raw, ModelConfig, "model.")
 
     exp_raw = raw.get("experiment") or {}
     _check_keys(exp_raw, {f.name for f in fields(ExperimentConfig)}, "experiment")
+    _check_types(exp_raw, ExperimentConfig, "experiment.")
     sweep = None
     if exp_raw.get("sweep") is not None:
         sweep_raw = exp_raw["sweep"]
@@ -130,11 +162,12 @@ def load_run_config(path: str) -> RunConfig:
 
     training = raw.get("training") or {}
     _check_keys(training, TRAINING_KEYS, "training")
+    _check_types(training, experiments.fit, "training.")
 
     return RunConfig(
         corpus=corpus_cfg,
-        output_dir=str(raw["output_dir"]),
-        seed=int(raw.get("seed", 0)),
+        output_dir=raw["output_dir"],
+        seed=raw.get("seed", 0),
         model=model_raw,
         experiment=experiment,
         training=training,

@@ -448,10 +448,28 @@ FLUENT_TABLES = {"train": "train_data.csv", "valid": "valid_data.csv", "test": "
 FLUENT_SLOTS = ("action", "object", "location")
 
 
+def _fluent_records(path: Path, columns: tuple[str, ...]) -> list[dict]:
+    """The rows of one index table, each with a value in every one of
+    ``columns``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise DataError(f"{path.name}: missing columns {missing}")
+        records = list(reader)
+    for lineno, rec in enumerate(records, start=2):
+        if any(rec[c] is None for c in columns):
+            raise DataError(f"{path.name}:{lineno}: row has fewer fields than the header")
+    return records
+
+
 def load_fluent(root: str) -> Corpus:
     """Smart-home command corpus layout: ``data/{train,valid,test}_data.csv``
     index tables with action/object/location columns and audio paths relative
-    to the root. The three slots become three required label groups."""
+    to the root. The three slots become three required label groups. An
+    optional ``data/train_partial_data.csv`` names the reduced training
+    split by path; each must be in the train split. Rows whose audio is
+    missing are skipped and counted, in every table."""
     base = Path(root)
     data_dir = base / "data"
     if not base.is_dir():
@@ -464,25 +482,27 @@ def load_fluent(root: str) -> Corpus:
     warnings = {"missing_audio": 0}
     for split, table in FLUENT_TABLES.items():
         ids: list[str] = []
-        with open(data_dir / table, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for lineno, rec in enumerate(reader, start=2):
-                missing = [c for c in ("path", "speakerId", *FLUENT_SLOTS) if c not in rec]
-                if missing:
-                    raise DataError(f"{table}:{lineno}: missing columns {missing}")
-                wav = base / rec["path"]
-                if not wav.is_file():
-                    warnings["missing_audio"] += 1
-                    continue
-                labels = [f"{slot}:{rec[slot].strip()}" for slot in FLUENT_SLOTS]
-                utt_id = rec["path"]
-                rows.append((utt_id, str(wav), rec["speakerId"], labels))
-                ids.append(utt_id)
+        for rec in _fluent_records(data_dir / table, ("path", "speakerId", *FLUENT_SLOTS)):
+            wav = base / rec["path"]
+            if not wav.is_file():
+                warnings["missing_audio"] += 1
+                continue
+            labels = [f"{slot}:{rec[slot].strip()}" for slot in FLUENT_SLOTS]
+            utt_id = rec["path"]
+            rows.append((utt_id, str(wav), rec["speakerId"], labels))
+            ids.append(utt_id)
         splits[split] = ids
     partial = data_dir / "train_partial_data.csv"
     if partial.is_file():
-        with open(partial, newline="") as fh:
-            splits["train_partial"] = [rec["path"] for rec in csv.DictReader(fh)]
+        train = set(splits["train"])
+        splits["train_partial"] = []
+        for rec in _fluent_records(partial, ("path",)):
+            if not (base / rec["path"]).is_file():
+                warnings["missing_audio"] += 1
+            elif rec["path"] not in train:
+                raise DataError(f"{partial.name}: {rec['path']} is not in the train split")
+            else:
+                splits["train_partial"].append(rec["path"])
     if not rows:
         raise DataError(f"{root}: index tables reference no existing audio")
     corpus = _corpus_from_rows("fluent", rows, warnings=warnings, splits=splits)

@@ -8,16 +8,16 @@ along the last axis of the weight matrices:
     n = tanh   (x Wx[:, 2H:]  + r * (h Wh[:, 2H:]) + b[2H:])
     h' = z * h + (1 - z) * n
 
-Sequences are time-major: one utterance is a (T, dim) matrix, a batch is a
-zero-padded (T_max, B, dim) array with per-utterance lengths (``pad_batch``).
-Every step runs all B sequences at once. Past a sequence's end a per-frame
-mask forces its update gate to exactly 1 (pre-activation +inf), so the cell
-copies its state unchanged and every gradient through that frame is exactly
-zero: the state at T_max - 1 is the sequence's final state, with no masking
-work inside the frame loops. The backward direction reads each sequence
-reversed within its own length, so its final state is also at T_max - 1. The
-encoder reads out the concatenated final states of both directions of the
-top layer.
+Sequences are time-major and always batched: a zero-padded (T_max, B, dim)
+array with per-utterance lengths (``pad_batch``); one utterance is a batch
+of one. Every step runs all B sequences at once. Past a sequence's end a
+per-frame mask forces its update gate to exactly 1 (pre-activation +inf),
+so the cell copies its state unchanged and every gradient through that
+frame is exactly zero: the state at T_max - 1 is the sequence's final
+state, with no masking work inside the frame loops. The backward direction
+reads each sequence reversed within its own length, so its final state is
+also at T_max - 1. The encoder reads out the concatenated final states of
+both directions of the top layer.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ import numpy as np
 
 from .errors import DataError
 from .numeric import Params
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # the tanh form never overflows and avoids boolean-mask indexing
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 # A zero-initialized update gate keeps only half the state per frame, wiping
@@ -73,26 +68,48 @@ def pad_batch(feats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: Optional[np.ndarray] = None):
-    """Run the cell over time-major ``xs`` (T, [B,] in_dim).
+    """Run the cell over time-major ``xs`` (T, B, in_dim).
 
     ``mask`` (T, B, 1) is False on padding frames, where the update gate is
-    forced to 1 so the state is held. Returns (states (T, [B,] H), cache).
+    forced to 1 so the state is held; None when no sequence is padded.
+    Returns (states (T, B, H), cache).
     """
     hidden = p["Wh"].shape[0]
+    T, B = xs.shape[:2]
     xx = xs @ p["Wx"] + p["b"]
     if mask is not None:
         np.copyto(xx[..., hidden:2 * hidden], np.inf, where=~mask)
     xx_rz, xx_n = xx[..., :2 * hidden], xx[..., 2 * hidden:]
-    states = np.empty(xs.shape[:-1] + (hidden,))
-    rz = np.empty(xs.shape[:-1] + (2 * hidden,))
+    states = np.empty((T, B, hidden))
+    rz = np.empty((T, B, 2 * hidden))
     n_all = np.empty_like(states)
-    h = np.zeros(xs.shape[1:-1] + (hidden,))
-    for t in range(xs.shape[0]):
-        hh = h @ p["Wh"]
-        rz[t] = gates = _sigmoid(xx_rz[t] + hh[..., :2 * hidden])
-        r, z = gates[..., :hidden], gates[..., hidden:]
-        n_all[t] = n = np.tanh(xx_n[t] + r * hh[..., 2 * hidden:])
-        states[t] = h = z * h + (1.0 - z) * n
+    # The frame step writes into preallocated buffers through local names:
+    # at B=1, allocating temporaries and looking up attributes cost as much
+    # as the arithmetic. The sigmoid is 0.5 * (1 + tanh(x / 2)), which never
+    # overflows; the other operations are those of the formulas above, in
+    # the order they are written.
+    hh = np.empty((B, 3 * hidden))
+    keep = np.empty((B, hidden))
+    h = np.zeros((B, hidden))
+    Wh, add, subtract, multiply, tanh = p["Wh"], np.add, np.subtract, np.multiply, np.tanh
+    for t in range(T):
+        np.matmul(h, Wh, out=hh)
+        gates = rz[t]
+        add(xx_rz[t], hh[:, :2 * hidden], out=gates)
+        multiply(gates, 0.5, out=gates)
+        tanh(gates, out=gates)
+        add(gates, 1.0, out=gates)
+        multiply(gates, 0.5, out=gates)
+        r, z = gates[:, :hidden], gates[:, hidden:]
+        n = n_all[t]
+        multiply(r, hh[:, 2 * hidden:], out=n)
+        add(xx_n[t], n, out=n)
+        tanh(n, out=n)
+        multiply(z, h, out=keep)
+        h = states[t]
+        subtract(1.0, z, out=h)
+        multiply(h, n, out=h)
+        add(keep, h, out=h)
     cache = {"xs": xs, "states": states, "r": rz[..., :hidden], "z": rz[..., hidden:],
              "n": n_all}
     return states, cache
@@ -101,7 +118,7 @@ def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: Optional[np.ndar
 def gru_backward(p, cache, d_steps, d_last):
     """BPTT through one direction.
 
-    d_steps: (T, [B,] H) per-step gradients on the emitted states (may be
+    d_steps: (T, B, H) per-step gradients on the emitted states (may be
     None), d_last: extra gradient on the final state. Returns (param grads
     summed over the batch, dxs).
 
@@ -158,10 +175,10 @@ def init_encoder_params(rng: np.random.Generator, feat_dim: int, hidden: int, la
     return params
 
 
-def _reversal(lengths: Optional[np.ndarray], T: int):
+def _reversal(lengths: np.ndarray, T: int):
     """Gather index (rows, cols) that reverses each sequence within its own
     length and leaves padding in place; None when every sequence fills T."""
-    if lengths is None or np.all(lengths == T):
+    if np.all(lengths == T):
         return None
     t = np.arange(T)[:, None]
     rows = np.where(t < lengths, lengths - 1 - t, t)
@@ -173,19 +190,15 @@ def _reverse(x: np.ndarray, reversal) -> np.ndarray:
 
 
 def encoder_forward(params: Params, feats: np.ndarray, hidden: int, layers: int,
-                    lengths: Optional[np.ndarray] = None):
-    """Encode time-major features into the final-state readout.
-
-    ``feats`` is one (T, feat_dim) utterance, giving a (2*hidden,) readout,
-    or a padded (T_max, B, feat_dim) batch with its (B,) ``lengths`` (all
-    T_max when omitted), giving (B, 2*hidden).
-    """
+                    lengths: np.ndarray):
+    """Encode a padded time-major (T_max, B, feat_dim) batch with its (B,)
+    ``lengths`` into the (B, 2*hidden) final-state readout."""
     feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim not in (2, 3) or feats.shape[0] < 1:
-        raise DataError(f"encoder needs non-empty time-major features, got shape {feats.shape}")
+    if feats.ndim != 3 or feats.shape[0] < 1:
+        raise DataError(f"encoder needs a non-empty (T_max, B, dim) batch, got shape {feats.shape}")
     T = feats.shape[0]
     mask = None
-    if lengths is not None and np.any(lengths < T):
+    if np.any(lengths < T):
         mask = (np.arange(T)[:, None] < lengths)[..., None]
     reversal = _reversal(lengths, T)
     xs = feats
@@ -221,7 +234,7 @@ def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
         for key, val in g_b.items():
             grads[f"enc.{layer}.b.{key}"] = val
         if layer > 0:
-            d_xs = dx_f + _reverse(dx_b_rev, reversal)  # (T, [B,] in_dim of this layer)
+            d_xs = dx_f + _reverse(dx_b_rev, reversal)  # (T, B, in_dim of this layer)
             d_steps_f = d_xs[..., :hidden]
             d_steps_b_rev = _reverse(d_xs[..., hidden:], reversal)
             d_last_f = np.zeros_like(d_last_f)

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import model
+from . import capsnet, model, multitask
 from .capsnet import ModelConfig
 from .datasets import BlockSplit, Corpus, LabelVocabulary, Utterance
 from .errors import ContractError, DivergenceError, UsageError
@@ -156,11 +156,16 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
     With ``valid``/``vocab``/``select_metric`` (a key of ``evaluate_model``:
     "f1", "speaker_accuracy", or "intent_accuracy" when the vocabulary has
     slot groups) the epoch checkpoint scoring best on the validation set is
-    returned instead of the final one. A bad selection setup is a
+    returned instead of the final one. A bad selection setup, or an
+    ``epochs``, ``batch_size`` or ``early_stop_patience`` below 1, is a
     UsageError before the first step.
     """
     if not train:
         raise UsageError("cannot fit on an empty training set")
+    for name, value in (("epochs", epochs), ("batch_size", batch_size),
+                        ("early_stop_patience", early_stop_patience)):
+        if value < 1:
+            raise UsageError(f"{name} must be at least 1, got {value}")
     if select_metric is not None:
         if not valid or vocab is None:
             raise UsageError("validation selection needs valid utterances and a vocabulary")
@@ -219,13 +224,15 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
 
 def predict_corpus(utts: Sequence[Utterance], params: Params, config: ModelConfig,
                    vocab: LabelVocabulary):
-    """Decode labels and speakers for a list of utterances: the package's
-    one decoding loop, behind evaluation, curves, replication and ``eval``."""
+    """Decode labels and speakers for a list of utterances, in batches of
+    ``model._SLICE``: the package's one decoding loop, behind evaluation,
+    curves, replication and ``eval``."""
     label_sets, speakers = [], []
-    for utt in utts:
-        labels, speaker = model.predict(utt.features, params, config, vocab)
-        label_sets.append(labels)
-        speakers.append(speaker)
+    for start in range(0, len(utts), model._SLICE):
+        out = model.evaluate([u.features for u in utts[start:start + model._SLICE]],
+                             params, config)
+        label_sets += capsnet.decode_labels(out.capsules, vocab)
+        speakers += multitask.decode_speaker(out.speaker_probs)
     return label_sets, speakers
 
 

@@ -1,12 +1,17 @@
 """Composition of the capsule core and the speaker head into one trainable
 model: parameter initialization, loss + gradient evaluation over a batch of
 utterances, and prediction.
+
+Utterances are (frames, feat_dim) matrices of any lengths. ``loss_and_grads``
+and ``evaluate`` take a list of them and run it as zero-padded,
+length-masked time-major batches (``encoder.pad_batch``); ``predict``
+decodes one utterance as a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -59,23 +64,23 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 @dataclass
 class EvalOutput:
-    capsules: OutputCapsuleSet
-    speaker_probs: np.ndarray
+    capsules: OutputCapsuleSet    # (B, K, n)
+    speaker_probs: np.ndarray     # (B, M)
 
 
-def evaluate(feats: np.ndarray, params: Params, config: ModelConfig) -> EvalOutput:
-    """Inference-only forward pass of one (frames, feat_dim) utterance: the
-    same forward as training, with no batch axis; its trace is dropped.
+def evaluate(feats: Sequence[np.ndarray], params: Params, config: ModelConfig) -> EvalOutput:
+    """Inference-only forward pass of B (frames, feat_dim) utterances as one
+    padded batch: the same forward as training; its trace is dropped.
 
     Non-finite features raise DataError: they are bad input, not a
     diverged model.
     """
-    feats = np.asarray(feats, dtype=np.float64)
-    if not np.all(np.isfinite(feats)):
+    xs, lengths = encoder.pad_batch(feats)
+    if not np.all(np.isfinite(xs)):
         raise DataError("features contain non-finite values")
-    caps, _ = capsnet.forward(feats, params, config)
-    dist = multitask.speaker_distribution(multitask.average_capsule(caps), params)
-    return EvalOutput(capsules=caps, speaker_probs=dist.probs)
+    caps, _ = capsnet.forward(xs, params, config, lengths)
+    probs = multitask.speaker_distribution(multitask.average_capsule(caps), params)
+    return EvalOutput(capsules=caps, speaker_probs=probs)
 
 
 # Utterances go through the model in slices of at most this many, and the
@@ -88,13 +93,9 @@ _SLICE = 16
 
 def loss_and_grads(feats, target, speaker_index, params: Params, config: ModelConfig,
                    force_speaker_path: bool = False):
-    """Losses and the gradient of every parameter.
-
-    ``feats`` is one (frames, feat_dim) utterance, with a (K,) target and
-    one speaker index, and the losses are floats; or a sequence of B
-    utterances of any lengths, with (B, K) targets and B speaker indices,
-    and the losses are (B,) arrays. Returns (LossBreakdown, gradients summed
-    over the utterances).
+    """Losses and the gradient of every parameter for B utterances of any
+    lengths, with (B, K) targets and B speaker indices. Returns
+    (LossBreakdown of (B,) losses, gradients summed over the utterances).
 
     With speaker_weight == 0 the speaker path is skipped entirely (the
     baseline model); ``force_speaker_path`` evaluates it anyway, which must
@@ -104,9 +105,6 @@ def loss_and_grads(feats, target, speaker_index, params: Params, config: ModelCo
     Raises DivergenceError, whose ``index`` is the batch position of the
     first utterance with a non-finite loss.
     """
-    if isinstance(feats, np.ndarray) and feats.ndim == 2:
-        return _loss_and_grads(feats, None, target, speaker_index, params, config,
-                               force_speaker_path)
     target = np.asarray(target, dtype=np.float64)
     speaker_index = np.asarray(speaker_index)
     parts, grads = [], None
@@ -133,14 +131,14 @@ def loss_and_grads(feats, target, speaker_index, params: Params, config: ModelCo
 
 
 def _loss_and_grads(xs, lengths, target, speaker_index, params, config, force_speaker_path):
-    """loss_and_grads of one utterance (``lengths`` None) or one padded slice."""
-    caps, trace = capsnet.forward(xs, params, config, lengths=lengths)
+    """loss_and_grads of one padded slice."""
+    caps, trace = capsnet.forward(xs, params, config, lengths)
     label_loss = capsnet.margin_loss(caps, target, config)
     use_head = config.speaker_weight != 0.0 or force_speaker_path
     if use_head:
         spk_loss, head_trace = multitask.head_forward(caps, params, speaker_index)
     else:
-        spk_loss = np.zeros_like(label_loss)[()]
+        spk_loss = np.zeros_like(label_loss)
     breakdown = multitask.total_loss(label_loss, spk_loss, config.speaker_weight)
     finite = np.isfinite(breakdown.total)
     if not np.all(finite):
@@ -165,8 +163,9 @@ def _loss_and_grads(xs, lengths, target, speaker_index, params, config, force_sp
 
 def predict(feats: np.ndarray, params: Params, config: ModelConfig,
             vocab: "LabelVocabulary"):
-    """Decode the label set and the most probable speaker for one utterance."""
-    out = evaluate(feats, params, config)
-    labels = capsnet.decode_labels(out.capsules, vocab)
-    speaker = multitask.decode_speaker(multitask.SpeakerDistribution(out.speaker_probs))
+    """Decode the label set and the most probable speaker of one
+    (frames, feat_dim) utterance, as a batch of one."""
+    out = evaluate([feats], params, config)
+    labels, = capsnet.decode_labels(out.capsules, vocab)
+    speaker, = multitask.decode_speaker(out.speaker_probs)
     return labels, speaker

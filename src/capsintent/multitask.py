@@ -5,7 +5,8 @@ z = sum_k v_k / sum_k |v_k|, projects it through an n x M matrix (plus an
 optional bias) and a softmax to per-speaker probabilities, and scores the
 true speaker with cross entropy. The total training objective is
 label_loss + speaker_weight * speaker_loss. Like the capsule core, every
-function takes one utterance or a batch with a leading batch axis.
+function takes a batch of B utterances (one utterance is a batch of one)
+along a leading batch axis.
 """
 
 from __future__ import annotations
@@ -24,30 +25,25 @@ NORM_GUARD = 1e-12
 
 @dataclass
 class AverageCapsule:
-    vector: np.ndarray     # ([B,] n)
-    degenerate: np.ndarray | bool  # per utterance: all capsule norms were zero, vector zeros
-
-
-@dataclass
-class SpeakerDistribution:
-    probs: np.ndarray      # ([B,] M), positive, sums to 1
+    vector: np.ndarray      # (B, n)
+    degenerate: np.ndarray  # (B,): all capsule norms were zero, vector zeros
 
 
 @dataclass
 class LossBreakdown:
-    """Losses of one utterance (floats) or of a batch ((B,) arrays)."""
+    """Per-utterance losses of a batch, (B,) arrays."""
 
-    label_loss: float | np.ndarray
-    speaker_loss: float | np.ndarray
-    total: float | np.ndarray
+    label_loss: np.ndarray
+    speaker_loss: np.ndarray
+    total: np.ndarray
 
 
 @dataclass
 class HeadTrace:
-    capsules: np.ndarray          # ([B,] K, n)
-    norms: np.ndarray             # ([B,] K)
+    capsules: np.ndarray          # (B, K, n)
+    norms: np.ndarray             # (B, K)
     average: AverageCapsule
-    probs: np.ndarray             # ([B,] M)
+    probs: np.ndarray             # (B, M)
 
 
 # The average capsule has norm <= 1, so unit-bound weights keep initial
@@ -77,27 +73,25 @@ def average_capsule(caps: OutputCapsuleSet) -> AverageCapsule:
                           degenerate=degenerate)
 
 
-def speaker_distribution(avg: AverageCapsule, params: Params) -> SpeakerDistribution:
-    """Softmax over the linear projection of the average capsule."""
+def speaker_distribution(avg: AverageCapsule, params: Params) -> np.ndarray:
+    """Per-speaker probabilities (B, M): softmax over the linear projection
+    of the average capsule."""
     w = params["spk.W"]
     if avg.vector.shape[-1] != w.shape[0]:
         raise ShapeError(f"average capsule dim {avg.vector.shape[-1]} "
                          f"!= projection rows {w.shape[0]}")
     logits = avg.vector @ w + params["spk.b"]
-    return SpeakerDistribution(probs=softmax(logits, axis=-1))
+    return softmax(logits, axis=-1)
 
 
-def speaker_loss(dist: SpeakerDistribution, speaker_index):
-    """Cross entropy against the one-hot true speaker: -log P[speaker].
-
-    One index gives a float; B indices against (B, M) probabilities give
-    a (B,) array.
-    """
+def speaker_loss(probs: np.ndarray, speaker_index) -> np.ndarray:
+    """Cross entropy of (B, M) probabilities against the B true speakers:
+    -log P[speaker], a (B,) array."""
     index = np.asarray(speaker_index)
-    if np.any((index < 0) | (index >= dist.probs.shape[-1])):
-        raise ShapeError(f"speaker index {speaker_index} out of range {dist.probs.shape[-1]}")
-    p = np.take_along_axis(dist.probs, index[..., None], axis=-1)[..., 0]
-    return -np.log(np.maximum(p, PROB_FLOOR))[()]
+    if np.any((index < 0) | (index >= probs.shape[-1])):
+        raise ShapeError(f"speaker index {speaker_index} out of range {probs.shape[-1]}")
+    p = np.take_along_axis(probs, index[..., None], axis=-1)[..., 0]
+    return -np.log(np.maximum(p, PROB_FLOOR))
 
 
 def total_loss(label_loss, spk_loss, speaker_weight: float) -> LossBreakdown:
@@ -109,17 +103,18 @@ def total_loss(label_loss, spk_loss, speaker_weight: float) -> LossBreakdown:
     )
 
 
-def decode_speaker(dist: SpeakerDistribution) -> int:
-    """Most probable speaker; ties resolve to the lowest index."""
-    return int(np.argmax(dist.probs))
+def decode_speaker(probs: np.ndarray) -> list[int]:
+    """Most probable speaker of every row of (B, M) probabilities; ties
+    resolve to the lowest index."""
+    return np.argmax(probs, axis=-1).tolist()
 
 
 def head_forward(caps: OutputCapsuleSet, params: Params, speaker_index):
-    """Run the full head; returns (loss value(s), trace for head_backward)."""
+    """Run the full head; returns ((B,) losses, trace for head_backward)."""
     avg = average_capsule(caps)
-    dist = speaker_distribution(avg, params)
-    loss = speaker_loss(dist, speaker_index)
-    trace = HeadTrace(capsules=caps.vectors, norms=caps.norms, average=avg, probs=dist.probs)
+    probs = speaker_distribution(avg, params)
+    loss = speaker_loss(probs, speaker_index)
+    trace = HeadTrace(capsules=caps.vectors, norms=caps.norms, average=avg, probs=probs)
     return loss, trace
 
 
@@ -134,13 +129,9 @@ def head_backward(trace: HeadTrace, speaker_index, speaker_weight: float, params
     M = trace.probs.shape[-1]
     onehot = np.arange(M) == np.asarray(speaker_index)[..., None]
     d_logits = speaker_weight * (trace.probs - onehot)
-    d_logits = np.where(np.asarray(trace.average.degenerate)[..., None], 0.0, d_logits)
+    d_logits = np.where(trace.average.degenerate[..., None], 0.0, d_logits)
     z = trace.average.vector
-    rows = d_logits.reshape(-1, M)
-    grads = {
-        "spk.W": z.reshape(-1, z.shape[-1]).T @ rows,
-        "spk.b": rows.sum(axis=0),
-    }
+    grads = {"spk.W": z.T @ d_logits, "spk.b": d_logits.sum(axis=0)}
     d_z = d_logits @ params["spk.W"].T
     denom = np.sum(trace.norms, axis=-1)
     denom = np.where(denom > 0.0, denom, 1.0)[..., None, None]

@@ -247,16 +247,16 @@ def _():
 @example("capsnet", "predict_capsules", "identity_transforms")
 def _():
     P, K, d = 3, 4, 2
-    u = np.random.default_rng(3).normal(size=(P, d)) * 0.1
+    u = np.random.default_rng(3).normal(size=(P, 1, d)) * 0.1
     W = np.broadcast_to(np.eye(d), (P, K, d, d)).copy()
     votes = capsnet.predict_capsules(u, W)
     for j in range(K):
-        assert np.allclose(votes[:, j, :], u, atol=1e-12)
+        assert np.allclose(votes[:, 0, j, :], u[:, 0], atol=1e-12)
 
 
 @example("capsnet", "predict_capsules", "zero_transforms")
 def _():
-    votes = capsnet.predict_capsules(np.ones((2, 3)), np.zeros((2, 5, 3, 4)))
+    votes = capsnet.predict_capsules(np.ones((2, 1, 3)), np.zeros((2, 5, 3, 4)))
     assert np.all(votes == 0.0)
 
 
@@ -264,9 +264,9 @@ def _():
 def _():
     W = np.array([[1.0, 2.0], [0.0, 1.0]]).T.reshape(1, 1, 2, 2)
     # W stores (d_p, n); prediction is u @ W = W^T u in matrix terms
-    u = np.array([[1.0, 1.0]])
+    u = np.array([[[1.0, 1.0]]])
     votes = capsnet.predict_capsules(u, np.array([[1.0, 0.0], [2.0, 1.0]]).reshape(1, 1, 2, 2))
-    assert np.allclose(votes[0, 0], [3.0, 1.0])
+    assert np.allclose(votes[0, 0, 0], [3.0, 1.0])
 
 
 # capsnet.dynamic_routing
@@ -306,8 +306,8 @@ def _():
 def _():
     cfg = tiny_model_config()
     params = {k: np.zeros_like(v) for k, v in model.init_params(cfg).items()}
-    caps, _ = capsnet.encode(np.zeros((4, cfg.feat_dim)), params, cfg)
-    assert np.all(caps.vectors == 0.0)
+    caps, _ = capsnet.encode(np.zeros((4, 1, cfg.feat_dim)), params, cfg, np.array([4]))
+    assert np.all(caps == 0.0)
 
 
 @example("capsnet", "encode", "norms_below_one")
@@ -315,17 +315,17 @@ def _():
     cfg = tiny_model_config()
     rng = np.random.default_rng(6)
     params = {k: rng.normal(0, 0.8, size=v.shape) for k, v in model.init_params(cfg).items()}
-    caps, _ = capsnet.encode(rng.normal(size=(7, cfg.feat_dim)), params, cfg)
-    norms = np.linalg.norm(caps.vectors, axis=1)
+    caps, _ = capsnet.encode(rng.normal(size=(7, 1, cfg.feat_dim)), params, cfg, np.array([7]))
+    norms = np.linalg.norm(caps, axis=-1)
     assert np.all(norms < 1.0)
 
 
 @example("capsnet", "encode", "bit_identical_runs")
 def _():
     cfg = tiny_model_config(seed=11)
-    feats = np.random.default_rng(7).normal(size=(5, cfg.feat_dim))
-    a = capsnet.encode(feats, model.init_params(cfg), cfg)[0].vectors
-    b = capsnet.encode(feats, model.init_params(cfg), cfg)[0].vectors
+    feats = np.random.default_rng(7).normal(size=(5, 1, cfg.feat_dim))
+    a = capsnet.encode(feats, model.init_params(cfg), cfg, np.array([5]))[0]
+    b = capsnet.encode(feats, model.init_params(cfg), cfg, np.array([5]))[0]
     assert a.tobytes() == b.tobytes()
 
 
@@ -366,14 +366,14 @@ def _vocab_one_group(required=True):
 
 @example("capsnet", "decode_labels", "group_argmax")
 def _():
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((3, 2)), norms=np.array([0.9, 0.2, 0.1]))
-    assert capsnet.decode_labels(caps, _vocab_one_group()) == ["g:a"]
+    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((1, 3, 2)), norms=np.array([[0.9, 0.2, 0.1]]))
+    assert capsnet.decode_labels(caps, _vocab_one_group()) == [["g:a"]]
 
 
 @example("capsnet", "decode_labels", "optional_below_threshold")
 def _():
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((3, 2)), norms=np.array([0.4, 0.2, 0.1]))
-    assert capsnet.decode_labels(caps, _vocab_one_group(required=False)) == []
+    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((1, 3, 2)), norms=np.array([[0.4, 0.2, 0.1]]))
+    assert capsnet.decode_labels(caps, _vocab_one_group(required=False)) == [[]]
 
 
 @example("capsnet", "decode_labels", "two_groups")
@@ -383,9 +383,9 @@ def _():
         slot_groups=(datasets.SlotGroup("a", ("a:x", "a:y"), True),
                      datasets.SlotGroup("b", ("b:x", "b:y"), True)),
     )
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((4, 2)),
-                                    norms=np.array([0.6, 0.4, 0.3, 0.7]))
-    assert capsnet.decode_labels(caps, vocab) == ["a:x", "b:y"]
+    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((1, 4, 2)),
+                                    norms=np.array([[0.6, 0.4, 0.3, 0.7]]))
+    assert capsnet.decode_labels(caps, vocab) == [["a:x", "b:y"]]
 
 
 # capsnet.forward
@@ -396,10 +396,10 @@ def _():
     cfg = tiny_model_config()
     params = model.init_params(cfg)
     for T in (1, 3, 9):
-        caps, trace = capsnet.forward(np.random.default_rng(T).normal(size=(T, cfg.feat_dim)),
-                                      params, cfg)
-        assert caps.vectors.shape == (cfg.num_labels, cfg.output_dim)
-        assert caps.norms.shape == (cfg.num_labels,)
+        caps, trace = capsnet.forward(np.random.default_rng(T).normal(size=(T, 1, cfg.feat_dim)),
+                                      params, cfg, np.array([T]))
+        assert caps.vectors.shape == (1, cfg.num_labels, cfg.output_dim)
+        assert caps.norms.shape == (1, cfg.num_labels)
 
 
 @example("capsnet", "forward", "loudness_invariance")
@@ -412,7 +412,7 @@ def _():
     def pipeline(x):
         clip = features.AudioClip(samples=x, sample_rate=16000)
         feats = features.normalize(features.compute_fbank(clip, n_mels=30))
-        caps, _ = capsnet.forward(feats, params, cfg)
+        caps, _ = capsnet.forward(feats[:, None], params, cfg, np.array([len(feats)]))
         return caps.vectors
 
     assert np.allclose(pipeline(audio), pipeline(2.0 * audio), atol=1e-9)
@@ -429,7 +429,7 @@ def _():
         "                  routing_iters=2, speaker_weight=0.5, seed=123)\n"
         "params = model.init_params(cfg)\n"
         "feats = np.linspace(-1, 1, 20).reshape(5, 4)\n"
-        "bd, _ = model.loss_and_grads(feats, np.array([1.0, 0, 1.0]), 1, params, cfg)\n"
+        "bd, _ = model.loss_and_grads([feats], np.array([[1.0, 0, 1.0]]), [1], params, cfg)\n"
         "print(repr(bd.total))\n"
     )
     outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -445,15 +445,15 @@ def _():
     cfg = tiny_model_config(num_primary=3, num_labels=2, primary_dim=2, output_dim=2,
                             routing_iters=2, speaker_weight=0.0)
     params = well_conditioned_params(cfg, seed=21)
-    feats = np.random.default_rng(22).normal(size=(4, cfg.feat_dim))
-    target = np.array([1.0, 0.0])
+    feats = [np.random.default_rng(22).normal(size=(4, cfg.feat_dim))]
+    target = np.array([[1.0, 0.0]])
 
     def loss_fn(p):
-        bd, _ = model.loss_and_grads(feats, target, 0, p, cfg)
-        return bd.total
+        bd, _ = model.loss_and_grads(feats, target, [0], p, cfg)
+        return bd.total[0]
 
     def grads_fn(p):
-        _, g = model.loss_and_grads(feats, target, 0, p, cfg)
+        _, g = model.loss_and_grads(feats, target, [0], p, cfg)
         return {k: v for k, v in g.items() if not k.startswith("spk.")}
 
     core = {k: v for k, v in params.items() if not k.startswith("spk.")}
@@ -473,8 +473,8 @@ def _():
 def _():
     cfg = tiny_model_config()
     params = model.init_params(cfg)
-    caps, trace = capsnet.forward(np.random.default_rng(9).normal(size=(5, cfg.feat_dim)),
-                                  params, cfg)
+    caps, trace = capsnet.forward(np.random.default_rng(9).normal(size=(5, 1, cfg.feat_dim)),
+                                  params, cfg, np.array([5]))
     grads = capsnet.backward(trace, np.zeros_like(caps.vectors), params)
     assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -486,16 +486,16 @@ def _():
     cfg = tiny_model_config(num_primary=4, num_labels=3, primary_dim=2, output_dim=2,
                             routing_iters=3, speaker_weight=0.0)
     params = well_conditioned_params(cfg, seed=31, scale=0.9)
-    feats = np.random.default_rng(32).normal(size=(6, cfg.feat_dim))
-    target = np.array([0.0, 1.0, 1.0])
+    feats = [np.random.default_rng(32).normal(size=(6, cfg.feat_dim))]
+    target = np.array([[0.0, 1.0, 1.0]])
     core = {k: v for k, v in params.items() if not k.startswith("spk.")}
 
     def loss_fn(p):
-        bd, _ = model.loss_and_grads(feats, target, 0, {**params, **p}, cfg)
-        return bd.total
+        bd, _ = model.loss_and_grads(feats, target, [0], {**params, **p}, cfg)
+        return bd.total[0]
 
     def grads_fn(p):
-        _, g = model.loss_and_grads(feats, target, 0, {**params, **p}, cfg)
+        _, g = model.loss_and_grads(feats, target, [0], {**params, **p}, cfg)
         return {k: v for k, v in g.items() if not k.startswith("spk.")}
 
     rep = numeric.grad_check(loss_fn, grads_fn, core)
@@ -538,28 +538,28 @@ def _():
 
 @example("multitask", "speaker_distribution", "zero_weights_uniform")
 def _():
-    avg = multitask.AverageCapsule(vector=np.array([0.3, -0.2]), degenerate=False)
+    avg = multitask.AverageCapsule(vector=np.array([[0.3, -0.2]]), degenerate=np.array([False]))
     params = {"spk.W": np.zeros((2, 4)), "spk.b": np.zeros(4)}
-    dist = multitask.speaker_distribution(avg, params)
-    assert np.allclose(dist.probs, 0.25, atol=1e-12)
+    probs = multitask.speaker_distribution(avg, params)
+    assert np.allclose(probs[0], 0.25, atol=1e-12)
 
 
 @example("multitask", "speaker_distribution", "log_ratio_logits")
 def _():
-    avg = multitask.AverageCapsule(vector=np.array([1.0]), degenerate=False)
+    avg = multitask.AverageCapsule(vector=np.array([[1.0]]), degenerate=np.array([False]))
     params = {"spk.W": np.array([[math.log(3.0), 0.0]]), "spk.b": np.zeros(2)}
-    dist = multitask.speaker_distribution(avg, params)
-    assert np.allclose(dist.probs, [0.75, 0.25], atol=1e-12)
+    probs = multitask.speaker_distribution(avg, params)
+    assert np.allclose(probs[0], [0.75, 0.25], atol=1e-12)
 
 
 @example("multitask", "speaker_distribution", "bias_shift_invariance")
 def _():
     rng = np.random.default_rng(10)
-    avg = multitask.AverageCapsule(vector=rng.normal(size=3), degenerate=False)
+    avg = multitask.AverageCapsule(vector=rng.normal(size=(1, 3)), degenerate=np.array([False]))
     w = rng.normal(size=(3, 5))
     base = multitask.speaker_distribution(avg, {"spk.W": w, "spk.b": np.zeros(5)})
     shifted = multitask.speaker_distribution(avg, {"spk.W": w, "spk.b": np.full(5, 7.3)})
-    assert np.allclose(base.probs, shifted.probs, atol=1e-12)
+    assert np.allclose(base, shifted, atol=1e-12)
 
 
 # multitask.speaker_loss
@@ -567,20 +567,20 @@ def _():
 
 @example("multitask", "speaker_loss", "uniform_two")
 def _():
-    dist = multitask.SpeakerDistribution(probs=np.array([0.5, 0.5]))
-    assert abs(multitask.speaker_loss(dist, 0) - math.log(2.0)) < 1e-12
+    probs = np.array([[0.5, 0.5]])
+    assert abs(multitask.speaker_loss(probs, [0])[0] - math.log(2.0)) < 1e-12
 
 
 @example("multitask", "speaker_loss", "perfect_prediction")
 def _():
-    dist = multitask.SpeakerDistribution(probs=np.array([1.0, 0.0]))
-    assert multitask.speaker_loss(dist, 0) == 0.0
+    probs = np.array([[1.0, 0.0]])
+    assert multitask.speaker_loss(probs, [0])[0] == 0.0
 
 
 @example("multitask", "speaker_loss", "hand_value")
 def _():
-    dist = multitask.SpeakerDistribution(probs=np.array([0.2, 0.5, 0.3]))
-    assert abs(multitask.speaker_loss(dist, 1) + math.log(0.5)) < 1e-12
+    probs = np.array([[0.2, 0.5, 0.3]])
+    assert abs(multitask.speaker_loss(probs, [1])[0] + math.log(0.5)) < 1e-12
 
 
 # multitask.total_loss
@@ -609,17 +609,17 @@ def _():
 
 @example("multitask", "decode_speaker", "argmax")
 def _():
-    assert multitask.decode_speaker(multitask.SpeakerDistribution(np.array([0.1, 0.8, 0.1]))) == 1
+    assert multitask.decode_speaker(np.array([[0.1, 0.8, 0.1]])) == [1]
 
 
 @example("multitask", "decode_speaker", "tie_lowest_index")
 def _():
-    assert multitask.decode_speaker(multitask.SpeakerDistribution(np.full(4, 0.25))) == 0
+    assert multitask.decode_speaker(np.full((1, 4), 0.25)) == [0]
 
 
 @example("multitask", "decode_speaker", "close_call")
 def _():
-    assert multitask.decode_speaker(multitask.SpeakerDistribution(np.array([0.49, 0.51]))) == 1
+    assert multitask.decode_speaker(np.array([[0.49, 0.51]])) == [1]
 
 
 # multitask.head_backward
@@ -629,12 +629,12 @@ def _():
 def _():
     cfg = tiny_model_config(speaker_weight=0.7)
     params = well_conditioned_params(cfg, seed=41)
-    feats = np.random.default_rng(42).normal(size=(5, cfg.feat_dim))
-    target = np.array([1.0, 0.0, 0.0, 1.0])
+    feats = [np.random.default_rng(42).normal(size=(5, cfg.feat_dim))]
+    target = np.array([[1.0, 0.0, 0.0, 1.0]])
 
     rep = numeric.grad_check(
-        lambda p: model.loss_and_grads(feats, target, 2, p, cfg)[0].total,
-        lambda p: model.loss_and_grads(feats, target, 2, p, cfg)[1],
+        lambda p: model.loss_and_grads(feats, target, [2], p, cfg)[0].total[0],
+        lambda p: model.loss_and_grads(feats, target, [2], p, cfg)[1],
         params,
     )
     assert rep.max_relative_error < 1e-4, rep
@@ -643,27 +643,28 @@ def _():
 @example("multitask", "head_backward", "zero_weight_zero_grads")
 def _():
     rng = np.random.default_rng(11)
-    vectors = rng.normal(size=(4, 3)) * 0.4
-    caps = capsnet.OutputCapsuleSet(vectors=vectors, norms=np.linalg.norm(vectors, axis=1))
+    vectors = rng.normal(size=(1, 4, 3)) * 0.4
+    caps = capsnet.OutputCapsuleSet(vectors=vectors, norms=np.linalg.norm(vectors, axis=-1))
     params = {"spk.W": rng.normal(size=(3, 5)), "spk.b": rng.normal(size=5)}
-    _, trace = multitask.head_forward(caps, params, 2)
-    grads, d_caps = multitask.head_backward(trace, 2, 0.0, params)
+    _, trace = multitask.head_forward(caps, params, [2])
+    grads, d_caps = multitask.head_backward(trace, [2], 0.0, params)
     assert np.all(grads["spk.W"] == 0.0) and np.all(grads["spk.b"] == 0.0)
     assert np.all(d_caps == 0.0)
 
 
 @example("multitask", "head_backward", "softmax_ce_stationary")
 def _():
-    onehot = np.zeros(4)
-    onehot[1] = 1.0
+    onehot = np.zeros((1, 4))
+    onehot[0, 1] = 1.0
     trace = multitask.HeadTrace(
-        capsules=np.ones((3, 2)) * 0.2,
-        norms=np.full(3, np.linalg.norm([0.2, 0.2])),
-        average=multitask.AverageCapsule(np.array([0.7, 0.7]) / np.sqrt(2 * 0.49), False),
+        capsules=np.ones((1, 3, 2)) * 0.2,
+        norms=np.full((1, 3), np.linalg.norm([0.2, 0.2])),
+        average=multitask.AverageCapsule(np.array([[0.7, 0.7]]) / np.sqrt(2 * 0.49),
+                                         np.array([False])),
         probs=onehot,
     )
     params = {"spk.W": np.ones((2, 4)), "spk.b": np.zeros(4)}
-    grads, d_caps = multitask.head_backward(trace, 1, 1.0, params)
+    grads, d_caps = multitask.head_backward(trace, [1], 1.0, params)
     assert np.all(np.abs(grads["spk.b"]) < 1e-12)
     assert np.all(np.abs(d_caps) < 1e-12)
 

@@ -96,72 +96,73 @@ def test_encode_empty_features_rejected():
     cfg = tiny_model_config()
     params = model.init_params(cfg)
     with pytest.raises(DataError):
-        capsnet.encode(np.zeros((0, cfg.feat_dim)), params, cfg)
+        capsnet.encode(np.zeros((0, 1, cfg.feat_dim)), params, cfg, np.array([0]))
 
 
 def test_encode_single_frame_accepted():
     cfg = tiny_model_config()
     params = model.init_params(cfg)
-    caps, _ = capsnet.encode(np.ones((1, cfg.feat_dim)), params, cfg)
-    assert caps.vectors.shape == (cfg.num_primary, cfg.primary_dim)
+    caps, _ = capsnet.encode(np.ones((1, 1, cfg.feat_dim)), params, cfg, np.array([1]))
+    assert caps.shape == (cfg.num_primary, 1, cfg.primary_dim)
 
 
 def test_encode_wrong_feat_dim():
     cfg = tiny_model_config()
     params = model.init_params(cfg)
     with pytest.raises(ShapeError):
-        capsnet.encode(np.zeros((3, cfg.feat_dim + 1)), params, cfg)
+        capsnet.encode(np.zeros((3, 1, cfg.feat_dim + 1)), params, cfg, np.array([3]))
 
 
 def test_backward_trace_params_mismatch():
     cfg = tiny_model_config()
     params = model.init_params(cfg)
-    _, trace = capsnet.forward(np.zeros((3, cfg.feat_dim)), params, cfg)
+    _, trace = capsnet.forward(np.zeros((3, 1, cfg.feat_dim)), params, cfg, np.array([3]))
     other = dict(params)
     other["caps.W"] = np.zeros((1, 2, 3, 4))
     with pytest.raises(ContractError):
-        capsnet.backward(trace, np.zeros((cfg.num_labels, cfg.output_dim)), other)
+        capsnet.backward(trace, np.zeros((1, cfg.num_labels, cfg.output_dim)), other)
 
 
 def test_permutation_equivariance():
     cfg = tiny_model_config(num_labels=5)
     rng = np.random.default_rng(14)
     params = {k: rng.normal(0, 0.5, size=v.shape) for k, v in model.init_params(cfg).items()}
-    feats = rng.normal(size=(6, cfg.feat_dim))
-    target = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
+    feats = rng.normal(size=(6, 1, cfg.feat_dim))
+    lengths = np.array([6])
+    target = np.array([[1.0, 0.0, 1.0, 0.0, 0.0]])
     perm = np.array([3, 0, 4, 1, 2])
 
-    caps, _ = capsnet.forward(feats, params, cfg)
-    loss = capsnet.margin_loss(caps, target, cfg)
+    caps, _ = capsnet.forward(feats, params, cfg, lengths)
+    loss = capsnet.margin_loss(caps, target, cfg)[0]
 
     permuted = dict(params)
     permuted["caps.W"] = params["caps.W"][:, perm, :, :]
-    caps_p, _ = capsnet.forward(feats, permuted, cfg)
-    loss_p = capsnet.margin_loss(caps_p, target[perm], cfg)
+    caps_p, _ = capsnet.forward(feats, permuted, cfg, lengths)
+    loss_p = capsnet.margin_loss(caps_p, target[:, perm], cfg)[0]
 
-    assert np.allclose(caps_p.vectors, caps.vectors[perm], atol=1e-9)
+    assert np.allclose(caps_p.vectors, caps.vectors[:, perm], atol=1e-9)
     assert abs(loss - loss_p) < 1e-9
 
 
 def test_decode_labels_vocab_size_mismatch():
     vocab = datasets.LabelVocabulary(labels=("a", "b"))
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((3, 2)), norms=np.zeros(3))
+    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((1, 3, 2)), norms=np.zeros((1, 3)))
     with pytest.raises(ShapeError):
         capsnet.decode_labels(caps, vocab)
 
 
 def test_decode_labels_ungrouped_threshold():
     vocab = datasets.LabelVocabulary(labels=("a", "b", "c"))
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((3, 2)),
-                                    norms=np.array([0.51, 0.49, 0.9]))
-    assert capsnet.decode_labels(caps, vocab) == ["a", "c"]
+    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((1, 3, 2)),
+                                    norms=np.array([[0.51, 0.49, 0.9]]))
+    assert capsnet.decode_labels(caps, vocab) == [["a", "c"]]
 
 
 def test_forward_trace_replays_output():
     cfg = tiny_model_config()
     params = model.init_params(cfg)
-    feats = np.random.default_rng(15).normal(size=(4, cfg.feat_dim))
-    caps, trace = capsnet.forward(feats, params, cfg)
+    feats = np.random.default_rng(15).normal(size=(4, 1, cfg.feat_dim))
+    caps, trace = capsnet.forward(feats, params, cfg, np.array([4]))
     assert trace.output.vectors.tobytes() == caps.vectors.tobytes()
     assert trace.routing.outputs[-1].tobytes() == caps.vectors.tobytes()
 

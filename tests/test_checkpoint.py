@@ -43,11 +43,11 @@ def test_checkpoint_reload_reproduces_predictions(tmp_path):
     cfg = tiny_model_config(seed=7)
     params = model.init_params(cfg)
     feats = np.random.default_rng(1).normal(size=(6, cfg.feat_dim))
-    before = model.evaluate(feats, params, cfg)
+    before = model.evaluate([feats], params, cfg)
     path = tmp_path / "m.npz"
     checkpoint.save_checkpoint(str(path), cfg, params)
     _, params2, _ = checkpoint.load_checkpoint(str(path))
-    after = model.evaluate(feats, params2, cfg)
+    after = model.evaluate([feats], params2, cfg)
     assert before.capsules.vectors.tobytes() == after.capsules.vectors.tobytes()
     assert before.speaker_probs.tobytes() == after.speaker_probs.tobytes()
 

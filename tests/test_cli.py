@@ -77,6 +77,35 @@ def test_validate_config_section_not_a_mapping(tmp_path, capsys, section):
     assert "must be a mapping" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, key", [
+    ({"training": {"epochs": "2"}}, "training.epochs"),
+    ({"training": {"batch_size": True}}, "training.batch_size"),
+    ({"model": {"encoder_hidden": "4"}}, "model.encoder_hidden"),
+    ({"model": {"speaker_bias": 1}}, "model.speaker_bias"),
+    ({"seed": "abc"}, "seed"),
+    ({"experiment": {"num_blocks": "5"}}, "experiment.num_blocks"),
+    ({"experiment": {"schedule": [1, "2"]}}, "experiment.schedule"),
+    ({"corpus": {"noise_level": "high"}}, "corpus.noise_level"),
+], ids=["str_epochs", "bool_batch_size", "str_hidden", "int_bool", "str_seed",
+        "str_num_blocks", "str_in_schedule", "str_noise"])
+def test_validate_config_value_of_wrong_type(tmp_path, capsys, override, key):
+    path = write_config(tmp_path, **override)
+    assert cli.main(["validate-config", path]) == 2
+    assert f"error: {key} must be " in capsys.readouterr().err
+
+
+def test_validate_config_int_where_float_belongs(tmp_path):
+    path = write_config(tmp_path, training={"lr": 1}, model={"speaker_weight": 1},
+                        corpus={"noise_level": 0})
+    assert cli.main(["validate-config", path]) == 0
+
+
+def test_train_with_zero_epochs_is_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, training={"epochs": 0})
+    assert cli.main(["train", path]) == 2
+    assert "epochs must be at least 1" in capsys.readouterr().err
+
+
 def test_validate_config_missing_file(capsys):
     assert cli.main(["validate-config", "/nonexistent.yaml"]) == 2
 

@@ -319,6 +319,55 @@ def test_fluent_partial_ids_prefers_published_table(tmp_path):
     assert datasets.fluent_partial_ids(corpus) == [first_train]
 
 
+def _write_partial(root, paths, header=",path,speakerId"):
+    lines = [header] + [f"{i},{path},A7" for i, path in enumerate(paths)]
+    (root / "data" / "train_partial_data.csv").write_text("\n".join(lines) + "\n")
+
+
+def test_fluent_partial_table_drops_missing_audio(tmp_path):
+    root = _make_fluent_tree(tmp_path / "fluent")
+    train = datasets.load_fluent(str(root)).splits["train"]
+    os.unlink(root / train[1])
+    _write_partial(root, train[:3])
+    corpus = datasets.load_fluent(str(root))
+    # counted once in the train table and once in the partial table
+    assert corpus.warnings["missing_audio"] == 2
+    assert datasets.fluent_partial_ids(corpus) == [train[0], train[2]]
+
+
+def test_fluent_partial_table_outside_train_split(tmp_path):
+    root = _make_fluent_tree(tmp_path / "fluent")
+    valid = datasets.load_fluent(str(root)).splits["valid"]
+    _write_partial(root, valid[:1])
+    with pytest.raises(DataError, match="not in the train split"):
+        datasets.load_fluent(str(root))
+
+
+@pytest.mark.parametrize("table", ["train_partial_data.csv", "valid_data.csv"])
+def test_fluent_table_missing_column(tmp_path, table):
+    root = _make_fluent_tree(tmp_path / "fluent")
+    path = root / "data" / table
+    if table == "train_partial_data.csv":
+        _write_partial(root, datasets.load_fluent(str(root)).splits["train"][:1])
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0].replace(",path,", ",file,"), *lines[1:]]) + "\n")
+    with pytest.raises(DataError, match="missing columns \\['path'\\]"):
+        datasets.load_fluent(str(root))
+
+
+@pytest.mark.parametrize("table", ["train_partial_data.csv", "test_data.csv"])
+def test_fluent_table_short_row(tmp_path, table):
+    root = _make_fluent_tree(tmp_path / "fluent")
+    if table == "train_partial_data.csv":
+        _write_partial(root, datasets.load_fluent(str(root)).splits["train"][:2])
+    path = root / "data" / table
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].split(",")[0]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"{table}:3: row has fewer fields"):
+        datasets.load_fluent(str(root))
+
+
 def test_corpus_validate_catches_bad_speaker():
     vocab = datasets.LabelVocabulary(labels=("a",))
     utts = [datasets.Utterance(id="u", target=np.array([1.0]), speaker_index=5)]

@@ -9,7 +9,7 @@ from capsintent.numeric import grad_check
 def _setup(feat_dim=3, hidden=4, layers=2, T=6, seed=0):
     rng = np.random.default_rng(seed)
     params = encoder.init_encoder_params(rng, feat_dim, hidden, layers)
-    feats = rng.normal(size=(T, feat_dim))
+    feats = rng.normal(size=(T, 1, feat_dim))   # a batch of one
     readout_w = rng.normal(size=2 * hidden)
     return params, feats, readout_w, hidden, layers
 
@@ -18,11 +18,11 @@ def test_encoder_gradients_match_finite_differences():
     params, feats, w, hidden, layers = _setup()
 
     def loss_fn(p):
-        readout, _ = encoder.encoder_forward(p, feats, hidden, layers)
-        return float(np.tanh(readout) @ w)
+        readout, _ = encoder.encoder_forward(p, feats, hidden, layers, np.array([len(feats)]))
+        return float(np.tanh(readout[0]) @ w)
 
     def grads_fn(p):
-        readout, cache = encoder.encoder_forward(p, feats, hidden, layers)
+        readout, cache = encoder.encoder_forward(p, feats, hidden, layers, np.array([len(feats)]))
         d_readout = (1 - np.tanh(readout) ** 2) * w
         return encoder.encoder_backward(p, cache, d_readout)
 
@@ -32,42 +32,50 @@ def test_encoder_gradients_match_finite_differences():
 
 def test_encoder_single_frame():
     params, _, w, hidden, layers = _setup()
-    readout, _ = encoder.encoder_forward(params, np.ones((1, 3)), hidden, layers)
-    assert readout.shape == (2 * hidden,)
+    readout, _ = encoder.encoder_forward(params, np.ones((1, 1, 3)), hidden, layers, np.array([1]))
+    assert readout.shape == (1, 2 * hidden)
 
 
 def test_encoder_empty_rejected():
     params, _, _, hidden, layers = _setup()
     with pytest.raises(DataError):
-        encoder.encoder_forward(params, np.zeros((0, 3)), hidden, layers)
+        encoder.encoder_forward(params, np.zeros((0, 1, 3)), hidden, layers, np.array([0]))
 
 
 def test_reversed_direction_sees_sequence_order():
     # reversing the input sequence must swap the two halves of the readout
     params, feats, _, hidden, layers = _setup(layers=1)
-    fwd, _ = encoder.encoder_forward(params, feats, hidden, layers)
-    rev, _ = encoder.encoder_forward(params, feats[::-1], hidden, layers)
+    lengths = np.array([len(feats)])
+    fwd, _ = encoder.encoder_forward(params, feats, hidden, layers, lengths)
+    rev, _ = encoder.encoder_forward(params, feats[::-1], hidden, layers, lengths)
     # with one layer, both directions share no weights, so only compare the
     # direction-specific parts after making the directions share parameters
     for key in ("Wx", "Wh", "b"):
         params[f"enc.0.b.{key}"] = params[f"enc.0.f.{key}"]
-    fwd, _ = encoder.encoder_forward(params, feats, hidden, layers)
-    rev, _ = encoder.encoder_forward(params, feats[::-1], hidden, layers)
-    assert np.allclose(fwd[:hidden], rev[hidden:], atol=1e-12)
-    assert np.allclose(fwd[hidden:], rev[:hidden], atol=1e-12)
+    lengths = np.array([len(feats)])
+    fwd, _ = encoder.encoder_forward(params, feats, hidden, layers, lengths)
+    rev, _ = encoder.encoder_forward(params, feats[::-1], hidden, layers, lengths)
+    assert np.allclose(fwd[0, :hidden], rev[0, hidden:], atol=1e-12)
+    assert np.allclose(fwd[0, hidden:], rev[0, :hidden], atol=1e-12)
 
 
 def test_gru_zero_input_zero_state():
     rng = np.random.default_rng(1)
     params = encoder.gru_param_init(rng, 3, 4)
     hs, _ = encoder.gru_forward({k: np.zeros_like(v) for k, v in params.items()},
-                                np.zeros((5, 3)))
+                                np.zeros((5, 1, 3)))
     assert np.all(hs == 0.0)
 
 
 def test_gru_state_shapes():
     rng = np.random.default_rng(2)
     params = encoder.gru_param_init(rng, 3, 7)
-    hs, cache = encoder.gru_forward(params, rng.normal(size=(9, 3)))
-    assert hs.shape == (9, 7)
-    assert cache["r"].shape == (9, 7)
+    hs, cache = encoder.gru_forward(params, rng.normal(size=(9, 1, 3)))
+    assert hs.shape == (9, 1, 7)
+    assert cache["r"].shape == (9, 1, 7)
+
+
+def test_encoder_rejects_unbatched_features():
+    params, feats, _, hidden, layers = _setup()
+    with pytest.raises(DataError):
+        encoder.encoder_forward(params, feats[:, 0], hidden, layers, np.array([len(feats)]))

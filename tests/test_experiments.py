@@ -257,6 +257,18 @@ def test_fit_rejects_bad_selection_before_training(monkeypatch, kwargs, match):
         experiments.fit(corpus.utterances, _small_config(), epochs=1, **options)
 
 
+@pytest.mark.parametrize("option", ["epochs", "batch_size", "early_stop_patience"])
+def test_fit_rejects_counts_below_one_before_training(monkeypatch, option):
+    corpus = _small_corpus(per_speaker=4)
+
+    def no_training(*args, **kw):
+        raise AssertionError("fit trained before checking its options")
+
+    monkeypatch.setattr(model, "loss_and_grads", no_training)
+    with pytest.raises(UsageError, match=f"{option} must be at least 1"):
+        experiments.fit(corpus.utterances, _small_config(), **{option: 0})
+
+
 # ---------------------------------------------------------------------------
 # one curve-job loop
 

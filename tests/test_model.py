@@ -61,10 +61,11 @@ def test_forced_path_records_speaker_loss_without_affecting_total():
     cfg = _small_config(speaker_weight=0.0)
     utt = corpus.utterances[0]
     params = model.init_params(cfg)
-    bd_skip, g_skip = model.loss_and_grads(utt.features, utt.target, utt.speaker_index,
+    bd_skip, g_skip = model.loss_and_grads([utt.features], [utt.target], [utt.speaker_index],
                                            params, cfg)
-    bd_forced, g_forced = model.loss_and_grads(utt.features, utt.target, utt.speaker_index,
-                                               params, cfg, force_speaker_path=True)
+    bd_forced, g_forced = model.loss_and_grads([utt.features], [utt.target],
+                                               [utt.speaker_index], params, cfg,
+                                               force_speaker_path=True)
     assert bd_skip.speaker_loss == 0.0
     assert bd_forced.speaker_loss > 0.0
     assert bd_skip.total == bd_forced.total == bd_skip.label_loss
@@ -97,7 +98,7 @@ def test_loss_and_grads_divergence_on_bad_features():
     params = model.init_params(cfg)
     feats = np.full((4, cfg.feat_dim), np.inf)
     with pytest.raises(DivergenceError):
-        model.loss_and_grads(feats, np.array([1.0, 0, 0, 0]), 0, params, cfg)
+        model.loss_and_grads([feats], np.array([[1.0, 0, 0, 0]]), [0], params, cfg)
 
 
 def test_predict_returns_labels_and_speaker():
@@ -123,7 +124,7 @@ def test_evaluate_rejects_non_finite_features():
     feats = corpus.utterances[0].features.copy()
     feats[1, 2] = np.nan
     with pytest.raises(DataError):
-        model.evaluate(feats, params, cfg)
+        model.evaluate([feats], params, cfg)
     with pytest.raises(DataError):
         model.predict(feats, params, cfg, corpus.vocab)
 
@@ -157,10 +158,11 @@ def test_batch_call_equals_sum_of_single_calls(lengths, weight, force, seed):
                                         force_speaker_path=force)
     summed = {k: np.zeros_like(v) for k, v in params.items()}
     for b in range(len(lengths)):
-        one, one_grads = model.loss_and_grads(feats[b], targets[b], speakers[b], params, cfg,
+        one, one_grads = model.loss_and_grads(feats[b:b + 1], targets[b:b + 1],
+                                              speakers[b:b + 1], params, cfg,
                                               force_speaker_path=force)
         for name in ("label_loss", "speaker_loss", "total"):
-            want = getattr(one, name)
+            want = getattr(one, name)[0]
             assert abs(getattr(batch, name)[b] - want) <= 1e-10 * max(abs(want), 1e-3), name
         for key in summed:
             summed[key] += one_grads[key]
@@ -232,7 +234,7 @@ def test_routing_overflow_in_loss_and_grads_is_divergence():
     feats, targets, speakers = _ragged_batch(cfg, [3, 4], seed=2)
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError) as info:
-            model.loss_and_grads(feats[0], targets[0], speakers[0], params, cfg)
+            model.loss_and_grads(feats[:1], targets[:1], speakers[:1], params, cfg)
         assert info.value.index == 0
         with pytest.raises(DivergenceError) as info:
             model.loss_and_grads(feats, targets, speakers, params, cfg)
@@ -252,3 +254,41 @@ def test_fit_names_the_utterance_whose_routing_overflows(monkeypatch):
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
         experiments.fit(utts, _small_config(), epochs=1, batch_size=len(utts))
     assert str(info.value).startswith("non-finite loss at epoch 0, utterance ")
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengths=st.lists(st.integers(1, 12), min_size=1, max_size=20),
+       trained=st.booleans(), seed=st.integers(0, 1000))
+def test_evaluate_on_a_ragged_batch_equals_each_utterance_alone(lengths, trained, seed):
+    cfg = tiny_model_config()
+    params = well_conditioned_params(cfg, seed=seed) if trained else model.init_params(cfg)
+    feats, _, _ = _ragged_batch(cfg, lengths, seed)
+    batch = model.evaluate(feats, params, cfg)
+    for b in range(len(feats)):
+        alone = model.evaluate(feats[b:b + 1], params, cfg)
+        np.testing.assert_allclose(batch.capsules.norms[b], alone.capsules.norms[0],
+                                   rtol=1e-12, atol=0)
+        np.testing.assert_allclose(batch.speaker_probs[b], alone.speaker_probs[0],
+                                   rtol=1e-12, atol=0)
+
+
+def test_predict_corpus_answers_as_predict_does():
+    corpus = _small_corpus(per_speaker=7, noise=0.3)
+    cfg = _small_config(speaker_weight=1.0)
+    params = well_conditioned_params(cfg, seed=8)
+    utts = corpus.utterances
+    assert len(utts) > model._SLICE
+    labels, speakers = experiments.predict_corpus(utts, params, cfg, corpus.vocab)
+    assert list(zip(labels, speakers)) == [model.predict(u.features, params, cfg, corpus.vocab)
+                                           for u in utts]
+    assert experiments.predict_corpus([], params, cfg, corpus.vocab) == ([], [])
+
+
+def test_evaluate_rejects_an_unbatched_matrix():
+    cfg = tiny_model_config()
+    with pytest.raises(DataError):
+        model.evaluate(np.zeros((5, cfg.feat_dim)), model.init_params(cfg), cfg)

@@ -16,7 +16,7 @@ def test_op_examples(ex):
 
 def _caps_from(vectors):
     vectors = np.asarray(vectors, dtype=np.float64)
-    return capsnet.OutputCapsuleSet(vectors=vectors, norms=np.linalg.norm(vectors, axis=1))
+    return capsnet.OutputCapsuleSet(vectors=vectors, norms=np.linalg.norm(vectors, axis=-1))
 
 
 @settings(max_examples=50, deadline=None)
@@ -38,7 +38,7 @@ def test_average_capsule_norm_bounded():
 
 
 def test_speaker_distribution_shape_error():
-    avg = multitask.AverageCapsule(vector=np.zeros(3), degenerate=False)
+    avg = multitask.AverageCapsule(vector=np.zeros((1, 3)), degenerate=np.array([False]))
     with pytest.raises(ShapeError):
         multitask.speaker_distribution(avg, {"spk.W": np.zeros((4, 2)), "spk.b": np.zeros(2)})
 
@@ -48,25 +48,21 @@ def test_speaker_loss_nonnegative_and_zero_iff_certain():
     for _ in range(50):
         logits = rng.normal(size=4) * 3
         probs = np.exp(logits) / np.exp(logits).sum()
-        dist = multitask.SpeakerDistribution(probs=probs)
-        loss = multitask.speaker_loss(dist, 1)
+        loss = multitask.speaker_loss(probs[None], [1])[0]
         assert loss >= 0.0
         assert (loss < 1e-9) == (probs[1] > 1 - 1e-9)
 
 
 def test_speaker_loss_bad_index():
-    dist = multitask.SpeakerDistribution(probs=np.array([0.5, 0.5]))
     with pytest.raises(ShapeError):
-        multitask.speaker_loss(dist, 5)
+        multitask.speaker_loss(np.array([[0.5, 0.5]]), [5])
 
 
 def test_decode_speaker_monotone_transform_invariant():
     rng = np.random.default_rng(3)
     for _ in range(20):
-        probs = rng.dirichlet(np.ones(6))
-        dist = multitask.SpeakerDistribution(probs=probs)
-        transformed = multitask.SpeakerDistribution(probs=np.sqrt(probs))
-        assert multitask.decode_speaker(dist) == multitask.decode_speaker(transformed)
+        probs = rng.dirichlet(np.ones(6))[None]
+        assert multitask.decode_speaker(probs) == multitask.decode_speaker(np.sqrt(probs))
 
 
 def test_total_loss_breakdown_fields():
@@ -77,10 +73,10 @@ def test_total_loss_breakdown_fields():
 
 
 def test_head_backward_degenerate_returns_zeros():
-    caps = _caps_from(np.zeros((3, 2)))
+    caps = _caps_from(np.zeros((1, 3, 2)))
     params = {"spk.W": np.ones((2, 4)), "spk.b": np.zeros(4)}
-    _, trace = multitask.head_forward(caps, params, 0)
-    grads, d_caps = multitask.head_backward(trace, 0, 1.0, params)
+    _, trace = multitask.head_forward(caps, params, [0])
+    grads, d_caps = multitask.head_backward(trace, [0], 1.0, params)
     assert np.all(grads["spk.W"] == 0.0)
     assert np.all(d_caps == 0.0)
 
@@ -88,15 +84,15 @@ def test_head_backward_degenerate_returns_zeros():
 def test_head_backward_quotient_rule_by_finite_differences():
     # isolated head: loss as a function of the capsule vectors only
     rng = np.random.default_rng(4)
-    vectors = rng.normal(size=(4, 3)) * 0.5
+    vectors = rng.normal(size=(1, 4, 3)) * 0.5
     params = {"spk.W": rng.normal(size=(3, 5)), "spk.b": rng.normal(size=5) * 0.1}
-    target = 2
+    target = [2]
     lam = 0.8
 
     def loss(v):
         caps = _caps_from(v)
         l, _ = multitask.head_forward(caps, params, target)
-        return lam * l
+        return lam * l[0]
 
     _, trace = multitask.head_forward(_caps_from(vectors), params, target)
     _, d_caps = multitask.head_backward(trace, target, lam, params)
