@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import encoder as enc
-from .errors import ContractError, DivergenceError, ShapeError
+from .errors import ContractError, DivergenceError, ShapeError, check_types
 from .numeric import Params, softmax, softmax_grad
 
 if TYPE_CHECKING:
@@ -53,10 +53,15 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Every field must conform to its annotation (UsageError) and every
+        count must be at least 1, output_dim at least 2 (ShapeError)."""
+        check_types(vars(self), ModelConfig, "")
+        for name in ("feat_dim", "num_labels", "speaker_count", "encoder_hidden",
+                     "encoder_layers", "num_primary", "primary_dim", "routing_iters"):
+            if getattr(self, name) < 1:
+                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.output_dim < 2:
             raise ShapeError(f"output_dim must be >= 2, got {self.output_dim}")
-        if self.routing_iters < 1:
-            raise ShapeError(f"routing_iters must be >= 1, got {self.routing_iters}")
         if not self.margin_present > self.margin_absent:
             raise ShapeError("margin_present must exceed margin_absent")
 

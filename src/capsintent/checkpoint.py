@@ -20,9 +20,9 @@ import numpy as np
 
 from .capsnet import ModelConfig
 from .datasets import LabelVocabulary, SlotGroup
-from .errors import DataError, FormatError, ShapeError
+from .errors import DataError, FormatError, ShapeError, UsageError
 from .features import atomic_write
-from .model import param_shapes
+from .model import init_params
 from .numeric import Params
 
 FORMAT_VERSION = 1
@@ -62,7 +62,8 @@ def load_checkpoint(path: str):
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
     config = _config_from(meta.get("config"), path)
-    expected = param_shapes(config)
+    # every name and shape init_params draws, at the cost of one throwaway draw
+    expected = {name: value.shape for name, value in init_params(config).items()}
     if set(params) != set(expected):
         raise FormatError(f"{path}: parameters missing {sorted(set(expected) - set(params))}, "
                           f"unexpected {sorted(set(params) - set(expected))}")
@@ -131,5 +132,5 @@ def _config_from(raw, path: str) -> ModelConfig:
         raise FormatError(f"{path}: unknown model config keys {sorted(unknown)}")
     try:
         return ModelConfig(**raw)
-    except (TypeError, ShapeError) as exc:
+    except (TypeError, ShapeError, UsageError) as exc:
         raise FormatError(f"{path}: invalid model config: {exc}") from exc

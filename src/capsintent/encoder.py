@@ -14,7 +14,8 @@ of one. Every step runs all B sequences at once. Past a sequence's end a
 per-frame mask forces its update gate to exactly 1 (pre-activation +inf),
 so the cell copies its state unchanged and every gradient through that
 frame is exactly zero: the state at T_max - 1 is the sequence's final
-state, with no masking work inside the frame loops. The backward direction
+state, with no masking work inside the frame loops. Every batch is masked
+alike; an unpadded one gets an all-True mask. The backward direction
 reads each sequence reversed within its own length, so its final state is
 also at T_max - 1. The encoder reads out the concatenated final states of
 both directions of the top layer.
@@ -22,7 +23,7 @@ both directions of the top layer.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -67,18 +68,17 @@ def pad_batch(feats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return xs, lengths
 
 
-def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: Optional[np.ndarray] = None):
+def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
     """Run the cell over time-major ``xs`` (T, B, in_dim).
 
     ``mask`` (T, B, 1) is False on padding frames, where the update gate is
-    forced to 1 so the state is held; None when no sequence is padded.
+    forced to 1 so the state is held; it is all True for an unpadded batch.
     Returns (states (T, B, H), cache).
     """
     hidden = p["Wh"].shape[0]
     T, B = xs.shape[:2]
     xx = xs @ p["Wx"] + p["b"]
-    if mask is not None:
-        np.copyto(xx[..., hidden:2 * hidden], np.inf, where=~mask)
+    np.copyto(xx[..., hidden:2 * hidden], np.inf, where=~mask)
     xx_rz, xx_n = xx[..., :2 * hidden], xx[..., 2 * hidden:]
     states = np.empty((T, B, hidden))
     rz = np.empty((T, B, 2 * hidden))
@@ -175,20 +175,6 @@ def init_encoder_params(rng: np.random.Generator, feat_dim: int, hidden: int, la
     return params
 
 
-def _reversal(lengths: np.ndarray, T: int):
-    """Gather index (rows, cols) that reverses each sequence within its own
-    length and leaves padding in place; None when every sequence fills T."""
-    if np.all(lengths == T):
-        return None
-    t = np.arange(T)[:, None]
-    rows = np.where(t < lengths, lengths - 1 - t, t)
-    return rows, np.arange(lengths.shape[0])
-
-
-def _reverse(x: np.ndarray, reversal) -> np.ndarray:
-    return x[::-1] if reversal is None else x[reversal]
-
-
 def encoder_forward(params: Params, feats: np.ndarray, hidden: int, layers: int,
                     lengths: np.ndarray):
     """Encode a padded time-major (T_max, B, feat_dim) batch with its (B,)
@@ -197,19 +183,19 @@ def encoder_forward(params: Params, feats: np.ndarray, hidden: int, layers: int,
     if feats.ndim != 3 or feats.shape[0] < 1:
         raise DataError(f"encoder needs a non-empty (T_max, B, dim) batch, got shape {feats.shape}")
     T = feats.shape[0]
-    mask = None
-    if np.any(lengths < T):
-        mask = (np.arange(T)[:, None] < lengths)[..., None]
-    reversal = _reversal(lengths, T)
+    # the padding mask, and the gather index (rows, cols) that reverses each
+    # sequence within its own length and leaves padding in place
+    t = np.arange(T)[:, None]
+    mask = (t < lengths)[..., None]
+    reversal = np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
     xs = feats
     caches = []
     for layer in range(layers):
         hs_f, cache_f = gru_forward(_layer_params(params, layer, "f"), xs, mask)
-        hs_b_rev, cache_b = gru_forward(_layer_params(params, layer, "b"), _reverse(xs, reversal),
-                                        mask)
+        hs_b_rev, cache_b = gru_forward(_layer_params(params, layer, "b"), xs[reversal], mask)
         caches.append((cache_f, cache_b))
         if layer < layers - 1:
-            xs = np.concatenate([hs_f, _reverse(hs_b_rev, reversal)], axis=-1)
+            xs = np.concatenate([hs_f, hs_b_rev[reversal]], axis=-1)
     readout = np.concatenate([hs_f[-1], hs_b_rev[-1]], axis=-1)
     return readout, {"caches": caches, "layers": layers, "hidden": hidden, "T": T,
                      "reversal": reversal}
@@ -234,9 +220,9 @@ def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
         for key, val in g_b.items():
             grads[f"enc.{layer}.b.{key}"] = val
         if layer > 0:
-            d_xs = dx_f + _reverse(dx_b_rev, reversal)  # (T, B, in_dim of this layer)
+            d_xs = dx_f + dx_b_rev[reversal]  # (T, B, in_dim of this layer)
             d_steps_f = d_xs[..., :hidden]
-            d_steps_b_rev = _reverse(d_xs[..., hidden:], reversal)
+            d_steps_b_rev = d_xs[..., hidden:][reversal]
             d_last_f = np.zeros_like(d_last_f)
             d_last_b = np.zeros_like(d_last_b)
     return grads

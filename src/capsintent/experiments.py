@@ -22,7 +22,7 @@ import numpy as np
 
 from . import capsnet, model, multitask
 from .capsnet import ModelConfig
-from .datasets import BlockSplit, Corpus, LabelVocabulary, Utterance
+from .datasets import BlockSplit, Corpus, LabelVocabulary, Utterance, fluent_partial_ids
 from .errors import ContractError, DivergenceError, UsageError
 from .features import atomic_write
 from .numeric import Params
@@ -147,7 +147,6 @@ class FitResult:
 def fit(train: Sequence[Utterance], config: ModelConfig, *,
         epochs: int = 60, lr: float = 1e-3, batch_size: int = 32,
         early_stop_delta: float = 1e-4, early_stop_patience: int = 5,
-        force_speaker_path: bool = False,
         valid: Optional[Sequence[Utterance]] = None,
         vocab: Optional[LabelVocabulary] = None,
         select_metric: Optional[str] = None) -> FitResult:
@@ -190,9 +189,7 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
             try:
                 breakdown, grads = model.loss_and_grads(
                     [u.features for u in batch], [u.target for u in batch],
-                    [u.speaker_index for u in batch], params, config,
-                    force_speaker_path=force_speaker_path,
-                )
+                    [u.speaker_index for u in batch], params, config)
             except DivergenceError as exc:
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, utterance {batch[exc.index].id}"
@@ -262,13 +259,15 @@ class LearningCurvePoint:
 @dataclass
 class SweepSpec:
     axis: str                 # "output_dim" | "speaker_weight"
-    values: list
+    values: list[float]
 
     def __post_init__(self):
         if self.axis not in ("output_dim", "speaker_weight"):
             raise UsageError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise UsageError("sweep needs at least one value")
+        if self.axis == "output_dim" and not all(isinstance(v, int) for v in self.values):
+            raise UsageError(f"output_dim sweep values must be integers, got {self.values}")
 
 
 def default_schedule(num_blocks: int) -> list[int]:
@@ -373,7 +372,7 @@ def run_sweep(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
     curves = {}
     for value in sweep.values:
         if sweep.axis == "output_dim":
-            cfg = dataclasses.replace(config, output_dim=int(value))
+            cfg = dataclasses.replace(config, output_dim=value)
         else:
             cfg = dataclasses.replace(config, speaker_weight=float(value))
         curves[value] = learning_curve(corpus, split, schedule, cfg,
@@ -386,8 +385,6 @@ def train_test_replication(corpus: Corpus, config: ModelConfig,
     """Train on the reduced and the full training split, select the epoch by
     validation intent accuracy, and report test intent accuracy for both,
     alongside the published reference numbers."""
-    from .datasets import fluent_partial_ids
-
     if corpus.splits is None or not all(s in corpus.splits for s in ("train", "valid", "test")):
         raise UsageError("corpus has no train/valid/test split tables")
     fit_options = dict(fit_options or {})

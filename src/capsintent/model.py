@@ -6,6 +6,11 @@ Utterances are (frames, feat_dim) matrices of any lengths. ``loss_and_grads``
 and ``evaluate`` take a list of them and run it as zero-padded,
 length-masked time-major batches (``encoder.pad_batch``); ``predict``
 decodes one utterance as a batch of one.
+
+The objective is label loss + speaker_weight * speaker loss, and the speaker
+head runs at every weight. At weight 0, the paper's baseline, its gradients
+are exactly zero: the head stays frozen at its initial parameters and the
+speaker loss it reports is that frozen head's cross entropy.
 """
 
 from __future__ import annotations
@@ -29,37 +34,13 @@ def init_params(config: ModelConfig) -> Params:
     """Draw all parameters in a fixed order from one RNG stream, seeded by
     the config seed.
 
-    The speaker head is always initialized, even when speaker_weight is zero,
-    so a run with the head disabled consumes the identical RNG sequence and
-    stays bit-compatible with a multitask run of the same seed.
+    The speaker head is initialized at every speaker_weight, so runs that
+    differ only in the weight start from identical parameters.
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     params = capsnet.init_core_params(config, rng)
     params.update(multitask.init_head_params(rng, config.output_dim, config.speaker_count))
     return params
-
-
-def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every parameter ``init_params`` draws, derived from
-    the config alone (no RNG draws); checkpoints are validated against it."""
-    hidden = config.encoder_hidden
-    shapes: dict[str, tuple[int, ...]] = {}
-    in_dim = config.feat_dim
-    for layer in range(config.encoder_layers):
-        for direction in ("f", "b"):
-            prefix = f"enc.{layer}.{direction}."
-            shapes[prefix + "Wx"] = (in_dim, 3 * hidden)
-            shapes[prefix + "Wh"] = (hidden, 3 * hidden)
-            shapes[prefix + "b"] = (3 * hidden,)
-        in_dim = 2 * hidden
-    proj_out = config.num_primary * config.primary_dim
-    shapes["proj.W"] = (2 * hidden, proj_out)
-    shapes["proj.b"] = (proj_out,)
-    shapes["caps.W"] = (config.num_primary, config.num_labels, config.primary_dim,
-                        config.output_dim)
-    shapes["spk.W"] = (config.output_dim, config.speaker_count)
-    shapes["spk.b"] = (config.speaker_count,)
-    return shapes
 
 
 @dataclass
@@ -91,16 +72,14 @@ def evaluate(feats: Sequence[np.ndarray], params: Params, config: ModelConfig) -
 _SLICE = 16
 
 
-def loss_and_grads(feats, target, speaker_index, params: Params, config: ModelConfig,
-                   force_speaker_path: bool = False):
+def loss_and_grads(feats, target, speaker_index, params: Params, config: ModelConfig):
     """Losses and the gradient of every parameter for B utterances of any
     lengths, with (B, K) targets and B speaker indices. Returns
     (LossBreakdown of (B,) losses, gradients summed over the utterances).
 
-    With speaker_weight == 0 the speaker path is skipped entirely (the
-    baseline model); ``force_speaker_path`` evaluates it anyway, which must
-    produce bit-identical label-path gradients since the head contribution
-    scales by exactly 0.0.
+    The speaker head runs at every weight and its gradients scale by
+    speaker_weight, so at weight 0 they are exactly zero while the reported
+    speaker loss is still the head's cross entropy.
 
     Raises DivergenceError, whose ``index`` is the batch position of the
     first utterance with a non-finite loss.
@@ -114,8 +93,7 @@ def loss_and_grads(feats, target, speaker_index, params: Params, config: ModelCo
         xs, lengths = encoder.pad_batch(feats[start:stop])
         try:
             part, part_grads = _loss_and_grads(xs, lengths, target[start:stop],
-                                               speaker_index[start:stop], params, config,
-                                               force_speaker_path)
+                                               speaker_index[start:stop], params, config)
         except DivergenceError as exc:
             exc.index += start
             raise
@@ -130,32 +108,22 @@ def loss_and_grads(feats, target, speaker_index, params: Params, config: ModelCo
     return breakdown, grads
 
 
-def _loss_and_grads(xs, lengths, target, speaker_index, params, config, force_speaker_path):
+def _loss_and_grads(xs, lengths, target, speaker_index, params, config):
     """loss_and_grads of one padded slice."""
     caps, trace = capsnet.forward(xs, params, config, lengths)
     label_loss = capsnet.margin_loss(caps, target, config)
-    use_head = config.speaker_weight != 0.0 or force_speaker_path
-    if use_head:
-        spk_loss, head_trace = multitask.head_forward(caps, params, speaker_index)
-    else:
-        spk_loss = np.zeros_like(label_loss)
+    spk_loss, head_trace = multitask.head_forward(caps, params, speaker_index)
     breakdown = multitask.total_loss(label_loss, spk_loss, config.speaker_weight)
     finite = np.isfinite(breakdown.total)
     if not np.all(finite):
         raise DivergenceError("non-finite loss", index=int(np.argmin(finite)))
 
-    d_caps = capsnet.margin_loss_grad(caps, target, config)
-    if use_head:
-        head_grads, d_caps_head = multitask.head_backward(
-            head_trace, speaker_index, config.speaker_weight, params
-        )
-        d_caps = d_caps + d_caps_head
-    grads = capsnet.backward(trace, d_caps, params)
-    if use_head:
-        grads.update(head_grads)
-    else:
-        grads["spk.W"] = np.zeros_like(params["spk.W"])
-        grads["spk.b"] = np.zeros_like(params["spk.b"])
+    head_grads, d_caps_head = multitask.head_backward(
+        head_trace, speaker_index, config.speaker_weight, params
+    )
+    grads = capsnet.backward(trace, capsnet.margin_loss_grad(caps, target, config) + d_caps_head,
+                             params)
+    grads.update(head_grads)
     if not config.speaker_bias:
         grads["spk.b"] = np.zeros_like(params["spk.b"])
     return breakdown, grads

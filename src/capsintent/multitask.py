@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capsnet import OutputCapsuleSet
+from .capsnet import NORM_GUARD, OutputCapsuleSet
 from .errors import ShapeError
 from .numeric import Params, softmax
 
 PROB_FLOOR = 1e-12
-NORM_GUARD = 1e-12
 
 
 @dataclass

@@ -46,6 +46,10 @@ def test_every_model_hook_records_spans():
     utts, vocab = corpus.utterances, corpus.vocab
     params = experiments.fit(utts, cfg, epochs=1).params
     assert _fired(lambda: experiments.fit(utts, cfg, epochs=1)) == MODEL_HOOKS - DECODING_ONLY
+    # the baseline weight runs the same path, the speaker head included
+    baseline = _small_config(speaker_weight=0.0)
+    assert _fired(lambda: experiments.fit(utts, baseline, epochs=1)) \
+        == MODEL_HOOKS - DECODING_ONLY
     assert _fired(lambda: model.predict(utts[0].features, params, cfg, vocab)) \
         == MODEL_HOOKS - TRAINING_ONLY
     # decoding a corpus runs batches through evaluate, not predict per utterance

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import capsintent.model as model
 from capsintent import capsnet, datasets
-from capsintent.errors import ContractError, DataError, DivergenceError, ShapeError
+from capsintent.errors import ContractError, DataError, DivergenceError, ShapeError, UsageError
 
 from helpers import tiny_model_config
 from opexamples import by_module
@@ -174,6 +174,22 @@ def test_model_config_validation():
         tiny_model_config(routing_iters=0)
     with pytest.raises(ShapeError):
         tiny_model_config(margin_present=0.1, margin_absent=0.9)
+
+
+@pytest.mark.parametrize("field", ["feat_dim", "num_labels", "speaker_count", "encoder_hidden",
+                                   "encoder_layers", "num_primary", "primary_dim"])
+def test_model_config_rejects_zero_counts(field):
+    with pytest.raises(ShapeError, match=f"{field} must be >= 1"):
+        tiny_model_config(**{field: 0})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("routing_iters", 2.0), ("speaker_bias", "no"), ("encoder_hidden", 5.0),
+    ("num_primary", True), ("speaker_weight", "1"), ("seed", None),
+])
+def test_model_config_rejects_values_of_the_wrong_type(field, value):
+    with pytest.raises(UsageError, match=f"{field} must be "):
+        tiny_model_config(**{field: value})
 
 
 def test_routing_overflow_is_divergence():

@@ -185,3 +185,30 @@ def test_eval_with_mistyped_vocabulary_is_data_error(tmp_path, capsys):
     manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
     assert cli.main(["eval", "--checkpoint", str(path), "--manifest", str(manifest)]) == 4
     assert "list of strings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("routing_iters", 2.0), ("speaker_bias", "no"), ("encoder_hidden", 5.0),
+    ("encoder_layers", 0),
+], ids=["float_routing_iters", "string_speaker_bias", "float_hidden", "zero_layers"])
+def test_checkpoint_invalid_config_value_rejected(tmp_path, key, value):
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg))
+    bad = _resave(path, tmp_path / "bad.npz", config={**dataclasses.asdict(cfg), key: value})
+    with pytest.raises(FormatError, match=f"invalid model config: {key} must be"):
+        checkpoint.load_checkpoint(bad)
+
+
+def test_eval_with_mistyped_config_is_data_error(tmp_path, capsys):
+    from capsintent import cli
+
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg), vocab_payload=GOOD_VOCAB)
+    bad = _resave(path, tmp_path / "bad.npz",
+                  config={**dataclasses.asdict(cfg), "routing_iters": 2.0})
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
+    assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(manifest)]) == 4
+    assert "routing_iters must be int" in capsys.readouterr().err

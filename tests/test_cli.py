@@ -106,6 +106,24 @@ def test_train_with_zero_epochs_is_usage_error(tmp_path, capsys):
     assert "epochs must be at least 1" in capsys.readouterr().err
 
 
+def test_train_with_zero_encoder_layers_is_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, model={"encoder_layers": 0})
+    assert cli.main(["train", path]) == 2
+    assert "encoder_layers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"axis": "speaker_weight", "values": "ab"}, "experiment.sweep.values must be"),
+    ({"axis": "speaker_weight", "values": [0, "1"]}, "experiment.sweep.values must be"),
+    ({"axis": "output_dim", "values": [2, 3.5]}, "must be integers"),
+], ids=["string_values", "string_in_values", "fractional_output_dim"])
+def test_mistyped_sweep_is_usage_error(tmp_path, capsys, sweep, message):
+    path = write_config(tmp_path, experiment={"sweep": sweep})
+    assert cli.main(["validate-config", path]) == 2
+    assert message in capsys.readouterr().err
+    assert cli.main(["curve", path]) == 2
+
+
 def test_validate_config_missing_file(capsys):
     assert cli.main(["validate-config", "/nonexistent.yaml"]) == 2
 

@@ -63,14 +63,15 @@ def test_gru_zero_input_zero_state():
     rng = np.random.default_rng(1)
     params = encoder.gru_param_init(rng, 3, 4)
     hs, _ = encoder.gru_forward({k: np.zeros_like(v) for k, v in params.items()},
-                                np.zeros((5, 1, 3)))
+                                np.zeros((5, 1, 3)), np.ones((5, 1, 1), dtype=bool))
     assert np.all(hs == 0.0)
 
 
 def test_gru_state_shapes():
     rng = np.random.default_rng(2)
     params = encoder.gru_param_init(rng, 3, 7)
-    hs, cache = encoder.gru_forward(params, rng.normal(size=(9, 1, 3)))
+    hs, cache = encoder.gru_forward(params, rng.normal(size=(9, 1, 3)),
+                                    np.ones((9, 1, 1), dtype=bool))
     assert hs.shape == (9, 1, 7)
     assert cache["r"].shape == (9, 1, 7)
 

@@ -73,7 +73,7 @@ def test_fit_divergence_raises():
     bad = [datasets.Utterance(id=u.id, target=u.target, speaker_index=u.speaker_index,
                               features=u.features * np.inf)
            for u in corpus.utterances]
-    with pytest.raises(DivergenceError):
+    with pytest.warns(RuntimeWarning), pytest.raises(DivergenceError):
         experiments.fit(bad, _small_config(), epochs=1)
 
 
@@ -172,6 +172,8 @@ def test_sweep_spec_validation():
         experiments.SweepSpec("bogus", [1])
     with pytest.raises(UsageError):
         experiments.SweepSpec("output_dim", [])
+    with pytest.raises(UsageError, match="integers"):
+        experiments.SweepSpec("output_dim", [2, 4.0])
 
 
 def test_derive_seed_stable_and_distinct():
