@@ -43,19 +43,53 @@ def test_speaker_head_initialized_even_when_disabled():
     assert all(a[k].tobytes() == b[k].tobytes() for k in a)
 
 
-def test_zero_weight_runs_the_head_but_leaves_it_frozen():
-    """The baseline is the multitask model at weight zero: the head runs and
-    reports its loss, but its gradients are exactly zero, so it keeps its
-    initial parameters and adds nothing to the total."""
+def _relabel_speakers(utterances, speaker_count):
+    return [dataclasses.replace(u, speaker_index=(u.speaker_index + 1) % speaker_count)
+            for u in utterances]
+
+
+def test_zero_weight_skips_but_matches_forced_path():
+    """The reduction case: the multitask model at weight zero must train
+    bit-identically whatever the speaker labels are, so it is the baseline
+    that never learns from the head. The head runs and reports its loss, but
+    its gradients are exactly zero: it keeps its initial parameters and adds
+    nothing to the total."""
     corpus = _small_corpus(per_speaker=10, noise=0.1)
     cfg = _small_config(speaker_weight=0.0)
     result = experiments.fit(corpus.utterances, cfg, epochs=3)
+    relabeled = experiments.fit(_relabel_speakers(corpus.utterances, cfg.speaker_count),
+                                cfg, epochs=3)
+    assert [s.total_loss for s in result.history] == [s.total_loss for s in relabeled.history]
+    assert [s.label_loss for s in result.history] == [s.label_loss for s in relabeled.history]
+    for key in result.params:
+        assert result.params[key].tobytes() == relabeled.params[key].tobytes(), key
     init = model.init_params(cfg)
     for key in ("spk.W", "spk.b"):
         assert result.params[key].tobytes() == init[key].tobytes(), key
     for stats in result.history:
         assert stats.speaker_loss > 0.0
         assert stats.total_loss == stats.label_loss
+
+
+def test_forced_path_records_speaker_loss_without_affecting_total():
+    """At weight zero one call reports the head's loss, leaves the total at
+    the label loss, gives the head zero gradients, and gives every other
+    block gradients that do not depend on the speaker label."""
+    corpus = _small_corpus(per_speaker=6, noise=0.1)
+    cfg = _small_config(speaker_weight=0.0)
+    utt = corpus.utterances[0]
+    other = (utt.speaker_index + 1) % cfg.speaker_count
+    params = model.init_params(cfg)
+    bd, grads = model.loss_and_grads([utt.features], [utt.target], [utt.speaker_index],
+                                     params, cfg)
+    bd_other, grads_other = model.loss_and_grads([utt.features], [utt.target], [other],
+                                                 params, cfg)
+    assert bd.speaker_loss > 0.0
+    assert bd.total == bd.label_loss == bd_other.total
+    for key in ("spk.W", "spk.b"):
+        assert not np.any(grads[key]), key
+    for key in grads:
+        assert np.array_equal(grads[key], grads_other[key]), key
 
 
 def test_speaker_bias_toggle_freezes_bias():
