@@ -17,19 +17,25 @@ one; parameter gradients are summed over the batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import encoder as enc
-from .errors import ContractError, DivergenceError, ShapeError, check_types
+from .errors import ContractError, DivergenceError, ShapeError, UsageError, check_types
 from .numeric import Params, softmax, softmax_grad
 
 if TYPE_CHECKING:
     from .datasets import LabelVocabulary
 
 NORM_GUARD = 1e-12
+
+# margin-loss hinge points (Sabour et al. 2017): a present label's capsule
+# should be longer than the first, an absent label's shorter than the second
+MARGIN_PRESENT = 0.9
+MARGIN_ABSENT = 0.1
 
 
 @dataclass
@@ -46,24 +52,20 @@ class ModelConfig:
     output_dim: int = 8        # n
     routing_iters: int = 3
     speaker_weight: float = 1.0
-    margin_present: float = 0.9
-    margin_absent: float = 0.1
-    absent_loss_scale: float = 1.0   # multiplier on the absent-label hinge term
-    speaker_bias: bool = True
     seed: int = 0
 
     def __post_init__(self):
-        """Every field must conform to its annotation (UsageError) and every
-        count must be at least 1, output_dim at least 2 (ShapeError)."""
+        """Fields must conform to their annotations and speaker_weight be
+        finite and >= 0 (UsageError); counts >= 1, output_dim >= 2 (ShapeError)."""
         check_types(vars(self), ModelConfig, "")
+        if not (math.isfinite(self.speaker_weight) and self.speaker_weight >= 0):
+            raise UsageError(f"speaker_weight must be finite and >= 0, got {self.speaker_weight}")
         for name in ("feat_dim", "num_labels", "speaker_count", "encoder_hidden",
                      "encoder_layers", "num_primary", "primary_dim", "routing_iters"):
             if getattr(self, name) < 1:
                 raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.output_dim < 2:
             raise ShapeError(f"output_dim must be >= 2, got {self.output_dim}")
-        if not self.margin_present > self.margin_absent:
-            raise ShapeError("margin_present must exceed margin_absent")
 
 
 @dataclass
@@ -212,30 +214,27 @@ def routing_backward(trace: RoutingTrace, d_out: np.ndarray) -> np.ndarray:
                      optimize=True)
 
 
-def margin_loss(caps: OutputCapsuleSet, target: np.ndarray, config: ModelConfig):
+def margin_loss(caps: OutputCapsuleSet, target: np.ndarray):
     """Hinge loss on output-capsule norms against (B, K) targets: a (B,)
     array.
 
-    Present labels (target 1) pay max(0, margin_present - |v_k|); absent
-    labels pay max(0, |v_k| - margin_absent), scaled by absent_loss_scale
-    (1.0 by default, i.e. no down-weighting of the absent term).
+    Present labels (target 1) pay max(0, MARGIN_PRESENT - |v_k|); absent
+    labels pay max(0, |v_k| - MARGIN_ABSENT), unweighted.
     """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != caps.norms.shape:
         raise ShapeError(f"target shape {target.shape} != capsule count {caps.norms.shape}")
-    present = np.maximum(0.0, config.margin_present - caps.norms)
-    absent = np.maximum(0.0, caps.norms - config.margin_absent)
-    return np.sum(target * present + config.absent_loss_scale * (1.0 - target) * absent, axis=-1)
+    present = np.maximum(0.0, MARGIN_PRESENT - caps.norms)
+    absent = np.maximum(0.0, caps.norms - MARGIN_ABSENT)
+    return np.sum(target * present + (1.0 - target) * absent, axis=-1)
 
 
-def margin_loss_grad(caps: OutputCapsuleSet, target: np.ndarray, config: ModelConfig) -> np.ndarray:
+def margin_loss_grad(caps: OutputCapsuleSet, target: np.ndarray) -> np.ndarray:
     """Gradient of margin_loss with respect to the output capsule vectors."""
     target = np.asarray(target, dtype=np.float64)
     norms = caps.norms
-    d_norm = np.where((target > 0) & (norms < config.margin_present), -1.0, 0.0)
-    d_norm = d_norm + np.where(
-        (target == 0) & (norms > config.margin_absent), config.absent_loss_scale, 0.0
-    )
+    d_norm = np.where((target > 0) & (norms < MARGIN_PRESENT), -1.0, 0.0)
+    d_norm = d_norm + np.where((target == 0) & (norms > MARGIN_ABSENT), 1.0, 0.0)
     unit = caps.vectors / (norms[..., None] + NORM_GUARD)
     return d_norm[..., None] * unit
 

@@ -1,12 +1,13 @@
 """Self-describing model checkpoints.
 
 A checkpoint is a single ``.npz`` file with a versioned JSON header under the
-``__meta__`` key (format version, full model config, seed, and optionally the
-label vocabulary and speaker roster) plus one array entry per parameter path
-prefixed with ``param/``. Writes are atomic (``features.atomic_write``).
-Loading validates the header's config, the vocabulary and roster, and every
-parameter's name and shape against that config, so a bad file fails when it
-is read, not at first use.
+``__meta__`` key (format version, full model config including its seed, and
+optionally the label vocabulary and speaker roster) plus one array entry per
+parameter path prefixed with ``param/``. Writes are atomic
+(``features.atomic_write``). Loading validates the header's config, the
+vocabulary and roster, and every parameter's name and shape against that
+config, so a bad file fails when it is read, not at first use. Headers of
+earlier versions load too: their top-level copy of the seed is ignored.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capsnet import ModelConfig
+from .capsnet import MARGIN_ABSENT, MARGIN_PRESENT, ModelConfig
 from .datasets import LabelVocabulary, SlotGroup
 from .errors import DataError, FormatError, ShapeError, UsageError
 from .features import atomic_write
@@ -27,6 +28,10 @@ from .numeric import Params
 
 FORMAT_VERSION = 1
 
+# config keys of earlier versions, at the one value each setting now has
+RETIRED_KEYS = {"margin_present": MARGIN_PRESENT, "margin_absent": MARGIN_ABSENT,
+                "absent_loss_scale": 1.0, "speaker_bias": True}
+
 
 def save_checkpoint(path: str, config: ModelConfig, params: Params,
                     vocab_payload: Optional[dict] = None) -> None:
@@ -34,7 +39,6 @@ def save_checkpoint(path: str, config: ModelConfig, params: Params,
         "format": "capsintent-checkpoint",
         "version": FORMAT_VERSION,
         "config": dataclasses.asdict(config),
-        "seed": config.seed,
     }
     if vocab_payload is not None:
         meta["vocab"] = vocab_payload
@@ -127,6 +131,13 @@ def vocab_from_payload(payload: dict) -> tuple[LabelVocabulary, list[str]]:
 def _config_from(raw, path: str) -> ModelConfig:
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: checkpoint header carries no model config")
+    for key, fixed in RETIRED_KEYS.items():
+        # True == 1.0, but a bool was never a valid number, nor a number a bool
+        if key in raw and not (raw[key] == fixed
+                               and isinstance(raw[key], bool) == isinstance(fixed, bool)):
+            raise FormatError(f"{path}: invalid model config: {key} must be {fixed!r}, "
+                              f"got {raw[key]!r}")
+    raw = {key: value for key, value in raw.items() if key not in RETIRED_KEYS}
     unknown = set(raw) - {f.name for f in dataclasses.fields(ModelConfig)}
     if unknown:
         raise FormatError(f"{path}: unknown model config keys {sorted(unknown)}")

@@ -9,8 +9,10 @@ Config keys (unknown keys, and values not of the key's declared type, are
 rejected): ``output_dir`` (required); ``seed``; ``corpus`` (required):
 ``kind`` (synth | grabo | fluent | manifest), ``root``, ``manifest``,
 ``cache_dir``, and for synth ``preset``, ``per_speaker_count``,
-``noise_level``, ``feat_dim``, ``seed``; ``model``: the ``MODEL_KEYS``
-fields of ``ModelConfig``; ``experiment``: ``mode``
+``noise_level``, ``feat_dim``, ``seed``; ``model``: ``encoder_hidden``,
+``encoder_layers``, ``num_primary``, ``primary_dim``, ``output_dim``,
+``routing_iters``, ``speaker_weight`` (the corpus sets ``feat_dim``,
+``num_labels`` and ``speaker_count``); ``experiment``: ``mode``
 (speaker_independent | speaker_dependent), ``num_blocks``, ``schedule``,
 ``repeats``, ``sweep`` (``axis`` output_dim | speaker_weight, ``values``);
 ``training``: ``epochs``, ``lr``, ``batch_size``, ``early_stop_delta``,
@@ -24,7 +26,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import yaml
@@ -40,8 +42,9 @@ log = logging.getLogger("capsintent")
 
 CACHE_ENV_VAR = "CAPSINTENT_CACHE_DIR"
 
-# the corpus sets num_labels and speaker_count, the top-level seed sets seed
-MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"num_labels", "speaker_count", "seed"}
+# the corpus sets feat_dim, num_labels and speaker_count, the top-level seed sets seed
+MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"feat_dim", "num_labels", "speaker_count",
+                                                      "seed"}
 TRAINING_KEYS = {"epochs", "lr", "batch_size", "early_stop_delta", "early_stop_patience"}
 
 
@@ -138,7 +141,7 @@ def load_run_config(path: str) -> RunConfig:
     _check_keys(training, TRAINING_KEYS, "training")
     check_types(training, experiments.fit, "training.")
 
-    return RunConfig(
+    run = RunConfig(
         corpus=corpus_cfg,
         output_dir=raw["output_dir"],
         seed=raw.get("seed", 0),
@@ -147,6 +150,13 @@ def load_run_config(path: str) -> RunConfig:
         training=training,
         raw=raw,
     )
+    # the model section, and each sweep value in it, must make a valid
+    # ModelConfig before any corpus is built
+    config = model_config_from(run)
+    if sweep is not None:
+        for value in sweep.values:
+            replace(config, **{sweep.axis: value})
+    return run
 
 
 def cache_dir_for(override: Optional[str], configured: Optional[str] = None) -> Optional[str]:
@@ -183,20 +193,13 @@ def build_corpus(run: RunConfig, cache_override: Optional[str] = None,
     return corpus
 
 
-def model_config_from(run: RunConfig, corpus: Corpus) -> ModelConfig:
-    fields = dict(run.model)
-    _check_keys(fields, MODEL_KEYS, "model")
-    fields.setdefault("feat_dim", corpus.feat_dim())
-    if fields["feat_dim"] != corpus.feat_dim():
-        raise UsageError(
-            f"model.feat_dim {fields['feat_dim']} != corpus feature dim {corpus.feat_dim()}"
-        )
-    return ModelConfig(
-        num_labels=len(corpus.vocab),
-        speaker_count=len(corpus.speakers),
-        seed=run.seed,
-        **fields,
-    )
+def model_config_from(run: RunConfig, corpus: Optional[Corpus] = None) -> ModelConfig:
+    """The run's model for ``corpus``; without one, placeholder corpus
+    dimensions let a config be checked before its corpus is built."""
+    feat_dim, num_labels, speaker_count = (
+        (corpus.feat_dim(), len(corpus.vocab), len(corpus.speakers)) if corpus else (1, 1, 1))
+    return ModelConfig(feat_dim=feat_dim, num_labels=num_labels, speaker_count=speaker_count,
+                       seed=run.seed, **run.model)
 
 
 # ---------------------------------------------------------------------------

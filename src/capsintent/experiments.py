@@ -148,14 +148,12 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
         epochs: int = 60, lr: float = 1e-3, batch_size: int = 32,
         early_stop_delta: float = 1e-4, early_stop_patience: int = 5,
         valid: Optional[Sequence[Utterance]] = None,
-        vocab: Optional[LabelVocabulary] = None,
-        select_metric: Optional[str] = None) -> FitResult:
+        vocab: Optional[LabelVocabulary] = None) -> FitResult:
     """Train a fresh model on ``train``.
 
-    With ``valid``/``vocab``/``select_metric`` (a key of ``evaluate_model``:
-    "f1", "speaker_accuracy", or "intent_accuracy" when the vocabulary has
-    slot groups) the epoch checkpoint scoring best on the validation set is
-    returned instead of the final one. A bad selection setup, or an
+    With ``valid`` and ``vocab`` (which needs slot groups) the epoch
+    checkpoint with the best intent accuracy on the validation set is
+    returned instead of the final one. An incomplete selection setup, or an
     ``epochs``, ``batch_size`` or ``early_stop_patience`` below 1, is a
     UsageError before the first step.
     """
@@ -165,13 +163,10 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
                         ("early_stop_patience", early_stop_patience)):
         if value < 1:
             raise UsageError(f"{name} must be at least 1, got {value}")
-    if select_metric is not None:
-        if not valid or vocab is None:
-            raise UsageError("validation selection needs valid utterances and a vocabulary")
-        known = {"f1", "speaker_accuracy"} | ({"intent_accuracy"} if vocab.slot_groups else set())
-        if select_metric not in known:
-            raise UsageError(f"cannot select on {select_metric!r} with this vocabulary; "
-                             f"choose from {sorted(known)}")
+    select = valid is not None or vocab is not None
+    if select and (not valid or vocab is None or not vocab.slot_groups):
+        raise UsageError("validation selection needs valid utterances and a vocabulary "
+                         "with slot groups")
     params = model.init_params(config)
     opt = Adam(params, lr=lr)
     order_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
@@ -200,8 +195,8 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
             opt.step(params, {k: v * scale for k, v in grads.items()})
         stats = EpochStats(*(sums / n))
         history.append(stats)
-        if select_metric is not None:
-            score = evaluate_model(valid, params, config, vocab)[select_metric]
+        if select:
+            score = evaluate_model(valid, params, config, vocab)["intent_accuracy"]
             if score > best_score:
                 best_score, best_epoch = score, epoch
                 best_params = {k: v.copy() for k, v in params.items()}
@@ -213,10 +208,8 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
         else:
             streak = 0
         prev_total = stats.total_loss
-    if best_params is not None:
-        return FitResult(params=best_params, history=history,
-                         stopped_early=stopped_early, best_epoch=best_epoch)
-    return FitResult(params=params, history=history, stopped_early=stopped_early)
+    return FitResult(params=best_params if select else params, history=history,
+                     stopped_early=stopped_early, best_epoch=best_epoch)
 
 
 def predict_corpus(utts: Sequence[Utterance], params: Params, config: ModelConfig,
@@ -371,10 +364,7 @@ def run_sweep(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
     """One learning curve per sweep value, everything else held fixed."""
     curves = {}
     for value in sweep.values:
-        if sweep.axis == "output_dim":
-            cfg = dataclasses.replace(config, output_dim=value)
-        else:
-            cfg = dataclasses.replace(config, speaker_weight=float(value))
+        cfg = dataclasses.replace(config, **{sweep.axis: value})
         curves[value] = learning_curve(corpus, split, schedule, cfg,
                                        repeats=repeats, fit_options=fit_options)
     return curves
@@ -392,8 +382,7 @@ def train_test_replication(corpus: Corpus, config: ModelConfig,
     test = corpus.subset(corpus.splits["test"])
     report = {"reference": REFERENCE_ACCURACY}
     for tag, ids in (("partial", fluent_partial_ids(corpus)), ("full", corpus.splits["train"])):
-        result = fit(corpus.subset(ids), config, valid=valid, vocab=corpus.vocab,
-                     select_metric="intent_accuracy", **fit_options)
+        result = fit(corpus.subset(ids), config, valid=valid, vocab=corpus.vocab, **fit_options)
         report[f"accuracy_{tag}"] = evaluate_model(test, result.params, config,
                                                    corpus.vocab)["intent_accuracy"]
         report[f"train_size_{tag}"] = len(ids)

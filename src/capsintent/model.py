@@ -111,7 +111,7 @@ def loss_and_grads(feats, target, speaker_index, params: Params, config: ModelCo
 def _loss_and_grads(xs, lengths, target, speaker_index, params, config):
     """loss_and_grads of one padded slice."""
     caps, trace = capsnet.forward(xs, params, config, lengths)
-    label_loss = capsnet.margin_loss(caps, target, config)
+    label_loss = capsnet.margin_loss(caps, target)
     spk_loss, head_trace = multitask.head_forward(caps, params, speaker_index)
     breakdown = multitask.total_loss(label_loss, spk_loss, config.speaker_weight)
     finite = np.isfinite(breakdown.total)
@@ -121,11 +121,8 @@ def _loss_and_grads(xs, lengths, target, speaker_index, params, config):
     head_grads, d_caps_head = multitask.head_backward(
         head_trace, speaker_index, config.speaker_weight, params
     )
-    grads = capsnet.backward(trace, capsnet.margin_loss_grad(caps, target, config) + d_caps_head,
-                             params)
+    grads = capsnet.backward(trace, capsnet.margin_loss_grad(caps, target) + d_caps_head, params)
     grads.update(head_grads)
-    if not config.speaker_bias:
-        grads["spk.b"] = np.zeros_like(params["spk.b"])
     return breakdown, grads
 
 

@@ -1,8 +1,8 @@
 """Speaker-identification head regularising the output-capsule orientations.
 
 The head averages the output capsules into a single vector
-z = sum_k v_k / sum_k |v_k|, projects it through an n x M matrix (plus an
-optional bias) and a softmax to per-speaker probabilities, and scores the
+z = sum_k v_k / sum_k |v_k|, projects it through an n x M matrix plus a
+bias and a softmax to per-speaker probabilities, and scores the
 true speaker with cross entropy. The total training objective is
 label_loss + speaker_weight * speaker_loss. Like the capsule core, every
 function takes a batch of B utterances (one utterance is a batch of one)

@@ -336,14 +336,14 @@ def _():
 def _():
     caps = capsnet.OutputCapsuleSet(
         vectors=np.array([[0.95, 0.0], [0.05, 0.0]]), norms=np.array([0.95, 0.05]))
-    assert capsnet.margin_loss(caps, np.array([1.0, 0.0]), tiny_model_config(num_labels=2)) == 0.0
+    assert capsnet.margin_loss(caps, np.array([1.0, 0.0])) == 0.0
 
 
 @example("capsnet", "margin_loss", "half_norms")
 def _():
     caps = capsnet.OutputCapsuleSet(
         vectors=np.array([[0.5, 0.0], [0.5, 0.0]]), norms=np.array([0.5, 0.5]))
-    loss = capsnet.margin_loss(caps, np.array([1.0, 0.0]), tiny_model_config(num_labels=2))
+    loss = capsnet.margin_loss(caps, np.array([1.0, 0.0]))
     assert abs(loss - 0.8) < 1e-12  # (0.9 - 0.5) + (0.5 - 0.1)
 
 
@@ -351,7 +351,7 @@ def _():
 def _():
     caps = capsnet.OutputCapsuleSet(
         vectors=np.array([[0.1, 0.0], [0.9, 0.0]]), norms=np.array([0.1, 0.9]))
-    assert capsnet.margin_loss(caps, np.array([0.0, 1.0]), tiny_model_config(num_labels=2)) == 0.0
+    assert capsnet.margin_loss(caps, np.array([0.0, 1.0])) == 0.0
 
 
 # capsnet.decode_labels

@@ -83,13 +83,7 @@ def test_predict_capsules_shape_error():
 def test_margin_loss_shape_error():
     caps = capsnet.OutputCapsuleSet(vectors=np.zeros((2, 2)), norms=np.zeros(2))
     with pytest.raises(ShapeError):
-        capsnet.margin_loss(caps, np.array([1.0, 0.0, 0.0]), tiny_model_config(num_labels=2))
-
-
-def test_margin_loss_absent_scale():
-    caps = capsnet.OutputCapsuleSet(vectors=np.array([[0.5, 0.0]]), norms=np.array([0.5]))
-    cfg = tiny_model_config(num_labels=1, absent_loss_scale=0.5)
-    assert abs(capsnet.margin_loss(caps, np.array([0.0]), cfg) - 0.2) < 1e-12
+        capsnet.margin_loss(caps, np.array([1.0, 0.0, 0.0]))
 
 
 def test_encode_empty_features_rejected():
@@ -133,12 +127,12 @@ def test_permutation_equivariance():
     perm = np.array([3, 0, 4, 1, 2])
 
     caps, _ = capsnet.forward(feats, params, cfg, lengths)
-    loss = capsnet.margin_loss(caps, target, cfg)[0]
+    loss = capsnet.margin_loss(caps, target)[0]
 
     permuted = dict(params)
     permuted["caps.W"] = params["caps.W"][:, perm, :, :]
     caps_p, _ = capsnet.forward(feats, permuted, cfg, lengths)
-    loss_p = capsnet.margin_loss(caps_p, target[:, perm], cfg)[0]
+    loss_p = capsnet.margin_loss(caps_p, target[:, perm])[0]
 
     assert np.allclose(caps_p.vectors, caps.vectors[:, perm], atol=1e-9)
     assert abs(loss - loss_p) < 1e-9
@@ -172,8 +166,12 @@ def test_model_config_validation():
         tiny_model_config(output_dim=1)
     with pytest.raises(ShapeError):
         tiny_model_config(routing_iters=0)
-    with pytest.raises(ShapeError):
-        tiny_model_config(margin_present=0.1, margin_absent=0.9)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -2.0])
+def test_model_config_rejects_speaker_weight_not_finite_and_nonnegative(weight):
+    with pytest.raises(UsageError, match="speaker_weight must be finite and >= 0"):
+        tiny_model_config(speaker_weight=weight)
 
 
 @pytest.mark.parametrize("field", ["feat_dim", "num_labels", "speaker_count", "encoder_hidden",
@@ -184,7 +182,7 @@ def test_model_config_rejects_zero_counts(field):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("routing_iters", 2.0), ("speaker_bias", "no"), ("encoder_hidden", 5.0),
+    ("routing_iters", 2.0), ("encoder_hidden", 5.0),
     ("num_primary", True), ("speaker_weight", "1"), ("seed", None),
 ])
 def test_model_config_rejects_values_of_the_wrong_type(field, value):

@@ -52,17 +52,19 @@ def test_checkpoint_reload_reproduces_predictions(tmp_path):
     assert before.speaker_probs.tobytes() == after.speaker_probs.tobytes()
 
 
-def _resave(path, out, params=None, config=None):
-    """Copy a checkpoint with its parameters or header config replaced."""
+def _resave(path, out, params=None, config=None, **header):
+    """Copy a checkpoint with its parameters or header config replaced, or
+    with top-level header keys added."""
     with np.load(str(path)) as data:
         arrays = {key: np.array(data[key]) for key in data.files}
     if params is not None:
         arrays = {k: v for k, v in arrays.items() if not k.startswith("param/")}
         arrays.update({f"param/{k}": v for k, v in params.items()})
+    meta = json.loads(bytes(arrays["__meta__"]).decode())
     if config is not None:
-        meta = json.loads(bytes(arrays["__meta__"]).decode())
         meta["config"] = config
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    meta.update(header)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(str(out), **arrays)
     return str(out)
 
@@ -189,8 +191,15 @@ def test_eval_with_mistyped_vocabulary_is_data_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("routing_iters", 2.0), ("speaker_bias", "no"), ("encoder_hidden", 5.0),
-    ("encoder_layers", 0),
-], ids=["float_routing_iters", "string_speaker_bias", "float_hidden", "zero_layers"])
+    ("encoder_layers", 0), ("speaker_weight", float("nan")), ("speaker_weight", -2.0),
+    # settings an earlier version wrote, now fixed at 0.9, 0.1, 1.0 and true
+    ("margin_present", 0.8), ("margin_absent", 0.9), ("absent_loss_scale", 0.5),
+    ("speaker_bias", False), ("speaker_bias", 1), ("absent_loss_scale", True),
+    ("margin_present", "0.9"), ("margin_absent", None),
+], ids=["float_routing_iters", "string_speaker_bias", "float_hidden", "zero_layers",
+        "nan_speaker_weight", "negative_speaker_weight", "margin_present_0.8",
+        "margin_absent_0.9", "absent_scale_0.5", "speaker_bias_false", "speaker_bias_int",
+        "absent_scale_bool", "margin_present_string", "margin_absent_null"])
 def test_checkpoint_invalid_config_value_rejected(tmp_path, key, value):
     cfg = tiny_model_config()
     path = tmp_path / "m.npz"
@@ -212,3 +221,52 @@ def test_eval_with_mistyped_config_is_data_error(tmp_path, capsys):
     manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
     assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(manifest)]) == 4
     assert "routing_iters must be int" in capsys.readouterr().err
+
+
+# the config keys of settings that are now fixed, as earlier versions wrote them
+RETIRED = {"margin_present": 0.9, "margin_absent": 0.1, "absent_loss_scale": 1.0,
+           "speaker_bias": True}
+
+
+def test_header_states_the_seed_once(tmp_path):
+    cfg = tiny_model_config(seed=9)
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg))
+    with np.load(str(path)) as data:
+        meta = json.loads(bytes(data["__meta__"]).decode())
+    assert "seed" not in meta
+    assert meta["config"] == dataclasses.asdict(cfg)
+    assert not set(RETIRED) & set(meta["config"])
+
+
+def test_earlier_header_with_retired_keys_and_seed_loads(tmp_path):
+    cfg = tiny_model_config(seed=9)
+    params = model.init_params(cfg)
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, params, vocab_payload=GOOD_VOCAB)
+    old = _resave(path, tmp_path / "old.npz", config={**dataclasses.asdict(cfg), **RETIRED},
+                  seed=cfg.seed)
+    cfg2, params2, payload2 = checkpoint.load_checkpoint(old)
+    assert cfg2 == cfg
+    assert payload2 == GOOD_VOCAB
+    assert set(params2) == set(params)
+    for key in params:
+        assert params2[key].tobytes() == params[key].tobytes()
+    # an int where the float was declared was accepted then, and still is
+    cfg3, _, _ = checkpoint.load_checkpoint(_resave(
+        path, tmp_path / "int.npz", config={**dataclasses.asdict(cfg), "absent_loss_scale": 1}))
+    assert cfg3 == cfg
+
+
+@pytest.mark.parametrize("key, value", [("margin_present", 0.8), ("speaker_bias", False)])
+def test_eval_with_retired_key_away_from_its_value_is_data_error(tmp_path, capsys, key, value):
+    from capsintent import cli
+
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg), vocab_payload=GOOD_VOCAB)
+    bad = _resave(path, tmp_path / "bad.npz", config={**dataclasses.asdict(cfg), key: value})
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
+    assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(manifest)]) == 4
+    assert f"{key} must be " in capsys.readouterr().err

@@ -81,7 +81,7 @@ def test_validate_config_section_not_a_mapping(tmp_path, capsys, section):
     ({"training": {"epochs": "2"}}, "training.epochs"),
     ({"training": {"batch_size": True}}, "training.batch_size"),
     ({"model": {"encoder_hidden": "4"}}, "model.encoder_hidden"),
-    ({"model": {"speaker_bias": 1}}, "model.speaker_bias"),
+    ({"model": {"encoder_layers": True}}, "model.encoder_layers"),
     ({"seed": "abc"}, "seed"),
     ({"experiment": {"num_blocks": "5"}}, "experiment.num_blocks"),
     ({"experiment": {"schedule": [1, "2"]}}, "experiment.schedule"),
@@ -110,6 +110,44 @@ def test_train_with_zero_encoder_layers_is_usage_error(tmp_path, capsys):
     path = write_config(tmp_path, model={"encoder_layers": 0})
     assert cli.main(["train", path]) == 2
     assert "encoder_layers must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"model": {"encoder_layers": 0}}, "encoder_layers must be >= 1"),
+    ({"model": {"output_dim": 1}}, "output_dim must be >= 2"),
+    ({"model": {"speaker_weight": float("nan")}}, "speaker_weight must be finite and >= 0"),
+    ({"model": {"speaker_weight": -2.0}}, "speaker_weight must be finite and >= 0"),
+    ({"experiment": {"sweep": {"axis": "output_dim", "values": [4, 1]}}},
+     "output_dim must be >= 2"),
+    ({"experiment": {"sweep": {"axis": "speaker_weight", "values": [0.0, -2.0]}}},
+     "speaker_weight must be finite and >= 0"),
+], ids=["zero_layers", "output_dim_1", "nan_speaker_weight", "negative_speaker_weight",
+        "output_dim_1_in_sweep", "negative_speaker_weight_in_sweep"])
+@pytest.mark.parametrize("command", ["train", "curve"])
+def test_invalid_model_section_is_usage_error_before_the_corpus(tmp_path, capsys, monkeypatch,
+                                                                override, message, command):
+    path = write_config(tmp_path, **override)
+    assert cli.main(["validate-config", path]) == 2
+    assert message in capsys.readouterr().err
+
+    def no_corpus(*args, **kw):
+        raise AssertionError(f"{command} built a corpus for an invalid model section")
+
+    monkeypatch.setattr(cli, "build_corpus", no_corpus)
+    assert cli.main([command, path]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model", [{"margin_present": 0.9}, {"margin_absent": 0.1},
+                                   {"absent_loss_scale": 1.0}, {"speaker_bias": True},
+                                   {"feat_dim": 16}],
+                         ids=lambda m: next(iter(m)))
+def test_retired_and_corpus_set_model_keys_are_unknown(tmp_path, capsys, model):
+    path = write_config(tmp_path, model=model)
+    for command in ("validate-config", "train"):
+        assert cli.main([command, path]) == 2
+        assert f"unknown model config keys: {list(model)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sweep, message", [
@@ -333,11 +371,17 @@ def test_replicate_fluent_report(tmp_path, capsys):
 
 
 def test_model_config_unknown_key_is_usage_error(tmp_path):
-    run = cli.load_run_config(write_config(tmp_path))
-    run.model["bogus"] = 1
-    corpus = cli.build_corpus(run)
     with pytest.raises(UsageError, match="bogus"):
-        cli.model_config_from(run, corpus)
+        cli.load_run_config(write_config(tmp_path, model={"bogus": 1}))
+
+
+def test_model_config_takes_feat_dim_from_corpus(tmp_path):
+    run = cli.load_run_config(write_config(tmp_path, corpus={"feat_dim": 5}))
+    corpus = cli.build_corpus(run)
+    config = cli.model_config_from(run, corpus)
+    assert (config.feat_dim, config.num_labels, config.speaker_count) == \
+        (5, len(corpus.vocab), len(corpus.speakers))
+    assert config.seed == run.seed
 
 
 def test_eval_non_finite_features_is_data_error(tmp_path, capsys):

@@ -87,14 +87,27 @@ def test_fit_seed_reproducibility():
         assert a.params[key].tobytes() == b.params[key].tobytes()
 
 
-def test_fit_validation_selection():
+def test_fit_validation_selection(monkeypatch):
     corpus = _small_corpus(per_speaker=12, noise=0.1)
     cfg = _small_config(speaker_weight=0.0)
-    result = experiments.fit(corpus.utterances[:24], cfg, epochs=4,
-                             valid=corpus.utterances[24:36], vocab=corpus.vocab,
-                             select_metric="f1")
-    assert result.best_epoch is not None
-    assert 0 <= result.best_epoch < 4
+    valid = corpus.utterances[24:36]
+    scores, snapshots = [], []
+    evaluate_model = experiments.evaluate_model
+
+    def recording(utts, params, config, vocab):
+        out = evaluate_model(utts, params, config, vocab)
+        scores.append(out["intent_accuracy"])
+        snapshots.append({k: v.copy() for k, v in params.items()})
+        return out
+
+    monkeypatch.setattr(experiments, "evaluate_model", recording)
+    result = experiments.fit(corpus.utterances[:24], cfg, epochs=4, valid=valid,
+                             vocab=corpus.vocab)
+    # the first epoch with the best validation intent accuracy, and its parameters
+    assert len(scores) == 4
+    assert result.best_epoch == scores.index(max(scores))
+    for key, value in snapshots[result.best_epoch].items():
+        assert result.params[key].tobytes() == value.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +253,11 @@ def test_train_test_replication_on_synthetic_splits():
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    ({"select_metric": "bogus"}, "bogus"),
-    ({"select_metric": "f1", "valid": None}, "valid"),
-    ({"select_metric": "f1", "valid": []}, "valid"),
-    ({"select_metric": "f1", "vocab": None}, "vocabulary"),
-    ({"select_metric": "intent_accuracy",
-      "vocab": datasets.LabelVocabulary(labels=("a", "b", "c", "d"))}, "intent_accuracy"),
-], ids=["unknown_metric", "no_valid", "empty_valid", "no_vocab", "intent_without_groups"])
+    ({"valid": None}, "valid"),
+    ({"valid": []}, "valid"),
+    ({"vocab": None}, "vocabulary"),
+    ({"vocab": datasets.LabelVocabulary(labels=("a", "b", "c", "d"))}, "slot groups"),
+], ids=["no_valid", "empty_valid", "no_vocab", "intent_without_groups"])
 def test_fit_rejects_bad_selection_before_training(monkeypatch, kwargs, match):
     corpus = _small_corpus(per_speaker=4)
     options = {"valid": corpus.utterances[:4], "vocab": corpus.vocab, **kwargs}

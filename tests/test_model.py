@@ -92,17 +92,6 @@ def test_forced_path_records_speaker_loss_without_affecting_total():
         assert np.array_equal(grads[key], grads_other[key]), key
 
 
-def test_speaker_bias_toggle_freezes_bias():
-    corpus = _small_corpus(per_speaker=8, noise=0.1)
-    cfg = _small_config(speaker_weight=1.0)
-    cfg = dataclasses.replace(cfg, speaker_bias=False)
-    result = experiments.fit(corpus.utterances, cfg, epochs=2)
-    assert np.all(result.params["spk.b"] == 0.0)
-    cfg_on = dataclasses.replace(cfg, speaker_bias=True)
-    result_on = experiments.fit(corpus.utterances, cfg_on, epochs=2)
-    assert not np.all(result_on.params["spk.b"] == 0.0)
-
-
 def test_one_epoch_bit_reproducible():
     corpus = _small_corpus(per_speaker=8, noise=0.1)
     cfg = _small_config(seed=3, speaker_weight=1.0)
@@ -206,7 +195,7 @@ def test_grad_check_on_ragged_batch():
         # forward only, composed here independently of loss_and_grads
         caps, _ = capsnet.forward(xs, p, cfg, lengths=lengths)
         spk, _ = multitask.head_forward(caps, p, speakers)
-        return float(np.sum(capsnet.margin_loss(caps, targets, cfg) + cfg.speaker_weight * spk))
+        return float(np.sum(capsnet.margin_loss(caps, targets) + cfg.speaker_weight * spk))
 
     rep = grad_check(loss, lambda p: model.loss_and_grads(feats, targets, speakers, p, cfg)[1],
                      params)
