@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from capsintent import FeatureCache, add_deltas, compute_fbank, load_wav, normalize
-from capsintent.features import AudioClip, mel_filterbank
+from capsintent.features import TARGET_RATE, mel_filterbank
 
 with tempfile.TemporaryDirectory() as tmp:
     # one second of a 440 Hz tone with a little noise
@@ -22,13 +22,13 @@ with tempfile.TemporaryDirectory() as tmp:
         fh.setframerate(16000)
         fh.writeframes((np.clip(samples, -1, 1) * 32767).astype("<i2").tobytes())
 
-    clip = load_wav(str(path))
-    print(f"loaded {clip.samples.size} samples at {clip.sample_rate} Hz")
+    audio = load_wav(str(path))
+    print(f"loaded {audio.size} samples at {TARGET_RATE} Hz")
 
-    fbank = compute_fbank(clip, n_mels=40, win_ms=25.0, hop_ms=10.0)
+    fbank = compute_fbank(audio)
     print(f"filterbanks: {fbank.shape} (frames x mels)")
 
-    filters, edges = mel_filterbank(40, 512, 16000)
+    filters, edges = mel_filterbank()
     band = int(np.argmax(fbank.mean(axis=0)))
     print(f"most energetic mel band {band} spans {edges[band, 0]:.0f}-{edges[band, 2]:.0f} Hz "
           f"(contains 440 Hz: {edges[band, 0] <= 440 <= edges[band, 2]})")

@@ -96,23 +96,23 @@ class ForwardTrace:
     config: ModelConfig = None
 
 
-def squash(s: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Norm-compressing nonlinearity: maps s to (|s|^2/(1+|s|^2)) * s/|s|.
+def squash(s: np.ndarray) -> np.ndarray:
+    """Norm-compressing nonlinearity over the last axis: s -> (|s|^2/(1+|s|^2)) * s/|s|.
 
     Output is parallel to the input with norm in [0, 1); the zero vector maps
     to exactly zero (computed as s * |s|/(1+|s|^2), so no division occurs).
     """
     s = np.asarray(s, dtype=np.float64)
-    sq = np.sum(s * s, axis=axis, keepdims=True)
+    sq = np.sum(s * s, axis=-1, keepdims=True)
     return s * (np.sqrt(sq) / (1.0 + sq))
 
 
-def squash_grad(upstream: np.ndarray, s: np.ndarray, axis: int = -1) -> np.ndarray:
+def squash_grad(upstream: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Backprop through squash given the pre-squash input ``s``."""
-    sq = np.sum(s * s, axis=axis, keepdims=True)
+    sq = np.sum(s * s, axis=-1, keepdims=True)
     nrm = np.sqrt(sq)
     scale = nrm / (1.0 + sq)
-    proj = np.sum(upstream * s, axis=axis, keepdims=True)
+    proj = np.sum(upstream * s, axis=-1, keepdims=True)
     radial = (1.0 - sq) / ((1.0 + sq) ** 2 * (nrm + NORM_GUARD))
     return upstream * scale + s * (proj * radial)
 
@@ -168,9 +168,9 @@ def dynamic_routing(votes: np.ndarray, iters: int):
     logits = np.zeros(votes.shape[:-1])
     trace = RoutingTrace(votes=votes)
     for it in range(iters):
-        coeff = softmax(logits, axis=-1)
+        coeff = softmax(logits)
         pooled = np.einsum("p...k,p...kn->...kn", coeff, votes)
-        out = squash(pooled, axis=-1)
+        out = squash(pooled)
         if not np.isfinite(out).all():
             finite = np.isfinite(out).all(axis=(-2, -1))
             raise DivergenceError("non-finite routing outputs", index=int(np.argmin(finite)))
@@ -205,10 +205,10 @@ def routing_backward(trace: RoutingTrace, d_out: np.ndarray) -> np.ndarray:
             left.append(d_logits)
             right.append(trace.outputs[it])
             d_v = np.einsum("p...k,p...kn->...kn", d_logits, votes)
-        d_pooled = squash_grad(d_v, trace.pooled[it], axis=-1)
+        d_pooled = squash_grad(d_v, trace.pooled[it])
         left.append(coeff)
         right.append(d_pooled)
-        d_softmax = softmax_grad(np.einsum("...kn,p...kn->p...k", d_pooled, votes), coeff, axis=-1)
+        d_softmax = softmax_grad(np.einsum("...kn,p...kn->p...k", d_pooled, votes), coeff)
         d_logits = d_softmax if d_logits is None else d_logits + d_softmax
     return np.einsum("p...kt,...ktn->p...kn", np.stack(left, axis=-1), np.stack(right, axis=-2),
                      optimize=True)
@@ -309,7 +309,7 @@ def encode(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.n
     )
     primary_pre = (readout @ params["proj.W"] + params["proj.b"]).reshape(
         -1, config.num_primary, config.primary_dim)
-    caps = np.moveaxis(squash(primary_pre, axis=-1), -2, 0)
+    caps = np.moveaxis(squash(primary_pre), -2, 0)
     return caps, {"encoder": cache, "readout": readout, "primary_pre": primary_pre}
 
 
@@ -350,7 +350,7 @@ def backward(trace: ForwardTrace, d_out: np.ndarray, params: Params) -> Params:
     d_transforms, d_primary = predict_capsules_backward(
         routing_backward(trace.routing, d_out), trace.primary, params["caps.W"]
     )
-    d_primary_pre = squash_grad(np.moveaxis(d_primary, 0, -2), trace.primary_pre, axis=-1)
+    d_primary_pre = squash_grad(np.moveaxis(d_primary, 0, -2), trace.primary_pre)
     flat = d_primary_pre.reshape(len(d_primary_pre), -1)
     grads = enc.encoder_backward(params, trace.encoder_cache, flat @ params["proj.W"].T)
     grads["proj.W"] = trace.readout.T @ flat

@@ -48,8 +48,9 @@ def save_checkpoint(path: str, config: ModelConfig, params: Params,
 
 
 def load_checkpoint(path: str):
-    """Returns (config, params, vocab_payload or None); a payload must
-    decode to the config's num_labels labels and speaker_count speakers."""
+    """Returns (config, params, (vocab, speakers) or None): the header's
+    vocabulary payload decoded, which must hold the config's num_labels
+    labels and speaker_count speakers."""
     try:
         with np.load(path) as data:
             if "__meta__" not in data:
@@ -76,16 +77,17 @@ def load_checkpoint(path: str):
             raise FormatError(f"{path}: parameter {name} has shape {params[name].shape}, "
                               f"the config needs {shape}")
     payload = meta.get("vocab")
-    if payload is not None:
-        try:
-            vocab, speakers = vocab_from_payload(payload)
-        except FormatError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
-        if (len(vocab), len(speakers)) != (config.num_labels, config.speaker_count):
-            raise FormatError(f"{path}: vocabulary has {len(vocab)} labels and "
-                              f"{len(speakers)} speakers, the config needs "
-                              f"{config.num_labels} and {config.speaker_count}")
-    return config, params, payload
+    if payload is None:
+        return config, params, None
+    try:
+        vocab, speakers = vocab_from_payload(payload)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    if (len(vocab), len(speakers)) != (config.num_labels, config.speaker_count):
+        raise FormatError(f"{path}: vocabulary has {len(vocab)} labels and "
+                          f"{len(speakers)} speakers, the config needs "
+                          f"{config.num_labels} and {config.speaker_count}")
+    return config, params, (vocab, speakers)
 
 
 def vocab_payload(vocab: LabelVocabulary, speakers: Sequence[str]) -> dict:

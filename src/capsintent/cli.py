@@ -14,7 +14,9 @@ rejected): ``output_dir`` (required); ``seed``; ``corpus`` (required):
 ``routing_iters``, ``speaker_weight`` (the corpus sets ``feat_dim``,
 ``num_labels`` and ``speaker_count``); ``experiment``: ``mode``
 (speaker_independent | speaker_dependent), ``num_blocks``, ``schedule``,
-``repeats``, ``sweep`` (``axis`` output_dim | speaker_weight, ``values``);
+``repeats`` (>= 1), ``sweep`` (``axis`` output_dim | speaker_weight,
+``values``), where ``schedule`` (left out: the default points below
+``num_blocks``) is non-empty, strictly increasing and below ``num_blocks``;
 ``training``: ``epochs``, ``lr``, ``batch_size``, ``early_stop_delta``,
 ``early_stop_patience``, passed to ``experiments.fit``, whose defaults apply
 to the keys left out.
@@ -33,7 +35,7 @@ import yaml
 
 from . import datasets, experiments
 from .capsnet import ModelConfig
-from .checkpoint import load_checkpoint, save_checkpoint, vocab_from_payload, vocab_payload
+from .checkpoint import load_checkpoint, save_checkpoint, vocab_payload
 from .datasets import Corpus, ensure_features, load_manifest
 from .errors import (CapsIntentError, ContractError, DataError, DivergenceError,
                      UsageError, check_types)
@@ -136,6 +138,10 @@ def load_run_config(path: str) -> RunConfig:
     experiment = ExperimentConfig(**{**exp_raw, "sweep": sweep})
     if experiment.mode not in ("speaker_independent", "speaker_dependent"):
         raise UsageError(f"unknown experiment.mode {experiment.mode!r}")
+    if experiment.schedule is None:
+        experiment.schedule = experiments.default_schedule(experiment.num_blocks)
+    experiment.schedule = experiments.validate_schedule(experiment.schedule, experiment.num_blocks)
+    experiments.validate_repeats(experiment.repeats)
 
     training = raw.get("training") or {}
     _check_keys(training, TRAINING_KEYS, "training")
@@ -248,10 +254,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config, params, payload = load_checkpoint(args.checkpoint)
-    if payload is None:
+    config, params, decoded = load_checkpoint(args.checkpoint)
+    if decoded is None:
         raise ContractError(f"{args.checkpoint} carries no vocabulary; cannot decode")
-    vocab, speakers = vocab_from_payload(payload)
+    vocab, speakers = decoded
     corpus = load_manifest(args.manifest)
     for what, names, known, where in (("labels", corpus.vocab.labels, vocab.labels, "vocabulary"),
                                       ("speakers", corpus.speakers, speakers, "roster")):
@@ -291,7 +297,7 @@ def cmd_curve(args) -> int:
     config = model_config_from(run, corpus)
     split = datasets.split_blocks(corpus, run.experiment.num_blocks, run.experiment.mode,
                                   seed=run.seed)
-    schedule = run.experiment.schedule or experiments.default_schedule(split.num_blocks)
+    schedule = run.experiment.schedule     # checked by load_run_config
     out_dir = args.output or run.output_dir
     experiments.write_run_manifest(os.path.join(out_dir, "run.json"),
                                    run.raw, corpus.name, _experiment_seeds(run))

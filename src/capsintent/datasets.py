@@ -252,7 +252,6 @@ class SynthTruth:
     prototypes: np.ndarray        # (K, SEGMENT_FRAMES, feat_dim)
     speaker_offsets: np.ndarray   # (M, feat_dim)
     speaker_rates: np.ndarray     # (M,)
-    segment_frames: int = SEGMENT_FRAMES
 
 
 def synth_truth(spec: SynthSpec, seed: int) -> SynthTruth:

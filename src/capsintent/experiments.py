@@ -278,6 +278,12 @@ def validate_schedule(schedule: Sequence[int], num_blocks: int) -> list[int]:
     return schedule
 
 
+def validate_repeats(repeats: Optional[int]) -> None:
+    """``repeats`` is None (the per-point default) or at least 1."""
+    if repeats is not None and repeats < 1:
+        raise UsageError(f"repeats must be at least 1, got {repeats}")
+
+
 def derive_seed(base: int, *components: int) -> int:
     ss = np.random.SeedSequence([int(base), *[int(c) for c in components]])
     return int(ss.generate_state(1, dtype=np.uint64)[0] & 0x7FFFFFFF)
@@ -318,6 +324,7 @@ def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
     flagged failed and the run continues.
     """
     schedule = validate_schedule(schedule, split.num_blocks)
+    validate_repeats(repeats)
     fit_options = fit_options or {}
     points = []
     for p_idx, k in enumerate(schedule):

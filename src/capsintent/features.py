@@ -1,9 +1,10 @@
 """Audio ingestion and acoustic features.
 
-The fixed front-end recipe: PCM WAV in, resampled to 16 kHz mono, 40 log-mel
-filterbank energies over 25 ms windows with a 10 ms hop, plus delta and
-delta-delta appended (120 coefficients), then per-utterance mean/variance
-normalization. Features are cached on disk keyed by the audio content hash.
+The fixed front-end recipe: PCM WAV in, resampled to ``TARGET_RATE`` (16 kHz)
+mono, ``N_MELS`` (40) log-mel energies over ``WINDOW`` (400-sample, 25 ms)
+Hamming windows every ``HOP`` (160 samples, 10 ms) through an ``N_FFT`` (512)
+point FFT, plus delta and delta-delta (120 coefficients), then per-utterance
+mean/variance normalization. Features are cached keyed by the audio hash.
 """
 
 from __future__ import annotations
@@ -12,25 +13,22 @@ import hashlib
 import os
 import tempfile
 import wave
-from dataclasses import dataclass
 from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .errors import DataError, FormatError, UsageError
+from .errors import DataError, FormatError
 
 TARGET_RATE = 16000
+N_MELS = 40
+WINDOW = 400
+HOP = 160
+N_FFT = 512            # the smallest power of two that holds a window
 LOG_FLOOR = 1e-10
 VARIANCE_FLOOR = 1e-8
 # cache-file suffix, fixed so that caches written by earlier versions, which
 # named files by a digest of these front-end settings, stay valid
 RECIPE_DIGEST = "9c5e0bf70774413e"
-
-
-@dataclass
-class AudioClip:
-    samples: np.ndarray  # float64 in [-1, 1]
-    sample_rate: int
 
 
 def _decode_pcm(raw: bytes, sampwidth: int) -> np.ndarray:
@@ -48,17 +46,17 @@ def _decode_pcm(raw: bytes, sampwidth: int) -> np.ndarray:
     raise FormatError(f"unsupported PCM sample width {sampwidth} bytes")
 
 
-def resample_linear(samples: np.ndarray, src_rate: int, dst_rate: int) -> np.ndarray:
-    """Linear-interpolation resampling; output length round(N * dst/src)."""
-    if src_rate == dst_rate:
+def resample_linear(samples: np.ndarray, src_rate: int) -> np.ndarray:
+    """Linear interpolation to ``TARGET_RATE``; output length round(N * TARGET_RATE / src_rate)."""
+    if src_rate == TARGET_RATE:
         return samples
-    n_out = int(round(len(samples) * dst_rate / src_rate))
-    t_out = np.arange(n_out) * (src_rate / dst_rate)
+    n_out = int(round(len(samples) * TARGET_RATE / src_rate))
+    t_out = np.arange(n_out) * (src_rate / TARGET_RATE)
     return np.interp(t_out, np.arange(len(samples)), samples)
 
 
-def load_wav(path: str) -> AudioClip:
-    """Read a PCM WAV file as mono float64 at 16 kHz.
+def load_wav(path: str) -> np.ndarray:
+    """Read a PCM WAV file as a non-empty 1-D float64 array in [-1, 1], mono at TARGET_RATE.
 
     Multi-channel audio is downmixed by channel average; sample rates other
     than the target are converted by linear interpolation.
@@ -81,10 +79,10 @@ def load_wav(path: str) -> AudioClip:
         raise DataError(f"{path}: empty audio")
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
-    samples = resample_linear(samples, rate, TARGET_RATE)
+    samples = resample_linear(samples, rate)
     if samples.size == 0:
         raise DataError(f"{path}: audio vanished during resampling")
-    return AudioClip(samples=samples, sample_rate=TARGET_RATE)
+    return samples
 
 
 def hz_to_mel(f):
@@ -95,52 +93,38 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int):
-    """Triangular mel filters; returns (filters (n_mels, n_fft//2+1),
-    band edges (n_mels, 3) as [low, center, high] in Hz)."""
-    nyquist = sample_rate / 2.0
-    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(nyquist), n_mels + 2)
+def mel_filterbank():
+    """Triangular mel filters; returns (filters (N_MELS, N_FFT//2+1),
+    band edges (N_MELS, 3) as [low, center, high] in Hz)."""
+    mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(TARGET_RATE / 2.0), N_MELS + 2)
     hz_points = mel_to_hz(mel_points)
-    bins = np.floor((n_fft + 1) * hz_points / sample_rate).astype(int)
-    filters = np.zeros((n_mels, n_fft // 2 + 1))
-    for m in range(n_mels):
+    bins = np.floor((N_FFT + 1) * hz_points / TARGET_RATE).astype(int)
+    filters = np.zeros((N_MELS, N_FFT // 2 + 1))
+    for m in range(N_MELS):
         lo, ctr, hi = bins[m], bins[m + 1], bins[m + 2]
         for k in range(lo, ctr):
-            if ctr > lo:
-                filters[m, k] = (k - lo) / (ctr - lo)
+            filters[m, k] = (k - lo) / (ctr - lo)
         for k in range(ctr, hi):
-            if hi > ctr:
-                filters[m, k] = (hi - k) / (hi - ctr)
+            filters[m, k] = (hi - k) / (hi - ctr)
     edges = np.stack([hz_points[:-2], hz_points[1:-1], hz_points[2:]], axis=1)
     return filters, edges
 
 
-def compute_fbank(clip: AudioClip, n_mels: int = 40, win_ms: float = 25.0,
-                  hop_ms: float = 10.0) -> np.ndarray:
-    """Log mel-filterbank energies, one row per frame.
+def compute_fbank(samples: np.ndarray) -> np.ndarray:
+    """Log mel-filterbank energies of ``load_wav`` samples, one row per frame.
 
-    Frame count is 1 + floor((len - win) / hop); the log argument is floored
-    at 1e-10 so silence maps to log(1e-10) exactly.
+    Frame count is 1 + floor((len - WINDOW) / HOP); the log argument is
+    floored at 1e-10 so silence maps to log(1e-10) exactly.
     """
-    if n_mels < 1:
-        raise UsageError(f"n_mels must be >= 1, got {n_mels}")
-    if not win_ms > hop_ms > 0:
-        raise UsageError(f"need win_ms > hop_ms > 0, got {win_ms}/{hop_ms}")
-    win = int(round(clip.sample_rate * win_ms / 1000.0))
-    hop = int(round(clip.sample_rate * hop_ms / 1000.0))
-    if len(clip.samples) < win:
+    if len(samples) < WINDOW:
         raise DataError(
-            f"clip of {len(clip.samples)} samples is shorter than one {win}-sample window"
+            f"clip of {len(samples)} samples is shorter than one {WINDOW}-sample window"
         )
-    n_frames = 1 + (len(clip.samples) - win) // hop
-    n_fft = 1
-    while n_fft < win:
-        n_fft *= 2
-    window = np.hamming(win)
-    starts = np.arange(n_frames) * hop
-    frames = np.stack([clip.samples[s:s + win] for s in starts]) * window
-    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2 / n_fft
-    filters, _ = mel_filterbank(n_mels, n_fft, clip.sample_rate)
+    n_frames = 1 + (len(samples) - WINDOW) // HOP
+    starts = np.arange(n_frames) * HOP
+    frames = np.stack([samples[s:s + WINDOW] for s in starts]) * np.hamming(WINDOW)
+    power = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1)) ** 2 / N_FFT
+    filters, _ = mel_filterbank()
     energies = power @ filters.T
     return np.log(np.maximum(energies, LOG_FLOOR))
 
@@ -178,9 +162,9 @@ def normalize(feats: np.ndarray) -> np.ndarray:
     return (feats - mean) / std
 
 
-def compute_features(clip: AudioClip) -> np.ndarray:
+def compute_features(samples: np.ndarray) -> np.ndarray:
     """The fixed front end: (frames, 120) normalized log-mel+delta+delta-delta."""
-    return normalize(add_deltas(compute_fbank(clip)))
+    return normalize(add_deltas(compute_fbank(samples)))
 
 
 def atomic_write(path: str, write: Callable[[BinaryIO], object]) -> None:

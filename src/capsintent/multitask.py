@@ -80,7 +80,7 @@ def speaker_distribution(avg: AverageCapsule, params: Params) -> np.ndarray:
         raise ShapeError(f"average capsule dim {avg.vector.shape[-1]} "
                          f"!= projection rows {w.shape[0]}")
     logits = avg.vector @ w + params["spk.b"]
-    return softmax(logits, axis=-1)
+    return softmax(logits)
 
 
 def speaker_loss(probs: np.ndarray, speaker_index) -> np.ndarray:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import capsintent.model as model
-from capsintent import checkpoint
+from capsintent import checkpoint, datasets
 from capsintent.errors import FormatError
 
 from helpers import tiny_model_config
@@ -17,9 +17,9 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "m.npz"
     payload = {"labels": ["a", "b", "c", "d"], "slot_groups": [], "speakers": ["x", "y", "z"]}
     checkpoint.save_checkpoint(str(path), cfg, params, vocab_payload=payload)
-    cfg2, params2, payload2 = checkpoint.load_checkpoint(str(path))
+    cfg2, params2, decoded = checkpoint.load_checkpoint(str(path))
     assert cfg2 == cfg
-    assert payload2 == payload
+    assert decoded == (datasets.LabelVocabulary(labels=("a", "b", "c", "d")), ["x", "y", "z"])
     assert set(params2) == set(params)
     for key in params:
         assert params2[key].tobytes() == params[key].tobytes()
@@ -246,9 +246,9 @@ def test_earlier_header_with_retired_keys_and_seed_loads(tmp_path):
     checkpoint.save_checkpoint(str(path), cfg, params, vocab_payload=GOOD_VOCAB)
     old = _resave(path, tmp_path / "old.npz", config={**dataclasses.asdict(cfg), **RETIRED},
                   seed=cfg.seed)
-    cfg2, params2, payload2 = checkpoint.load_checkpoint(old)
+    cfg2, params2, decoded = checkpoint.load_checkpoint(old)
     assert cfg2 == cfg
-    assert payload2 == GOOD_VOCAB
+    assert decoded == checkpoint.vocab_from_payload(GOOD_VOCAB)
     assert set(params2) == set(params)
     for key in params:
         assert params2[key].tobytes() == params[key].tobytes()

@@ -139,6 +139,36 @@ def test_invalid_model_section_is_usage_error_before_the_corpus(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("experiment, message", [
+    ({"num_blocks": 4, "schedule": [5]}, "largest schedule point 5 must be < 4 blocks"),
+    ({"num_blocks": 4, "schedule": []}, "schedule is empty"),
+    ({"num_blocks": 4, "schedule": [1], "repeats": 0}, "repeats must be at least 1"),
+], ids=["schedule_beyond_blocks", "empty_schedule", "zero_repeats"])
+def test_invalid_curve_plan_is_usage_error_before_the_corpus(tmp_path, capsys, monkeypatch,
+                                                              experiment, message):
+    path = write_config(tmp_path, experiment=experiment)
+    assert cli.main(["validate-config", path]) == 2
+    assert message in capsys.readouterr().err
+
+    def no_corpus(*args, **kw):
+        raise AssertionError("curve built a corpus for an invalid experiment section")
+
+    monkeypatch.setattr(cli, "build_corpus", no_corpus)
+    assert cli.main(["curve", path]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_left_out_schedule_is_the_default_below_num_blocks(tmp_path):
+    path = write_config(tmp_path)
+    with open(path) as fh:
+        raw = yaml.safe_load(fh)
+    del raw["experiment"]["schedule"]
+    with open(path, "w") as fh:
+        yaml.safe_dump(raw, fh)
+    assert cli.load_run_config(path).experiment.schedule == [1, 2, 3]
+
+
 @pytest.mark.parametrize("model", [{"margin_present": 0.9}, {"margin_absent": 0.1},
                                    {"absent_loss_scale": 1.0}, {"speaker_bias": True},
                                    {"feat_dim": 16}],
@@ -415,7 +445,6 @@ def test_eval_non_finite_features_is_data_error(tmp_path, capsys):
 
 def test_eval_metrics_equal_evaluate_model(tmp_path):
     from capsintent import experiments
-    from capsintent.checkpoint import vocab_from_payload
 
     root = make_audio_corpus_tree(tmp_path)
     cache = str(tmp_path / "cache")
@@ -433,8 +462,7 @@ def test_eval_metrics_equal_evaluate_model(tmp_path):
     assert cli.main(["eval", "--checkpoint", ckpt, "--manifest", str(manifest),
                      "--cache-dir", cache, "--output", str(eval_dir)]) == 0
 
-    config, params, payload = load_checkpoint(ckpt)
-    vocab, speakers = vocab_from_payload(payload)
+    config, params, (vocab, speakers) = load_checkpoint(ckpt)
     corpus = datasets.load_manifest(str(manifest))
     datasets.ensure_features(corpus, cache_dir=cache)
     assert list(corpus.speakers) == speakers

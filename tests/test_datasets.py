@@ -88,7 +88,7 @@ def test_synth_speaker_rate_changes_length():
     corpus = datasets.synth_generate(spec, seed=3)
     truth = datasets.synth_truth(spec, seed=3)
     for utt in corpus.utterances:
-        expected = int(round(truth.speaker_rates[utt.speaker_index] * truth.segment_frames))
+        expected = int(round(truth.speaker_rates[utt.speaker_index] * datasets.SEGMENT_FRAMES))
         assert utt.features.shape[0] == expected
 
 

@@ -155,6 +155,19 @@ def test_learning_curve_repeats_and_stddev():
     assert not points[0].failed
 
 
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_learning_curve_rejects_repeats_below_one_before_fitting(monkeypatch, repeats):
+    corpus = _small_corpus(per_speaker=8)
+    split = datasets.split_blocks(corpus, 4, "speaker_independent", seed=1)
+
+    def no_fit(*args, **kw):
+        raise AssertionError("learning_curve fitted before checking repeats")
+
+    monkeypatch.setattr(experiments, "fit", no_fit)
+    with pytest.raises(UsageError, match="repeats must be at least 1"):
+        experiments.learning_curve(corpus, split, [1], _small_config(), repeats=repeats)
+
+
 def test_learning_curve_dependent_mode():
     corpus = _small_corpus(per_speaker=12, noise=0.1)
     split = datasets.split_blocks(corpus, 4, "speaker_dependent", seed=1)
