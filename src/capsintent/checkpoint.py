@@ -5,9 +5,9 @@ A checkpoint is a single ``.npz`` file with a versioned JSON header under the
 optionally the label vocabulary and speaker roster) plus one array entry per
 parameter path prefixed with ``param/``. Writes are atomic
 (``features.atomic_write``). Loading validates the header's config, the
-vocabulary and roster, and every parameter's name and shape against that
-config, so a bad file fails when it is read, not at first use. Headers of
-earlier versions load too: their top-level copy of the seed is ignored.
+vocabulary and roster, every parameter's name and shape against that config
+and its values (finite float64), so a bad file fails when it is read, not at
+first use. Headers of earlier versions load too: their top-level seed is ignored.
 """
 
 from __future__ import annotations
@@ -73,9 +73,14 @@ def load_checkpoint(path: str):
         raise FormatError(f"{path}: parameters missing {sorted(set(expected) - set(params))}, "
                           f"unexpected {sorted(set(params) - set(expected))}")
     for name, shape in expected.items():
-        if params[name].shape != shape:
-            raise FormatError(f"{path}: parameter {name} has shape {params[name].shape}, "
+        value = params[name]
+        if value.shape != shape:
+            raise FormatError(f"{path}: parameter {name} has shape {value.shape}, "
                               f"the config needs {shape}")
+        if value.dtype != np.float64:
+            raise FormatError(f"{path}: parameter {name} has dtype {value.dtype}, not float64")
+        if not np.isfinite(value).all():
+            raise FormatError(f"{path}: parameter {name} holds non-finite values")
     payload = meta.get("vocab")
     if payload is None:
         return config, params, None

@@ -8,7 +8,7 @@ success, 2 usage/config errors, 3 training divergence, 4 data errors.
 Config keys (unknown keys, and values not of the key's declared type, are
 rejected): ``output_dir`` (required); ``seed``; ``corpus`` (required):
 ``kind`` (synth | grabo | fluent | manifest), ``root``, ``manifest``,
-``cache_dir``, and for synth ``preset``, ``per_speaker_count``,
+``cache_dir``, and for synth (the ``mimic_grabo`` corpus) ``per_speaker_count``,
 ``noise_level``, ``feat_dim``, ``seed``; ``model``: ``encoder_hidden``,
 ``encoder_layers``, ``num_primary``, ``primary_dim``, ``output_dim``,
 ``routing_iters``, ``speaker_weight`` (the corpus sets ``feat_dim``,
@@ -17,9 +17,8 @@ rejected): ``output_dir`` (required); ``seed``; ``corpus`` (required):
 ``repeats`` (>= 1), ``sweep`` (``axis`` output_dim | speaker_weight,
 ``values``), where ``schedule`` (left out: the default points below
 ``num_blocks``) is non-empty, strictly increasing and below ``num_blocks``;
-``training``: ``epochs``, ``lr``, ``batch_size``, ``early_stop_delta``,
-``early_stop_patience``, passed to ``experiments.fit``, whose defaults apply
-to the keys left out.
+``training``: ``epochs``, passed to ``experiments.fit``, whose default
+applies when it is left out; the rest of the training recipe is fixed.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ CACHE_ENV_VAR = "CAPSINTENT_CACHE_DIR"
 # the corpus sets feat_dim, num_labels and speaker_count, the top-level seed sets seed
 MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"feat_dim", "num_labels", "speaker_count",
                                                       "seed"}
-TRAINING_KEYS = {"epochs", "lr", "batch_size", "early_stop_delta", "early_stop_patience"}
+TRAINING_KEYS = {"epochs"}
 
 
 @dataclass
@@ -55,7 +54,6 @@ class CorpusConfig:
     kind: str
     root: Optional[str] = None
     manifest: Optional[str] = None
-    preset: Optional[str] = None
     per_speaker_count: Optional[int] = None
     noise_level: Optional[float] = None
     feat_dim: Optional[int] = None
@@ -119,8 +117,6 @@ def load_run_config(path: str) -> RunConfig:
         raise UsageError(f"corpus.root is required for kind {corpus_cfg.kind!r}")
     if corpus_cfg.kind == "manifest" and not corpus_cfg.manifest:
         raise UsageError("corpus.manifest is required for kind 'manifest'")
-    if corpus_cfg.kind == "synth" and not corpus_cfg.preset:
-        raise UsageError("corpus.preset is required for kind 'synth'")
 
     model_raw = raw.get("model") or {}
     _check_keys(model_raw, MODEL_KEYS, "model")
@@ -175,18 +171,9 @@ def build_corpus(run: RunConfig, cache_override: Optional[str] = None,
                  with_features: bool = True) -> Corpus:
     cc = run.corpus
     if cc.kind == "synth":
-        if cc.preset not in datasets.SYNTH_PRESETS:
-            raise UsageError(
-                f"unknown synth preset {cc.preset!r}; available: {sorted(datasets.SYNTH_PRESETS)}"
-            )
-        kwargs = {}
-        if cc.per_speaker_count is not None:
-            kwargs["per_speaker_count"] = cc.per_speaker_count
-        if cc.noise_level is not None:
-            kwargs["noise_level"] = cc.noise_level
-        if cc.feat_dim is not None:
-            kwargs["feat_dim"] = cc.feat_dim
-        spec = datasets.SYNTH_PRESETS[cc.preset](**kwargs)
+        spec = datasets.mimic_grabo_spec(**{
+            key: getattr(cc, key) for key in ("per_speaker_count", "noise_level", "feat_dim")
+            if getattr(cc, key) is not None})
         return datasets.synth_generate(spec, seed=cc.seed if cc.seed is not None else run.seed)
     if cc.kind == "grabo":
         corpus = datasets.load_grabo(cc.root)

@@ -10,6 +10,7 @@ label names (no colon) are ungrouped booleans.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import os
 import xml.etree.ElementTree as ET
@@ -20,7 +21,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .errors import DataError, UsageError
-from .features import FeatureCache, compute_features, load_wav
+from .features import FeatureCache, atomic_write, compute_features, load_wav
 
 log = logging.getLogger(__name__)
 
@@ -230,8 +231,6 @@ def mimic_grabo_spec(per_speaker_count: int = 364, noise_level: float = 0.3,
         noise_level=noise_level,
     )
 
-SYNTH_PRESETS = {"mimic_grabo": mimic_grabo_spec}
-
 
 def _synth_vocab(spec: SynthSpec) -> LabelVocabulary:
     labels: list[str] = []
@@ -338,19 +337,17 @@ MANIFEST_HEADER = ["id", "audio", "speaker", "labels"]
 
 
 def write_manifest(corpus: Corpus, path: str) -> None:
-    """One CSV row per utterance: id, audio path, speaker, ';'-joined labels."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_HEADER)
-        for utt in corpus.utterances:
-            if utt.audio_path is None:
-                raise UsageError(f"{utt.id}: manifests need audio-backed utterances")
-            writer.writerow([
-                utt.id,
-                utt.audio_path,
-                corpus.speakers[utt.speaker_index],
-                ";".join(corpus.vocab.names_of(utt.target)),
-            ])
+    """One CSV row per utterance: id, audio path, speaker, ';'-joined labels;
+    written atomically, so a corpus that cannot be written leaves ``path`` as it was."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(MANIFEST_HEADER)
+    for utt in corpus.utterances:
+        if utt.audio_path is None:
+            raise UsageError(f"{utt.id}: manifests need audio-backed utterances")
+        writer.writerow([utt.id, utt.audio_path, corpus.speakers[utt.speaker_index],
+                         ";".join(corpus.vocab.names_of(utt.target))])
+    atomic_write(path, lambda fh: fh.write(text.getvalue().encode()))
 
 
 def _corpus_from_rows(name: str, rows: list[tuple], speakers: Optional[list[str]] = None,

@@ -1,10 +1,11 @@
 """Cross-validation learning curves, parameter sweeps, metrics, and training.
 
-Training is plain mini-batch Adam with early stopping once the epoch-mean
-total loss stops improving by ``early_stop_delta`` for ``early_stop_patience``
-consecutive epochs; ``fit``'s signature holds the defaults. Each minibatch
-goes through the model as one padded, length-masked batch (one
-``model.loss_and_grads`` call) and the step uses the mean gradient.
+Training is one fixed recipe, bar the epoch budget: Adam with step ``ADAM_LR``
+over minibatches of ``BATCH_SIZE``, stopping early once the epoch-mean total
+loss fails to improve by ``EARLY_STOP_DELTA`` for ``EARLY_STOP_PATIENCE``
+consecutive epochs. Each minibatch goes through the model as one padded,
+length-masked batch (one ``model.loss_and_grads`` call) and the step uses the
+mean gradient.
 Everything is deterministic from the config seed; curve points derive
 per-(point, repeat) seeds from it.
 """
@@ -107,11 +108,14 @@ def scores(preds: Sequence, pred_speakers: Sequence[int], ref_labels: Sequence,
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_LR = 1e-3
+BATCH_SIZE = 32
+EARLY_STOP_DELTA = 1e-4
+EARLY_STOP_PATIENCE = 5
 
 
 class Adam:
-    def __init__(self, params: Params, lr: float):
-        self.lr = lr
+    def __init__(self, params: Params):
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
@@ -126,7 +130,7 @@ class Adam:
             self.v[key] = ADAM_BETA2 * self.v[key] + (1.0 - ADAM_BETA2) * (g * g)
             m_hat = self.m[key] / correct1
             v_hat = self.v[key] / correct2
-            params[key] -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            params[key] -= ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -145,30 +149,25 @@ class FitResult:
 
 
 def fit(train: Sequence[Utterance], config: ModelConfig, *,
-        epochs: int = 60, lr: float = 1e-3, batch_size: int = 32,
-        early_stop_delta: float = 1e-4, early_stop_patience: int = 5,
-        valid: Optional[Sequence[Utterance]] = None,
+        epochs: int = 60, valid: Optional[Sequence[Utterance]] = None,
         vocab: Optional[LabelVocabulary] = None) -> FitResult:
     """Train a fresh model on ``train``.
 
     With ``valid`` and ``vocab`` (which needs slot groups) the epoch
     checkpoint with the best intent accuracy on the validation set is
-    returned instead of the final one. An incomplete selection setup, or an
-    ``epochs``, ``batch_size`` or ``early_stop_patience`` below 1, is a
-    UsageError before the first step.
+    returned instead of the final one. An incomplete selection setup, or
+    ``epochs`` below 1, is a UsageError before the first step.
     """
     if not train:
         raise UsageError("cannot fit on an empty training set")
-    for name, value in (("epochs", epochs), ("batch_size", batch_size),
-                        ("early_stop_patience", early_stop_patience)):
-        if value < 1:
-            raise UsageError(f"{name} must be at least 1, got {value}")
+    if epochs < 1:
+        raise UsageError(f"epochs must be at least 1, got {epochs}")
     select = valid is not None or vocab is not None
     if select and (not valid or vocab is None or not vocab.slot_groups):
         raise UsageError("validation selection needs valid utterances and a vocabulary "
                          "with slot groups")
     params = model.init_params(config)
-    opt = Adam(params, lr=lr)
+    opt = Adam(params)
     order_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
     history: list[EpochStats] = []
     stopped_early = False
@@ -179,8 +178,8 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
     for epoch in range(epochs):
         perm = order_rng.permutation(n)
         sums = np.zeros(3)
-        for start in range(0, n, batch_size):
-            batch = [train[i] for i in perm[start:start + batch_size]]
+        for start in range(0, n, BATCH_SIZE):
+            batch = [train[i] for i in perm[start:start + BATCH_SIZE]]
             try:
                 breakdown, grads = model.loss_and_grads(
                     [u.features for u in batch], [u.target for u in batch],
@@ -200,9 +199,9 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
             if score > best_score:
                 best_score, best_epoch = score, epoch
                 best_params = {k: v.copy() for k, v in params.items()}
-        if prev_total is not None and prev_total - stats.total_loss < early_stop_delta:
+        if prev_total is not None and prev_total - stats.total_loss < EARLY_STOP_DELTA:
             streak += 1
-            if streak >= early_stop_patience:
+            if streak >= EARLY_STOP_PATIENCE:
                 stopped_early = True
                 break
         else:
@@ -259,6 +258,8 @@ class SweepSpec:
             raise UsageError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise UsageError("sweep needs at least one value")
+        if len(set(self.values)) < len(self.values):   # run_sweep keys curves by value
+            raise UsageError(f"sweep values must differ, got {self.values}")
         if self.axis == "output_dim" and not all(isinstance(v, int) for v in self.values):
             raise UsageError(f"output_dim sweep values must be integers, got {self.values}")
 

@@ -196,9 +196,9 @@ def _file_digest(path: str) -> str:
 class FeatureCache:
     """Disk cache of per-utterance feature matrices.
 
-    One ``.npy`` file (float64, shape (frames, dim)) per utterance, named
-    ``<audio-sha256-prefix>_<RECIPE_DIGEST>.npy``. Writes go through
-    ``atomic_write``, so concurrent writers of the same key are safe.
+    One ``.npy`` file per utterance, named ``<audio-sha256-prefix>_<RECIPE_DIGEST>.npy``,
+    checked at lookup to hold a finite float64 (frames, 3 * N_MELS) matrix. Writes go
+    through ``atomic_write``, so concurrent writers of the same key are safe.
     """
 
     def __init__(self, directory: str):
@@ -210,9 +210,19 @@ class FeatureCache:
 
     def lookup(self, audio_path: str):
         key = self._key_path(audio_path)
-        if os.path.exists(key):
-            return np.load(key)
-        return None
+        if not os.path.exists(key):
+            return None
+        try:
+            feats = np.load(key)
+        except (OSError, ValueError, EOFError) as exc:
+            raise FormatError(f"cannot read feature cache entry {key}: {exc}") from exc
+        if not (isinstance(feats, np.ndarray) and feats.dtype == np.float64
+                and feats.shape[1:] == (3 * N_MELS,) and len(feats) >= 1):
+            raise FormatError(f"feature cache entry {key} is not a float64 "
+                              f"(frames >= 1, {3 * N_MELS}) matrix")
+        if not np.isfinite(feats).all():
+            raise FormatError(f"feature cache entry {key} holds non-finite values")
+        return feats
 
     def store(self, audio_path: str, feats: np.ndarray) -> None:
         atomic_write(self._key_path(audio_path), lambda fh: np.save(fh, feats))

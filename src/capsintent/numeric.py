@@ -16,6 +16,7 @@ from .errors import ContractError, UsageError
 Params = dict[str, np.ndarray]
 
 REL_ERR_FLOOR = 1e-12
+FD_STEP = 1e-5       # central-difference step of grad_check
 
 
 def softmax(v: np.ndarray) -> np.ndarray:
@@ -49,19 +50,16 @@ def grad_check(
     loss_fn: Callable[[Params], float],
     analytic_grads: Callable[[Params], Mapping[str, np.ndarray]],
     params: Params,
-    step: float = 1e-5,
 ) -> GradCheckReport:
     """Check analytic gradients of a scalar loss against central differences.
 
-    Every scalar entry of every parameter tensor is perturbed by ``+step`` and
-    ``-step``; the numeric derivative (f+ - f-) / (2*step) is compared to the
-    analytic one with relative error |a - n| / max(|a| + |n|, 1e-12).
+    Every scalar entry of every parameter tensor is perturbed by ``+FD_STEP``
+    and ``-FD_STEP``; the numeric derivative (f+ - f-) / (2*FD_STEP) is compared
+    to the analytic one with relative error |a - n| / max(|a| + |n|, 1e-12).
 
     ``loss_fn`` must be deterministic: it is evaluated twice up front and a
     ContractError is raised if the two values differ.
     """
-    if step <= 0:
-        raise UsageError(f"grad_check step must be positive, got {step}")
     work = {k: np.array(v, dtype=np.float64) for k, v in params.items()}
 
     first, second = loss_fn(work), loss_fn(work)
@@ -85,12 +83,12 @@ def grad_check(
         gflat = grad.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
-            flat[idx] = orig + step
+            flat[idx] = orig + FD_STEP
             f_plus = loss_fn(work)
-            flat[idx] = orig - step
+            flat[idx] = orig - FD_STEP
             f_minus = loss_fn(work)
             flat[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             analytic = gflat[idx]
             err = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), REL_ERR_FLOOR)
             checked += 1

@@ -95,6 +95,39 @@ def test_checkpoint_missing_or_extra_parameter_rejected(tmp_path):
         checkpoint.load_checkpoint(_resave(path, tmp_path / "b.npz", params=extra))
 
 
+@pytest.mark.parametrize("entry, match", [
+    (np.nan, "non-finite"), (np.inf, "non-finite"), (None, "dtype int64"),
+], ids=["nan", "inf", "int64"])
+def test_checkpoint_parameter_values_must_be_finite_float64(tmp_path, entry, match):
+    cfg = tiny_model_config()
+    params = model.init_params(cfg)
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, params)
+    bad = dict(params)
+    if entry is None:
+        bad["caps.W"] = np.zeros(params["caps.W"].shape, dtype=np.int64)
+    else:
+        bad["caps.W"] = params["caps.W"].copy()
+        bad["caps.W"].flat[5] = entry
+    with pytest.raises(FormatError, match=f"parameter caps.W .*{match}"):
+        checkpoint.load_checkpoint(_resave(path, tmp_path / "bad.npz", params=bad))
+
+
+def test_eval_with_non_finite_parameter_is_data_error(tmp_path, capsys):
+    from capsintent import cli
+
+    cfg = tiny_model_config()
+    params = model.init_params(cfg)
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, params, vocab_payload=GOOD_VOCAB)
+    bad = _resave(path, tmp_path / "bad.npz", params={**params, "caps.W": params["caps.W"] * np.nan})
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
+    assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(manifest)]) == 4
+    err = capsys.readouterr().err
+    assert "parameter caps.W holds non-finite values" in err and "diverged" not in err
+
+
 def test_checkpoint_bad_config_rejected(tmp_path):
     cfg = tiny_model_config()
     path = tmp_path / "m.npz"

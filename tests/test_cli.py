@@ -35,7 +35,7 @@ def write_config(tmp_path, **overrides):
     config = {
         "seed": 1,
         "output_dir": str(tmp_path / "out"),
-        "corpus": {"kind": "synth", "preset": "mimic_grabo",
+        "corpus": {"kind": "synth",
                    "per_speaker_count": 4, "noise_level": 0.1, "seed": 2},
         "model": {"encoder_hidden": 6, "num_primary": 4, "primary_dim": 3,
                   "output_dim": 4, "routing_iters": 2, "speaker_weight": 0.5},
@@ -79,14 +79,14 @@ def test_validate_config_section_not_a_mapping(tmp_path, capsys, section):
 
 @pytest.mark.parametrize("override, key", [
     ({"training": {"epochs": "2"}}, "training.epochs"),
-    ({"training": {"batch_size": True}}, "training.batch_size"),
+    ({"training": {"epochs": True}}, "training.epochs"),
     ({"model": {"encoder_hidden": "4"}}, "model.encoder_hidden"),
     ({"model": {"encoder_layers": True}}, "model.encoder_layers"),
     ({"seed": "abc"}, "seed"),
     ({"experiment": {"num_blocks": "5"}}, "experiment.num_blocks"),
     ({"experiment": {"schedule": [1, "2"]}}, "experiment.schedule"),
     ({"corpus": {"noise_level": "high"}}, "corpus.noise_level"),
-], ids=["str_epochs", "bool_batch_size", "str_hidden", "int_bool", "str_seed",
+], ids=["str_epochs", "bool_epochs", "str_hidden", "int_bool", "str_seed",
         "str_num_blocks", "str_in_schedule", "str_noise"])
 def test_validate_config_value_of_wrong_type(tmp_path, capsys, override, key):
     path = write_config(tmp_path, **override)
@@ -95,9 +95,28 @@ def test_validate_config_value_of_wrong_type(tmp_path, capsys, override, key):
 
 
 def test_validate_config_int_where_float_belongs(tmp_path):
-    path = write_config(tmp_path, training={"lr": 1}, model={"speaker_weight": 1},
-                        corpus={"noise_level": 0})
+    path = write_config(tmp_path, model={"speaker_weight": 1}, corpus={"noise_level": 0})
     assert cli.main(["validate-config", path]) == 0
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("training", "lr", 1e-3), ("training", "batch_size", 32),
+    ("training", "early_stop_delta", 1e-4), ("training", "early_stop_patience", 5),
+    ("corpus", "preset", "mimic_grabo"),
+])
+@pytest.mark.parametrize("command", ["validate-config", "train"])
+def test_retired_fixed_settings_are_unknown_keys(tmp_path, capsys, section, key, value, command):
+    path = write_config(tmp_path, **{section: {key: value}})
+    assert cli.main([command, path]) == 2
+    assert f"unknown {section} config keys: ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_sweep_values_are_usage_error(tmp_path, capsys):
+    path = write_config(tmp_path, experiment={
+        "sweep": {"axis": "speaker_weight", "values": [1, 1.0, 0]}})
+    assert cli.main(["validate-config", path]) == 2
+    assert "sweep values must differ" in capsys.readouterr().err
 
 
 def test_train_with_zero_epochs_is_usage_error(tmp_path, capsys):
@@ -215,6 +234,21 @@ def test_features_command_and_cache(tmp_path, capsys):
     assert cli.main(["features", path]) == 0
     out = capsys.readouterr().out
     assert "computed=0" in out and "skipped(cached)=12" in out
+
+
+def test_features_command_counts_bad_cache_entries_as_failed(tmp_path, capsys):
+    root = make_audio_corpus_tree(tmp_path)
+    cache = tmp_path / "cache"
+    path = write_config(tmp_path, corpus={"kind": "grabo", "root": str(root),
+                                          "cache_dir": str(cache)})
+    assert cli.main(["features", path]) == 0
+    entries = sorted(cache.iterdir())
+    entries[0].write_bytes(b"garbage, not an array")
+    np.save(entries[1], np.array([0.5, np.nan]))
+    capsys.readouterr()
+    assert cli.main(["features", path]) == 0
+    out = capsys.readouterr().out
+    assert "skipped(cached)=10" in out and "failed=2" in out
 
 
 def test_features_command_rejects_synth(tmp_path):

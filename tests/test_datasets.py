@@ -162,6 +162,18 @@ def test_manifest_roundtrip(tmp_path):
         assert orig.speaker_index == back.speaker_index
 
 
+def test_manifest_write_failure_leaves_old_file(tmp_path):
+    corpus = _audio_corpus(tmp_path)
+    manifest = tmp_path / "corpus.csv"
+    datasets.write_manifest(corpus, str(manifest))
+    before = manifest.read_bytes()
+    corpus.utterances[1].audio_path = None
+    with pytest.raises(UsageError, match=corpus.utterances[1].id):
+        datasets.write_manifest(corpus, str(manifest))
+    assert manifest.read_bytes() == before
+    assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
+
+
 def test_manifest_missing_file():
     with pytest.raises(UsageError):
         datasets.load_manifest("/nonexistent/manifest.csv")

@@ -57,11 +57,12 @@ def test_fit_empty_training_set():
         experiments.fit([], _small_config())
 
 
-def test_fit_early_stopping_on_plateau():
+def test_fit_early_stopping_on_plateau(monkeypatch):
+    monkeypatch.setattr(experiments, "EARLY_STOP_DELTA", 1e9)
+    monkeypatch.setattr(experiments, "EARLY_STOP_PATIENCE", 2)
     corpus = _small_corpus(per_speaker=10)
     cfg = _small_config()
-    result = experiments.fit(corpus.utterances, cfg, epochs=50,
-                             early_stop_delta=1e9, early_stop_patience=2)
+    result = experiments.fit(corpus.utterances, cfg, epochs=50)
     # improvement can never beat a huge delta, so training stops after
     # patience epochs beyond the first
     assert result.stopped_early
@@ -200,6 +201,9 @@ def test_sweep_spec_validation():
         experiments.SweepSpec("output_dim", [])
     with pytest.raises(UsageError, match="integers"):
         experiments.SweepSpec("output_dim", [2, 4.0])
+    for axis, values in (("speaker_weight", [1, 1.0, 0]), ("output_dim", [4, 2, 4])):
+        with pytest.raises(UsageError, match="sweep values must differ"):
+            experiments.SweepSpec(axis, values)
 
 
 def test_derive_seed_stable_and_distinct():
@@ -283,7 +287,7 @@ def test_fit_rejects_bad_selection_before_training(monkeypatch, kwargs, match):
         experiments.fit(corpus.utterances, _small_config(), epochs=1, **options)
 
 
-@pytest.mark.parametrize("option", ["epochs", "batch_size", "early_stop_patience"])
+@pytest.mark.parametrize("option", ["epochs"])
 def test_fit_rejects_counts_below_one_before_training(monkeypatch, option):
     corpus = _small_corpus(per_speaker=4)
 

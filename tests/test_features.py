@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import os
 import threading
@@ -124,6 +125,32 @@ def test_cache_key_depends_on_content(tmp_path, wav_factory):
     cache.get_or_compute(p1)
     cache.get_or_compute(p2)
     assert len(os.listdir(tmp_path / "cache")) == 2
+
+
+def _entry_bytes(value):
+    buf = io.BytesIO()
+    np.save(buf, value)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("content, match", [
+    (b"garbage, not an array", "cannot read feature cache entry"),
+    (b"", "cannot read feature cache entry"),
+    (_entry_bytes(np.array([0.5, np.nan])), "is not a float64"),
+    (_entry_bytes(np.zeros((4, 120), dtype=np.int64)), "is not a float64"),
+    (_entry_bytes(np.zeros((4, 40))), "is not a float64"),
+    (_entry_bytes(np.zeros((0, 120))), "is not a float64"),
+    (_entry_bytes(np.full((4, 120), np.inf)), "holds non-finite values"),
+], ids=["garbage", "empty", "1d_nan", "int64", "wrong_width", "no_frames", "inf"])
+def test_cache_rejects_bad_entries(tmp_path, wav_factory, content, match):
+    path = wav_factory("b.wav", np.random.default_rng(10).uniform(-0.5, 0.5, 8000))
+    cache = features.FeatureCache(str(tmp_path / "cache"))
+    cache.get_or_compute(path)
+    (entry,) = (tmp_path / "cache").iterdir()
+    entry.write_bytes(content)
+    with pytest.raises(FormatError, match=match) as info:
+        cache.lookup(path)
+    assert entry.name in str(info.value)
 
 
 def test_cache_concurrent_writers(tmp_path, wav_factory):

@@ -225,7 +225,7 @@ def test_divergence_names_the_first_bad_utterance():
                                  features=bad.features * np.inf)
     with pytest.warns(RuntimeWarning), \
             pytest.raises(DivergenceError, match=f"utterance {bad.id}$"):
-        experiments.fit(utts, _small_config(), epochs=1, batch_size=len(utts))
+        experiments.fit(utts, _small_config(), epochs=1)
 
 
 def test_routing_overflow_in_loss_and_grads_is_divergence():
@@ -253,7 +253,7 @@ def test_fit_names_the_utterance_whose_routing_overflows(monkeypatch):
     monkeypatch.setattr(model, "init_params", exploding)
     utts = list(_small_corpus(per_speaker=2).utterances)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
-        experiments.fit(utts, _small_config(), epochs=1, batch_size=len(utts))
+        experiments.fit(utts, _small_config(), epochs=1)
     assert str(info.value).startswith("non-finite loss at epoch 0, utterance ")
 
 

@@ -73,11 +73,6 @@ def test_grad_check_detects_nondeterminism():
         numeric.grad_check(noisy, lambda p: {"x": np.zeros(1)}, {"x": np.zeros(1)})
 
 
-def test_grad_check_rejects_bad_step():
-    with pytest.raises(UsageError):
-        numeric.grad_check(lambda p: 0.0, lambda p: {}, {}, step=0.0)
-
-
 def test_grad_check_does_not_mutate_params():
     theta = {"x": np.array([1.0, -2.0])}
     numeric.grad_check(
