@@ -36,5 +36,6 @@ for it, c in enumerate(trace.coefficients):
     means = "  ".join(f"utt {b}: {c[:, b].mean(axis=0).round(3)}" for b in range(B))
     print(f"iteration {it}: mean coupling per output  {means}")
 for b in range(B):
-    print(f"utterance {b} output norms: {caps.norms[b].round(3)}  (capsule {b + 1} wins)")
+    norms = np.linalg.norm(caps[b], axis=-1)
+    print(f"utterance {b} output norms: {norms.round(3)}  (capsule {b + 1} wins)")
 print(f"coefficient rows sum to 1: {np.allclose(trace.coefficients[-1].sum(axis=-1), 1.0)}")

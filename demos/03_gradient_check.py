@@ -22,7 +22,7 @@ targets = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
 speakers = [2, 0, 1]
 
 report = grad_check(
-    lambda p: float(np.sum(model.loss_and_grads(feats, targets, speakers, p, cfg)[0].total)),
+    lambda p: float(np.sum(model.loss_and_grads(feats, targets, speakers, p, cfg)[0].total_loss)),
     lambda p: model.loss_and_grads(feats, targets, speakers, p, cfg)[1],
     params,
 )

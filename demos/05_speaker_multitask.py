@@ -33,8 +33,8 @@ for weight in (0.0, 1.0):
                          routing_iters=3, speaker_weight=weight, seed=1)
     result = fit(train, config, epochs=30)
     scores = evaluate_model(test, result.params, config, corpus.vocab)
-    caps = evaluate([utt.features for utt in test[:50]], result.params, config).capsules
-    z_norms = np.linalg.norm(average_capsule(caps).vector, axis=-1)
+    caps, _ = evaluate([utt.features for utt in test[:50]], result.params, config)
+    z_norms = np.linalg.norm(average_capsule(caps), axis=-1)
     print(f"speaker_weight={weight}: f1={scores['f1']:.3f} "
           f"speaker_acc={scores['speaker_accuracy']:.3f} "
           f"mean |average capsule|={np.mean(z_norms):.3f} "

@@ -2,8 +2,8 @@
 task: acoustic features, a from-scratch capsule model with analytic
 gradients, corpora and synthetic data, and a learning-curve harness."""
 
-from .capsnet import (ModelConfig, OutputCapsuleSet, decode_labels, dynamic_routing,
-                      margin_loss, predict_capsules, squash)
+from .capsnet import (ModelConfig, decode_labels, dynamic_routing, margin_loss,
+                      predict_capsules, squash)
 from .datasets import (BlockSplit, Corpus, LabelVocabulary, SlotGroup, SynthGroup,
                        SynthSpec, Utterance, load_fluent, load_grabo, load_manifest,
                        mimic_grabo_spec, split_blocks, synth_generate, write_manifest)
@@ -15,8 +15,8 @@ from .experiments import (LearningCurvePoint, SweepSpec, f1_score, fit,
 from .features import (FeatureCache, add_deltas, compute_fbank, compute_features, load_wav,
                        normalize)
 from .model import init_params, loss_and_grads, predict
-from .multitask import (AverageCapsule, LossBreakdown, average_capsule, decode_speaker,
-                        speaker_distribution, speaker_loss, total_loss)
+from .multitask import (LossBreakdown, average_capsule, decode_speaker, speaker_distribution,
+                        speaker_loss, total_loss)
 from .numeric import GradCheckReport, grad_check, softmax
 
 __version__ = "0.1.0"

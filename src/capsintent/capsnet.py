@@ -12,7 +12,8 @@ one): the batch axis follows the primary-capsule axis of primary capsules
 (P, B, d_p) and votes (P, B, K, n), and leads everywhere else (output
 capsules (B, K, n), losses (B,)). Routing treats each utterance
 independently, so a batch gives the same numbers as its utterances one by
-one; parameter gradients are summed over the batch.
+one; parameter gradients are summed over the batch. Stages that read the
+output capsules' lengths take the norms of the (B, K, n) array themselves.
 """
 
 from __future__ import annotations
@@ -69,12 +70,6 @@ class ModelConfig:
 
 
 @dataclass
-class OutputCapsuleSet:
-    vectors: np.ndarray  # (B, K, n)
-    norms: np.ndarray    # (B, K)
-
-
-@dataclass
 class RoutingTrace:
     votes: np.ndarray                                             # (P, B, K, n)
     coefficients: list[np.ndarray] = field(default_factory=list)  # (P, B, K) per iteration
@@ -90,10 +85,7 @@ class ForwardTrace:
     readout: np.ndarray           # (B, 2H)
     primary_pre: np.ndarray       # (B, P, d_p) pre-squash
     primary: np.ndarray           # (P, B, d_p) post-squash, each norm < 1
-    votes: np.ndarray             # (P, B, K, n)
-    routing: RoutingTrace = None
-    output: OutputCapsuleSet = None
-    config: ModelConfig = None
+    routing: RoutingTrace         # holds the votes and, last, the output capsules
 
 
 def squash(s: np.ndarray) -> np.ndarray:
@@ -157,7 +149,7 @@ def dynamic_routing(votes: np.ndarray, iters: int):
     logits[i, j] += votes[i, j] . v_j (the update is skipped after the final
     iteration).
 
-    Returns (OutputCapsuleSet, RoutingTrace); the trace records the
+    Returns the (B, K, n) output capsules and a RoutingTrace of the
     per-iteration state the backward pass needs.
 
     Votes too large to square (above about 1e154) raise DivergenceError
@@ -179,8 +171,7 @@ def dynamic_routing(votes: np.ndarray, iters: int):
         trace.outputs.append(out)
         if it < iters - 1:
             logits = logits + np.einsum("p...kn,...kn->p...k", votes, out)
-    caps = OutputCapsuleSet(vectors=out, norms=np.linalg.norm(out, axis=-1))
-    return caps, trace
+    return out, trace
 
 
 def routing_backward(trace: RoutingTrace, d_out: np.ndarray) -> np.ndarray:
@@ -214,41 +205,42 @@ def routing_backward(trace: RoutingTrace, d_out: np.ndarray) -> np.ndarray:
                      optimize=True)
 
 
-def margin_loss(caps: OutputCapsuleSet, target: np.ndarray):
-    """Hinge loss on output-capsule norms against (B, K) targets: a (B,)
-    array.
+def margin_loss(caps: np.ndarray, target: np.ndarray):
+    """Hinge loss on the norms of (B, K, n) output capsules against (B, K)
+    targets: a (B,) array.
 
     Present labels (target 1) pay max(0, MARGIN_PRESENT - |v_k|); absent
     labels pay max(0, |v_k| - MARGIN_ABSENT), unweighted.
     """
     target = np.asarray(target, dtype=np.float64)
-    if target.shape != caps.norms.shape:
-        raise ShapeError(f"target shape {target.shape} != capsule count {caps.norms.shape}")
-    present = np.maximum(0.0, MARGIN_PRESENT - caps.norms)
-    absent = np.maximum(0.0, caps.norms - MARGIN_ABSENT)
+    norms = np.linalg.norm(caps, axis=-1)
+    if target.shape != norms.shape:
+        raise ShapeError(f"target shape {target.shape} != capsule count {norms.shape}")
+    present = np.maximum(0.0, MARGIN_PRESENT - norms)
+    absent = np.maximum(0.0, norms - MARGIN_ABSENT)
     return np.sum(target * present + (1.0 - target) * absent, axis=-1)
 
 
-def margin_loss_grad(caps: OutputCapsuleSet, target: np.ndarray) -> np.ndarray:
-    """Gradient of margin_loss with respect to the output capsule vectors."""
+def margin_loss_grad(caps: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Gradient of margin_loss with respect to the (B, K, n) output capsules."""
     target = np.asarray(target, dtype=np.float64)
-    norms = caps.norms
+    norms = np.linalg.norm(caps, axis=-1)
     d_norm = np.where((target > 0) & (norms < MARGIN_PRESENT), -1.0, 0.0)
     d_norm = d_norm + np.where((target == 0) & (norms > MARGIN_ABSENT), 1.0, 0.0)
-    unit = caps.vectors / (norms[..., None] + NORM_GUARD)
+    unit = caps / (norms[..., None] + NORM_GUARD)
     return d_norm[..., None] * unit
 
 
-def decode_labels(caps: OutputCapsuleSet, vocab: "LabelVocabulary") -> list[list[str]]:
-    """Norm-based decoding of every utterance of a batch against a slotted
-    vocabulary, in vocabulary order.
+def decode_labels(caps: np.ndarray, vocab: "LabelVocabulary") -> list[list[str]]:
+    """Norm-based decoding of every utterance of a (B, K, n) batch of output
+    capsules against a slotted vocabulary, in vocabulary order.
 
     Within each slot group the argmax-norm label wins (the lowest index on a
     tie); optional groups emit their argmax only when its norm exceeds 0.5.
     Labels outside any group are emitted independently when their norm
     exceeds 0.5.
     """
-    norms = caps.norms
+    norms = np.linalg.norm(caps, axis=-1)
     if len(vocab.labels) != norms.shape[-1]:
         raise ShapeError(f"vocabulary size {len(vocab.labels)} != capsule count {norms.shape[-1]}")
     groups = [(sorted(vocab.index_of(name) for name in g.labels), g.required)
@@ -314,8 +306,8 @@ def encode(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.n
 
 
 def forward(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.ndarray):
-    """Full core forward pass of a padded batch (see ``encode``); the trace
-    is sufficient to replay backward().
+    """Full core forward pass of a padded batch (see ``encode``): the
+    (B, K, n) output capsules and a trace sufficient to replay backward().
 
     Raises DivergenceError, with the batch position of the first utterance
     affected, when capsule predictions are non-finite.
@@ -331,10 +323,7 @@ def forward(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.
         readout=cache["readout"],
         primary_pre=cache["primary_pre"],
         primary=primary,
-        votes=votes,
         routing=routing,
-        output=caps,
-        config=config,
     )
     return caps, trace
 
@@ -342,9 +331,8 @@ def forward(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.
 def backward(trace: ForwardTrace, d_out: np.ndarray, params: Params) -> Params:
     """Analytic gradients of a loss with upstream gradient ``d_out`` on the
     output capsule vectors, for every core parameter, summed over the batch."""
-    config = trace.config
-    P, K = trace.votes.shape[0], trace.votes.shape[-2]
-    if params["caps.W"].shape != (P, K, config.primary_dim, config.output_dim):
+    P, _, K, n = trace.routing.votes.shape
+    if params["caps.W"].shape != (P, K, trace.primary.shape[-1], n):
         raise ContractError("trace does not match the supplied parameters")
     # the votes gradient is the size of the votes: let it go before the encoder runs
     d_transforms, d_primary = predict_capsules_backward(

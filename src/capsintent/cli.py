@@ -8,10 +8,10 @@ success, 2 usage/config errors, 3 training divergence, 4 data errors.
 Config keys (unknown keys, and values not of the key's declared type, are
 rejected): ``output_dir`` (required); ``seed``; ``corpus`` (required):
 ``kind`` (synth | grabo | fluent | manifest), ``root``, ``manifest``,
-``cache_dir``, and for synth (the ``mimic_grabo`` corpus) ``per_speaker_count``,
-``noise_level``, ``feat_dim``, ``seed``; ``model``: ``encoder_hidden``,
-``encoder_layers``, ``num_primary``, ``primary_dim``, ``output_dim``,
-``routing_iters``, ``speaker_weight`` (the corpus sets ``feat_dim``,
+``cache_dir``, and for synth (the ``mimic_grabo`` corpus) ``per_speaker_count``
+and ``feat_dim`` (>= 1), ``noise_level`` (finite, >= 0), ``seed``; ``model``:
+``encoder_hidden``, ``encoder_layers``, ``num_primary``, ``primary_dim``,
+``output_dim``, ``routing_iters``, ``speaker_weight`` (the corpus sets ``feat_dim``,
 ``num_labels`` and ``speaker_count``); ``experiment``: ``mode``
 (speaker_independent | speaker_dependent), ``num_blocks``, ``schedule``,
 ``repeats`` (>= 1), ``sweep`` (``axis`` output_dim | speaker_weight,
@@ -117,6 +117,8 @@ def load_run_config(path: str) -> RunConfig:
         raise UsageError(f"corpus.root is required for kind {corpus_cfg.kind!r}")
     if corpus_cfg.kind == "manifest" and not corpus_cfg.manifest:
         raise UsageError("corpus.manifest is required for kind 'manifest'")
+    if corpus_cfg.kind == "synth":
+        synth_spec(corpus_cfg)
 
     model_raw = raw.get("model") or {}
     _check_keys(model_raw, MODEL_KEYS, "model")
@@ -167,20 +169,30 @@ def cache_dir_for(override: Optional[str], configured: Optional[str] = None) -> 
     return override or os.environ.get(CACHE_ENV_VAR) or configured
 
 
+def synth_spec(cc: CorpusConfig) -> datasets.SynthSpec:
+    """The spec of a ``kind: synth`` corpus section (UsageError if invalid)."""
+    return datasets.mimic_grabo_spec(**{
+        key: getattr(cc, key) for key in ("per_speaker_count", "noise_level", "feat_dim")
+        if getattr(cc, key) is not None})
+
+
 def build_corpus(run: RunConfig, cache_override: Optional[str] = None,
                  with_features: bool = True) -> Corpus:
+    """Generate or load the configured corpus, logging each nonzero count
+    of what its loader skipped, and fill in its features."""
     cc = run.corpus
     if cc.kind == "synth":
-        spec = datasets.mimic_grabo_spec(**{
-            key: getattr(cc, key) for key in ("per_speaker_count", "noise_level", "feat_dim")
-            if getattr(cc, key) is not None})
-        return datasets.synth_generate(spec, seed=cc.seed if cc.seed is not None else run.seed)
+        return datasets.synth_generate(synth_spec(cc),
+                                       seed=cc.seed if cc.seed is not None else run.seed)
     if cc.kind == "grabo":
         corpus = datasets.load_grabo(cc.root)
     elif cc.kind == "fluent":
         corpus = datasets.load_fluent(cc.root)
     else:
         corpus = load_manifest(cc.manifest)
+    for key, count in sorted(corpus.warnings.items()):
+        if count:
+            log.warning("%s corpus: %s = %d", corpus.name, key, count)
     if with_features:
         ensure_features(corpus, cache_dir=cache_dir_for(cache_override, cc.cache_dir))
     return corpus

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
+import math
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import DataError, UsageError
 from .features import FeatureCache, atomic_write, compute_features, load_wav
-
-log = logging.getLogger(__name__)
 
 EXPECTED_FLUENT_LABELS = 31
 FLUENT_PARTIAL_FRACTION = 0.1   # share of each speaker's training utterances
@@ -118,7 +116,7 @@ class Corpus:
     utterances: list[Utterance]
     vocab: LabelVocabulary
     speakers: list[str]
-    warnings: dict[str, int] = field(default_factory=dict)
+    warnings: dict[str, int] = field(default_factory=dict)   # loader skip/doubt counts
     splits: Optional[dict[str, list[str]]] = None
 
     def __len__(self) -> int:
@@ -210,6 +208,8 @@ class SynthSpec:
     def __post_init__(self):
         if min(self.speaker_count, self.num_labels, self.per_speaker_count, self.feat_dim) < 1:
             raise UsageError("synthetic spec counts must all be >= 1")
+        if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
+            raise UsageError(f"noise_level must be finite and >= 0, got {self.noise_level}")
         if sum(g.size for g in self.groups) > self.num_labels:
             raise UsageError("slot groups cannot exceed the label count")
 
@@ -503,8 +503,6 @@ def load_fluent(root: str) -> Corpus:
         raise DataError(f"{root}: index tables reference no existing audio")
     corpus = _corpus_from_rows("fluent", rows, warnings=warnings, splits=splits)
     if len(corpus.vocab) != EXPECTED_FLUENT_LABELS:
-        log.warning("fluent slot-value union has %d labels, expected %d",
-                    len(corpus.vocab), EXPECTED_FLUENT_LABELS)
         corpus.warnings["unexpected_label_count"] = len(corpus.vocab)
     return corpus
 

@@ -21,11 +21,12 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import capsnet, model, multitask
+from . import model
 from .capsnet import ModelConfig
 from .datasets import BlockSplit, Corpus, LabelVocabulary, Utterance, fluent_partial_ids
 from .errors import ContractError, DivergenceError, UsageError
 from .features import atomic_write
+from .multitask import LossBreakdown
 from .numeric import Params
 
 log = logging.getLogger(__name__)
@@ -134,16 +135,9 @@ class Adam:
 
 
 @dataclass
-class EpochStats:
-    label_loss: float
-    speaker_loss: float
-    total_loss: float
-
-
-@dataclass
 class FitResult:
     params: Params
-    history: list[EpochStats]
+    history: list[LossBreakdown]       # epoch means
     stopped_early: bool
     best_epoch: Optional[int] = None   # set when validation selection is used
 
@@ -169,7 +163,7 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
     params = model.init_params(config)
     opt = Adam(params)
     order_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-    history: list[EpochStats] = []
+    history: list[LossBreakdown] = []
     stopped_early = False
     streak = 0
     prev_total = None
@@ -189,10 +183,10 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
                     f"non-finite loss at epoch {epoch}, utterance {batch[exc.index].id}"
                 ) from exc
             sums += (breakdown.label_loss.sum(), breakdown.speaker_loss.sum(),
-                     breakdown.total.sum())
+                     breakdown.total_loss.sum())
             scale = 1.0 / len(batch)
             opt.step(params, {k: v * scale for k, v in grads.items()})
-        stats = EpochStats(*(sums / n))
+        stats = LossBreakdown(*(sums / n).tolist())
         history.append(stats)
         if select:
             score = evaluate_model(valid, params, config, vocab)["intent_accuracy"]
@@ -213,16 +207,8 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
 
 def predict_corpus(utts: Sequence[Utterance], params: Params, config: ModelConfig,
                    vocab: LabelVocabulary):
-    """Decode labels and speakers for a list of utterances, in batches of
-    ``model._SLICE``: the package's one decoding loop, behind evaluation,
-    curves, replication and ``eval``."""
-    label_sets, speakers = [], []
-    for start in range(0, len(utts), model._SLICE):
-        out = model.evaluate([u.features for u in utts[start:start + model._SLICE]],
-                             params, config)
-        label_sets += capsnet.decode_labels(out.capsules, vocab)
-        speakers += multitask.decode_speaker(out.speaker_probs)
-    return label_sets, speakers
+    """Decode labels and speakers for a list of utterances (``model.decode``)."""
+    return model.decode([u.features for u in utts], params, config, vocab)
 
 
 def evaluate_model(utts: Sequence[Utterance], params: Params, config: ModelConfig,

@@ -10,6 +10,7 @@ mean/variance normalization. Features are cached keyed by the audio hash.
 from __future__ import annotations
 
 import hashlib
+import logging
 import os
 import tempfile
 import wave
@@ -18,6 +19,8 @@ from typing import BinaryIO, Callable
 import numpy as np
 
 from .errors import DataError, FormatError
+
+log = logging.getLogger(__name__)
 
 TARGET_RATE = 16000
 N_MELS = 40
@@ -228,10 +231,14 @@ class FeatureCache:
         atomic_write(self._key_path(audio_path), lambda fh: np.save(fh, feats))
 
     def get_or_compute(self, audio_path: str):
-        """Returns (features, was_cached)."""
-        cached = self.lookup(audio_path)
-        if cached is not None:
-            return cached, True
+        """Returns (features, was_cached). An entry that fails ``lookup``'s
+        checks is derived data: it is logged, recomputed and replaced."""
+        try:
+            cached = self.lookup(audio_path)
+            if cached is not None:
+                return cached, True
+        except FormatError as exc:
+            log.warning("%s; recomputing it from %s", exc, audio_path)
         feats = compute_features(load_wav(audio_path))
         self.store(audio_path, feats)
         return feats, False

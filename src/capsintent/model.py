@@ -4,8 +4,8 @@ utterances, and prediction.
 
 Utterances are (frames, feat_dim) matrices of any lengths. ``loss_and_grads``
 and ``evaluate`` take a list of them and run it as zero-padded,
-length-masked time-major batches (``encoder.pad_batch``); ``predict``
-decodes one utterance as a batch of one.
+length-masked time-major batches (``encoder.pad_batch``); ``decode`` decodes
+them slice by slice, and ``predict`` one utterance as a batch of one.
 
 The objective is label loss + speaker_weight * speaker loss, and the speaker
 head runs at every weight. At weight 0, the paper's baseline, its gradients
@@ -15,13 +15,12 @@ speaker loss it reports is that frozen head's cross entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from . import capsnet, encoder, multitask
-from .capsnet import ModelConfig, OutputCapsuleSet
+from .capsnet import ModelConfig
 from .errors import DataError, DivergenceError
 from .multitask import LossBreakdown
 from .numeric import Params
@@ -43,15 +42,10 @@ def init_params(config: ModelConfig) -> Params:
     return params
 
 
-@dataclass
-class EvalOutput:
-    capsules: OutputCapsuleSet    # (B, K, n)
-    speaker_probs: np.ndarray     # (B, M)
-
-
-def evaluate(feats: Sequence[np.ndarray], params: Params, config: ModelConfig) -> EvalOutput:
+def evaluate(feats: Sequence[np.ndarray], params: Params, config: ModelConfig):
     """Inference-only forward pass of B (frames, feat_dim) utterances as one
     padded batch: the same forward as training; its trace is dropped.
+    Returns the (B, K, n) output capsules and (B, M) speaker probabilities.
 
     Non-finite features raise DataError: they are bad input, not a
     diverged model.
@@ -60,15 +54,14 @@ def evaluate(feats: Sequence[np.ndarray], params: Params, config: ModelConfig) -
     if not np.all(np.isfinite(xs)):
         raise DataError("features contain non-finite values")
     caps, _ = capsnet.forward(xs, params, config, lengths)
-    probs = multitask.speaker_distribution(multitask.average_capsule(caps), params)
-    return EvalOutput(capsules=caps, speaker_probs=probs)
+    return caps, multitask.speaker_distribution(multitask.average_capsule(caps), params)
 
 
-# Utterances go through the model in slices of at most this many, and the
-# slices' gradients are summed: the votes and their routing temporaries grow
-# with the slice. At the grid configuration (bench/NOTES.md), a train run fed
-# whole 32-utterance batches peaked at 88.5 MB resident against 82.2 MB for
-# per-utterance training; slices of 16 peak at 81.9 MB.
+# Utterances go through the model in slices of at most this many: training
+# sums the slices' gradients, decoding holds one slice's outputs at a time.
+# The votes and their routing temporaries grow with the slice: at the grid
+# configuration (bench/NOTES.md), whole 32-utterance train batches peaked at
+# 88.5 MB resident against 82.2 MB per utterance; slices of 16 peak at 81.9 MB.
 _SLICE = 16
 
 
@@ -104,7 +97,7 @@ def loss_and_grads(feats, target, speaker_index, params: Params, config: ModelCo
             for key in grads:
                 grads[key] += part_grads[key]
     breakdown = LossBreakdown(*(np.concatenate([getattr(p, name) for p in parts])
-                                for name in ("label_loss", "speaker_loss", "total")))
+                                for name in ("label_loss", "speaker_loss", "total_loss")))
     return breakdown, grads
 
 
@@ -114,7 +107,7 @@ def _loss_and_grads(xs, lengths, target, speaker_index, params, config):
     label_loss = capsnet.margin_loss(caps, target)
     spk_loss, head_trace = multitask.head_forward(caps, params, speaker_index)
     breakdown = multitask.total_loss(label_loss, spk_loss, config.speaker_weight)
-    finite = np.isfinite(breakdown.total)
+    finite = np.isfinite(breakdown.total_loss)
     if not np.all(finite):
         raise DivergenceError("non-finite loss", index=int(np.argmin(finite)))
 
@@ -126,11 +119,23 @@ def _loss_and_grads(xs, lengths, target, speaker_index, params, config):
     return breakdown, grads
 
 
+def decode(feats: Sequence[np.ndarray], params: Params, config: ModelConfig,
+           vocab: "LabelVocabulary"):
+    """Label sets and most probable speakers of a list of (frames, feat_dim)
+    utterances, run through ``evaluate`` and decoded slice by slice: the
+    package's one decoding loop, behind ``predict``, evaluation, curves,
+    replication and ``eval``."""
+    label_sets, speakers = [], []
+    for start in range(0, len(feats), _SLICE):
+        caps, probs = evaluate(feats[start:start + _SLICE], params, config)
+        label_sets += capsnet.decode_labels(caps, vocab)
+        speakers += multitask.decode_speaker(probs)
+    return label_sets, speakers
+
+
 def predict(feats: np.ndarray, params: Params, config: ModelConfig,
             vocab: "LabelVocabulary"):
     """Decode the label set and the most probable speaker of one
     (frames, feat_dim) utterance, as a batch of one."""
-    out = evaluate([feats], params, config)
-    labels, = capsnet.decode_labels(out.capsules, vocab)
-    speaker, = multitask.decode_speaker(out.speaker_probs)
+    (labels,), (speaker,) = decode([feats], params, config, vocab)
     return labels, speaker

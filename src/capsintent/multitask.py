@@ -6,7 +6,8 @@ bias and a softmax to per-speaker probabilities, and scores the
 true speaker with cross entropy. The total training objective is
 label_loss + speaker_weight * speaker_loss. Like the capsule core, every
 function takes a batch of B utterances (one utterance is a batch of one)
-along a leading batch axis.
+along a leading batch axis: (B, K, n) output capsules, (B, n) average
+capsules and (B, M) speaker probabilities.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capsnet import NORM_GUARD, OutputCapsuleSet
+from .capsnet import NORM_GUARD
 from .errors import ShapeError
 from .numeric import Params, softmax
 
@@ -23,25 +24,19 @@ PROB_FLOOR = 1e-12
 
 
 @dataclass
-class AverageCapsule:
-    vector: np.ndarray      # (B, n)
-    degenerate: np.ndarray  # (B,): all capsule norms were zero, vector zeros
-
-
-@dataclass
 class LossBreakdown:
-    """Per-utterance losses of a batch, (B,) arrays."""
+    """The label, speaker and weighted total loss: (B,) arrays of the
+    utterances of a batch, or floats (the epoch means of ``fit`` history)."""
 
     label_loss: np.ndarray
     speaker_loss: np.ndarray
-    total: np.ndarray
+    total_loss: np.ndarray
 
 
 @dataclass
 class HeadTrace:
     capsules: np.ndarray          # (B, K, n)
-    norms: np.ndarray             # (B, K)
-    average: AverageCapsule
+    average: np.ndarray           # (B, n)
     probs: np.ndarray             # (B, M)
 
 
@@ -59,27 +54,34 @@ def init_head_params(rng: np.random.Generator, output_dim: int, speaker_count: i
     }
 
 
-def average_capsule(caps: OutputCapsuleSet) -> AverageCapsule:
-    """Norm-weighted mean of the output capsules: sum(v) / sum(|v|).
+def _norm_total(norms: np.ndarray):
+    """Sum of each row of (B, K) capsule norms, 1 where they are all zero,
+    and that all-zero flag: (B,) arrays."""
+    total = np.sum(norms, axis=-1)
+    degenerate = total <= 0.0
+    return np.where(degenerate, 1.0, total), degenerate
+
+
+def average_capsule(caps: np.ndarray) -> np.ndarray:
+    """Norm-weighted mean of (B, K, n) output capsules: sum(v) / sum(|v|),
+    a (B, n) array.
 
     All-zero capsules make the ratio undefined; that case returns the zero
-    vector with the degenerate flag set instead of raising.
+    vector instead of raising.
     """
-    denom = np.sum(caps.norms, axis=-1)
-    degenerate = denom <= 0.0
-    vector = np.sum(caps.vectors, axis=-2) / np.where(degenerate, 1.0, denom)[..., None]
-    return AverageCapsule(vector=np.where(degenerate[..., None], 0.0, vector),
-                          degenerate=degenerate)
+    total, degenerate = _norm_total(np.linalg.norm(caps, axis=-1))
+    vector = np.sum(caps, axis=-2) / total[..., None]
+    return np.where(degenerate[..., None], 0.0, vector)
 
 
-def speaker_distribution(avg: AverageCapsule, params: Params) -> np.ndarray:
+def speaker_distribution(avg: np.ndarray, params: Params) -> np.ndarray:
     """Per-speaker probabilities (B, M): softmax over the linear projection
-    of the average capsule."""
+    of the (B, n) average capsules."""
     w = params["spk.W"]
-    if avg.vector.shape[-1] != w.shape[0]:
-        raise ShapeError(f"average capsule dim {avg.vector.shape[-1]} "
+    if avg.shape[-1] != w.shape[0]:
+        raise ShapeError(f"average capsule dim {avg.shape[-1]} "
                          f"!= projection rows {w.shape[0]}")
-    logits = avg.vector @ w + params["spk.b"]
+    logits = avg @ w + params["spk.b"]
     return softmax(logits)
 
 
@@ -98,7 +100,7 @@ def total_loss(label_loss, spk_loss, speaker_weight: float) -> LossBreakdown:
     return LossBreakdown(
         label_loss=label_loss,
         speaker_loss=spk_loss,
-        total=label_loss + speaker_weight * spk_loss,
+        total_loss=label_loss + speaker_weight * spk_loss,
     )
 
 
@@ -108,13 +110,13 @@ def decode_speaker(probs: np.ndarray) -> list[int]:
     return np.argmax(probs, axis=-1).tolist()
 
 
-def head_forward(caps: OutputCapsuleSet, params: Params, speaker_index):
-    """Run the full head; returns ((B,) losses, trace for head_backward)."""
+def head_forward(caps: np.ndarray, params: Params, speaker_index):
+    """Run the full head on (B, K, n) output capsules; returns ((B,)
+    losses, trace for head_backward)."""
     avg = average_capsule(caps)
     probs = speaker_distribution(avg, params)
     loss = speaker_loss(probs, speaker_index)
-    trace = HeadTrace(capsules=caps.vectors, norms=caps.norms, average=avg, probs=probs)
-    return loss, trace
+    return loss, HeadTrace(capsules=caps, average=avg, probs=probs)
 
 
 def head_backward(trace: HeadTrace, speaker_index, speaker_weight: float, params: Params):
@@ -125,15 +127,15 @@ def head_backward(trace: HeadTrace, speaker_index, speaker_weight: float, params
     average: d z / d v_k goes through both sum(v) and sum(|v|). A degenerate
     average (all-zero capsules) contributes zero gradient everywhere.
     """
+    norms = np.linalg.norm(trace.capsules, axis=-1)
+    total, degenerate = _norm_total(norms)
     M = trace.probs.shape[-1]
     onehot = np.arange(M) == np.asarray(speaker_index)[..., None]
     d_logits = speaker_weight * (trace.probs - onehot)
-    d_logits = np.where(trace.average.degenerate[..., None], 0.0, d_logits)
-    z = trace.average.vector
+    d_logits = np.where(degenerate[..., None], 0.0, d_logits)
+    z = trace.average
     grads = {"spk.W": z.T @ d_logits, "spk.b": d_logits.sum(axis=0)}
     d_z = d_logits @ params["spk.W"].T
-    denom = np.sum(trace.norms, axis=-1)
-    denom = np.where(denom > 0.0, denom, 1.0)[..., None, None]
-    unit = trace.capsules / (trace.norms[..., None] + NORM_GUARD)
-    d_caps = (d_z[..., None, :] - np.sum(d_z * z, axis=-1)[..., None, None] * unit) / denom
-    return grads, d_caps
+    unit = trace.capsules / (norms[..., None] + NORM_GUARD)
+    d_caps = d_z[..., None, :] - np.sum(d_z * z, axis=-1)[..., None, None] * unit
+    return grads, d_caps / total[..., None, None]

@@ -275,7 +275,7 @@ def _():
     caps, trace = capsnet.dynamic_routing(votes, iters=1)
     assert np.allclose(trace.coefficients[-1], 0.5, atol=1e-12)
     for j in range(2):
-        assert np.allclose(caps.vectors[j], capsnet.squash(0.5 * votes[0, j]), atol=1e-12)
+        assert np.allclose(caps[j], capsnet.squash(0.5 * votes[0, j]), atol=1e-12)
 
 
 @example("capsnet", "dynamic_routing", "symmetric_votes_stay_uniform")
@@ -292,7 +292,7 @@ def _():
 @example("capsnet", "dynamic_routing", "zero_votes")
 def _():
     caps, trace = capsnet.dynamic_routing(np.zeros((4, 3, 2)), iters=3)
-    assert np.all(caps.vectors == 0.0)
+    assert np.all(caps == 0.0)
     assert np.allclose(trace.coefficients[-1], 1.0 / 3.0, atol=1e-12)
 
 
@@ -331,23 +331,20 @@ def _():
 
 @example("capsnet", "margin_loss", "inside_margins")
 def _():
-    caps = capsnet.OutputCapsuleSet(
-        vectors=np.array([[0.95, 0.0], [0.05, 0.0]]), norms=np.array([0.95, 0.05]))
+    caps = np.array([[0.95, 0.0], [0.05, 0.0]])
     assert capsnet.margin_loss(caps, np.array([1.0, 0.0])) == 0.0
 
 
 @example("capsnet", "margin_loss", "half_norms")
 def _():
-    caps = capsnet.OutputCapsuleSet(
-        vectors=np.array([[0.5, 0.0], [0.5, 0.0]]), norms=np.array([0.5, 0.5]))
+    caps = np.array([[0.5, 0.0], [0.5, 0.0]])
     loss = capsnet.margin_loss(caps, np.array([1.0, 0.0]))
     assert abs(loss - 0.8) < 1e-12  # (0.9 - 0.5) + (0.5 - 0.1)
 
 
 @example("capsnet", "margin_loss", "exactly_at_margins")
 def _():
-    caps = capsnet.OutputCapsuleSet(
-        vectors=np.array([[0.1, 0.0], [0.9, 0.0]]), norms=np.array([0.1, 0.9]))
+    caps = np.array([[0.1, 0.0], [0.9, 0.0]])
     assert capsnet.margin_loss(caps, np.array([0.0, 1.0])) == 0.0
 
 
@@ -361,15 +358,21 @@ def _vocab_one_group(required=True):
     )
 
 
+def _capsules_of_norms(norms):
+    """Output capsules (B, K, 2) whose norms are ``norms`` (B, K)."""
+    norms = np.asarray(norms, dtype=np.float64)
+    return np.stack([norms, np.zeros_like(norms)], axis=-1)
+
+
 @example("capsnet", "decode_labels", "group_argmax")
 def _():
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((1, 3, 2)), norms=np.array([[0.9, 0.2, 0.1]]))
+    caps = _capsules_of_norms([[0.9, 0.2, 0.1]])
     assert capsnet.decode_labels(caps, _vocab_one_group()) == [["g:a"]]
 
 
 @example("capsnet", "decode_labels", "optional_below_threshold")
 def _():
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((1, 3, 2)), norms=np.array([[0.4, 0.2, 0.1]]))
+    caps = _capsules_of_norms([[0.4, 0.2, 0.1]])
     assert capsnet.decode_labels(caps, _vocab_one_group(required=False)) == [[]]
 
 
@@ -380,8 +383,7 @@ def _():
         slot_groups=(datasets.SlotGroup("a", ("a:x", "a:y"), True),
                      datasets.SlotGroup("b", ("b:x", "b:y"), True)),
     )
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((1, 4, 2)),
-                                    norms=np.array([[0.6, 0.4, 0.3, 0.7]]))
+    caps = _capsules_of_norms([[0.6, 0.4, 0.3, 0.7]])
     assert capsnet.decode_labels(caps, vocab) == [["a:x", "b:y"]]
 
 
@@ -395,8 +397,7 @@ def _():
     for T in (1, 3, 9):
         caps, trace = capsnet.forward(np.random.default_rng(T).normal(size=(T, 1, cfg.feat_dim)),
                                       params, cfg, np.array([T]))
-        assert caps.vectors.shape == (1, cfg.num_labels, cfg.output_dim)
-        assert caps.norms.shape == (1, cfg.num_labels)
+        assert caps.shape == (1, cfg.num_labels, cfg.output_dim)
 
 
 @example("capsnet", "forward", "loudness_invariance")
@@ -409,7 +410,7 @@ def _():
     def pipeline(x):
         feats = features.normalize(features.compute_fbank(x))
         caps, _ = capsnet.forward(feats[:, None], params, cfg, np.array([len(feats)]))
-        return caps.vectors
+        return caps
 
     assert np.allclose(pipeline(audio), pipeline(2.0 * audio), atol=1e-9)
 
@@ -426,7 +427,7 @@ def _():
         "params = model.init_params(cfg)\n"
         "feats = np.linspace(-1, 1, 20).reshape(5, 4)\n"
         "bd, _ = model.loss_and_grads([feats], np.array([[1.0, 0, 1.0]]), [1], params, cfg)\n"
-        "print(repr(bd.total))\n"
+        "print(repr(bd.total_loss))\n"
     )
     outs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            check=True).stdout for _ in range(2)]
@@ -446,7 +447,7 @@ def _():
 
     def loss_fn(p):
         bd, _ = model.loss_and_grads(feats, target, [0], p, cfg)
-        return bd.total[0]
+        return bd.total_loss[0]
 
     def grads_fn(p):
         _, g = model.loss_and_grads(feats, target, [0], p, cfg)
@@ -471,7 +472,7 @@ def _():
     params = model.init_params(cfg)
     caps, trace = capsnet.forward(np.random.default_rng(9).normal(size=(5, 1, cfg.feat_dim)),
                                   params, cfg, np.array([5]))
-    grads = capsnet.backward(trace, np.zeros_like(caps.vectors), params)
+    grads = capsnet.backward(trace, np.zeros_like(caps), params)
     assert all(np.all(g == 0.0) for g in grads.values())
 
 
@@ -488,7 +489,7 @@ def _():
 
     def loss_fn(p):
         bd, _ = model.loss_and_grads(feats, target, [0], {**params, **p}, cfg)
-        return bd.total[0]
+        return bd.total_loss[0]
 
     def grads_fn(p):
         _, g = model.loss_and_grads(feats, target, [0], {**params, **p}, cfg)
@@ -505,28 +506,21 @@ def _():
 @example("multitask", "average_capsule", "identical_capsules")
 def _():
     v = np.array([0.3, 0.4])
-    caps = capsnet.OutputCapsuleSet(vectors=np.tile(v, (5, 1)),
-                                    norms=np.full(5, np.linalg.norm(v)))
-    avg = multitask.average_capsule(caps)
-    assert not avg.degenerate
-    assert np.allclose(avg.vector, v / np.linalg.norm(v), atol=1e-12)
-    assert abs(np.linalg.norm(avg.vector) - 1.0) < 1e-12
+    avg = multitask.average_capsule(np.tile(v, (5, 1)))
+    assert np.allclose(avg, v / np.linalg.norm(v), atol=1e-12)
+    assert abs(np.linalg.norm(avg) - 1.0) < 1e-12
 
 
 @example("multitask", "average_capsule", "hand_value")
 def _():
-    caps = capsnet.OutputCapsuleSet(vectors=np.array([[0.6, 0.0], [0.0, 0.8]]),
-                                    norms=np.array([0.6, 0.8]))
-    avg = multitask.average_capsule(caps)
-    assert np.allclose(avg.vector, [0.6 / 1.4, 0.8 / 1.4], atol=1e-12)
+    avg = multitask.average_capsule(np.array([[0.6, 0.0], [0.0, 0.8]]))
+    assert np.allclose(avg, [0.6 / 1.4, 0.8 / 1.4], atol=1e-12)
 
 
 @example("multitask", "average_capsule", "all_zero_guard")
 def _():
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((3, 4)), norms=np.zeros(3))
-    avg = multitask.average_capsule(caps)
-    assert avg.degenerate
-    assert np.all(avg.vector == 0.0)
+    avg = multitask.average_capsule(np.zeros((3, 4)))
+    assert np.all(avg == 0.0)
 
 
 # multitask.speaker_distribution
@@ -534,7 +528,7 @@ def _():
 
 @example("multitask", "speaker_distribution", "zero_weights_uniform")
 def _():
-    avg = multitask.AverageCapsule(vector=np.array([[0.3, -0.2]]), degenerate=np.array([False]))
+    avg = np.array([[0.3, -0.2]])
     params = {"spk.W": np.zeros((2, 4)), "spk.b": np.zeros(4)}
     probs = multitask.speaker_distribution(avg, params)
     assert np.allclose(probs[0], 0.25, atol=1e-12)
@@ -542,7 +536,7 @@ def _():
 
 @example("multitask", "speaker_distribution", "log_ratio_logits")
 def _():
-    avg = multitask.AverageCapsule(vector=np.array([[1.0]]), degenerate=np.array([False]))
+    avg = np.array([[1.0]])
     params = {"spk.W": np.array([[math.log(3.0), 0.0]]), "spk.b": np.zeros(2)}
     probs = multitask.speaker_distribution(avg, params)
     assert np.allclose(probs[0], [0.75, 0.25], atol=1e-12)
@@ -551,7 +545,7 @@ def _():
 @example("multitask", "speaker_distribution", "bias_shift_invariance")
 def _():
     rng = np.random.default_rng(10)
-    avg = multitask.AverageCapsule(vector=rng.normal(size=(1, 3)), degenerate=np.array([False]))
+    avg = rng.normal(size=(1, 3))
     w = rng.normal(size=(3, 5))
     base = multitask.speaker_distribution(avg, {"spk.W": w, "spk.b": np.zeros(5)})
     shifted = multitask.speaker_distribution(avg, {"spk.W": w, "spk.b": np.full(5, 7.3)})
@@ -585,19 +579,19 @@ def _():
 @example("multitask", "total_loss", "zero_weight_reduction")
 def _():
     bd = multitask.total_loss(0.42, 9.9, 0.0)
-    assert bd.total == 0.42
+    assert bd.total_loss == 0.42
 
 
 @example("multitask", "total_loss", "hand_value")
 def _():
     bd = multitask.total_loss(0.8, 0.7, 0.1)
-    assert abs(bd.total - 0.87) < 1e-12
+    assert abs(bd.total_loss - 0.87) < 1e-12
 
 
 @example("multitask", "total_loss", "zero_speaker_loss")
 def _():
     bd = multitask.total_loss(0.55, 0.0, 1.0)
-    assert bd.total == 0.55
+    assert bd.total_loss == 0.55
 
 
 # multitask.decode_speaker
@@ -629,7 +623,7 @@ def _():
     target = np.array([[1.0, 0.0, 0.0, 1.0]])
 
     rep = numeric.grad_check(
-        lambda p: model.loss_and_grads(feats, target, [2], p, cfg)[0].total[0],
+        lambda p: model.loss_and_grads(feats, target, [2], p, cfg)[0].total_loss[0],
         lambda p: model.loss_and_grads(feats, target, [2], p, cfg)[1],
         params,
     )
@@ -639,8 +633,7 @@ def _():
 @example("multitask", "head_backward", "zero_weight_zero_grads")
 def _():
     rng = np.random.default_rng(11)
-    vectors = rng.normal(size=(1, 4, 3)) * 0.4
-    caps = capsnet.OutputCapsuleSet(vectors=vectors, norms=np.linalg.norm(vectors, axis=-1))
+    caps = rng.normal(size=(1, 4, 3)) * 0.4
     params = {"spk.W": rng.normal(size=(3, 5)), "spk.b": rng.normal(size=5)}
     _, trace = multitask.head_forward(caps, params, [2])
     grads, d_caps = multitask.head_backward(trace, [2], 0.0, params)
@@ -654,9 +647,7 @@ def _():
     onehot[0, 1] = 1.0
     trace = multitask.HeadTrace(
         capsules=np.ones((1, 3, 2)) * 0.2,
-        norms=np.full((1, 3), np.linalg.norm([0.2, 0.2])),
-        average=multitask.AverageCapsule(np.array([[0.7, 0.7]]) / np.sqrt(2 * 0.49),
-                                         np.array([False])),
+        average=np.array([[0.7, 0.7]]) / np.sqrt(2 * 0.49),
         probs=onehot,
     )
     params = {"spk.W": np.ones((2, 4)), "spk.b": np.zeros(4)}

@@ -46,8 +46,9 @@ def test_routing_simplex_invariant(seed, iters):
     for coeff in trace.coefficients:
         assert np.all(coeff >= 0)
         assert np.allclose(coeff.sum(axis=1), 1.0, atol=1e-9)
-    assert np.all(caps.norms >= 0.0)
-    assert np.all(caps.norms < 1.0)
+    norms = np.linalg.norm(caps, axis=-1)
+    assert np.all(norms >= 0.0)
+    assert np.all(norms < 1.0)
 
 
 def test_routing_rejects_zero_iters():
@@ -81,7 +82,7 @@ def test_predict_capsules_shape_error():
 
 
 def test_margin_loss_shape_error():
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((2, 2)), norms=np.zeros(2))
+    caps = np.zeros((2, 2))
     with pytest.raises(ShapeError):
         capsnet.margin_loss(caps, np.array([1.0, 0.0, 0.0]))
 
@@ -134,21 +135,20 @@ def test_permutation_equivariance():
     caps_p, _ = capsnet.forward(feats, permuted, cfg, lengths)
     loss_p = capsnet.margin_loss(caps_p, target[:, perm])[0]
 
-    assert np.allclose(caps_p.vectors, caps.vectors[:, perm], atol=1e-9)
+    assert np.allclose(caps_p, caps[:, perm], atol=1e-9)
     assert abs(loss - loss_p) < 1e-9
 
 
 def test_decode_labels_vocab_size_mismatch():
     vocab = datasets.LabelVocabulary(labels=("a", "b"))
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((1, 3, 2)), norms=np.zeros((1, 3)))
+    caps = np.zeros((1, 3, 2))
     with pytest.raises(ShapeError):
         capsnet.decode_labels(caps, vocab)
 
 
 def test_decode_labels_ungrouped_threshold():
     vocab = datasets.LabelVocabulary(labels=("a", "b", "c"))
-    caps = capsnet.OutputCapsuleSet(vectors=np.zeros((1, 3, 2)),
-                                    norms=np.array([[0.51, 0.49, 0.9]]))
+    caps = np.array([[[0.51, 0.0], [0.49, 0.0], [0.9, 0.0]]])  # norms 0.51, 0.49, 0.9
     assert capsnet.decode_labels(caps, vocab) == [["a", "c"]]
 
 
@@ -157,8 +157,7 @@ def test_forward_trace_replays_output():
     params = model.init_params(cfg)
     feats = np.random.default_rng(15).normal(size=(4, 1, cfg.feat_dim))
     caps, trace = capsnet.forward(feats, params, cfg, np.array([4]))
-    assert trace.output.vectors.tobytes() == caps.vectors.tobytes()
-    assert trace.routing.outputs[-1].tobytes() == caps.vectors.tobytes()
+    assert trace.routing.outputs[-1].tobytes() == caps.tobytes()
 
 
 def test_model_config_validation():

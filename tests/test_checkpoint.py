@@ -48,8 +48,8 @@ def test_checkpoint_reload_reproduces_predictions(tmp_path):
     checkpoint.save_checkpoint(str(path), cfg, params)
     _, params2, _ = checkpoint.load_checkpoint(str(path))
     after = model.evaluate([feats], params2, cfg)
-    assert before.capsules.vectors.tobytes() == after.capsules.vectors.tobytes()
-    assert before.speaker_probs.tobytes() == after.speaker_probs.tobytes()
+    assert before[0].tobytes() == after[0].tobytes()
+    assert before[1].tobytes() == after[1].tobytes()
 
 
 def _resave(path, out, params=None, config=None, **header):

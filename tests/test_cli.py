@@ -119,6 +119,31 @@ def test_repeated_sweep_values_are_usage_error(tmp_path, capsys):
     assert "sweep values must differ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corpus, message", [
+    ({"noise_level": -1.0}, "noise_level must be finite and >= 0"),
+    ({"noise_level": float("nan")}, "noise_level must be finite and >= 0"),
+    ({"per_speaker_count": 0}, "counts must all be >= 1"),
+    ({"feat_dim": 0}, "counts must all be >= 1"),
+], ids=["negative_noise", "nan_noise", "zero_per_speaker", "zero_feat_dim"])
+def test_validate_config_rejects_bad_synth_values(tmp_path, capsys, corpus, message):
+    path = write_config(tmp_path, corpus=corpus)
+    assert cli.main(["validate-config", path]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_train_logs_what_the_loader_skipped(tmp_path, caplog):
+    root = make_audio_corpus_tree(tmp_path)
+    write_wav(root / "spk0" / "orphan.wav", np.zeros(4000))
+    path = write_config(tmp_path, corpus={"kind": "grabo", "root": str(root),
+                                          "cache_dir": str(tmp_path / "cache")})
+    with caplog.at_level("WARNING", logger="capsintent"):
+        assert cli.main(["train", path]) == 0
+    skipped = [r.getMessage() for r in caplog.records if "missing_annotation" in r.getMessage()]
+    assert skipped == ["grabo corpus: missing_annotation = 1"]
+    assert all(r.levelname == "WARNING" for r in caplog.records
+               if "missing_annotation" in r.getMessage())
+
+
 def test_train_with_zero_epochs_is_usage_error(tmp_path, capsys):
     path = write_config(tmp_path, training={"epochs": 0})
     assert cli.main(["train", path]) == 2
@@ -236,7 +261,7 @@ def test_features_command_and_cache(tmp_path, capsys):
     assert "computed=0" in out and "skipped(cached)=12" in out
 
 
-def test_features_command_counts_bad_cache_entries_as_failed(tmp_path, capsys):
+def test_features_command_rebuilds_bad_cache_entries(tmp_path, capsys):
     root = make_audio_corpus_tree(tmp_path)
     cache = tmp_path / "cache"
     path = write_config(tmp_path, corpus={"kind": "grabo", "root": str(root),
@@ -248,7 +273,9 @@ def test_features_command_counts_bad_cache_entries_as_failed(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["features", path]) == 0
     out = capsys.readouterr().out
-    assert "skipped(cached)=10" in out and "failed=2" in out
+    assert "computed=2" in out and "skipped(cached)=10" in out and "failed=0" in out
+    assert cli.main(["features", path]) == 0
+    assert "skipped(cached)=12" in capsys.readouterr().out
 
 
 def test_features_command_rejects_synth(tmp_path):
@@ -448,7 +475,7 @@ def test_model_config_takes_feat_dim_from_corpus(tmp_path):
     assert config.seed == run.seed
 
 
-def test_eval_non_finite_features_is_data_error(tmp_path, capsys):
+def test_eval_rebuilds_a_non_finite_cache_entry(tmp_path, caplog):
     root = make_audio_corpus_tree(tmp_path)
     cache = str(tmp_path / "cache")
     path = write_config(tmp_path, corpus={"kind": "grabo", "root": str(root),
@@ -461,6 +488,13 @@ def test_eval_non_finite_features_is_data_error(tmp_path, capsys):
     corpus = datasets.load_grabo(str(root))
     manifest = tmp_path / "eval.csv"
     datasets.write_manifest(corpus, str(manifest))
+
+    def run_eval(out):
+        return cli.main(["eval", "--checkpoint", str(tmp_path / "out" / "model.npz"),
+                         "--manifest", str(manifest), "--cache-dir", cache,
+                         "--output", str(tmp_path / out)])
+
+    assert run_eval("clean") == 0
     # poison one cached feature matrix
     wav = corpus.utterances[3].audio_path
     feats, was_cached = FeatureCache(cache).get_or_compute(wav)
@@ -468,13 +502,14 @@ def test_eval_non_finite_features_is_data_error(tmp_path, capsys):
     feats = feats.copy()
     feats[0, 0] = np.nan
     FeatureCache(cache).store(wav, feats)
-    capsys.readouterr()
-    code = cli.main(["eval", "--checkpoint", str(tmp_path / "out" / "model.npz"),
-                     "--manifest", str(manifest), "--cache-dir", cache,
-                     "--output", str(tmp_path / "evalout")])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert "non-finite" in err and "diverged" not in err
+    with caplog.at_level("WARNING", logger="capsintent"):
+        assert run_eval("evalout") == 0
+    assert any("holds non-finite values" in r.getMessage() for r in caplog.records)
+    for name in ("predictions.csv", "metrics.json"):
+        assert (tmp_path / "evalout" / name).read_text() == \
+            (tmp_path / "clean" / name).read_text()
+    rebuilt, was_cached = FeatureCache(cache).get_or_compute(wav)
+    assert was_cached and np.isfinite(rebuilt).all()
 
 
 def test_eval_metrics_equal_evaluate_model(tmp_path):

@@ -70,6 +70,12 @@ def test_synth_spec_validation():
                            per_speaker_count=1, feat_dim=2, noise_level=0.0)
 
 
+@pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
+def test_synth_spec_rejects_bad_noise_level(noise):
+    with pytest.raises(UsageError, match="noise_level must be finite and >= 0"):
+        datasets.mimic_grabo_spec(noise_level=noise)
+
+
 def test_synth_ungrouped_labels():
     spec = datasets.SynthSpec(speaker_count=2, num_labels=5,
                               groups=(datasets.SynthGroup("g", 3, True),),
@@ -200,6 +206,20 @@ def test_ensure_features_from_audio(tmp_path):
     assert corpus.feat_dim() == 120
     counts2 = datasets.ensure_features(_audio_corpus(tmp_path), cache_dir=str(tmp_path / "cache"))
     assert counts2["cached"] == len(corpus)
+
+
+def test_ensure_features_rebuilds_a_bad_cache_entry(tmp_path, caplog):
+    cache = tmp_path / "cache"
+    corpus = _audio_corpus(tmp_path)
+    datasets.ensure_features(corpus, cache_dir=str(cache))
+    entry = sorted(cache.iterdir())[0]
+    entry.write_bytes(b"garbage, not an array")
+    with caplog.at_level("WARNING", logger="capsintent"):
+        counts = datasets.ensure_features(_audio_corpus(tmp_path), cache_dir=str(cache))
+    assert counts == {"computed": 1, "cached": len(corpus) - 1, "inline": 0, "failed": 0}
+    assert any(entry.name in r.getMessage() for r in caplog.records)
+    counts = datasets.ensure_features(_audio_corpus(tmp_path), cache_dir=str(cache))
+    assert counts == {"computed": 0, "cached": len(corpus), "inline": 0, "failed": 0}
 
 
 # ---------------------------------------------------------------------------

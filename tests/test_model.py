@@ -85,7 +85,7 @@ def test_forced_path_records_speaker_loss_without_affecting_total():
     bd_other, grads_other = model.loss_and_grads([utt.features], [utt.target], [other],
                                                  params, cfg)
     assert bd.speaker_loss > 0.0
-    assert bd.total == bd.label_loss == bd_other.total
+    assert bd.total_loss == bd.label_loss == bd_other.total_loss
     for key in ("spk.W", "spk.b"):
         assert not np.any(grads[key]), key
     for key in grads:
@@ -161,7 +161,7 @@ def test_batch_call_equals_sum_of_single_calls(lengths, weight, seed):
     for b in range(len(lengths)):
         one, one_grads = model.loss_and_grads(feats[b:b + 1], targets[b:b + 1],
                                               speakers[b:b + 1], params, cfg)
-        for name in ("label_loss", "speaker_loss", "total"):
+        for name in ("label_loss", "speaker_loss", "total_loss"):
             want = getattr(one, name)[0]
             assert abs(getattr(batch, name)[b] - want) <= 1e-10 * max(abs(want), 1e-3), name
         for key in summed:
@@ -180,7 +180,7 @@ def test_padding_with_a_longer_utterance_leaves_losses_unchanged(lengths, extra,
     feats, targets, speakers = _ragged_batch(cfg, lengths + [max(lengths) + extra], seed)
     alone, _ = model.loss_and_grads(feats[:-1], targets[:-1], speakers[:-1], params, cfg)
     padded, _ = model.loss_and_grads(feats, targets, speakers, params, cfg)
-    for name in ("label_loss", "speaker_loss", "total"):
+    for name in ("label_loss", "speaker_loss", "total_loss"):
         np.testing.assert_allclose(getattr(padded, name)[:-1], getattr(alone, name),
                                    rtol=1e-12, atol=1e-15)
 
@@ -268,13 +268,12 @@ def test_evaluate_on_a_ragged_batch_equals_each_utterance_alone(lengths, trained
     cfg = tiny_model_config()
     params = well_conditioned_params(cfg, seed=seed) if trained else model.init_params(cfg)
     feats, _, _ = _ragged_batch(cfg, lengths, seed)
-    batch = model.evaluate(feats, params, cfg)
+    caps, probs = model.evaluate(feats, params, cfg)
     for b in range(len(feats)):
-        alone = model.evaluate(feats[b:b + 1], params, cfg)
-        np.testing.assert_allclose(batch.capsules.norms[b], alone.capsules.norms[0],
-                                   rtol=1e-12, atol=0)
-        np.testing.assert_allclose(batch.speaker_probs[b], alone.speaker_probs[0],
-                                   rtol=1e-12, atol=0)
+        caps_alone, probs_alone = model.evaluate(feats[b:b + 1], params, cfg)
+        np.testing.assert_allclose(np.linalg.norm(caps[b], axis=-1),
+                                   np.linalg.norm(caps_alone[0], axis=-1), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(probs[b], probs_alone[0], rtol=1e-12, atol=0)
 
 
 def test_predict_corpus_answers_as_predict_does():
