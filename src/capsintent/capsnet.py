@@ -56,11 +56,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Fields must conform to their annotations and speaker_weight be
-        finite and >= 0 (UsageError); counts >= 1, output_dim >= 2 (ShapeError)."""
+        """Fields must conform to their annotations, speaker_weight be finite
+        and >= 0, seed >= 0 (UsageError); counts >= 1, output_dim >= 2 (ShapeError)."""
         check_types(vars(self), ModelConfig, "")
         if not (math.isfinite(self.speaker_weight) and self.speaker_weight >= 0):
             raise UsageError(f"speaker_weight must be finite and >= 0, got {self.speaker_weight}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         for name in ("feat_dim", "num_labels", "speaker_count", "encoder_hidden",
                      "encoder_layers", "num_primary", "primary_dim", "routing_iters"):
             if getattr(self, name) < 1:
@@ -296,9 +298,7 @@ def encode(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.n
     feats = np.asarray(feats, dtype=np.float64)
     if feats.shape[-1] != config.feat_dim:
         raise ShapeError(f"feature dim {feats.shape[-1]} != configured {config.feat_dim}")
-    readout, cache = enc.encoder_forward(
-        params, feats, config.encoder_hidden, config.encoder_layers, lengths
-    )
+    readout, cache = enc.encoder_forward(params, feats, config.encoder_layers, lengths)
     primary_pre = (readout @ params["proj.W"] + params["proj.b"]).reshape(
         -1, config.num_primary, config.primary_dim)
     caps = np.moveaxis(squash(primary_pre), -2, 0)

@@ -6,10 +6,11 @@ YAML config file; flags only override paths and verbosity. Exit codes: 0
 success, 2 usage/config errors, 3 training divergence, 4 data errors.
 
 Config keys (unknown keys, and values not of the key's declared type, are
-rejected): ``output_dir`` (required); ``seed``; ``corpus`` (required):
+rejected): ``output_dir`` (required); ``seed`` (>= 0); ``corpus`` (required):
 ``kind`` (synth | grabo | fluent | manifest), ``root``, ``manifest``,
 ``cache_dir``, and for synth (the ``mimic_grabo`` corpus) ``per_speaker_count``
-and ``feat_dim`` (>= 1), ``noise_level`` (finite, >= 0), ``seed``; ``model``:
+and ``feat_dim`` (>= 1), ``noise_level`` (finite, >= 0), ``seed`` (>= 0, left
+out: the top-level seed); ``model``:
 ``encoder_hidden``, ``encoder_layers``, ``num_primary``, ``primary_dim``,
 ``output_dim``, ``routing_iters``, ``speaker_weight`` (the corpus sets ``feat_dim``,
 ``num_labels`` and ``speaker_count``); ``experiment``: ``mode``
@@ -104,6 +105,7 @@ def load_run_config(path: str) -> RunConfig:
         if required not in raw:
             raise UsageError(f"{path}: missing required key {required!r}")
     check_types(raw, RunConfig, "")
+    seed = raw.get("seed", 0)
 
     corpus_raw = raw["corpus"] or {}
     _check_keys(corpus_raw, {f.name for f in fields(CorpusConfig)}, "corpus")
@@ -111,6 +113,10 @@ def load_run_config(path: str) -> RunConfig:
     if "kind" not in corpus_raw:
         raise UsageError("corpus.kind is required (synth | grabo | fluent | manifest)")
     corpus_cfg = CorpusConfig(**corpus_raw)
+    if corpus_cfg.seed is None:
+        corpus_cfg.seed = seed
+    elif corpus_cfg.seed < 0:
+        raise UsageError(f"corpus.seed must be >= 0, got {corpus_cfg.seed}")
     if corpus_cfg.kind not in ("synth", "grabo", "fluent", "manifest"):
         raise UsageError(f"unknown corpus kind {corpus_cfg.kind!r}")
     if corpus_cfg.kind in ("grabo", "fluent") and not corpus_cfg.root:
@@ -148,7 +154,7 @@ def load_run_config(path: str) -> RunConfig:
     run = RunConfig(
         corpus=corpus_cfg,
         output_dir=raw["output_dir"],
-        seed=raw.get("seed", 0),
+        seed=seed,
         model=model_raw,
         experiment=experiment,
         training=training,
@@ -182,8 +188,7 @@ def build_corpus(run: RunConfig, cache_override: Optional[str] = None,
     of what its loader skipped, and fill in its features."""
     cc = run.corpus
     if cc.kind == "synth":
-        return datasets.synth_generate(synth_spec(cc),
-                                       seed=cc.seed if cc.seed is not None else run.seed)
+        return datasets.synth_generate(synth_spec(cc), seed=cc.seed)
     if cc.kind == "grabo":
         corpus = datasets.load_grabo(cc.root)
     elif cc.kind == "fluent":
@@ -286,8 +291,7 @@ def cmd_eval(args) -> int:
 
 
 def _experiment_seeds(run: RunConfig) -> dict:
-    return {"base": run.seed, "split": run.seed,
-            "corpus": run.corpus.seed if run.corpus.seed is not None else run.seed}
+    return {"base": run.seed, "split": run.seed, "corpus": run.corpus.seed}
 
 
 def cmd_curve(args) -> int:

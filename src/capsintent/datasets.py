@@ -112,6 +112,10 @@ class Utterance:
 
 @dataclass
 class Corpus:
+    """Utterances with their vocabulary and speaker roster, checked (unique
+    ids, non-empty targets over the vocabulary, speakers in the roster, else
+    DataError) and indexed by id when built."""
+
     name: str
     utterances: list[Utterance]
     vocab: LabelVocabulary
@@ -123,28 +127,26 @@ class Corpus:
         return len(self.utterances)
 
     def by_id(self, utt_id: str) -> Utterance:
-        if not hasattr(self, "_by_id"):
-            self._by_id = {u.id: u for u in self.utterances}
         return self._by_id[utt_id]
 
     def subset(self, ids: Iterable[str]) -> list[Utterance]:
-        return [self.by_id(i) for i in ids]
+        return [self._by_id[i] for i in ids]
 
     def feat_dim(self) -> int:
-        for utt in self.utterances:
-            if utt.features is not None:
-                return utt.features.shape[1]
-        raise UsageError("corpus has no materialized features yet")
+        feats = self.utterances[0].features if self.utterances else None
+        if feats is None:
+            raise UsageError("corpus has no materialized features yet")
+        return feats.shape[1]
 
-    def validate(self) -> None:
+    def __post_init__(self):
         K, M = len(self.vocab), len(self.speakers)
         if M < 1:
             raise DataError("corpus needs at least one speaker")
-        seen: set[str] = set()
+        self._by_id: dict[str, Utterance] = {}
         for utt in self.utterances:
-            if utt.id in seen:
+            if utt.id in self._by_id:
                 raise DataError(f"duplicate utterance id {utt.id!r}")
-            seen.add(utt.id)
+            self._by_id[utt.id] = utt
             if utt.target.shape != (K,):
                 raise DataError(f"{utt.id}: target length {utt.target.shape} != {K}")
             if not utt.target.any():
@@ -155,14 +157,14 @@ class Corpus:
 
 def ensure_features(corpus: Corpus, cache_dir: Optional[str] = None,
                     on_error: str = "raise") -> dict[str, int]:
-    """Materialize features for every utterance; returns counter dict."""
+    """Fill in missing features from the cache or the audio; returns the
+    computed/cached/inline/failed counts. With ``on_error="skip"`` an
+    utterance whose audio fails keeps ``features=None``, counted as failed."""
     cache = FeatureCache(cache_dir) if cache_dir else None
     counts = {"computed": 0, "cached": 0, "inline": 0, "failed": 0}
-    kept = []
     for utt in corpus.utterances:
         if utt.features is not None:
             counts["inline"] += 1
-            kept.append(utt)
             continue
         if utt.audio_path is None:
             raise DataError(f"{utt.id}: neither features nor audio available")
@@ -178,10 +180,6 @@ def ensure_features(corpus: Corpus, cache_dir: Optional[str] = None,
             continue
         utt.features = feats
         counts["cached" if was_cached else "computed"] += 1
-        kept.append(utt)
-    if counts["failed"]:
-        corpus.utterances = kept
-        corpus._by_id = {u.id: u for u in corpus.utterances}
     return counts
 
 
@@ -320,14 +318,12 @@ def synth_generate(spec: SynthSpec, seed: int) -> Corpus:
                 speaker_index=s,
                 features=feats,
             ))
-    corpus = Corpus(
+    return Corpus(
         name="synth",
         utterances=utterances,
         vocab=vocab,
         speakers=[f"spk{s:02d}" for s in range(spec.speaker_count)],
     )
-    corpus.validate()
-    return corpus
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +360,8 @@ def _corpus_from_rows(name: str, rows: list[tuple], speakers: Optional[list[str]
                   speaker_index=spk_index[speaker], audio_path=audio)
         for utt_id, audio, speaker, labels in rows
     ]
-    corpus = Corpus(name=name, utterances=utterances, vocab=vocab, speakers=speakers,
-                    warnings=warnings or {}, splits=splits)
-    corpus.validate()
-    return corpus
+    return Corpus(name=name, utterances=utterances, vocab=vocab, speakers=speakers,
+                  warnings=warnings or {}, splits=splits)
 
 
 def load_manifest(path: str) -> Corpus:

@@ -18,7 +18,9 @@ state, with no masking work inside the frame loops. Every batch is masked
 alike; an unpadded one gets an all-True mask. The backward direction
 reads each sequence reversed within its own length, so its final state is
 also at T_max - 1. The encoder reads out the concatenated final states of
-both directions of the top layer.
+both directions of the top layer. Backprop takes one input per direction,
+the gradients on its (T_max, B, H) states: the top layer's are zero but for
+that direction's half of the readout gradient at step T_max - 1.
 """
 
 from __future__ import annotations
@@ -115,12 +117,12 @@ def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
     return states, cache
 
 
-def gru_backward(p, cache, d_steps, d_last):
+def gru_backward(p, cache, d_states):
     """BPTT through one direction.
 
-    d_steps: (T, B, H) per-step gradients on the emitted states (may be
-    None), d_last: extra gradient on the final state. Returns (param grads
-    summed over the batch, dxs).
+    d_states: (T, B, H) gradients on the emitted states, the one gradient
+    input; a final-state (readout) gradient sits at step T - 1. Returns
+    (param grads summed over the batch, dxs).
 
     Each gate pre-activation's gradient is the state gradient times a factor
     that depends only on the forward pass, so all factors are computed up
@@ -142,10 +144,9 @@ def gru_backward(p, cache, d_steps, d_last):
     d_pre = np.empty_like(factors)
     d_pre_h = d_pre[..., :3, :].reshape(d_pre.shape[:-2] + (3 * hidden,))
     Wh_T = p["Wh"].T
-    dh = np.array(d_last, dtype=np.float64, copy=True)
+    dh = np.zeros(d_states.shape[1:])
     for t in range(xs.shape[0] - 1, -1, -1):
-        if d_steps is not None:
-            dh = dh + d_steps[t]
+        dh = dh + d_states[t]
         np.multiply(dh[..., None, :], factors[t], out=d_pre[t])
         dh = dh * z[t] + d_pre_h[t] @ Wh_T
     d_pre_x = np.concatenate([d_pre[..., :2, :], d_pre[..., 3:, :]], axis=-2)
@@ -175,10 +176,9 @@ def init_encoder_params(rng: np.random.Generator, feat_dim: int, hidden: int, la
     return params
 
 
-def encoder_forward(params: Params, feats: np.ndarray, hidden: int, layers: int,
-                    lengths: np.ndarray):
+def encoder_forward(params: Params, feats: np.ndarray, layers: int, lengths: np.ndarray):
     """Encode a padded time-major (T_max, B, feat_dim) batch with its (B,)
-    ``lengths`` into the (B, 2*hidden) final-state readout."""
+    ``lengths`` into the (B, 2H) final-state readout."""
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 3 or feats.shape[0] < 1:
         raise DataError(f"encoder needs a non-empty (T_max, B, dim) batch, got shape {feats.shape}")
@@ -197,24 +197,22 @@ def encoder_forward(params: Params, feats: np.ndarray, hidden: int, layers: int,
         if layer < layers - 1:
             xs = np.concatenate([hs_f, hs_b_rev[reversal]], axis=-1)
     readout = np.concatenate([hs_f[-1], hs_b_rev[-1]], axis=-1)
-    return readout, {"caches": caches, "layers": layers, "hidden": hidden, "T": T,
-                     "reversal": reversal}
+    return readout, {"caches": caches, "T": T, "reversal": reversal}
 
 
 def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
     """Backprop the readout gradient through every layer and time step;
     parameter gradients are summed over the batch."""
-    layers, hidden, reversal = cache["layers"], cache["hidden"], cache["reversal"]
+    reversal = cache["reversal"]
+    hidden = d_readout.shape[-1] // 2
     grads: Params = {}
-    d_steps_f = None
-    d_steps_b_rev = None
-    d_last_f = d_readout[..., :hidden]
-    d_last_b = d_readout[..., hidden:]
-    for layer in range(layers - 1, -1, -1):
+    d_top = np.zeros((cache["T"],) + d_readout.shape)
+    d_top[-1] = d_readout
+    d_steps_f, d_steps_b_rev = d_top[..., :hidden], d_top[..., hidden:]
+    for layer in range(len(cache["caches"]) - 1, -1, -1):
         cache_f, cache_b = cache["caches"][layer]
-        g_f, dx_f = gru_backward(_layer_params(params, layer, "f"), cache_f, d_steps_f, d_last_f)
-        g_b, dx_b_rev = gru_backward(_layer_params(params, layer, "b"), cache_b, d_steps_b_rev,
-                                     d_last_b)
+        g_f, dx_f = gru_backward(_layer_params(params, layer, "f"), cache_f, d_steps_f)
+        g_b, dx_b_rev = gru_backward(_layer_params(params, layer, "b"), cache_b, d_steps_b_rev)
         for key, val in g_f.items():
             grads[f"enc.{layer}.f.{key}"] = val
         for key, val in g_b.items():
@@ -223,6 +221,4 @@ def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
             d_xs = dx_f + dx_b_rev[reversal]  # (T, B, in_dim of this layer)
             d_steps_f = d_xs[..., :hidden]
             d_steps_b_rev = d_xs[..., hidden:][reversal]
-            d_last_f = np.zeros_like(d_last_f)
-            d_last_b = np.zeros_like(d_last_b)
     return grads

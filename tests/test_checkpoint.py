@@ -52,9 +52,9 @@ def test_checkpoint_reload_reproduces_predictions(tmp_path):
     assert before[1].tobytes() == after[1].tobytes()
 
 
-def _resave(path, out, params=None, config=None, **header):
-    """Copy a checkpoint with its parameters or header config replaced, or
-    with top-level header keys added."""
+def _resave(path, out, params=None, config=None, drop=(), **header):
+    """Copy a checkpoint with its parameters or header config replaced, with
+    the top-level header keys ``drop`` removed, or with others added."""
     with np.load(str(path)) as data:
         arrays = {key: np.array(data[key]) for key in data.files}
     if params is not None:
@@ -63,6 +63,8 @@ def _resave(path, out, params=None, config=None, **header):
     meta = json.loads(bytes(arrays["__meta__"]).decode())
     if config is not None:
         meta["config"] = config
+    for key in drop:
+        del meta[key]
     meta.update(header)
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(str(out), **arrays)
@@ -126,6 +128,31 @@ def test_eval_with_non_finite_parameter_is_data_error(tmp_path, capsys):
     assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(manifest)]) == 4
     err = capsys.readouterr().err
     assert "parameter caps.W holds non-finite values" in err and "diverged" not in err
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"format": "other-checkpoint"}, "unknown checkpoint format 'other-checkpoint'"),
+    ({"version": 99}, "unsupported checkpoint version 99"),
+    ({"drop": ("config",)}, "checkpoint header carries no model config"),
+], ids=["unknown_format", "unsupported_version", "no_config"])
+def test_checkpoint_bad_header_rejected(tmp_path, change, match):
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg))
+    with pytest.raises(FormatError, match=match):
+        checkpoint.load_checkpoint(_resave(path, tmp_path / "bad.npz", **change))
+
+
+def test_eval_without_vocabulary_is_usage_error(tmp_path, capsys):
+    from capsintent import cli
+
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
+    assert cli.main(["eval", "--checkpoint", str(path), "--manifest", str(manifest)]) == 2
+    assert "carries no vocabulary; cannot decode" in capsys.readouterr().err
 
 
 def test_checkpoint_bad_config_rejected(tmp_path):
@@ -228,11 +255,11 @@ def test_eval_with_mistyped_vocabulary_is_data_error(tmp_path, capsys):
     # settings an earlier version wrote, now fixed at 0.9, 0.1, 1.0 and true
     ("margin_present", 0.8), ("margin_absent", 0.9), ("absent_loss_scale", 0.5),
     ("speaker_bias", False), ("speaker_bias", 1), ("absent_loss_scale", True),
-    ("margin_present", "0.9"), ("margin_absent", None),
+    ("margin_present", "0.9"), ("margin_absent", None), ("seed", -1),
 ], ids=["float_routing_iters", "string_speaker_bias", "float_hidden", "zero_layers",
         "nan_speaker_weight", "negative_speaker_weight", "margin_present_0.8",
         "margin_absent_0.9", "absent_scale_0.5", "speaker_bias_false", "speaker_bias_int",
-        "absent_scale_bool", "margin_present_string", "margin_absent_null"])
+        "absent_scale_bool", "margin_present_string", "margin_absent_null", "negative_seed"])
 def test_checkpoint_invalid_config_value_rejected(tmp_path, key, value):
     cfg = tiny_model_config()
     path = tmp_path / "m.npz"
@@ -254,6 +281,19 @@ def test_eval_with_mistyped_config_is_data_error(tmp_path, capsys):
     manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
     assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(manifest)]) == 4
     assert "routing_iters must be int" in capsys.readouterr().err
+
+
+def test_eval_with_negative_seed_in_header_is_data_error(tmp_path, capsys):
+    from capsintent import cli
+
+    cfg = tiny_model_config()
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, model.init_params(cfg), vocab_payload=GOOD_VOCAB)
+    bad = _resave(path, tmp_path / "bad.npz", config={**dataclasses.asdict(cfg), "seed": -1})
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
+    assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(manifest)]) == 4
+    assert "invalid model config: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 # the config keys of settings that are now fixed, as earlier versions wrote them

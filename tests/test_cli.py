@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
-from capsintent import cli, datasets
+from capsintent import cli, datasets, experiments
 from capsintent.checkpoint import load_checkpoint
-from capsintent.errors import UsageError
+from capsintent.errors import DivergenceError, UsageError
 from capsintent.features import FeatureCache
 
 from helpers import write_wav
@@ -236,6 +237,47 @@ def test_mistyped_sweep_is_usage_error(tmp_path, capsys, sweep, message):
     assert cli.main(["curve", path]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("output_dir: out\ncorpus: [kind", "invalid YAML"),
+    ("- output_dir\n- corpus\n", "config must be a mapping"),
+    ("corpus: {kind: synth}\n", "missing required key 'output_dir'"),
+    ("output_dir: out\n", "missing required key 'corpus'"),
+    ("output_dir: out\ncorpus: {seed: 1}\n", "corpus.kind is required"),
+    ("output_dir: out\ncorpus: {kind: wav}\n", "unknown corpus kind 'wav'"),
+    ("output_dir: out\ncorpus: {kind: grabo}\n", "corpus.root is required for kind 'grabo'"),
+    ("output_dir: out\ncorpus: {kind: fluent}\n", "corpus.root is required for kind 'fluent'"),
+    ("output_dir: out\ncorpus: {kind: manifest}\n",
+     "corpus.manifest is required for kind 'manifest'"),
+    ("output_dir: out\ncorpus: {kind: synth}\nexperiment: {mode: by_room}\n",
+     "unknown experiment.mode 'by_room'"),
+], ids=["invalid_yaml", "not_a_mapping", "no_output_dir", "no_corpus", "no_kind",
+        "unknown_kind", "grabo_without_root", "fluent_without_root",
+        "manifest_without_manifest", "unknown_mode"])
+def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "run.yaml"
+    path.write_text(text)
+    assert cli.main(["validate-config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"seed": -1}, "error: seed must be >= 0, got -1"),
+    ({"corpus": {"seed": -3}}, "error: corpus.seed must be >= 0, got -3"),
+], ids=["top_level", "corpus"])
+@pytest.mark.parametrize("command", ["validate-config", "train"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, override, message, command):
+    path = write_config(tmp_path, **override)
+    assert cli.main([command, path]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_corpus_seed_defaults_to_the_top_level_seed(tmp_path):
+    run = cli.load_run_config(write_config(tmp_path, seed=7, corpus={"seed": None}))
+    assert run.corpus.seed == 7
+    assert cli._experiment_seeds(run) == {"base": 7, "split": 7, "corpus": 7}
+
+
 def test_validate_config_missing_file(capsys):
     assert cli.main(["validate-config", "/nonexistent.yaml"]) == 2
 
@@ -276,6 +318,19 @@ def test_features_command_rebuilds_bad_cache_entries(tmp_path, capsys):
     assert "computed=2" in out and "skipped(cached)=10" in out and "failed=0" in out
     assert cli.main(["features", path]) == 0
     assert "skipped(cached)=12" in capsys.readouterr().out
+
+
+def test_features_command_counts_a_corrupt_wav_as_failed(tmp_path, capsys):
+    root = make_audio_corpus_tree(tmp_path, per_speaker=3)
+    (root / "spk1" / "u2.wav").write_bytes(b"RIFF, but no audio follows")
+    path = write_config(tmp_path, corpus={"kind": "grabo", "root": str(root),
+                                          "cache_dir": str(tmp_path / "cache")})
+    assert cli.main(["features", path]) == 0
+    assert capsys.readouterr().out == ("features: computed=5 skipped(cached)=0 "
+                                       "skipped(inline)=0 failed=1 total=6\n")
+    assert cli.main(["features", path]) == 0
+    assert capsys.readouterr().out == ("features: computed=0 skipped(cached)=5 "
+                                       "skipped(inline)=0 failed=1 total=6\n")
 
 
 def test_features_command_rejects_synth(tmp_path):
@@ -332,6 +387,27 @@ def test_train_eval_roundtrip(tmp_path, capsys):
                      "--cache-dir", cache, "--output", str(tmp_path / "evalout2")]) == 0
     metrics2 = json.loads((tmp_path / "evalout2" / "metrics.json").read_text())
     assert metrics == metrics2
+
+
+def test_train_on_a_manifest_without_a_feature_cache(tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    root = make_audio_corpus_tree(tmp_path)
+    manifest = tmp_path / "corpus.csv"
+    datasets.write_manifest(datasets.load_grabo(str(root)), str(manifest))
+    model = {"encoder_hidden": 4, "num_primary": 4, "primary_dim": 2, "output_dim": 2,
+             "routing_iters": 2, "speaker_weight": 0.5}
+    path = write_config(tmp_path, corpus={"kind": "manifest", "manifest": str(manifest)},
+                        model=model)
+    assert cli.main(["train", path]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["corpus", "corpus.csv", "out", "run.yaml"]
+    # the same corpus through its directory loader and a feature cache
+    cached = tmp_path / "cached"
+    path = write_config(tmp_path, output_dir=str(cached), model=model,
+                        corpus={"kind": "grabo", "root": str(root),
+                                "cache_dir": str(tmp_path / "cache")})
+    assert cli.main(["train", path]) == 0
+    for name in ("history.json", "model.npz"):
+        assert (tmp_path / "out" / name).read_bytes() == (cached / name).read_bytes()
 
 
 def test_eval_vocab_mismatch(tmp_path, capsys):
@@ -538,3 +614,46 @@ def test_eval_metrics_equal_evaluate_model(tmp_path):
     expected = experiments.evaluate_model(corpus.utterances, params, config, vocab)
     assert "intent_accuracy" in expected
     assert json.loads((eval_dir / "metrics.json").read_text()) == expected
+
+
+def _diverge_on_calls(monkeypatch, calls):
+    """Make ``experiments.fit`` raise DivergenceError on the given 1-based
+    call numbers and fit as usual otherwise."""
+    real_fit, count = experiments.fit, [0]
+
+    @functools.wraps(real_fit)   # the config loader reads fit's annotations
+    def fit(utterances, config, **options):
+        count[0] += 1
+        if count[0] in calls:
+            raise DivergenceError(f"forced on fit call {count[0]}")
+        return real_fit(utterances, config, **options)
+
+    monkeypatch.setattr(experiments, "fit", fit)
+
+
+def test_curve_flags_diverged_repeats_and_leaves_out_failed_points(tmp_path, capsys,
+                                                                   monkeypatch):
+    # two repeats per point: both fits of the first point diverge, and the
+    # first of the second
+    _diverge_on_calls(monkeypatch, {1, 2, 3})
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, experiment={"num_blocks": 4, "schedule": [1, 2],
+                                              "repeats": 2})
+    assert cli.main(["curve", path]) == 0
+    out = capsys.readouterr().out
+    assert "train=0: FAILED" in out
+    gone, kept = json.loads((out_dir / "summary.json").read_text())["points"]
+    assert gone == {"train_utterances": 0, "f1": None, "stddev_f1": None,
+                    "speaker_acc": None, "repeats": 0, "failed": True}
+    assert kept["failed"] and kept["repeats"] == 1 and kept["stddev_f1"] == 0.0
+    assert kept["train_utterances"] == 22 and 0.0 <= kept["f1"] <= 1.0
+    assert "train=22: FAILED" in out
+    rows = (out_dir / "curve.csv").read_text().strip().split("\n")
+    assert rows[1:] == [f"22,{kept['f1']:.6f},0.000000,{kept['speaker_acc']:.6f},1"]
+
+
+def test_train_divergence_exits_3(tmp_path, capsys, monkeypatch):
+    _diverge_on_calls(monkeypatch, {1})
+    assert cli.main(["train", write_config(tmp_path)]) == 3
+    assert "error: training diverged: forced on fit call 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -403,6 +403,26 @@ def test_fluent_table_short_row(tmp_path, table):
 def test_corpus_validate_catches_bad_speaker():
     vocab = datasets.LabelVocabulary(labels=("a",))
     utts = [datasets.Utterance(id="u", target=np.array([1.0]), speaker_index=5)]
-    corpus = datasets.Corpus(name="x", utterances=utts, vocab=vocab, speakers=["s"])
     with pytest.raises(DataError):
-        corpus.validate()
+        datasets.Corpus(name="x", utterances=utts, vocab=vocab, speakers=["s"])
+
+
+@pytest.mark.parametrize("target, speakers, match", [
+    ([1.0], [], "corpus needs at least one speaker"),
+    ([1.0, 0.0], ["s"], r"u: target length \(2,\) != 1"),
+    ([0.0], ["s"], "u: no active label"),
+], ids=["no_speakers", "target_length", "no_active_label"])
+def test_corpus_is_checked_when_built(target, speakers, match):
+    vocab = datasets.LabelVocabulary(labels=("a",))
+    utts = [datasets.Utterance(id="u", target=np.array(target), speaker_index=0)]
+    with pytest.raises(DataError, match=match):
+        datasets.Corpus(name="x", utterances=utts, vocab=vocab, speakers=speakers)
+
+
+def test_feat_dim_needs_features():
+    vocab = datasets.LabelVocabulary(labels=("a",))
+    utt = datasets.Utterance(id="u", target=np.array([1.0]), speaker_index=0)
+    for utts in ([], [utt]):
+        corpus = datasets.Corpus(name="x", utterances=utts, vocab=vocab, speakers=["s"])
+        with pytest.raises(UsageError, match="no materialized features"):
+            corpus.feat_dim()

@@ -18,11 +18,11 @@ def test_encoder_gradients_match_finite_differences():
     params, feats, w, hidden, layers = _setup()
 
     def loss_fn(p):
-        readout, _ = encoder.encoder_forward(p, feats, hidden, layers, np.array([len(feats)]))
+        readout, _ = encoder.encoder_forward(p, feats, layers, np.array([len(feats)]))
         return float(np.tanh(readout[0]) @ w)
 
     def grads_fn(p):
-        readout, cache = encoder.encoder_forward(p, feats, hidden, layers, np.array([len(feats)]))
+        readout, cache = encoder.encoder_forward(p, feats, layers, np.array([len(feats)]))
         d_readout = (1 - np.tanh(readout) ** 2) * w
         return encoder.encoder_backward(p, cache, d_readout)
 
@@ -32,29 +32,29 @@ def test_encoder_gradients_match_finite_differences():
 
 def test_encoder_single_frame():
     params, _, w, hidden, layers = _setup()
-    readout, _ = encoder.encoder_forward(params, np.ones((1, 1, 3)), hidden, layers, np.array([1]))
+    readout, _ = encoder.encoder_forward(params, np.ones((1, 1, 3)), layers, np.array([1]))
     assert readout.shape == (1, 2 * hidden)
 
 
 def test_encoder_empty_rejected():
     params, _, _, hidden, layers = _setup()
     with pytest.raises(DataError):
-        encoder.encoder_forward(params, np.zeros((0, 1, 3)), hidden, layers, np.array([0]))
+        encoder.encoder_forward(params, np.zeros((0, 1, 3)), layers, np.array([0]))
 
 
 def test_reversed_direction_sees_sequence_order():
     # reversing the input sequence must swap the two halves of the readout
     params, feats, _, hidden, layers = _setup(layers=1)
     lengths = np.array([len(feats)])
-    fwd, _ = encoder.encoder_forward(params, feats, hidden, layers, lengths)
-    rev, _ = encoder.encoder_forward(params, feats[::-1], hidden, layers, lengths)
+    fwd, _ = encoder.encoder_forward(params, feats, layers, lengths)
+    rev, _ = encoder.encoder_forward(params, feats[::-1], layers, lengths)
     # with one layer, both directions share no weights, so only compare the
     # direction-specific parts after making the directions share parameters
     for key in ("Wx", "Wh", "b"):
         params[f"enc.0.b.{key}"] = params[f"enc.0.f.{key}"]
     lengths = np.array([len(feats)])
-    fwd, _ = encoder.encoder_forward(params, feats, hidden, layers, lengths)
-    rev, _ = encoder.encoder_forward(params, feats[::-1], hidden, layers, lengths)
+    fwd, _ = encoder.encoder_forward(params, feats, layers, lengths)
+    rev, _ = encoder.encoder_forward(params, feats[::-1], layers, lengths)
     assert np.allclose(fwd[0, :hidden], rev[0, hidden:], atol=1e-12)
     assert np.allclose(fwd[0, hidden:], rev[0, :hidden], atol=1e-12)
 
@@ -79,4 +79,4 @@ def test_gru_state_shapes():
 def test_encoder_rejects_unbatched_features():
     params, feats, _, hidden, layers = _setup()
     with pytest.raises(DataError):
-        encoder.encoder_forward(params, feats[:, 0], hidden, layers, np.array([len(feats)]))
+        encoder.encoder_forward(params, feats[:, 0], layers, np.array([len(feats)]))

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import threading
+import wave
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,28 @@ def test_load_wav_8bit_and_32bit(wav_factory):
     samples = np.linspace(-0.9, 0.9, 1000)
     for width in (1, 4):
         loaded = features.load_wav(wav_factory(f"w{width}.wav", samples, sampwidth=width))
-        assert np.max(np.abs(loaded - samples)) < 2e-2 if width == 1 else 1e-6
+        assert np.max(np.abs(loaded - samples)) < (2e-2 if width == 1 else 1e-6)
+
+
+def test_load_wav_24bit_matches_its_16bit_twin(tmp_path, wav_factory):
+    ints = np.round(np.linspace(-0.9, 0.9, 1000) * 32767).astype(np.int64)
+    twin = features.load_wav(wav_factory("w16.wav", ints / 32767))
+    # the same samples, shifted to 24 bits and written as 3-byte little-endian words
+    words = (ints << 8) & 0xFFFFFF
+    raw = np.stack([words & 0xFF, (words >> 8) & 0xFF, words >> 16], axis=1).astype(np.uint8)
+    with wave.open(str(tmp_path / "w24.wav"), "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(3)
+        fh.setframerate(16000)
+        fh.writeframes(raw.tobytes())
+    loaded = features.load_wav(str(tmp_path / "w24.wav"))
+    assert loaded.shape == twin.shape
+    assert np.max(np.abs(loaded - twin)) <= 1 / 32768   # one 16-bit step
+
+
+def test_unsupported_sample_width_is_format_error():
+    with pytest.raises(FormatError, match="unsupported PCM sample width 5 bytes"):
+        features._decode_pcm(bytes(10), 5)
 
 
 def test_fbank_short_clip_rejected():
