@@ -81,7 +81,7 @@ class RoutingTrace:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate needed to replay the forward pass exactly."""
+    """Every intermediate needed to replay the forward pass; ``encode`` returns the first three."""
 
     encoder_cache: dict
     readout: np.ndarray           # (B, 2H)
@@ -247,10 +247,9 @@ def decode_labels(caps: np.ndarray, vocab: "LabelVocabulary") -> list[list[str]]
         raise ShapeError(f"vocabulary size {len(vocab.labels)} != capsule count {norms.shape[-1]}")
     groups = [(sorted(vocab.index_of(name) for name in g.labels), g.required)
               for g in vocab.slot_groups]
-    grouped = {i for idxs, _ in groups for i in idxs}
     decoded = []
     for row in norms.tolist():
-        chosen = [i for i, norm in enumerate(row) if i not in grouped and norm > 0.5]
+        chosen = [i for i, norm in enumerate(row) if i not in vocab.grouped and norm > 0.5]
         for idxs, required in groups:
             best = max(idxs, key=row.__getitem__)
             if required or row[best] > 0.5:
@@ -293,7 +292,7 @@ def encode(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.n
 
     ``feats`` is a zero-padded time-major (T_max, B, feat_dim) batch with
     its (B,) ``lengths`` (``encoder.pad_batch``). Returns the (P, B, d_p)
-    capsules and a cache of the intermediates backward needs.
+    capsules and the (encoder_cache, readout, primary_pre) of their ``ForwardTrace``.
     """
     feats = np.asarray(feats, dtype=np.float64)
     if feats.shape[-1] != config.feat_dim:
@@ -302,7 +301,7 @@ def encode(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.n
     primary_pre = (readout @ params["proj.W"] + params["proj.b"]).reshape(
         -1, config.num_primary, config.primary_dim)
     caps = np.moveaxis(squash(primary_pre), -2, 0)
-    return caps, {"encoder": cache, "readout": readout, "primary_pre": primary_pre}
+    return caps, (cache, readout, primary_pre)
 
 
 def forward(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.ndarray):
@@ -312,20 +311,13 @@ def forward(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.
     Raises DivergenceError, with the batch position of the first utterance
     affected, when capsule predictions are non-finite.
     """
-    primary, cache = encode(feats, params, config, lengths=lengths)
+    primary, intermediates = encode(feats, params, config, lengths=lengths)
     votes = predict_capsules(primary, params["caps.W"])
     finite = np.isfinite(votes).all(axis=(0, 2, 3))
     if not np.all(finite):
         raise DivergenceError("non-finite capsule predictions", index=int(np.argmin(finite)))
     caps, routing = dynamic_routing(votes, config.routing_iters)
-    trace = ForwardTrace(
-        encoder_cache=cache["encoder"],
-        readout=cache["readout"],
-        primary_pre=cache["primary_pre"],
-        primary=primary,
-        routing=routing,
-    )
-    return caps, trace
+    return caps, ForwardTrace(*intermediates, primary, routing)
 
 
 def backward(trace: ForwardTrace, d_out: np.ndarray, params: Params) -> Params:

@@ -90,6 +90,12 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
         raise UsageError(f"unknown {where} config keys: {sorted(unknown)}")
 
 
+def _section(raw: dict, key: str):
+    """A config section, empty when missing or null (``_check_keys`` rejects other non-mappings)."""
+    section = raw.get(key)
+    return {} if section is None else section
+
+
 def load_run_config(path: str) -> RunConfig:
     if not os.path.isfile(path):
         raise UsageError(f"config file {path} does not exist")
@@ -107,7 +113,7 @@ def load_run_config(path: str) -> RunConfig:
     check_types(raw, RunConfig, "")
     seed = raw.get("seed", 0)
 
-    corpus_raw = raw["corpus"] or {}
+    corpus_raw = _section(raw, "corpus")
     _check_keys(corpus_raw, {f.name for f in fields(CorpusConfig)}, "corpus")
     check_types(corpus_raw, CorpusConfig, "corpus.")
     if "kind" not in corpus_raw:
@@ -126,11 +132,11 @@ def load_run_config(path: str) -> RunConfig:
     if corpus_cfg.kind == "synth":
         synth_spec(corpus_cfg)
 
-    model_raw = raw.get("model") or {}
+    model_raw = _section(raw, "model")
     _check_keys(model_raw, MODEL_KEYS, "model")
     check_types(model_raw, ModelConfig, "model.")
 
-    exp_raw = raw.get("experiment") or {}
+    exp_raw = _section(raw, "experiment")
     _check_keys(exp_raw, {f.name for f in fields(ExperimentConfig)}, "experiment")
     check_types(exp_raw, ExperimentConfig, "experiment.")
     sweep = None
@@ -147,7 +153,7 @@ def load_run_config(path: str) -> RunConfig:
     experiment.schedule = experiments.validate_schedule(experiment.schedule, experiment.num_blocks)
     experiments.validate_repeats(experiment.repeats)
 
-    training = raw.get("training") or {}
+    training = _section(raw, "training")
     _check_keys(training, TRAINING_KEYS, "training")
     check_types(training, experiments.fit, "training.")
 

@@ -45,6 +45,9 @@ class SlotGroup:
 
 @dataclass
 class LabelVocabulary:
+    """Label names and slot groups, checked when built; ``grouped`` is the
+    set of indices of the labels in a group."""
+
     labels: tuple[str, ...]
     slot_groups: tuple[SlotGroup, ...] = ()
 
@@ -52,14 +55,14 @@ class LabelVocabulary:
         if len(set(self.labels)) != len(self.labels):
             raise DataError("duplicate label names in vocabulary")
         self._index = {name: i for i, name in enumerate(self.labels)}
-        seen: set[str] = set()
+        self.grouped: set[int] = set()
         for group in self.slot_groups:
             for name in group.labels:
                 if name not in self._index:
                     raise DataError(f"slot group {group.name!r} references unknown label {name!r}")
-                if name in seen:
+                if self._index[name] in self.grouped:
                     raise DataError(f"label {name!r} appears in more than one slot group")
-                seen.add(name)
+                self.grouped.add(self._index[name])
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -79,9 +82,6 @@ class LabelVocabulary:
 
     def names_of(self, target: np.ndarray) -> list[str]:
         return [self.labels[i] for i in np.flatnonzero(np.asarray(target) > 0)]
-
-    def grouped_indices(self) -> set[int]:
-        return {self.index_of(n) for g in self.slot_groups for n in g.labels}
 
 
 def vocabulary_from_labels(per_utterance_labels: list[list[str]]) -> LabelVocabulary:
@@ -287,8 +287,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> Corpus:
     vocab = _synth_vocab(spec)
     truth = synth_truth(spec, seed)
     sample_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    grouped = vocab.grouped_indices()
-    ungrouped = [i for i in range(len(vocab)) if i not in grouped]
+    ungrouped = [i for i in range(len(vocab)) if i not in vocab.grouped]
     utterances = []
     for s in range(spec.speaker_count):
         for u in range(spec.per_speaker_count):
@@ -535,36 +534,27 @@ class BlockSplit:
     per_speaker: Optional[dict[int, list[list[str]]]] = None  # dependent mode
 
 
-def _round_robin(ids: list[str], num_blocks: int) -> list[list[str]]:
-    return [ids[b::num_blocks] for b in range(num_blocks)]
-
-
 def split_blocks(corpus: Corpus, num_blocks: int, mode: str, seed: int) -> BlockSplit:
     """Shuffle-then-round-robin partition into ``num_blocks`` blocks.
 
-    Independent mode shuffles the whole corpus; dependent mode partitions
-    each speaker's utterances separately (every speaker gets its own
-    ``num_blocks`` blocks).
+    One routine checks that a list holds ``num_blocks`` ids (UsageError "<who>
+    has <n> utterances < <num_blocks> blocks"), permutes it with the one RNG
+    and deals it: once for the corpus, or per speaker in roster order.
     """
     if mode not in ("speaker_independent", "speaker_dependent"):
         raise UsageError(f"unknown split mode {mode!r}")
     rng = np.random.default_rng(seed)
-    if mode == "speaker_independent":
-        if num_blocks > len(corpus):
-            raise UsageError(f"{num_blocks} blocks > {len(corpus)} utterances")
-        ids = [u.id for u in corpus.utterances]
-        perm = rng.permutation(len(ids))
-        shuffled = [ids[i] for i in perm]
-        return BlockSplit(mode=mode, seed=seed, num_blocks=num_blocks,
-                          blocks=_round_robin(shuffled, num_blocks))
-    per_speaker: dict[int, list[list[str]]] = {}
-    for spk in range(len(corpus.speakers)):
-        ids = [u.id for u in corpus.utterances if u.speaker_index == spk]
+
+    def blocks(ids: list[str], who: str) -> list[list[str]]:
         if num_blocks > len(ids):
-            raise UsageError(
-                f"speaker {corpus.speakers[spk]} has {len(ids)} utterances < {num_blocks} blocks"
-            )
-        perm = rng.permutation(len(ids))
-        shuffled = [ids[i] for i in perm]
-        per_speaker[spk] = _round_robin(shuffled, num_blocks)
+            raise UsageError(f"{who} has {len(ids)} utterances < {num_blocks} blocks")
+        shuffled = [ids[i] for i in rng.permutation(len(ids))]
+        return [shuffled[b::num_blocks] for b in range(num_blocks)]
+
+    if mode == "speaker_independent":
+        return BlockSplit(mode=mode, seed=seed, num_blocks=num_blocks,
+                          blocks=blocks([u.id for u in corpus.utterances], f"corpus {corpus.name}"))
+    per_speaker = {spk: blocks([u.id for u in corpus.utterances if u.speaker_index == spk],
+                               f"speaker {name}")
+                   for spk, name in enumerate(corpus.speakers)}
     return BlockSplit(mode=mode, seed=seed, num_blocks=num_blocks, per_speaker=per_speaker)

@@ -82,7 +82,7 @@ def intent_accuracy(predicted: Sequence, reference: Sequence, vocab: LabelVocabu
         raise UsageError(f"got {len(predicted)} predictions for {len(reference)} references")
     if not reference:
         raise UsageError("intent accuracy of an empty corpus is undefined")
-    grouped = {vocab.labels[i] for i in vocab.grouped_indices()}
+    grouped = {vocab.labels[i] for i in vocab.grouped}
     hits = 0
     for pred, ref in zip(_as_sets(predicted), _as_sets(reference)):
         hits += int((pred & grouped) == (ref & grouped))
@@ -308,14 +308,17 @@ def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
     Each (point, repeat) fits and evaluates the jobs of ``curve_jobs``, each
     a fresh model with its own derived seed, and averages their metrics:
     speaker-dependent splits average over speakers. Diverging points are
-    flagged failed and the run continues.
+    flagged failed and the run continues. A point's size is the rounded mean
+    training-set size of its jobs, which all its repeats share, failed or not.
     """
     schedule = validate_schedule(schedule, split.num_blocks)
     validate_repeats(repeats)
     fit_options = fit_options or {}
     points = []
     for p_idx, k in enumerate(schedule):
-        reps = []                      # (f1, speaker accuracy, train size) per repeat
+        size = int(round(np.mean([len(train_ids) for train_ids, _, _
+                                  in curve_jobs(split, k, config.seed, p_idx, 0)])))
+        reps = []                      # (f1, speaker accuracy) per repeat
         failed = False
         for rep in range(point_repeats(k, repeats)):
             runs = []
@@ -325,7 +328,7 @@ def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
                     result = fit(corpus.subset(train_ids), cfg, **fit_options)
                     job = evaluate_model(corpus.subset(test_ids), result.params, cfg,
                                          corpus.vocab)
-                    runs.append((job["f1"], job["speaker_accuracy"], len(train_ids)))
+                    runs.append((job["f1"], job["speaker_accuracy"]))
             except DivergenceError as exc:
                 log.warning("curve point %d blocks, repeat %d diverged: %s", k, rep, exc)
                 failed = True
@@ -333,9 +336,9 @@ def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
             reps.append(_means(runs))
         if not reps:
             nan = float("nan")
-            points.append(LearningCurvePoint(0, nan, nan, nan, repeats=0, failed=True))
+            points.append(LearningCurvePoint(size, nan, nan, nan, repeats=0, failed=True))
             continue
-        f1, speaker_acc, size = _means(reps)
+        f1, speaker_acc = _means(reps)
         f1s = [r[0] for r in reps]
         points.append(LearningCurvePoint(
             train_utterances=size, f1=f1,
@@ -345,11 +348,11 @@ def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
     return points
 
 
-def _means(rows) -> tuple[float, float, int]:
-    """Column means of (f1, speaker accuracy, train size) rows, the size
-    rounded; 1-D means, as a 2-D mean sums in another order."""
-    f1s, accs, sizes = zip(*rows)
-    return float(np.mean(f1s)), float(np.mean(accs)), int(round(np.mean(sizes)))
+def _means(rows) -> tuple[float, float]:
+    """Column means of (f1, speaker accuracy) rows; 1-D means, as a 2-D
+    mean sums in another order."""
+    f1s, accs = zip(*rows)
+    return float(np.mean(f1s)), float(np.mean(accs))
 
 
 def run_sweep(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
@@ -407,17 +410,9 @@ def write_curve_csv(path: str, points: Sequence[LearningCurvePoint]) -> None:
 
 
 def points_payload(points: Sequence[LearningCurvePoint]) -> list[dict]:
-    return [
-        {
-            "train_utterances": pt.train_utterances,
-            "f1": None if np.isnan(pt.f1) else pt.f1,
-            "stddev_f1": None if np.isnan(pt.stddev_f1) else pt.stddev_f1,
-            "speaker_acc": None if np.isnan(pt.speaker_acc) else pt.speaker_acc,
-            "repeats": pt.repeats,
-            "failed": pt.failed,
-        }
-        for pt in points
-    ]
+    """Each point's fields as a plain-JSON mapping, a NaN written as None."""
+    return [{key: None if np.isnan(value) else value
+             for key, value in dataclasses.asdict(pt).items()} for pt in points]
 
 
 def write_summary_json(path: str, payload: dict) -> None:

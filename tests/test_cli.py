@@ -78,6 +78,21 @@ def test_validate_config_section_not_a_mapping(tmp_path, capsys, section):
     assert "must be a mapping" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [[], 0, False, ""], ids=["list", "zero", "false", "empty"])
+@pytest.mark.parametrize("section", ["corpus", "training", "model", "experiment"])
+def test_validate_config_falsy_section_not_a_mapping(tmp_path, capsys, section, value):
+    # only a missing or null section counts as empty
+    path = write_config(tmp_path, **{section: value})
+    assert cli.main(["validate-config", path]) == 2
+    assert f"{section} config must be a mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["training", "model", "experiment"])
+def test_validate_config_null_section_is_empty(tmp_path, section):
+    path = write_config(tmp_path, **{section: None})
+    assert cli.main(["validate-config", path]) == 0
+
+
 @pytest.mark.parametrize("override, key", [
     ({"training": {"epochs": "2"}}, "training.epochs"),
     ({"training": {"epochs": True}}, "training.epochs"),
@@ -410,6 +425,19 @@ def test_train_on_a_manifest_without_a_feature_cache(tmp_path, monkeypatch):
         assert (tmp_path / "out" / name).read_bytes() == (cached / name).read_bytes()
 
 
+def test_train_on_a_manifest_with_a_corrupt_wav_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    root = make_audio_corpus_tree(tmp_path)
+    bad = root / "spk1" / "u3.wav"
+    bad.write_bytes(b"RIFF, but no audio")
+    manifest = tmp_path / "corpus.csv"
+    datasets.write_manifest(datasets.load_grabo(str(root)), str(manifest))
+    path = write_config(tmp_path, corpus={"kind": "manifest", "manifest": str(manifest)})
+    assert cli.main(["train", path]) == 4
+    assert f"error: {bad}: not a readable PCM WAV file" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_vocab_mismatch(tmp_path, capsys):
     root = make_audio_corpus_tree(tmp_path)
     cache = str(tmp_path / "cache")
@@ -634,22 +662,41 @@ def _diverge_on_calls(monkeypatch, calls):
 def test_curve_flags_diverged_repeats_and_leaves_out_failed_points(tmp_path, capsys,
                                                                    monkeypatch):
     # two repeats per point: both fits of the first point diverge, and the
-    # first of the second
+    # first of the second; the failed point keeps its size (one of 4 blocks
+    # of 44 utterances)
     _diverge_on_calls(monkeypatch, {1, 2, 3})
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, experiment={"num_blocks": 4, "schedule": [1, 2],
                                               "repeats": 2})
     assert cli.main(["curve", path]) == 0
     out = capsys.readouterr().out
-    assert "train=0: FAILED" in out
+    assert "train=11: FAILED" in out
     gone, kept = json.loads((out_dir / "summary.json").read_text())["points"]
-    assert gone == {"train_utterances": 0, "f1": None, "stddev_f1": None,
+    assert gone == {"train_utterances": 11, "f1": None, "stddev_f1": None,
                     "speaker_acc": None, "repeats": 0, "failed": True}
     assert kept["failed"] and kept["repeats"] == 1 and kept["stddev_f1"] == 0.0
     assert kept["train_utterances"] == 22 and 0.0 <= kept["f1"] <= 1.0
     assert "train=22: FAILED" in out
     rows = (out_dir / "curve.csv").read_text().strip().split("\n")
     assert rows[1:] == [f"22,{kept['f1']:.6f},0.000000,{kept['speaker_acc']:.6f},1"]
+
+
+def test_curve_failed_speaker_dependent_point_keeps_its_size(tmp_path, capsys, monkeypatch):
+    # a speaker-dependent repeat fits one model per speaker; the first fit of
+    # each of the two repeats of the first point diverges, so no repeat
+    # survives. Each speaker's 4 utterances deal into blocks of 2, 1 and 1.
+    _diverge_on_calls(monkeypatch, {1, 2})
+    out_dir = tmp_path / "out"
+    path = write_config(tmp_path, experiment={"mode": "speaker_dependent", "num_blocks": 3,
+                                              "schedule": [1, 2], "repeats": 2})
+    assert cli.main(["curve", path]) == 0
+    assert "train=2: FAILED" in capsys.readouterr().out
+    gone, kept = json.loads((out_dir / "summary.json").read_text())["points"]
+    assert gone == {"train_utterances": 2, "f1": None, "stddev_f1": None,
+                    "speaker_acc": None, "repeats": 0, "failed": True}
+    assert kept["train_utterances"] == 3 and kept["repeats"] == 2 and not kept["failed"]
+    rows = (out_dir / "curve.csv").read_text().strip().split("\n")
+    assert [row.split(",")[0] for row in rows[1:]] == ["3"]
 
 
 def test_train_divergence_exits_3(tmp_path, capsys, monkeypatch):

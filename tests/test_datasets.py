@@ -43,6 +43,22 @@ def test_vocabulary_from_labels_detects_required_groups():
     assert not groups["speed"].required
 
 
+def test_vocabulary_unknown_label():
+    vocab = datasets.LabelVocabulary(labels=("a", "b"))
+    with pytest.raises(DataError, match="unknown label 'c'"):
+        vocab.to_multi_hot(["a", "c"])
+
+
+def test_vocabulary_grouped_holds_the_indices_of_grouped_labels():
+    vocab = datasets.LabelVocabulary(
+        labels=("g:a", "tag", "g:b", "h:c"),
+        slot_groups=(datasets.SlotGroup("g", ("g:b", "g:a"), True),
+                     datasets.SlotGroup("h", ("h:c",), False)),
+    )
+    assert vocab.grouped == {0, 2, 3}
+    assert datasets.LabelVocabulary(labels=("a",)).grouped == set()
+
+
 def test_multi_hot_roundtrip():
     vocab = datasets.LabelVocabulary(labels=("a", "b", "c"))
     target = vocab.to_multi_hot(["c", "a"])
@@ -119,9 +135,9 @@ def test_split_blocks_too_many_blocks():
                               groups=(datasets.SynthGroup("g", 2, True),),
                               per_speaker_count=5, feat_dim=3, noise_level=0.0)
     corpus = datasets.synth_generate(spec, seed=1)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^corpus synth has 5 utterances < 10 blocks$"):
         datasets.split_blocks(corpus, 10, "speaker_independent", seed=0)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^speaker spk00 has 5 utterances < 10 blocks$"):
         datasets.split_blocks(corpus, 10, "speaker_dependent", seed=0)
 
 
@@ -192,6 +208,13 @@ def test_manifest_bad_header(tmp_path):
         datasets.load_manifest(str(path))
 
 
+def test_manifest_row_without_four_fields(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text("id,audio,speaker,labels\nu0,a.wav,s,x\nu1,b.wav,s\n")
+    with pytest.raises(DataError, match="short.csv:3: expected 4 fields, got 3"):
+        datasets.load_manifest(str(path))
+
+
 def test_manifest_duplicate_id_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("id,audio,speaker,labels\nu0,a.wav,s,x\nu1,b.wav,s,x\nu1,c.wav,t,y\n")
@@ -206,6 +229,14 @@ def test_ensure_features_from_audio(tmp_path):
     assert corpus.feat_dim() == 120
     counts2 = datasets.ensure_features(_audio_corpus(tmp_path), cache_dir=str(tmp_path / "cache"))
     assert counts2["cached"] == len(corpus)
+
+
+def test_ensure_features_needs_features_or_audio():
+    vocab = datasets.LabelVocabulary(labels=("a",))
+    utt = datasets.Utterance(id="u", target=np.array([1.0]), speaker_index=0)
+    corpus = datasets.Corpus(name="x", utterances=[utt], vocab=vocab, speakers=["s"])
+    with pytest.raises(DataError, match="u: neither features nor audio available"):
+        datasets.ensure_features(corpus)
 
 
 def test_ensure_features_rebuilds_a_bad_cache_entry(tmp_path, caplog):
@@ -271,6 +302,28 @@ def test_load_grabo_malformed_frame(tmp_path):
     assert "rec0.xml" in str(err.value)
 
 
+@pytest.mark.parametrize("frame, match", [
+    ("<frame><action> </action></frame>", "slot 'action' has no value"),
+    ("<frame></frame>", "frame annotation defines no slots"),
+], ids=["empty_value", "no_slots"])
+def test_load_grabo_frame_without_a_value(tmp_path, frame, match):
+    root = _make_grabo_tree(tmp_path / "grabo")
+    (root / "pp02" / "rec1.xml").write_text(frame)
+    with pytest.raises(DataError, match=f"rec1.xml: {match}"):
+        datasets.load_grabo(str(root))
+
+
+def test_load_grabo_without_speakers_or_annotations(tmp_path):
+    root = tmp_path / "grabo"
+    root.mkdir()
+    with pytest.raises(DataError, match="no per-speaker directories found"):
+        datasets.load_grabo(str(root))
+    (root / "pp01").mkdir()
+    write_wav(root / "pp01" / "rec0.wav", np.zeros(4000))
+    with pytest.raises(DataError, match="no annotated recordings found"):
+        datasets.load_grabo(str(root))
+
+
 def test_load_grabo_missing_root():
     with pytest.raises(UsageError):
         datasets.load_grabo("/nonexistent/grabo")
@@ -327,6 +380,24 @@ def test_load_fluent_missing_audio_skipped(tmp_path):
     corpus = datasets.load_fluent(str(root))
     assert corpus.warnings["missing_audio"] == 1
     assert len(corpus) == 11
+
+
+def test_load_fluent_without_any_audio(tmp_path):
+    root = _make_fluent_tree(tmp_path / "fluent")
+    for wav in (root / "wavs").rglob("*.wav"):
+        wav.unlink()
+    with pytest.raises(DataError, match="index tables reference no existing audio"):
+        datasets.load_fluent(str(root))
+
+
+def test_fluent_partial_ids_needs_a_train_split():
+    vocab = datasets.LabelVocabulary(labels=("a",))
+    utt = datasets.Utterance(id="u", target=np.array([1.0]), speaker_index=0)
+    for splits in (None, {"test": ["u"]}):
+        corpus = datasets.Corpus(name="x", utterances=[utt], vocab=vocab, speakers=["s"],
+                                 splits=splits)
+        with pytest.raises(UsageError, match="corpus has no train split"):
+            datasets.fluent_partial_ids(corpus)
 
 
 def test_fluent_partial_ids_pinned_subsample(tmp_path):

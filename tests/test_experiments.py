@@ -35,6 +35,18 @@ def test_speaker_accuracy_length_mismatch():
         experiments.speaker_accuracy([1], [1, 2])
 
 
+def test_speaker_accuracy_of_zero_utterances():
+    with pytest.raises(UsageError, match="zero utterances"):
+        experiments.speaker_accuracy([], [])
+
+
+def test_intent_accuracy_length_mismatch():
+    vocab = datasets.LabelVocabulary(labels=("g:a", "g:b"),
+                                     slot_groups=(datasets.SlotGroup("g", ("g:a", "g:b"), True),))
+    with pytest.raises(UsageError, match="got 1 predictions for 2 references"):
+        experiments.intent_accuracy([["g:a"]], [["g:a"], ["g:b"]], vocab)
+
+
 def test_intent_accuracy_needs_groups():
     vocab = datasets.LabelVocabulary(labels=("a",))
     with pytest.raises(UsageError):
@@ -313,6 +325,23 @@ def test_curve_jobs_per_mode():
     jobs = experiments.curve_jobs(split, 2, 5, 0, 0)
     assert [s for _, _, s in jobs] == [experiments.derive_seed(5, 0, 0, spk)
                                        for spk in sorted(split.per_speaker)]
+
+
+def test_failed_dependent_point_keeps_the_mean_per_speaker_size(monkeypatch):
+    full = _small_corpus(per_speaker=12)
+    # speakers with 12, 12 and 7 utterances train on 6, 6 and 4 of them at k=2
+    kept = [u for u in full.utterances if u.speaker_index < 2 or u.id < "synth-s02-u0007"]
+    corpus = datasets.Corpus(name="uneven", utterances=kept, vocab=full.vocab,
+                             speakers=full.speakers)
+    split = datasets.split_blocks(corpus, 4, "speaker_dependent", seed=1)
+
+    def diverge(*args, **kwargs):
+        raise DivergenceError("forced")
+
+    monkeypatch.setattr(experiments, "fit", diverge)
+    point, = experiments.learning_curve(corpus, split, [2], _small_config(), repeats=2)
+    assert (point.train_utterances, point.repeats, point.failed) == (5, 0, True)
+    assert np.isnan([point.f1, point.stddev_f1, point.speaker_acc]).all()
 
 
 def test_dependent_point_is_the_mean_over_speakers():

@@ -39,6 +39,21 @@ def test_load_wav_empty_audio(tmp_path, wav_factory):
         features.load_wav(path)
 
 
+def test_load_wav_truncated_header(tmp_path, wav_factory):
+    whole = Path(wav_factory("w.wav", np.zeros(100))).read_bytes()
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(whole[:30])      # ends inside the format chunk
+    with pytest.raises(FormatError, match="cut.wav: truncated WAV file"):
+        features.load_wav(str(cut))
+
+
+def test_load_wav_audio_vanishing_in_resampling(wav_factory):
+    # one sample at 48 kHz resamples to round(1/3) = 0 samples at 16 kHz
+    path = wav_factory("one.wav", np.array([0.1]), rate=48000)
+    with pytest.raises(DataError, match="audio vanished during resampling"):
+        features.load_wav(path)
+
+
 def test_load_wav_8bit_and_32bit(wav_factory):
     samples = np.linspace(-0.9, 0.9, 1000)
     for width in (1, 4):
@@ -113,6 +128,13 @@ def test_normalize_mean_and_variance():
     out = features.normalize(rng.normal(3.0, 7.0, size=(50, 6)))
     assert np.all(np.abs(out.mean(axis=0)) < 1e-6)
     assert np.allclose(out.var(axis=0), 1.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("fn", [features.add_deltas, features.normalize],
+                         ids=["add_deltas", "normalize"])
+def test_empty_feature_matrix_rejected(fn):
+    with pytest.raises(DataError, match=r"non-empty \(frames, dim\) matrix, got \(0, 3\)"):
+        fn(np.zeros((0, 3)))
 
 
 def test_recipe_dim_and_digest():

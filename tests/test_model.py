@@ -228,6 +228,27 @@ def test_divergence_names_the_first_bad_utterance():
         experiments.fit(utts, _small_config(), epochs=1)
 
 
+def test_non_finite_loss_names_its_utterance(monkeypatch):
+    # finite features and votes never make a non-finite margin loss, so
+    # force one for the second utterance of the second slice
+    real = capsnet.margin_loss
+    calls = []
+
+    def margin_loss(caps, target):
+        calls.append(len(caps))
+        loss = real(caps, target)
+        if len(calls) == 2:
+            loss[1] = np.nan
+        return loss
+
+    monkeypatch.setattr(capsnet, "margin_loss", margin_loss)
+    cfg = tiny_model_config()
+    feats, targets, speakers = _ragged_batch(cfg, [3] * 20, seed=1)
+    with pytest.raises(DivergenceError, match="non-finite loss") as info:
+        model.loss_and_grads(feats, targets, speakers, model.init_params(cfg), cfg)
+    assert calls == [16, 4] and info.value.index == 17
+
+
 def test_routing_overflow_in_loss_and_grads_is_divergence():
     cfg = tiny_model_config()
     params = model.init_params(cfg)

@@ -73,6 +73,12 @@ def test_grad_check_detects_nondeterminism():
         numeric.grad_check(noisy, lambda p: {"x": np.zeros(1)}, {"x": np.zeros(1)})
 
 
+def test_grad_check_rejects_a_gradient_of_the_wrong_shape():
+    with pytest.raises(ContractError, match=r"gradient shape \(3,\) != parameter shape \(2,\)"):
+        numeric.grad_check(lambda p: float(np.sum(p["x"] ** 2)),
+                           lambda p: {"x": np.zeros(3)}, {"x": np.zeros(2)})
+
+
 def test_grad_check_does_not_mutate_params():
     theta = {"x": np.array([1.0, -2.0])}
     numeric.grad_check(
