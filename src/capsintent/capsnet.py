@@ -245,12 +245,10 @@ def decode_labels(caps: np.ndarray, vocab: "LabelVocabulary") -> list[list[str]]
     norms = np.linalg.norm(caps, axis=-1)
     if len(vocab.labels) != norms.shape[-1]:
         raise ShapeError(f"vocabulary size {len(vocab.labels)} != capsule count {norms.shape[-1]}")
-    groups = [(sorted(vocab.index_of(name) for name in g.labels), g.required)
-              for g in vocab.slot_groups]
     decoded = []
     for row in norms.tolist():
         chosen = [i for i, norm in enumerate(row) if i not in vocab.grouped and norm > 0.5]
-        for idxs, required in groups:
+        for idxs, required in vocab.slots:
             best = max(idxs, key=row.__getitem__)
             if required or row[best] > 0.5:
                 chosen.append(best)

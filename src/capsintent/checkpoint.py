@@ -52,6 +52,9 @@ def load_checkpoint(path: str):
     vocabulary payload decoded, which must hold the config's num_labels
     labels and speaker_count speakers."""
     try:
+        with open(path, "rb") as fh:   # np.load reads anything else as .npy or pickle
+            if not zipfile.is_zipfile(fh):
+                raise FormatError(f"{path} is not a capsintent checkpoint (not an .npz archive)")
         with np.load(path) as data:
             if "__meta__" not in data:
                 raise FormatError(f"{path} is not a capsintent checkpoint (missing header)")

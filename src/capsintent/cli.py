@@ -5,20 +5,21 @@ Subcommands: ``features``, ``train``, ``eval``, ``curve``,
 YAML config file; flags only override paths and verbosity. Exit codes: 0
 success, 2 usage/config errors, 3 training divergence, 4 data errors.
 
-Config keys (unknown keys, and values not of the key's declared type, are
-rejected): ``output_dir`` (required); ``seed`` (>= 0); ``corpus`` (required):
-``kind`` (synth | grabo | fluent | manifest), ``root``, ``manifest``,
-``cache_dir``, and for synth (the ``mimic_grabo`` corpus) ``per_speaker_count``
-and ``feat_dim`` (>= 1), ``noise_level`` (finite, >= 0), ``seed`` (>= 0, left
-out: the top-level seed); ``model``:
+Configs, manifests and index tables are read as UTF-8, whatever the locale.
+Config keys (unknown keys, missing required keys, and values not of the key's
+declared type, are rejected): ``output_dir`` (required); ``seed`` (>= 0);
+``corpus`` (required): ``kind`` (required: synth | grabo | fluent | manifest),
+``root``, ``manifest``, ``cache_dir``, and for synth (the ``mimic_grabo``
+corpus) ``per_speaker_count`` and ``feat_dim`` (>= 1), ``noise_level``
+(finite, >= 0), ``seed`` (>= 0, left out: the top-level seed); ``model``:
 ``encoder_hidden``, ``encoder_layers``, ``num_primary``, ``primary_dim``,
 ``output_dim``, ``routing_iters``, ``speaker_weight`` (the corpus sets ``feat_dim``,
 ``num_labels`` and ``speaker_count``); ``experiment``: ``mode``
 (speaker_independent | speaker_dependent), ``num_blocks``, ``schedule``,
-``repeats`` (>= 1), ``sweep`` (``axis`` output_dim | speaker_weight,
-``values``), where ``schedule`` (left out: the default points below
+``repeats`` (>= 1), ``sweep`` (both required: ``axis`` output_dim |
+speaker_weight, ``values``), where ``schedule`` (left out: the default points below
 ``num_blocks``) is non-empty, strictly increasing and below ``num_blocks``;
-``training``: ``epochs``, passed to ``experiments.fit``, whose default
+``training``: ``epochs`` (>= 1), passed to ``experiments.fit``, whose default
 applies when it is left out; the rest of the training recipe is fixed.
 """
 
@@ -28,7 +29,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from typing import Optional
 
 import yaml
@@ -39,6 +40,7 @@ from .checkpoint import load_checkpoint, save_checkpoint, vocab_payload
 from .datasets import Corpus, ensure_features, load_manifest
 from .errors import (CapsIntentError, ContractError, DataError, DivergenceError,
                      UsageError, check_types)
+from .experiments import SweepSpec
 
 log = logging.getLogger("capsintent")
 
@@ -68,7 +70,7 @@ class ExperimentConfig:
     num_blocks: int = 150
     schedule: Optional[list[int]] = None
     repeats: Optional[int] = None
-    sweep: Optional[experiments.SweepSpec] = None
+    sweep: Optional[SweepSpec] = None
 
 
 @dataclass
@@ -82,43 +84,46 @@ class RunConfig:
     raw: dict
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
+def _section(raw: dict, key: str, owner, allowed: Optional[set] = None) -> dict:
+    """Config section ``key`` (dotted: ``experiment.sweep`` is ``raw["sweep"]``),
+    empty when missing or null, else UsageError unless a mapping whose keys are
+    in ``allowed`` (default: the fields of the dataclass ``owner``), whose values
+    have their types in ``owner`` and which, for a dataclass, holds every
+    allowed field that has no default."""
+    section = raw.get(key.rsplit(".", 1)[-1])
+    section = {} if section is None else section
     if not isinstance(section, dict):
-        raise UsageError(f"{where} config must be a mapping, got {type(section).__name__}")
+        raise UsageError(f"{key} config must be a mapping, got {type(section).__name__}")
+    allowed = {f.name for f in fields(owner)} if allowed is None else allowed
     unknown = set(section) - allowed
     if unknown:
-        raise UsageError(f"unknown {where} config keys: {sorted(unknown)}")
-
-
-def _section(raw: dict, key: str):
-    """A config section, empty when missing or null (``_check_keys`` rejects other non-mappings)."""
-    section = raw.get(key)
-    return {} if section is None else section
+        raise UsageError(f"unknown {key} config keys: {sorted(unknown)}")
+    check_types(section, owner, f"{key}.")
+    for f in fields(owner) if is_dataclass(owner) else ():
+        if f.default is f.default_factory is MISSING and f.name in allowed - set(section):
+            raise UsageError(f"{key}.{f.name} is required")
+    return section
 
 
 def load_run_config(path: str) -> RunConfig:
     if not os.path.isfile(path):
         raise UsageError(f"config file {path} does not exist")
-    with open(path) as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise UsageError(f"{path}: invalid YAML ({exc})") from exc
+    try:
+        raw = yaml.safe_load(datasets.read_utf8(path, UsageError))
+    except yaml.YAMLError as exc:
+        raise UsageError(f"{path}: invalid YAML ({' '.join(str(exc).split())})") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"{path}: config must be a mapping")
-    _check_keys(raw, {"corpus", "model", "experiment", "training", "output_dir", "seed"}, "top-level")
+    unknown = set(raw) - {"corpus", "model", "experiment", "training", "output_dir", "seed"}
+    if unknown:
+        raise UsageError(f"unknown top-level config keys: {sorted(unknown)}")
     for required in ("corpus", "output_dir"):
-        if required not in raw:
+        if raw.get(required) is None:
             raise UsageError(f"{path}: missing required key {required!r}")
     check_types(raw, RunConfig, "")
     seed = raw.get("seed", 0)
 
-    corpus_raw = _section(raw, "corpus")
-    _check_keys(corpus_raw, {f.name for f in fields(CorpusConfig)}, "corpus")
-    check_types(corpus_raw, CorpusConfig, "corpus.")
-    if "kind" not in corpus_raw:
-        raise UsageError("corpus.kind is required (synth | grabo | fluent | manifest)")
-    corpus_cfg = CorpusConfig(**corpus_raw)
+    corpus_cfg = CorpusConfig(**_section(raw, "corpus", CorpusConfig))
     if corpus_cfg.seed is None:
         corpus_cfg.seed = seed
     elif corpus_cfg.seed < 0:
@@ -132,19 +137,11 @@ def load_run_config(path: str) -> RunConfig:
     if corpus_cfg.kind == "synth":
         synth_spec(corpus_cfg)
 
-    model_raw = _section(raw, "model")
-    _check_keys(model_raw, MODEL_KEYS, "model")
-    check_types(model_raw, ModelConfig, "model.")
-
-    exp_raw = _section(raw, "experiment")
-    _check_keys(exp_raw, {f.name for f in fields(ExperimentConfig)}, "experiment")
-    check_types(exp_raw, ExperimentConfig, "experiment.")
-    sweep = None
-    if exp_raw.get("sweep") is not None:
-        sweep_raw = exp_raw["sweep"]
-        _check_keys(sweep_raw, {"axis", "values"}, "sweep")
-        check_types(sweep_raw, experiments.SweepSpec, "experiment.sweep.")
-        sweep = experiments.SweepSpec(**sweep_raw)
+    model_raw = _section(raw, "model", ModelConfig, MODEL_KEYS)
+    exp_raw = _section(raw, "experiment", ExperimentConfig)
+    sweep = exp_raw.get("sweep")
+    if sweep is not None:
+        sweep = SweepSpec(**_section(exp_raw, "experiment.sweep", SweepSpec))
     experiment = ExperimentConfig(**{**exp_raw, "sweep": sweep})
     if experiment.mode not in ("speaker_independent", "speaker_dependent"):
         raise UsageError(f"unknown experiment.mode {experiment.mode!r}")
@@ -153,9 +150,8 @@ def load_run_config(path: str) -> RunConfig:
     experiment.schedule = experiments.validate_schedule(experiment.schedule, experiment.num_blocks)
     experiments.validate_repeats(experiment.repeats)
 
-    training = _section(raw, "training")
-    _check_keys(training, TRAINING_KEYS, "training")
-    check_types(training, experiments.fit, "training.")
+    training = _section(raw, "training", experiments.fit, TRAINING_KEYS)
+    experiments.validate_epochs(training.get("epochs"))
 
     run = RunConfig(
         corpus=corpus_cfg,

@@ -45,8 +45,9 @@ class SlotGroup:
 
 @dataclass
 class LabelVocabulary:
-    """Label names and slot groups, checked when built; ``grouped`` is the
-    set of indices of the labels in a group."""
+    """Label names and slot groups, checked when built. ``grouped`` is the
+    set of indices of the labels in a group, and ``slots`` holds each
+    group's label indices, sorted, with its ``required`` flag."""
 
     labels: tuple[str, ...]
     slot_groups: tuple[SlotGroup, ...] = ()
@@ -56,6 +57,7 @@ class LabelVocabulary:
             raise DataError("duplicate label names in vocabulary")
         self._index = {name: i for i, name in enumerate(self.labels)}
         self.grouped: set[int] = set()
+        self.slots: list[tuple[list[int], bool]] = []
         for group in self.slot_groups:
             for name in group.labels:
                 if name not in self._index:
@@ -63,6 +65,7 @@ class LabelVocabulary:
                 if self._index[name] in self.grouped:
                     raise DataError(f"label {name!r} appears in more than one slot group")
                 self.grouped.add(self._index[name])
+            self.slots.append((sorted(self._index[name] for name in group.labels), group.required))
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -363,13 +366,24 @@ def _corpus_from_rows(name: str, rows: list[tuple], speakers: Optional[list[str]
                   warnings=warnings or {}, splits=splits)
 
 
+def read_utf8(path, error=DataError) -> str:
+    """The text of the file ``path``, decoded as UTF-8 whatever the locale;
+    bytes that are not UTF-8 raise ``error`` naming the file and line."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text") from exc
+
+
 def load_manifest(path: str) -> Corpus:
     path = Path(path)
     if not path.is_file():
         raise UsageError(f"manifest {path} does not exist")
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(read_utf8(path), newline=""))
+    try:
         header = next(reader, None)
         if header != MANIFEST_HEADER:
             raise DataError(f"{path}: expected header {MANIFEST_HEADER}, got {header}")
@@ -377,8 +391,12 @@ def load_manifest(path: str) -> Corpus:
             if len(row) != 4:
                 raise DataError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
             utt_id, audio, speaker, labels = row
+            if "\0" in audio:
+                raise DataError(f"{path}:{lineno}: audio path holds a NUL character")
             audio = str(audio if os.path.isabs(audio) else path.parent / audio)
             rows.append((utt_id, audio, speaker, [x for x in labels.split(";") if x]))
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: unreadable CSV row ({exc})") from exc
     if not rows:
         raise UsageError(f"manifest {path} lists no utterances")
     return _corpus_from_rows(path.stem, rows)
@@ -440,12 +458,14 @@ FLUENT_SLOTS = ("action", "object", "location")
 def _fluent_records(path: Path, columns: tuple[str, ...]) -> list[dict]:
     """The rows of one index table, each with a value in every one of
     ``columns``."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
+    try:
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
         if missing:
             raise DataError(f"{path.name}: missing columns {missing}")
         records = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{path.name}: unreadable CSV ({exc})") from exc
     for lineno, rec in enumerate(records, start=2):
         if any(rec[c] is None for c in columns):
             raise DataError(f"{path.name}:{lineno}: row has fewer fields than the header")

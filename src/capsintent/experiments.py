@@ -154,8 +154,7 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
     """
     if not train:
         raise UsageError("cannot fit on an empty training set")
-    if epochs < 1:
-        raise UsageError(f"epochs must be at least 1, got {epochs}")
+    validate_epochs(epochs)
     select = valid is not None or vocab is not None
     if select and (not valid or vocab is None or not vocab.slot_groups):
         raise UsageError("validation selection needs valid utterances and a vocabulary "
@@ -263,6 +262,12 @@ def validate_schedule(schedule: Sequence[int], num_blocks: int) -> list[int]:
     if schedule[-1] >= num_blocks:
         raise UsageError(f"largest schedule point {schedule[-1]} must be < {num_blocks} blocks")
     return schedule
+
+
+def validate_epochs(epochs: Optional[int]) -> None:
+    """``epochs`` is None (``fit``'s default) or at least 1."""
+    if epochs is not None and epochs < 1:
+        raise UsageError(f"epochs must be at least 1, got {epochs}")
 
 
 def validate_repeats(repeats: Optional[int]) -> None:

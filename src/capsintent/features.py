@@ -77,6 +77,8 @@ def load_wav(path: str) -> np.ndarray:
         raise FormatError(f"{path}: truncated WAV file") from exc
     except OSError as exc:
         raise DataError(f"{path}: cannot read audio ({exc})") from exc
+    if rate == 0:
+        raise FormatError(f"{path}: WAV header gives a sample rate of 0 Hz")
     samples = _decode_pcm(raw, sampwidth)
     if samples.size == 0:
         raise DataError(f"{path}: empty audio")
@@ -98,17 +100,17 @@ def mel_to_hz(m):
 
 def mel_filterbank():
     """Triangular mel filters; returns (filters (N_MELS, N_FFT//2+1),
-    band edges (N_MELS, 3) as [low, center, high] in Hz)."""
+    band edges (N_MELS, 3) as [low, center, high] in Hz). With lo, ctr and
+    hi the FFT bins of a band's edges, its filter rises over bins [lo, ctr)
+    as (k - lo) / (ctr - lo) and falls over [ctr, hi) as (hi - k) / (hi - ctr);
+    at these constants no band is zero-width, so neither divides by zero."""
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(TARGET_RATE / 2.0), N_MELS + 2)
     hz_points = mel_to_hz(mel_points)
     bins = np.floor((N_FFT + 1) * hz_points / TARGET_RATE).astype(int)
-    filters = np.zeros((N_MELS, N_FFT // 2 + 1))
-    for m in range(N_MELS):
-        lo, ctr, hi = bins[m], bins[m + 1], bins[m + 2]
-        for k in range(lo, ctr):
-            filters[m, k] = (k - lo) / (ctr - lo)
-        for k in range(ctr, hi):
-            filters[m, k] = (hi - k) / (hi - ctr)
+    k = np.arange(N_FFT // 2 + 1)
+    lo, ctr, hi = bins[:-2, None], bins[1:-1, None], bins[2:, None]
+    filters = np.where((lo <= k) & (k < ctr), (k - lo) / (ctr - lo),
+                       np.where((ctr <= k) & (k < hi), (hi - k) / (hi - ctr), 0.0))
     edges = np.stack([hz_points[:-2], hz_points[1:-1], hz_points[2:]], axis=1)
     return filters, edges
 
@@ -218,7 +220,8 @@ class FeatureCache:
         try:
             feats = np.load(key)
         except (OSError, ValueError, EOFError) as exc:
-            raise FormatError(f"cannot read feature cache entry {key}: {exc}") from exc
+            raise FormatError(f"cannot read feature cache entry {key}: "
+                              "not a readable .npy array") from exc
         if not (isinstance(feats, np.ndarray) and feats.dtype == np.float64
                 and feats.shape[1:] == (3 * N_MELS,) and len(feats) >= 1):
             raise FormatError(f"feature cache entry {key} is not a float64 "

@@ -152,6 +152,15 @@ def test_decode_labels_ungrouped_threshold():
     assert capsnet.decode_labels(caps, vocab) == [["a", "c"]]
 
 
+def test_decode_labels_tie_goes_to_the_lowest_index_in_any_group_order():
+    # a checkpoint header may list a group's labels out of index order
+    group = datasets.SlotGroup("a", ("a:z", "a:y", "a:x"), required=True)
+    vocab = datasets.LabelVocabulary(labels=("a:x", "a:y", "a:z"), slot_groups=(group,))
+    assert vocab.slots == [([0, 1, 2], True)]
+    caps = np.array([[[0.3, 0.0], [0.7, 0.0], [0.0, 0.7]]])   # a:y and a:z tie at 0.7
+    assert capsnet.decode_labels(caps, vocab) == [["a:y"]]
+
+
 def test_forward_trace_replays_output():
     cfg = tiny_model_config()
     params = model.init_params(cfg)

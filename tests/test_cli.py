@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,8 +182,13 @@ def test_train_with_zero_encoder_layers_is_usage_error(tmp_path, capsys):
      "output_dim must be >= 2"),
     ({"experiment": {"sweep": {"axis": "speaker_weight", "values": [0.0, -2.0]}}},
      "speaker_weight must be finite and >= 0"),
+    ({"experiment": {"sweep": {}}}, "experiment.sweep.axis is required"),
+    ({"experiment": {"sweep": {"axis": "speaker_weight"}}}, "experiment.sweep.values is required"),
+    ({"experiment": {"sweep": {"values": [0, 1]}}}, "experiment.sweep.axis is required"),
+    ({"training": {"epochs": 0}}, "epochs must be at least 1, got 0"),
 ], ids=["zero_layers", "output_dim_1", "nan_speaker_weight", "negative_speaker_weight",
-        "output_dim_1_in_sweep", "negative_speaker_weight_in_sweep"])
+        "output_dim_1_in_sweep", "negative_speaker_weight_in_sweep", "empty_sweep",
+        "sweep_without_values", "sweep_without_axis", "zero_epochs"])
 @pytest.mark.parametrize("command", ["train", "curve"])
 def test_invalid_model_section_is_usage_error_before_the_corpus(tmp_path, capsys, monkeypatch,
                                                                 override, message, command):
@@ -265,9 +271,17 @@ def test_mistyped_sweep_is_usage_error(tmp_path, capsys, sweep, message):
      "corpus.manifest is required for kind 'manifest'"),
     ("output_dir: out\ncorpus: {kind: synth}\nexperiment: {mode: by_room}\n",
      "unknown experiment.mode 'by_room'"),
+    ("output_dir: out\ncorpus:\n", "missing required key 'corpus'"),
+    ("output_dir: out\ncorpus: {kind: synth}\nexperiment: {sweep: {}}\n",
+     "experiment.sweep.axis is required"),
+    ("output_dir: out\ncorpus: {kind: synth}\nexperiment: {sweep: {axis: speaker_weight}}\n",
+     "experiment.sweep.values is required"),
+    ("output_dir: out\ncorpus: {kind: synth}\nexperiment: {sweep: {values: [0, 1]}}\n",
+     "experiment.sweep.axis is required"),
 ], ids=["invalid_yaml", "not_a_mapping", "no_output_dir", "no_corpus", "no_kind",
         "unknown_kind", "grabo_without_root", "fluent_without_root",
-        "manifest_without_manifest", "unknown_mode"])
+        "manifest_without_manifest", "unknown_mode", "null_corpus", "empty_sweep",
+        "sweep_without_values", "sweep_without_axis"])
 def test_malformed_config_is_usage_error(tmp_path, capsys, text, message):
     path = tmp_path / "run.yaml"
     path.write_text(text)
@@ -491,6 +505,90 @@ def test_eval_duplicate_manifest_id_is_data_error(tmp_path, capsys):
     code = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
     assert code == 4
     assert "duplicate utterance id 'u1'" in capsys.readouterr().err
+
+
+MANIFEST_TEXT = b"id,audio,speaker,labels\nu1,a.wav,spk,action:go\n"
+FLUENT_HEADER = b"path,speakerId,action,object,location\n"
+
+
+def _malformed(target: str, content: str, tmp_path) -> bytes:
+    """``content`` of one kind for the file the CLI reads as ``target``."""
+    if content == "empty":
+        return b""
+    if content == "binary":          # control bytes, valid UTF-8
+        return bytes(range(32)) * 8
+    if content == "non_utf8":
+        return MANIFEST_TEXT + b"u2,a.wav,caf\xe9,action:go\n"
+    if content == "nul_in_audio_path":
+        return MANIFEST_TEXT + b"u2,a\x00.wav,spk,action:go\n"
+    if content == "huge_field":      # over the csv module's 131072-character field limit
+        return {"manifest": MANIFEST_TEXT + b"u2,a.wav,spk," + b"x" * 140000 + b"\n",
+                "fluent_table": FLUENT_HEADER + b"a.wav,spk," + b"x" * 140000 + b",o,l\n"}[target]
+    if target == "checkpoint":       # wrong format: a .npy array
+        np.save(tmp_path / "array.npy", np.zeros(3))
+        return (tmp_path / "array.npy").read_bytes()
+    if target in ("wav", "cache_entry"):   # wrong format: a WAV header that gives 0 Hz
+        data = bytearray(Path(write_wav(tmp_path / "zero.wav", np.zeros(800))).read_bytes())
+        data[24:28] = bytes(4)       # the fmt chunk's sample-rate field
+        return bytes(data)
+    return {"config": MANIFEST_TEXT, "manifest": b"output_dir: out\ncorpus: {kind: synth}\n",
+            "fluent_table": MANIFEST_TEXT}[target]
+
+
+@pytest.mark.parametrize("target, content", [
+    *[(target, content) for target in ("config", "manifest", "fluent_table", "checkpoint", "wav")
+      for content in ("empty", "binary", "non_utf8", "wrong_format")],
+    ("manifest", "huge_field"), ("fluent_table", "huge_field"),
+    ("manifest", "nul_in_audio_path"),
+])
+def test_malformed_input_exits_cleanly(tmp_path, capsys, monkeypatch, target, content):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    data = _malformed(target, content, tmp_path)
+    write_wav(tmp_path / "a.wav", 0.3 * np.sin(np.arange(6000) / 5.0))
+    manifest = tmp_path / "m.csv"
+    manifest.write_bytes(data if target == "manifest" else MANIFEST_TEXT)
+    if target == "wav":
+        (tmp_path / "a.wav").write_bytes(data)
+    fluent = tmp_path / "fluent" / "data"
+    fluent.mkdir(parents=True)
+    for table in datasets.FLUENT_TABLES.values():
+        (fluent / table).write_bytes(FLUENT_HEADER)
+    (fluent / "train_data.csv").write_bytes(data)
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+
+    corpus = ({"kind": "fluent", "root": str(fluent.parent)} if target == "fluent_table"
+              else {"kind": "manifest", "manifest": str(manifest)})
+    argv, code = {
+        "config": (["validate-config", str(bad)], 2),
+        "checkpoint": (["eval", "--checkpoint", str(bad), "--manifest", str(manifest),
+                        "--output", str(tmp_path / "eval")], 4),
+    }.get(target, (["train", write_config(tmp_path, corpus=corpus)], 4))
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "allow_pickle" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", ["empty", "binary", "non_utf8", "wrong_format"])
+def test_malformed_cache_entry_is_rebuilt(tmp_path, capsys, caplog, content):
+    wav = write_wav(tmp_path / "a.wav", 0.3 * np.sin(np.arange(6000) / 5.0))
+    (tmp_path / "m.csv").write_bytes(MANIFEST_TEXT)
+    cache = tmp_path / "cache"
+    path = write_config(tmp_path, corpus={"kind": "manifest", "manifest": str(tmp_path / "m.csv"),
+                                          "cache_dir": str(cache)})
+    assert cli.main(["features", path]) == 0
+    (entry,) = cache.iterdir()
+    entry.write_bytes(_malformed("cache_entry", content, tmp_path))
+    capsys.readouterr()
+    with caplog.at_level("WARNING", logger="capsintent"):
+        assert cli.main(["features", path]) == 0
+    assert "computed=1 " in capsys.readouterr().out
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert f"cannot read feature cache entry {entry}: not a readable .npy array" in warning
+    assert "allow_pickle" not in warning
+    assert FeatureCache(str(cache)).lookup(wav) is not None
 
 
 def test_eval_missing_checkpoint(tmp_path):

@@ -21,6 +21,23 @@ def test_op_examples(ex):
     ex.fn()
 
 
+def test_mel_filterbank_matches_the_per_band_loop():
+    mels = np.linspace(features.hz_to_mel(0.0), features.hz_to_mel(features.TARGET_RATE / 2.0),
+                       features.N_MELS + 2)
+    hz = features.mel_to_hz(mels)
+    bins = np.floor((features.N_FFT + 1) * hz / features.TARGET_RATE).astype(int)
+    expected = np.zeros((features.N_MELS, features.N_FFT // 2 + 1))
+    for m in range(features.N_MELS):
+        lo, ctr, hi = bins[m], bins[m + 1], bins[m + 2]
+        for k in range(lo, ctr):
+            expected[m, k] = (k - lo) / (ctr - lo)
+        for k in range(ctr, hi):
+            expected[m, k] = (hi - k) / (hi - ctr)
+    filters, edges = features.mel_filterbank()
+    assert np.array_equal(filters, expected) and filters.tobytes() == expected.tobytes()
+    assert np.array_equal(edges, np.stack([hz[:-2], hz[1:-1], hz[2:]], axis=1))
+
+
 def test_load_wav_missing_file():
     with pytest.raises(DataError):
         features.load_wav("/nonexistent/file.wav")
