@@ -22,7 +22,7 @@ for scale in (0.1, 1.0, 3.0, 10.0):
 print("\n=== predictions (votes) for a batch ===")
 P, B, K, d_p, n = 6, 2, 3, 4, 2
 u = squash(rng.normal(size=(P, B, d_p)))
-transforms = rng.normal(0.0, 1.0, size=(P, K, d_p, n))
+transforms = rng.normal(0.0, 1.0, size=(P, d_p, K, n))   # pair (i, j) is transforms[i, :, j]
 votes = predict_capsules(u, transforms)
 print(f"{P} primary capsules x {B} utterances x {K} output capsules -> votes {votes.shape}")
 

@@ -4,8 +4,10 @@ analytic backward passes for every stage.
 
 Shapes use P primary capsules of dimension d_p, K output capsules (one per
 task label) of dimension n, and per-pair transform matrices stored as a
-(P, K, d_p, n) tensor. ``votes[i, j]`` is primary capsule i's prediction of
-output capsule j.
+(P, d_p, K, n) tensor: ``transforms[i, :, j]`` is the (d_p, n) matrix of
+pair (i, j), and each primary capsule's K matrices read as one (d_p, K*n)
+matrix. ``votes[i, j]`` is primary capsule i's prediction of output
+capsule j.
 
 Every stage takes a batch of B utterances (one utterance is a batch of
 one): the batch axis follows the primary-capsule axis of primary capsules
@@ -111,34 +113,29 @@ def squash_grad(upstream: np.ndarray, s: np.ndarray) -> np.ndarray:
     return upstream * scale + s * (proj * radial)
 
 
-def _stacked(transforms: np.ndarray) -> np.ndarray:
-    """(P, K, d_p, n) transforms as P matrices of shape (d_p, K*n)."""
-    P, K, d_p, n = transforms.shape
-    return transforms.transpose(0, 2, 1, 3).reshape(P, d_p, K * n)
-
-
 def predict_capsules(primary: np.ndarray, transforms: np.ndarray) -> np.ndarray:
-    """Per-pair linear predictions: votes[i, b, j, :] = transforms[i, j].T @ u_ib.
+    """Per-pair linear predictions: votes[i, b, j, :] = transforms[i, :, j].T @ u_ib.
 
     Primary capsules (P, B, d_p) give votes (P, B, K, n): one matrix product
-    per primary capsule over the whole batch.
+    per primary capsule over the whole batch, with the (P, d_p, K, n)
+    transforms read in place as P (d_p, K*n) matrices.
     """
     if transforms.ndim != 4 or primary.ndim != 3 or transforms.shape[0] != primary.shape[0] \
-            or transforms.shape[2] != primary.shape[-1]:
+            or transforms.shape[1] != primary.shape[-1]:
         raise ShapeError(
             f"transforms {transforms.shape} incompatible with primary capsules {primary.shape}"
         )
-    _, K, _, n = transforms.shape
-    return (primary @ _stacked(transforms)).reshape(primary.shape[:-1] + (K, n))
+    P, d_p, K, n = transforms.shape
+    return (primary @ transforms.reshape(P, d_p, K * n)).reshape(primary.shape[:-1] + (K, n))
 
 
 def predict_capsules_backward(d_votes: np.ndarray, primary: np.ndarray, transforms: np.ndarray):
     """Gradients on the transforms (summed over the batch) and on the
     primary capsules, each one matrix product per primary capsule."""
-    P, K, d_p, n = transforms.shape
+    P, d_p, K, n = transforms.shape
     dv = d_votes.reshape(P, -1, K * n)
-    d_transforms = (primary.transpose(0, 2, 1) @ dv).reshape(P, d_p, K, n).transpose(0, 2, 1, 3)
-    d_primary = dv @ _stacked(transforms).transpose(0, 2, 1)
+    d_transforms = (primary.transpose(0, 2, 1) @ dv).reshape(P, d_p, K, n)
+    d_primary = dv @ transforms.reshape(P, d_p, K * n).transpose(0, 2, 1)
     return d_transforms, d_primary
 
 
@@ -260,7 +257,7 @@ def decode_labels(caps: np.ndarray, vocab: "LabelVocabulary") -> list[list[str]]
 # around |h| ~ 0.1, which would leave capsule norms ~1e-6 where squash kills
 # all margin-loss gradient; the projection gain puts pre-squash primary norms
 # near 2 (squashed ~0.8) and the transform sigma puts initial output norms in
-# the hinge-sensitive range for any (P, K, d_p, n).
+# the hinge-sensitive range for any sizes P, K, d_p and n.
 PROJ_INIT_GAIN = 13.0
 TRANSFORM_INIT_SIGMA = 2.0
 
@@ -277,10 +274,13 @@ def init_core_params(config: ModelConfig, rng: np.random.Generator) -> Params:
     params["proj.W"] = rng.uniform(-bound, bound, size=(readout_dim, proj_out))
     params["proj.b"] = np.zeros(proj_out)
     sigma = TRANSFORM_INIT_SIGMA / np.sqrt(config.primary_dim)
-    params["caps.W"] = rng.normal(
+    # drawn in (P, K, d_p, n) order, the layout before checkpoint version 2,
+    # so a seed draws the same transforms; stored (P, d_p, K, n)
+    draw = rng.normal(
         0.0, sigma,
         size=(config.num_primary, config.num_labels, config.primary_dim, config.output_dim),
     )
+    params["caps.W"] = np.ascontiguousarray(draw.transpose(0, 2, 1, 3))
     return params
 
 
@@ -322,7 +322,7 @@ def backward(trace: ForwardTrace, d_out: np.ndarray, params: Params) -> Params:
     """Analytic gradients of a loss with upstream gradient ``d_out`` on the
     output capsule vectors, for every core parameter, summed over the batch."""
     P, _, K, n = trace.routing.votes.shape
-    if params["caps.W"].shape != (P, K, trace.primary.shape[-1], n):
+    if params["caps.W"].shape != (P, trace.primary.shape[-1], K, n):
         raise ContractError("trace does not match the supplied parameters")
     # the votes gradient is the size of the votes: let it go before the encoder runs
     d_transforms, d_primary = predict_capsules_backward(

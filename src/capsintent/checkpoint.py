@@ -8,6 +8,9 @@ parameter path prefixed with ``param/``. Writes are atomic
 vocabulary and roster, every parameter's name and shape against that config
 and its values (finite float64), so a bad file fails when it is read, not at
 first use. Headers of earlier versions load too: their top-level seed is ignored.
+Version 1 stored the capsule transforms ``caps.W`` as (P, K, d_p, n); they
+load transposed to the (P, d_p, K, n) of version 2. Shapes alone cannot
+tell the two apart when K == d_p, so the version decides.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from .features import atomic_write
 from .model import init_params
 from .numeric import Params
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# swaps the K and d_p axes of caps.W between its version-1 and current layouts
+V1_TRANSFORMS_AXES = (0, 2, 1, 3)
 
 # config keys of earlier versions, at the one value each setting now has
 RETIRED_KEYS = {"margin_present": MARGIN_PRESENT, "margin_absent": MARGIN_ABSENT,
@@ -61,8 +66,9 @@ def load_checkpoint(path: str):
             meta = json.loads(bytes(data["__meta__"]).decode())
             if meta.get("format") != "capsintent-checkpoint":
                 raise FormatError(f"{path} has unknown checkpoint format {meta.get('format')!r}")
-            if meta.get("version") != FORMAT_VERSION:
-                raise FormatError(f"unsupported checkpoint version {meta.get('version')!r}")
+            version = meta.get("version")
+            if type(version) is not int or version not in (1, FORMAT_VERSION):
+                raise FormatError(f"unsupported checkpoint version {version!r}")
             params = {
                 key[len("param/"):]: np.array(data[key])
                 for key in data.files if key.startswith("param/")
@@ -72,6 +78,8 @@ def load_checkpoint(path: str):
     config = _config_from(meta.get("config"), path)
     # every name and shape init_params draws, at the cost of one throwaway draw
     expected = {name: value.shape for name, value in init_params(config).items()}
+    if version == 1:
+        expected["caps.W"] = tuple(expected["caps.W"][axis] for axis in V1_TRANSFORMS_AXES)
     if set(params) != set(expected):
         raise FormatError(f"{path}: parameters missing {sorted(set(expected) - set(params))}, "
                           f"unexpected {sorted(set(params) - set(expected))}")
@@ -84,6 +92,8 @@ def load_checkpoint(path: str):
             raise FormatError(f"{path}: parameter {name} has dtype {value.dtype}, not float64")
         if not np.isfinite(value).all():
             raise FormatError(f"{path}: parameter {name} holds non-finite values")
+    if version == 1:
+        params["caps.W"] = np.ascontiguousarray(params["caps.W"].transpose(V1_TRANSFORMS_AXES))
     payload = meta.get("vocab")
     if payload is None:
         return config, params, None

@@ -17,10 +17,12 @@ frame is exactly zero: the state at T_max - 1 is the sequence's final
 state, with no masking work inside the frame loops. Every batch is masked
 alike; an unpadded one gets an all-True mask. The backward direction
 reads each sequence reversed within its own length, so its final state is
-also at T_max - 1. The encoder reads out the concatenated final states of
-both directions of the top layer. Backprop takes one input per direction,
-the gradients on its (T_max, B, H) states: the top layer's are zero but for
-that direction's half of the readout gradient at step T_max - 1.
+also at T_max - 1. Both directions of a layer run in one frame loop over a
+(T_max, 2, B, dim) array, direction 0 forward and 1 backward. The encoder
+reads out the concatenated final states of both directions of the top
+layer. Backprop runs one direction at a time and takes one input per
+direction, the gradients on its (T_max, B, H) states: the top layer's are
+zero but for that direction's half of the readout gradient at step T_max - 1.
 """
 
 from __future__ import annotations
@@ -71,40 +73,46 @@ def pad_batch(feats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
-    """Run the cell over time-major ``xs`` (T, B, in_dim).
+    """Run both directions of a layer over time-major ``xs`` (T, 2, B, in_dim)
+    in one frame loop: direction 0 with the cell ``p["Wx"][0]``,
+    ``p["Wh"][0]``, ``p["b"][0]`` and direction 1 with index 1. Each
+    direction's states are exactly those of the cell run over its own input.
 
-    ``mask`` (T, B, 1) is False on padding frames, where the update gate is
+    ``mask`` (T, 1, B, 1) is False on padding frames, where the update gate is
     forced to 1 so the state is held; it is all True for an unpadded batch.
-    Returns (states (T, B, H), cache).
+    Returns (states (T, 2, B, H), cache); index a cache entry's axis 1 for
+    one direction's half, the cache ``gru_backward`` takes.
     """
-    hidden = p["Wh"].shape[0]
-    T, B = xs.shape[:2]
-    xx = xs @ p["Wx"] + p["b"]
+    hidden = p["Wh"].shape[-2]
+    T, _, B = xs.shape[:3]
+    xx = xs @ p["Wx"] + p["b"][:, None]
     np.copyto(xx[..., hidden:2 * hidden], np.inf, where=~mask)
     xx_rz, xx_n = xx[..., :2 * hidden], xx[..., 2 * hidden:]
-    states = np.empty((T, B, hidden))
-    rz = np.empty((T, B, 2 * hidden))
+    states = np.empty((T, 2, B, hidden))
+    rz = np.empty((T, 2, B, 2 * hidden))
     n_all = np.empty_like(states)
     # The frame step writes into preallocated buffers through local names:
     # at B=1, allocating temporaries and looking up attributes cost as much
-    # as the arithmetic. The sigmoid is 0.5 * (1 + tanh(x / 2)), which never
-    # overflows; the other operations are those of the formulas above, in
-    # the order they are written.
-    hh = np.empty((B, 3 * hidden))
-    keep = np.empty((B, hidden))
-    h = np.zeros((B, hidden))
+    # as the arithmetic, which is why both directions share one loop. The
+    # sigmoid is 0.5 * (1 + tanh(x / 2)), which never overflows; the other
+    # operations are those of the formulas above, in the order they are
+    # written.
+    hh = np.empty((2, B, 3 * hidden))
+    hh_rz, hh_n = hh[..., :2 * hidden], hh[..., 2 * hidden:]
+    keep = np.empty((2, B, hidden))
+    h = np.zeros((2, B, hidden))
     Wh, add, subtract, multiply, tanh = p["Wh"], np.add, np.subtract, np.multiply, np.tanh
     for t in range(T):
         np.matmul(h, Wh, out=hh)
         gates = rz[t]
-        add(xx_rz[t], hh[:, :2 * hidden], out=gates)
+        add(xx_rz[t], hh_rz, out=gates)
         multiply(gates, 0.5, out=gates)
         tanh(gates, out=gates)
         add(gates, 1.0, out=gates)
         multiply(gates, 0.5, out=gates)
-        r, z = gates[:, :hidden], gates[:, hidden:]
+        r, z = gates[..., :hidden], gates[..., hidden:]
         n = n_all[t]
-        multiply(r, hh[:, 2 * hidden:], out=n)
+        multiply(r, hh_n, out=n)
         add(xx_n[t], n, out=n)
         tanh(n, out=n)
         multiply(z, h, out=keep)
@@ -118,7 +126,7 @@ def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
 
 
 def gru_backward(p, cache, d_states):
-    """BPTT through one direction.
+    """BPTT through one direction, given its half of a ``gru_forward`` cache.
 
     d_states: (T, B, H) gradients on the emitted states, the one gradient
     input; a final-state (readout) gradient sits at step T - 1. Returns
@@ -164,6 +172,12 @@ def _layer_params(params: Params, layer: int, direction: str) -> dict[str, np.nd
     return {"Wx": params[prefix + "Wx"], "Wh": params[prefix + "Wh"], "b": params[prefix + "b"]}
 
 
+def _fused_params(params: Params, layer: int) -> dict[str, np.ndarray]:
+    """A layer's forward and backward cells stacked on a leading axis of 2."""
+    f, b = _layer_params(params, layer, "f"), _layer_params(params, layer, "b")
+    return {key: np.stack([f[key], b[key]]) for key in f}
+
+
 def init_encoder_params(rng: np.random.Generator, feat_dim: int, hidden: int, layers: int) -> Params:
     params: Params = {}
     in_dim = feat_dim
@@ -186,23 +200,24 @@ def encoder_forward(params: Params, feats: np.ndarray, layers: int, lengths: np.
     # the padding mask, and the gather index (rows, cols) that reverses each
     # sequence within its own length and leaves padding in place
     t = np.arange(T)[:, None]
-    mask = (t < lengths)[..., None]
+    mask = (t < lengths)[:, None, :, None]
     reversal = np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
     xs = feats
     caches = []
     for layer in range(layers):
-        hs_f, cache_f = gru_forward(_layer_params(params, layer, "f"), xs, mask)
-        hs_b_rev, cache_b = gru_forward(_layer_params(params, layer, "b"), xs[reversal], mask)
-        caches.append((cache_f, cache_b))
+        # direction 1 reads each sequence reversed within its length
+        states, cache = gru_forward(_fused_params(params, layer),
+                                    np.stack([xs, xs[reversal]], axis=1), mask)
+        caches.append(cache)
         if layer < layers - 1:
-            xs = np.concatenate([hs_f, hs_b_rev[reversal]], axis=-1)
-    readout = np.concatenate([hs_f[-1], hs_b_rev[-1]], axis=-1)
+            xs = np.concatenate([states[:, 0], states[:, 1][reversal]], axis=-1)
+    readout = np.concatenate([states[-1, 0], states[-1, 1]], axis=-1)
     return readout, {"caches": caches, "T": T, "reversal": reversal}
 
 
 def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
-    """Backprop the readout gradient through every layer and time step;
-    parameter gradients are summed over the batch."""
+    """Backprop the readout gradient through every layer and time step, one
+    direction at a time; parameter gradients are summed over the batch."""
     reversal = cache["reversal"]
     hidden = d_readout.shape[-1] // 2
     grads: Params = {}
@@ -210,7 +225,9 @@ def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
     d_top[-1] = d_readout
     d_steps_f, d_steps_b_rev = d_top[..., :hidden], d_top[..., hidden:]
     for layer in range(len(cache["caches"]) - 1, -1, -1):
-        cache_f, cache_b = cache["caches"][layer]
+        fused = cache["caches"][layer]
+        cache_f = {key: value[:, 0] for key, value in fused.items()}
+        cache_b = {key: value[:, 1] for key, value in fused.items()}
         g_f, dx_f = gru_backward(_layer_params(params, layer, "f"), cache_f, d_steps_f)
         g_b, dx_b_rev = gru_backward(_layer_params(params, layer, "b"), cache_b, d_steps_b_rev)
         for key, val in g_f.items():

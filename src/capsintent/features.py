@@ -79,7 +79,12 @@ def load_wav(path: str) -> np.ndarray:
         raise DataError(f"{path}: cannot read audio ({exc})") from exc
     if rate == 0:
         raise FormatError(f"{path}: WAV header gives a sample rate of 0 Hz")
-    samples = _decode_pcm(raw, sampwidth)
+    if len(raw) % (channels * sampwidth):
+        raise FormatError(f"{path}: truncated WAV file (its audio data ends mid-frame)")
+    try:
+        samples = _decode_pcm(raw, sampwidth)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     if samples.size == 0:
         raise DataError(f"{path}: empty audio")
     if channels > 1:

@@ -12,6 +12,9 @@ def write_wav(path, samples, rate=16000, channels=1, sampwidth=2):
         data = (np.clip(samples, -1, 1) * 32767).astype("<i2").tobytes()
     elif sampwidth == 1:
         data = (np.clip(samples, -1, 1) * 127 + 128).astype(np.uint8).tobytes()
+    elif sampwidth == 3:    # the low three bytes of each little-endian 32-bit word
+        words = (np.clip(samples, -1, 1) * (2**23 - 1)).astype("<i4")
+        data = words.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
     elif sampwidth == 4:
         data = (np.clip(samples, -1, 1) * (2**31 - 1)).astype("<i4").tobytes()
     else:

@@ -245,7 +245,7 @@ def _():
 def _():
     P, K, d = 3, 4, 2
     u = np.random.default_rng(3).normal(size=(P, 1, d)) * 0.1
-    W = np.broadcast_to(np.eye(d), (P, K, d, d)).copy()
+    W = np.broadcast_to(np.eye(d)[:, None], (P, d, K, d)).copy()
     votes = capsnet.predict_capsules(u, W)
     for j in range(K):
         assert np.allclose(votes[:, 0, j, :], u[:, 0], atol=1e-12)
@@ -253,16 +253,16 @@ def _():
 
 @example("capsnet", "predict_capsules", "zero_transforms")
 def _():
-    votes = capsnet.predict_capsules(np.ones((2, 1, 3)), np.zeros((2, 5, 3, 4)))
+    votes = capsnet.predict_capsules(np.ones((2, 1, 3)), np.zeros((2, 3, 5, 4)))
     assert np.all(votes == 0.0)
 
 
 @example("capsnet", "predict_capsules", "hand_pair")
 def _():
-    W = np.array([[1.0, 2.0], [0.0, 1.0]]).T.reshape(1, 1, 2, 2)
-    # W stores (d_p, n); prediction is u @ W = W^T u in matrix terms
+    # the one pair's (d_p, n) matrix sits at W[0, :, 0]; prediction is u @ W = W^T u
+    W = np.array([[1.0, 0.0], [2.0, 1.0]]).reshape(1, 2, 1, 2)
     u = np.array([[[1.0, 1.0]]])
-    votes = capsnet.predict_capsules(u, np.array([[1.0, 0.0], [2.0, 1.0]]).reshape(1, 1, 2, 2))
+    votes = capsnet.predict_capsules(u, W)
     assert np.allclose(votes[0, 0, 0], [3.0, 1.0])
 
 

@@ -131,7 +131,7 @@ def test_permutation_equivariance():
     loss = capsnet.margin_loss(caps, target)[0]
 
     permuted = dict(params)
-    permuted["caps.W"] = params["caps.W"][:, perm, :, :]
+    permuted["caps.W"] = params["caps.W"][:, :, perm, :]
     caps_p, _ = capsnet.forward(feats, permuted, cfg, lengths)
     loss_p = capsnet.margin_loss(caps_p, target[:, perm])[0]
 

@@ -133,8 +133,9 @@ def test_eval_with_non_finite_parameter_is_data_error(tmp_path, capsys):
 @pytest.mark.parametrize("change, match", [
     ({"format": "other-checkpoint"}, "unknown checkpoint format 'other-checkpoint'"),
     ({"version": 99}, "unsupported checkpoint version 99"),
+    ({"version": True}, "unsupported checkpoint version True"),
     ({"drop": ("config",)}, "checkpoint header carries no model config"),
-], ids=["unknown_format", "unsupported_version", "no_config"])
+], ids=["unknown_format", "unsupported_version", "boolean_version", "no_config"])
 def test_checkpoint_bad_header_rejected(tmp_path, change, match):
     cfg = tiny_model_config()
     path = tmp_path / "m.npz"
@@ -329,6 +330,26 @@ def test_earlier_header_with_retired_keys_and_seed_loads(tmp_path):
     cfg3, _, _ = checkpoint.load_checkpoint(_resave(
         path, tmp_path / "int.npz", config={**dataclasses.asdict(cfg), "absent_loss_scale": 1}))
     assert cfg3 == cfg
+
+
+def test_version_1_transforms_load_transposed(tmp_path):
+    # K == d_p, so the two caps.W layouts have one shape and only the version tells them apart
+    cfg = tiny_model_config(seed=4, num_labels=3, primary_dim=3)
+    params = model.init_params(cfg)
+    payload = {"labels": ["a", "b", "c"], "speakers": ["x", "y", "z"],
+               "slot_groups": [{"name": "g", "labels": ["a", "b", "c"], "required": True}]}
+    path = tmp_path / "v2.npz"
+    checkpoint.save_checkpoint(str(path), cfg, params, vocab_payload=payload)
+    # version 1 stored each primary capsule's transforms label-major, (P, K, d_p, n)
+    v1 = _resave(path, tmp_path / "v1.npz", version=1,
+                 params={**params, "caps.W": params["caps.W"].transpose(0, 2, 1, 3)})
+    feats = np.random.default_rng(2).normal(size=(5, 6, cfg.feat_dim))
+    answers = []
+    for source in (str(path), v1):
+        cfg2, params2, (vocab, _) = checkpoint.load_checkpoint(source)
+        assert params2["caps.W"].tobytes() == params["caps.W"].tobytes()
+        answers.append([model.predict(f, params2, cfg2, vocab) for f in feats])
+    assert answers[0] == answers[1]
 
 
 @pytest.mark.parametrize("key, value", [("margin_present", 0.8), ("speaker_bias", False)])

@@ -352,14 +352,16 @@ def test_features_command_rebuilds_bad_cache_entries(tmp_path, capsys):
 def test_features_command_counts_a_corrupt_wav_as_failed(tmp_path, capsys):
     root = make_audio_corpus_tree(tmp_path, per_speaker=3)
     (root / "spk1" / "u2.wav").write_bytes(b"RIFF, but no audio follows")
+    cut = root / "spk0" / "u1.wav"   # its audio now ends inside a 16-bit sample
+    cut.write_bytes(cut.read_bytes()[:-1])
     path = write_config(tmp_path, corpus={"kind": "grabo", "root": str(root),
                                           "cache_dir": str(tmp_path / "cache")})
     assert cli.main(["features", path]) == 0
-    assert capsys.readouterr().out == ("features: computed=5 skipped(cached)=0 "
-                                       "skipped(inline)=0 failed=1 total=6\n")
+    assert capsys.readouterr().out == ("features: computed=4 skipped(cached)=0 "
+                                       "skipped(inline)=0 failed=2 total=6\n")
     assert cli.main(["features", path]) == 0
-    assert capsys.readouterr().out == ("features: computed=0 skipped(cached)=5 "
-                                       "skipped(inline)=0 failed=1 total=6\n")
+    assert capsys.readouterr().out == ("features: computed=0 skipped(cached)=4 "
+                                       "skipped(inline)=0 failed=2 total=6\n")
 
 
 def test_features_command_rejects_synth(tmp_path):
@@ -527,6 +529,8 @@ def _malformed(target: str, content: str, tmp_path) -> bytes:
     if target == "checkpoint":       # wrong format: a .npy array
         np.save(tmp_path / "array.npy", np.zeros(3))
         return (tmp_path / "array.npy").read_bytes()
+    if content == "truncated":       # audio that ends inside a 16-bit sample
+        return Path(write_wav(tmp_path / "cut.wav", np.zeros(800))).read_bytes()[:-1]
     if target in ("wav", "cache_entry"):   # wrong format: a WAV header that gives 0 Hz
         data = bytearray(Path(write_wav(tmp_path / "zero.wav", np.zeros(800))).read_bytes())
         data[24:28] = bytes(4)       # the fmt chunk's sample-rate field
@@ -539,7 +543,7 @@ def _malformed(target: str, content: str, tmp_path) -> bytes:
     *[(target, content) for target in ("config", "manifest", "fluent_table", "checkpoint", "wav")
       for content in ("empty", "binary", "non_utf8", "wrong_format")],
     ("manifest", "huge_field"), ("fluent_table", "huge_field"),
-    ("manifest", "nul_in_audio_path"),
+    ("manifest", "nul_in_audio_path"), ("wav", "truncated"),
 ])
 def test_malformed_input_exits_cleanly(tmp_path, capsys, monkeypatch, target, content):
     monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)

@@ -59,21 +59,63 @@ def test_reversed_direction_sees_sequence_order():
     assert np.allclose(fwd[0, hidden:], rev[0, :hidden], atol=1e-12)
 
 
+def _both_directions(rng, in_dim, hidden):
+    """Two independently drawn cells stacked as gru_forward takes them."""
+    cells = [encoder.gru_param_init(rng, in_dim, hidden) for _ in range(2)]
+    return {key: np.stack([c[key] for c in cells]) for key in cells[0]}
+
+
 def test_gru_zero_input_zero_state():
-    rng = np.random.default_rng(1)
-    params = encoder.gru_param_init(rng, 3, 4)
+    params = _both_directions(np.random.default_rng(1), 3, 4)
     hs, _ = encoder.gru_forward({k: np.zeros_like(v) for k, v in params.items()},
-                                np.zeros((5, 1, 3)), np.ones((5, 1, 1), dtype=bool))
+                                np.zeros((5, 2, 1, 3)), np.ones((5, 1, 1, 1), dtype=bool))
     assert np.all(hs == 0.0)
 
 
 def test_gru_state_shapes():
     rng = np.random.default_rng(2)
-    params = encoder.gru_param_init(rng, 3, 7)
-    hs, cache = encoder.gru_forward(params, rng.normal(size=(9, 1, 3)),
-                                    np.ones((9, 1, 1), dtype=bool))
-    assert hs.shape == (9, 1, 7)
-    assert cache["r"].shape == (9, 1, 7)
+    params = _both_directions(rng, 3, 7)
+    hs, cache = encoder.gru_forward(params, rng.normal(size=(9, 2, 1, 3)),
+                                    np.ones((9, 1, 1, 1), dtype=bool))
+    assert hs.shape == (9, 2, 1, 7)
+    assert cache["r"].shape == (9, 2, 1, 7)
+
+
+def _reference_gru(p, xs, lengths):
+    """One direction, one sequence and one frame at a time, from the module
+    docstring's formulas; past its length a sequence holds its state."""
+    H = p["Wh"].shape[0]
+    Wx, Wh, b = p["Wx"], p["Wh"], p["b"]
+    sigmoid = lambda a: 1.0 / (1.0 + np.exp(-a))   # noqa: E731
+    states = np.zeros(xs.shape[:2] + (H,))
+    for seq in range(xs.shape[1]):
+        h = np.zeros(H)
+        for t in range(xs.shape[0]):
+            if t < lengths[seq]:
+                x = xs[t, seq]
+                r = sigmoid(x @ Wx[:, :H] + h @ Wh[:, :H] + b[:H])
+                z = sigmoid(x @ Wx[:, H:2 * H] + h @ Wh[:, H:2 * H] + b[H:2 * H])
+                n = np.tanh(x @ Wx[:, 2 * H:] + r * (h @ Wh[:, 2 * H:]) + b[2 * H:])
+                h = z * h + (1 - z) * n
+            states[t, seq] = h
+    return states
+
+
+def test_fused_directions_match_the_reference_cell_per_direction():
+    rng = np.random.default_rng(3)
+    # random biases too: the two cells' initial biases are equal
+    params = {k: rng.normal(0.0, 0.5, size=v.shape)
+              for k, v in _both_directions(rng, 3, 5).items()}
+    lengths = np.array([7, 3, 5])             # a padded batch of three
+    xs = rng.normal(size=(7, 2, 3, 3))
+    for seq, length in enumerate(lengths):
+        xs[length:, :, seq] = 0.0
+    mask = (np.arange(7)[:, None] < lengths)[:, None, :, None]
+    states, _ = encoder.gru_forward(params, xs, mask)
+    for direction in range(2):
+        ref = _reference_gru({k: v[direction] for k, v in params.items()}, xs[:, direction],
+                             lengths)
+        assert np.max(np.abs(states[:, direction] - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_encoder_rejects_unbatched_features():

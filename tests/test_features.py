@@ -94,9 +94,24 @@ def test_load_wav_24bit_matches_its_16bit_twin(tmp_path, wav_factory):
     assert np.max(np.abs(loaded - twin)) <= 1 / 32768   # one 16-bit step
 
 
-def test_unsupported_sample_width_is_format_error():
-    with pytest.raises(FormatError, match="unsupported PCM sample width 5 bytes"):
-        features._decode_pcm(bytes(10), 5)
+def test_unsupported_sample_width_is_format_error(tmp_path, wav_factory):
+    # a hand-made header: 40 bits per sample over 20 bytes of audio, four frames
+    data = bytearray(Path(wav_factory("w.wav", np.zeros(10))).read_bytes())
+    data[34:36] = (40).to_bytes(2, "little")   # the fmt chunk's bits-per-sample field
+    path = tmp_path / "w40.wav"
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="w40.wav: unsupported PCM sample width 5 bytes"):
+        features.load_wav(str(path))
+
+
+@pytest.mark.parametrize("width, channels", [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2), (4, 1),
+                                             (4, 2)])
+def test_load_wav_audio_ending_mid_frame_is_truncated(tmp_path, wav_factory, width, channels):
+    whole = Path(wav_factory("w.wav", np.zeros(200), channels=channels, sampwidth=width))
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(whole.read_bytes()[:-1])
+    with pytest.raises(FormatError, match="cut.wav: truncated WAV file"):
+        features.load_wav(str(cut))
 
 
 def test_fbank_short_clip_rejected():

@@ -23,8 +23,8 @@ def test_init_params_covers_all_blocks():
             for name in ("Wx", "Wh", "b"):
                 expected.add(f"enc.{layer}.{direction}.{name}")
     assert set(params) == expected
-    assert params["caps.W"].shape == (cfg.num_primary, cfg.num_labels,
-                                      cfg.primary_dim, cfg.output_dim)
+    assert params["caps.W"].shape == (cfg.num_primary, cfg.primary_dim,
+                                      cfg.num_labels, cfg.output_dim)
     assert params["spk.W"].shape == (cfg.output_dim, cfg.speaker_count)
 
 
