@@ -7,10 +7,11 @@ parameter path prefixed with ``param/``. Writes are atomic
 (``features.atomic_write``). Loading validates the header's config, the
 vocabulary and roster, every parameter's name and shape against that config
 and its values (finite float64), so a bad file fails when it is read, not at
-first use. Headers of earlier versions load too: their top-level seed is ignored.
-Version 1 stored the capsule transforms ``caps.W`` as (P, K, d_p, n); they
-load transposed to the (P, d_p, K, n) of version 2. Shapes alone cannot
-tell the two apart when K == d_p, so the version decides.
+first use. Earlier versions load through one upgrade step before validation,
+and their top-level seed is ignored. Version 1 stored the capsule transforms
+``caps.W`` as (P, K, d_p, n), not (P, d_p, K, n); shapes alone cannot tell
+the two apart when K == d_p, so the version decides. Versions 1 and 2 stored
+a layer's encoder cells as ``enc.{l}.f.*`` and ``enc.{l}.b.*``, not stacked.
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from .features import atomic_write
 from .model import init_params
 from .numeric import Params
 
-FORMAT_VERSION = 2
-# swaps the K and d_p axes of caps.W between its version-1 and current layouts
-V1_TRANSFORMS_AXES = (0, 2, 1, 3)
+FORMAT_VERSION = 3
 
 # config keys of earlier versions, at the one value each setting now has
 RETIRED_KEYS = {"margin_present": MARGIN_PRESENT, "margin_absent": MARGIN_ABSENT,
@@ -67,7 +66,7 @@ def load_checkpoint(path: str):
             if meta.get("format") != "capsintent-checkpoint":
                 raise FormatError(f"{path} has unknown checkpoint format {meta.get('format')!r}")
             version = meta.get("version")
-            if type(version) is not int or version not in (1, FORMAT_VERSION):
+            if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
                 raise FormatError(f"unsupported checkpoint version {version!r}")
             params = {
                 key[len("param/"):]: np.array(data[key])
@@ -78,8 +77,7 @@ def load_checkpoint(path: str):
     config = _config_from(meta.get("config"), path)
     # every name and shape init_params draws, at the cost of one throwaway draw
     expected = {name: value.shape for name, value in init_params(config).items()}
-    if version == 1:
-        expected["caps.W"] = tuple(expected["caps.W"][axis] for axis in V1_TRANSFORMS_AXES)
+    _upgrade(params, version, expected, path)
     if set(params) != set(expected):
         raise FormatError(f"{path}: parameters missing {sorted(set(expected) - set(params))}, "
                           f"unexpected {sorted(set(params) - set(expected))}")
@@ -92,8 +90,6 @@ def load_checkpoint(path: str):
             raise FormatError(f"{path}: parameter {name} has dtype {value.dtype}, not float64")
         if not np.isfinite(value).all():
             raise FormatError(f"{path}: parameter {name} holds non-finite values")
-    if version == 1:
-        params["caps.W"] = np.ascontiguousarray(params["caps.W"].transpose(V1_TRANSFORMS_AXES))
     payload = meta.get("vocab")
     if payload is None:
         return config, params, None
@@ -106,6 +102,21 @@ def load_checkpoint(path: str):
                           f"{len(speakers)} speakers, the config needs "
                           f"{config.num_labels} and {config.speaker_count}")
     return config, params, (vocab, speakers)
+
+
+def _upgrade(params: Params, version: int, expected: dict, path: str) -> None:
+    """Bring an earlier version's parameters to the current layout, in place."""
+    if version == 1 and np.ndim(params.get("caps.W")) == 4:
+        params["caps.W"] = np.ascontiguousarray(params["caps.W"].transpose(0, 2, 1, 3))
+    for name in [name for name in expected if name.startswith("enc.")] if version < 3 else ():
+        layer, key = name.rsplit(".", 1)
+        pair = [params.pop(f"{layer}.{direction}.{key}", None) for direction in "fb"]
+        found = ["missing" if cell is None else f"{cell.dtype} {cell.shape}" for cell in pair]
+        if found[0] != found[1]:   # np.stack would upcast a float32 cell past validation
+            raise FormatError(f"{path}: parameters {layer}.f.{key} and {layer}.b.{key} must "
+                              f"match in shape and dtype, got {found[0]} and {found[1]}")
+        if found[0] != "missing":
+            params[name] = np.stack(pair)
 
 
 def vocab_payload(vocab: LabelVocabulary, speakers: Sequence[str]) -> dict:

@@ -394,7 +394,10 @@ def load_manifest(path: str) -> Corpus:
             if "\0" in audio:
                 raise DataError(f"{path}:{lineno}: audio path holds a NUL character")
             audio = str(audio if os.path.isabs(audio) else path.parent / audio)
-            rows.append((utt_id, audio, speaker, [x for x in labels.split(";") if x]))
+            labels = [x for x in labels.split(";") if x]
+            if not labels:
+                raise DataError(f"{path}:{lineno}: row lists no labels")
+            rows.append((utt_id, audio, speaker, labels))
     except csv.Error as exc:
         raise DataError(f"{path}:{reader.line_num}: unreadable CSV row ({exc})") from exc
     if not rows:
@@ -456,8 +459,8 @@ FLUENT_SLOTS = ("action", "object", "location")
 
 
 def _fluent_records(path: Path, columns: tuple[str, ...]) -> list[dict]:
-    """The rows of one index table, each with a value in every one of
-    ``columns``."""
+    """The rows of one index table, each with a non-blank value in every one
+    of ``columns``."""
     reader = csv.DictReader(io.StringIO(read_utf8(path), newline=""))
     try:
         missing = [c for c in columns if c not in (reader.fieldnames or ())]
@@ -469,6 +472,9 @@ def _fluent_records(path: Path, columns: tuple[str, ...]) -> list[dict]:
     for lineno, rec in enumerate(records, start=2):
         if any(rec[c] is None for c in columns):
             raise DataError(f"{path.name}:{lineno}: row has fewer fields than the header")
+        blank = [c for c in columns if not rec[c].strip()]
+        if blank:
+            raise DataError(f"{path.name}:{lineno}: empty value in columns {blank}")
     return records
 
 

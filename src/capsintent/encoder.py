@@ -18,11 +18,12 @@ state, with no masking work inside the frame loops. Every batch is masked
 alike; an unpadded one gets an all-True mask. The backward direction
 reads each sequence reversed within its own length, so its final state is
 also at T_max - 1. Both directions of a layer run in one frame loop over a
-(T_max, 2, B, dim) array, direction 0 forward and 1 backward. The encoder
-reads out the concatenated final states of both directions of the top
-layer. Backprop runs one direction at a time and takes one input per
-direction, the gradients on its (T_max, B, H) states: the top layer's are
-zero but for that direction's half of the readout gradient at step T_max - 1.
+(T_max, 2, B, dim) array, direction 0 forward and 1 backward. A layer's
+two cells are stored stacked in that order, and its cache and gradients
+carry the same direction axis. The encoder reads out the concatenated
+final states of both directions of the top layer. Backprop takes one input
+per layer, the gradients on its (T_max, 2, B, H) states: the top layer's
+are zero but for the readout gradient at step T_max - 1.
 """
 
 from __future__ import annotations
@@ -80,8 +81,7 @@ def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
 
     ``mask`` (T, 1, B, 1) is False on padding frames, where the update gate is
     forced to 1 so the state is held; it is all True for an unpadded batch.
-    Returns (states (T, 2, B, H), cache); index a cache entry's axis 1 for
-    one direction's half, the cache ``gru_backward`` takes.
+    Returns (states (T, 2, B, H), the cache ``gru_backward`` takes).
     """
     hidden = p["Wh"].shape[-2]
     T, _, B = xs.shape[:3]
@@ -126,11 +126,11 @@ def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
 
 
 def gru_backward(p, cache, d_states):
-    """BPTT through one direction, given its half of a ``gru_forward`` cache.
-
-    d_states: (T, B, H) gradients on the emitted states, the one gradient
-    input; a final-state (readout) gradient sits at step T - 1. Returns
-    (param grads summed over the batch, dxs).
+    """BPTT through both directions of a layer, given its ``gru_forward``
+    cache and the (T, 2, B, H) gradients on the emitted states, the one
+    gradient input; a final-state (readout) gradient sits at step T - 1.
+    Returns (param grads stacked like ``p`` and summed over the batch,
+    (T, 2, B, in_dim) input gradients).
 
     Each gate pre-activation's gradient is the state gradient times a factor
     that depends only on the forward pass, so all factors are computed up
@@ -138,54 +138,58 @@ def gru_backward(p, cache, d_states):
     recurrence. The weight and input gradients are then one matrix product
     each over all pairs.
     """
-    xs, states = cache["xs"], cache["states"]
-    r, z, n = cache["r"], cache["z"], cache["n"]
-    hidden = p["Wh"].shape[0]
-    h_prev = np.concatenate([np.zeros_like(states[:1]), states[:-1]])
-    hh_n = h_prev @ p["Wh"][:, 2 * hidden:]
-    d_n = (1.0 - z) * (1.0 - n * n)
-    # per unit state gradient: [reset, update, candidate] pre-activations on
-    # the h @ Wh side (the candidate's is scaled by r), then the candidate's
-    # on the x @ Wx side
-    factors = np.stack([d_n * hh_n * r * (1.0 - r), (h_prev - n) * z * (1.0 - z),
-                        d_n * r, d_n], axis=-2)
-    d_pre = np.empty_like(factors)
-    d_pre_h = d_pre[..., :3, :].reshape(d_pre.shape[:-2] + (3 * hidden,))
-    Wh_T = p["Wh"].T
-    dh = np.zeros(d_states.shape[1:])
-    for t in range(xs.shape[0] - 1, -1, -1):
-        dh = dh + d_states[t]
-        np.multiply(dh[..., None, :], factors[t], out=d_pre[t])
-        dh = dh * z[t] + d_pre_h[t] @ Wh_T
-    d_pre_x = np.concatenate([d_pre[..., :2, :], d_pre[..., 3:, :]], axis=-2)
-    d_pre_x = d_pre_x.reshape(-1, 3 * hidden)
-    grads = {
-        "Wx": xs.reshape(-1, xs.shape[-1]).T @ d_pre_x,
-        "Wh": h_prev.reshape(-1, hidden).T @ d_pre_h.reshape(-1, 3 * hidden),
-        "b": d_pre_x.sum(axis=0),
-    }
-    return grads, (d_pre_x @ p["Wx"].T).reshape(xs.shape)
+    hidden = p["Wh"].shape[-2]
+    grads = {key: np.empty_like(value) for key, value in p.items()}
+    # direction-major, so each direction's input product writes its half in place
+    dxs = np.empty((2,) + cache["xs"][:, 0].shape)
+    for direction in range(2):
+        xs, states, r, z, n = (cache[key][:, direction]
+                               for key in ("xs", "states", "r", "z", "n"))
+        Wx, Wh = p["Wx"][direction], p["Wh"][direction]
+        h_prev = np.concatenate([np.zeros_like(states[:1]), states[:-1]])
+        hh_n = h_prev @ Wh[:, 2 * hidden:]
+        d_n = (1.0 - z) * (1.0 - n * n)
+        # per unit state gradient: [reset, update, candidate] pre-activations
+        # on the h @ Wh side (the candidate's is scaled by r), then the
+        # candidate's on the x @ Wx side
+        factors = np.stack([d_n * hh_n * r * (1.0 - r), (h_prev - n) * z * (1.0 - z),
+                            d_n * r, d_n], axis=-2)
+        d_pre = np.empty_like(factors)
+        d_pre_h = d_pre[..., :3, :].reshape(d_pre.shape[:-2] + (3 * hidden,))
+        Wh_T = Wh.T
+        d_steps = d_states[:, direction]
+        dh = np.zeros(d_steps.shape[1:])
+        for t in range(xs.shape[0] - 1, -1, -1):
+            dh = dh + d_steps[t]
+            np.multiply(dh[..., None, :], factors[t], out=d_pre[t])
+            dh = dh * z[t] + d_pre_h[t] @ Wh_T
+        d_pre_x = np.concatenate([d_pre[..., :2, :], d_pre[..., 3:, :]], axis=-2)
+        d_pre_x = d_pre_x.reshape(-1, 3 * hidden)
+        np.matmul(xs.reshape(-1, xs.shape[-1]).T, d_pre_x, out=grads["Wx"][direction])
+        np.matmul(h_prev.reshape(-1, hidden).T, d_pre_h.reshape(-1, 3 * hidden),
+                  out=grads["Wh"][direction])
+        d_pre_x.sum(axis=0, out=grads["b"][direction])
+        np.matmul(d_pre_x, Wx.T, out=dxs[direction].reshape(-1, xs.shape[-1]))
+        # holding both directions' temporaries at once raises a fit's peak memory
+        del h_prev, hh_n, d_n, factors, d_pre, d_pre_h, d_pre_x
+    return grads, dxs.swapaxes(0, 1)
 
 
-def _layer_params(params: Params, layer: int, direction: str) -> dict[str, np.ndarray]:
-    prefix = f"enc.{layer}.{direction}."
-    return {"Wx": params[prefix + "Wx"], "Wh": params[prefix + "Wh"], "b": params[prefix + "b"]}
-
-
-def _fused_params(params: Params, layer: int) -> dict[str, np.ndarray]:
-    """A layer's forward and backward cells stacked on a leading axis of 2."""
-    f, b = _layer_params(params, layer, "f"), _layer_params(params, layer, "b")
-    return {key: np.stack([f[key], b[key]]) for key in f}
+def _layer_params(params: Params, layer: int) -> dict[str, np.ndarray]:
+    """A layer's two cells as stored, the forward one at index 0."""
+    return {key: params[f"enc.{layer}.{key}"] for key in ("Wx", "Wh", "b")}
 
 
 def init_encoder_params(rng: np.random.Generator, feat_dim: int, hidden: int, layers: int) -> Params:
+    """Per layer, the forward and then the backward cell of ``gru_param_init``,
+    stacked: ``enc.{l}.Wx`` (2, in_dim, 3H), ``enc.{l}.Wh`` (2, H, 3H) and
+    ``enc.{l}.b`` (2, 3H)."""
     params: Params = {}
     in_dim = feat_dim
     for layer in range(layers):
-        for direction in ("f", "b"):
-            block = gru_param_init(rng, in_dim, hidden)
-            for key, val in block.items():
-                params[f"enc.{layer}.{direction}.{key}"] = val
+        cells = [gru_param_init(rng, in_dim, hidden) for _ in range(2)]
+        for key in cells[0]:
+            params[f"enc.{layer}.{key}"] = np.stack([cell[key] for cell in cells])
         in_dim = 2 * hidden
     return params
 
@@ -206,7 +210,7 @@ def encoder_forward(params: Params, feats: np.ndarray, layers: int, lengths: np.
     caches = []
     for layer in range(layers):
         # direction 1 reads each sequence reversed within its length
-        states, cache = gru_forward(_fused_params(params, layer),
+        states, cache = gru_forward(_layer_params(params, layer),
                                     np.stack([xs, xs[reversal]], axis=1), mask)
         caches.append(cache)
         if layer < layers - 1:
@@ -216,26 +220,22 @@ def encoder_forward(params: Params, feats: np.ndarray, layers: int, lengths: np.
 
 
 def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
-    """Backprop the readout gradient through every layer and time step, one
-    direction at a time; parameter gradients are summed over the batch."""
+    """Backprop the readout gradient through every layer and time step;
+    parameter gradients are summed over the batch and stacked like the
+    parameters."""
     reversal = cache["reversal"]
     hidden = d_readout.shape[-1] // 2
     grads: Params = {}
-    d_top = np.zeros((cache["T"],) + d_readout.shape)
-    d_top[-1] = d_readout
-    d_steps_f, d_steps_b_rev = d_top[..., :hidden], d_top[..., hidden:]
+    # the readout is both directions' states at step T_max - 1
+    d_states = np.zeros((cache["T"], 2, len(d_readout), hidden))
+    d_states[-1] = d_readout.reshape(-1, 2, hidden).swapaxes(0, 1)
     for layer in range(len(cache["caches"]) - 1, -1, -1):
-        fused = cache["caches"][layer]
-        cache_f = {key: value[:, 0] for key, value in fused.items()}
-        cache_b = {key: value[:, 1] for key, value in fused.items()}
-        g_f, dx_f = gru_backward(_layer_params(params, layer, "f"), cache_f, d_steps_f)
-        g_b, dx_b_rev = gru_backward(_layer_params(params, layer, "b"), cache_b, d_steps_b_rev)
-        for key, val in g_f.items():
-            grads[f"enc.{layer}.f.{key}"] = val
-        for key, val in g_b.items():
-            grads[f"enc.{layer}.b.{key}"] = val
+        layer_grads, dxs = gru_backward(_layer_params(params, layer), cache["caches"][layer],
+                                        d_states)
+        grads.update({f"enc.{layer}.{key}": value for key, value in layer_grads.items()})
         if layer > 0:
-            d_xs = dx_f + dx_b_rev[reversal]  # (T, B, in_dim of this layer)
-            d_steps_f = d_xs[..., :hidden]
-            d_steps_b_rev = d_xs[..., hidden:][reversal]
+            # undo encoder_forward's split, reversal and stack of this layer's input
+            d_xs = dxs[:, 0] + dxs[:, 1][reversal]  # (T, B, in_dim of this layer)
+            d_xs[..., hidden:] = d_xs[..., hidden:][reversal]
+            d_states = d_xs.reshape(d_xs.shape[:2] + (2, hidden)).swapaxes(1, 2)
     return grads

@@ -1,7 +1,7 @@
 """Dense numeric kernels and a finite-difference gradient-checking oracle.
 
 All math in this package runs at double precision; parameters live in flat
-dicts mapping a path string (e.g. ``"enc.0.f.Wx"``) to a float64 ndarray.
+dicts mapping a path string (e.g. ``"enc.0.Wx"``) to a float64 ndarray.
 """
 
 from __future__ import annotations

@@ -332,24 +332,88 @@ def test_earlier_header_with_retired_keys_and_seed_loads(tmp_path):
     assert cfg3 == cfg
 
 
-def test_version_1_transforms_load_transposed(tmp_path):
+def _per_direction(params):
+    """``params`` as versions 1 and 2 named them: each encoder cell on its own."""
+    named = {}
+    for name, value in params.items():
+        if name.startswith("enc."):
+            layer, key = name.rsplit(".", 1)
+            named[f"{layer}.f.{key}"], named[f"{layer}.b.{key}"] = value
+        else:
+            named[name] = value
+    return named
+
+
+def _loads_to_the_same_model(tmp_path, version, old_params):
     # K == d_p, so the two caps.W layouts have one shape and only the version tells them apart
     cfg = tiny_model_config(seed=4, num_labels=3, primary_dim=3)
     params = model.init_params(cfg)
     payload = {"labels": ["a", "b", "c"], "speakers": ["x", "y", "z"],
                "slot_groups": [{"name": "g", "labels": ["a", "b", "c"], "required": True}]}
-    path = tmp_path / "v2.npz"
+    path = tmp_path / "v3.npz"
     checkpoint.save_checkpoint(str(path), cfg, params, vocab_payload=payload)
-    # version 1 stored each primary capsule's transforms label-major, (P, K, d_p, n)
-    v1 = _resave(path, tmp_path / "v1.npz", version=1,
-                 params={**params, "caps.W": params["caps.W"].transpose(0, 2, 1, 3)})
+    old = _resave(path, tmp_path / f"v{version}.npz", version=version,
+                  params=old_params(_per_direction(params)))
     feats = np.random.default_rng(2).normal(size=(5, 6, cfg.feat_dim))
     answers = []
-    for source in (str(path), v1):
+    for source in (str(path), old):
         cfg2, params2, (vocab, _) = checkpoint.load_checkpoint(source)
-        assert params2["caps.W"].tobytes() == params["caps.W"].tobytes()
+        assert set(params2) == set(params)
+        assert all(params2[key].tobytes() == params[key].tobytes() for key in params)
         answers.append([model.predict(f, params2, cfg2, vocab) for f in feats])
     assert answers[0] == answers[1]
+
+
+def test_version_1_transforms_load_transposed(tmp_path):
+    # version 1 stored each primary capsule's transforms label-major, (P, K, d_p, n)
+    _loads_to_the_same_model(tmp_path, 1, lambda old: {
+        **old, "caps.W": old["caps.W"].transpose(0, 2, 1, 3)})
+
+
+def test_version_2_cells_load_stacked(tmp_path):
+    _loads_to_the_same_model(tmp_path, 2, lambda old: old)
+
+
+@pytest.mark.parametrize("cells, match", [
+    ({"b": None}, r"enc.1.f.Wh and enc.1.b.Wh must match in shape and dtype, "
+                  r"got float64 \(5, 15\) and missing"),
+    ({"f": None}, r"enc.1.f.Wh and enc.1.b.Wh .* got missing and float64 \(5, 15\)"),
+    ({"b": np.zeros((4, 15))}, r"enc.1.f.Wh and enc.1.b.Wh .* and float64 \(4, 15\)"),
+    ({"b": np.zeros((5, 15), np.float32)},
+     r"enc.1.f.Wh and enc.1.b.Wh .* and float32 \(5, 15\)"),
+    ({"f": np.zeros((5, 15), np.float32), "b": np.zeros((5, 15), np.float32)},
+     "parameter enc.1.Wh has dtype float32"),
+], ids=["backward_cell_missing", "forward_cell_missing", "shapes_differ", "one_float32",
+        "both_float32"])
+def test_version_2_unmatched_cells_rejected(tmp_path, cells, match):
+    cfg = tiny_model_config()
+    params = model.init_params(cfg)
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, params)
+    old = _per_direction(params)
+    for direction, value in cells.items():
+        if value is None:
+            del old[f"enc.1.{direction}.Wh"]
+        else:
+            old[f"enc.1.{direction}.Wh"] = value
+    with pytest.raises(FormatError, match=match):
+        checkpoint.load_checkpoint(_resave(path, tmp_path / "v2.npz", version=2, params=old))
+
+
+def test_eval_with_unmatched_version_2_cells_is_data_error(tmp_path, capsys):
+    from capsintent import cli
+
+    cfg = tiny_model_config()
+    params = model.init_params(cfg)
+    path = tmp_path / "m.npz"
+    checkpoint.save_checkpoint(str(path), cfg, params, vocab_payload=GOOD_VOCAB)
+    old = _per_direction(params)
+    old["enc.0.b.Wx"] = old["enc.0.b.Wx"].astype(np.float32)
+    bad = _resave(path, tmp_path / "v2.npz", version=2, params=old)
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
+    assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(manifest)]) == 4
+    assert "parameters enc.0.f.Wx and enc.0.b.Wx must match" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("margin_present", 0.8), ("speaker_bias", False)])

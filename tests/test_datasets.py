@@ -215,6 +215,14 @@ def test_manifest_row_without_four_fields(tmp_path):
         datasets.load_manifest(str(path))
 
 
+@pytest.mark.parametrize("labels", ["", ";;"], ids=["empty", "only_separators"])
+def test_manifest_row_without_labels(tmp_path, labels):
+    path = tmp_path / "bare.csv"
+    path.write_text(f"id,audio,speaker,labels\nu0,a.wav,s,x\nu1,b.wav,s,{labels}\n")
+    with pytest.raises(DataError, match="bare.csv:3: row lists no labels"):
+        datasets.load_manifest(str(path))
+
+
 def test_manifest_duplicate_id_rejected(tmp_path):
     path = tmp_path / "dup.csv"
     path.write_text("id,audio,speaker,labels\nu0,a.wav,s,x\nu1,b.wav,s,x\nu1,c.wav,t,y\n")
@@ -468,6 +476,25 @@ def test_fluent_table_short_row(tmp_path, table):
     lines[2] = lines[2].split(",")[0]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataError, match=f"{table}:3: row has fewer fields"):
+        datasets.load_fluent(str(root))
+
+
+@pytest.mark.parametrize("table, column, value", [
+    ("train_data.csv", 4, ""), ("valid_data.csv", 5, "  "), ("test_data.csv", 2, ""),
+    ("test_data.csv", 1, " "), ("train_partial_data.csv", 1, ""),
+], ids=["empty_action", "blank_object", "empty_speaker", "blank_path", "empty_partial_path"])
+def test_fluent_table_empty_required_cell(tmp_path, table, column, value):
+    root = _make_fluent_tree(tmp_path / "fluent")
+    if table == "train_partial_data.csv":
+        _write_partial(root, datasets.load_fluent(str(root)).splits["train"][:2])
+    path = root / "data" / table
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[column] = value
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    name = lines[0].split(",")[column]
+    with pytest.raises(DataError, match=f"{table}:3: empty value in columns \\['{name}'\\]"):
         datasets.load_fluent(str(root))
 
 

@@ -51,7 +51,7 @@ def test_reversed_direction_sees_sequence_order():
     # with one layer, both directions share no weights, so only compare the
     # direction-specific parts after making the directions share parameters
     for key in ("Wx", "Wh", "b"):
-        params[f"enc.0.b.{key}"] = params[f"enc.0.f.{key}"]
+        params[f"enc.0.{key}"][1] = params[f"enc.0.{key}"][0]
     lengths = np.array([len(feats)])
     fwd, _ = encoder.encoder_forward(params, feats, layers, lengths)
     rev, _ = encoder.encoder_forward(params, feats[::-1], layers, lengths)
@@ -59,22 +59,16 @@ def test_reversed_direction_sees_sequence_order():
     assert np.allclose(fwd[0, hidden:], rev[0, :hidden], atol=1e-12)
 
 
-def _both_directions(rng, in_dim, hidden):
-    """Two independently drawn cells stacked as gru_forward takes them."""
-    cells = [encoder.gru_param_init(rng, in_dim, hidden) for _ in range(2)]
-    return {key: np.stack([c[key] for c in cells]) for key in cells[0]}
-
-
 def test_gru_zero_input_zero_state():
-    params = _both_directions(np.random.default_rng(1), 3, 4)
-    hs, _ = encoder.gru_forward({k: np.zeros_like(v) for k, v in params.items()},
+    params = encoder.init_encoder_params(np.random.default_rng(1), 3, 4, 1)
+    hs, _ = encoder.gru_forward({k[len("enc.0."):]: np.zeros_like(v) for k, v in params.items()},
                                 np.zeros((5, 2, 1, 3)), np.ones((5, 1, 1, 1), dtype=bool))
     assert np.all(hs == 0.0)
 
 
 def test_gru_state_shapes():
     rng = np.random.default_rng(2)
-    params = _both_directions(rng, 3, 7)
+    params = {k[len("enc.0."):]: v for k, v in encoder.init_encoder_params(rng, 3, 7, 1).items()}
     hs, cache = encoder.gru_forward(params, rng.normal(size=(9, 2, 1, 3)),
                                     np.ones((9, 1, 1, 1), dtype=bool))
     assert hs.shape == (9, 2, 1, 7)
@@ -104,8 +98,8 @@ def _reference_gru(p, xs, lengths):
 def test_fused_directions_match_the_reference_cell_per_direction():
     rng = np.random.default_rng(3)
     # random biases too: the two cells' initial biases are equal
-    params = {k: rng.normal(0.0, 0.5, size=v.shape)
-              for k, v in _both_directions(rng, 3, 5).items()}
+    params = {k[len("enc.0."):]: rng.normal(0.0, 0.5, size=v.shape)
+              for k, v in encoder.init_encoder_params(rng, 3, 5, 1).items()}
     lengths = np.array([7, 3, 5])             # a padded batch of three
     xs = rng.normal(size=(7, 2, 3, 3))
     for seq, length in enumerate(lengths):
@@ -122,3 +116,19 @@ def test_encoder_rejects_unbatched_features():
     params, feats, _, hidden, layers = _setup()
     with pytest.raises(DataError):
         encoder.encoder_forward(params, feats[:, 0], layers, np.array([len(feats)]))
+
+
+def test_encoder_forward_hands_the_stored_cells_to_gru_forward(monkeypatch):
+    params, feats, _, _, layers = _setup()
+    gru_forward, seen = encoder.gru_forward, []
+
+    def spy(p, xs, mask):
+        seen.append(p)
+        return gru_forward(p, xs, mask)
+
+    monkeypatch.setattr(encoder, "gru_forward", spy)
+    encoder.encoder_forward(params, feats, layers, np.array([len(feats)]))
+    assert len(seen) == layers
+    for layer, p in enumerate(seen):
+        assert all(p[key] is params[f"enc.{layer}.{key}"] for key in ("Wx", "Wh", "b"))
+

@@ -19,10 +19,15 @@ def test_init_params_covers_all_blocks():
     params = model.init_params(cfg)
     expected = {"proj.W", "proj.b", "caps.W", "spk.W", "spk.b"}
     for layer in range(cfg.encoder_layers):
-        for direction in ("f", "b"):
-            for name in ("Wx", "Wh", "b"):
-                expected.add(f"enc.{layer}.{direction}.{name}")
+        for name in ("Wx", "Wh", "b"):
+            expected.add(f"enc.{layer}.{name}")
     assert set(params) == expected
+    in_dim, H = cfg.feat_dim, cfg.encoder_hidden
+    for layer in range(cfg.encoder_layers):
+        assert params[f"enc.{layer}.Wx"].shape == (2, in_dim, 3 * H)
+        assert params[f"enc.{layer}.Wh"].shape == (2, H, 3 * H)
+        assert params[f"enc.{layer}.b"].shape == (2, 3 * H)
+        in_dim = 2 * H
     assert params["caps.W"].shape == (cfg.num_primary, cfg.primary_dim,
                                       cfg.num_labels, cfg.output_dim)
     assert params["spk.W"].shape == (cfg.output_dim, cfg.speaker_count)
