@@ -33,9 +33,10 @@ for b in range(B):
     votes[:, b, b + 1, :] = agreed + rng.normal(0.0, 0.05, size=(P, n))
 caps, trace = dynamic_routing(votes, iters=3)
 for it, c in enumerate(trace.coefficients):
-    means = "  ".join(f"utt {b}: {c[:, b].mean(axis=0).round(3)}" for b in range(B))
+    # c is (B, K, P): utterance b's coefficient of output k from capsule i is c[b, k, i]
+    means = "  ".join(f"utt {b}: {c[b].mean(axis=-1).round(3)}" for b in range(B))
     print(f"iteration {it}: mean coupling per output  {means}")
 for b in range(B):
     norms = np.linalg.norm(caps[b], axis=-1)
     print(f"utterance {b} output norms: {norms.round(3)}  (capsule {b + 1} wins)")
-print(f"coefficient rows sum to 1: {np.allclose(trace.coefficients[-1].sum(axis=-1), 1.0)}")
+print(f"coefficients sum to 1 over outputs: {np.allclose(trace.coefficients[-1].sum(axis=1), 1.0)}")

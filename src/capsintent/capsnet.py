@@ -16,6 +16,12 @@ capsules (B, K, n), losses (B,)). Routing treats each utterance
 independently, so a batch gives the same numbers as its utterances one by
 one; parameter gradients are summed over the batch. Stages that read the
 output capsules' lengths take the norms of the (B, K, n) array themselves.
+
+Routing reads the stored votes in place as B*K (P, n) matrices, one per
+(utterance, output capsule) pair, and holds its logits and coefficients
+(B, K, P), so each pair's coefficients are one contiguous row: every
+pooling and every agreement is one batched matrix product over the pairs,
+and the vote gradient is written into a C-contiguous (P, B, K, n) array.
 """
 
 from __future__ import annotations
@@ -76,9 +82,11 @@ class ModelConfig:
 @dataclass
 class RoutingTrace:
     votes: np.ndarray                                             # (P, B, K, n)
-    coefficients: list[np.ndarray] = field(default_factory=list)  # (P, B, K) per iteration
-    pooled: list[np.ndarray] = field(default_factory=list)        # pre-squash s, per iteration
-    outputs: list[np.ndarray] = field(default_factory=list)       # post-squash v, per iteration
+    # per iteration: (B, K, P) coefficients, coeff[b, j, i] coupling primary
+    # capsule i to output j in utterance b (summing to 1 over j)
+    coefficients: list[np.ndarray] = field(default_factory=list)
+    pooled: list[np.ndarray] = field(default_factory=list)        # (B, K, n) pre-squash s
+    outputs: list[np.ndarray] = field(default_factory=list)       # (B, K, n) post-squash v
 
 
 @dataclass
@@ -139,6 +147,13 @@ def predict_capsules_backward(d_votes: np.ndarray, primary: np.ndarray, transfor
     return d_transforms, d_primary
 
 
+def _pairs(votes: np.ndarray) -> np.ndarray:
+    """The (P, B, K, n) votes read as B*K (P, n) matrices, one per
+    (utterance, output capsule) pair: a view of C-contiguous votes."""
+    P, B, K, n = votes.shape
+    return votes.reshape(P, B * K, n).transpose(1, 0, 2)
+
+
 def dynamic_routing(votes: np.ndarray, iters: int):
     """Iterative routing by agreement, independently per utterance.
 
@@ -146,21 +161,28 @@ def dynamic_routing(votes: np.ndarray, iters: int):
     coefficients = softmax of logits over the output axis, pooled input
     s_j = sum_i c_ij * votes[i, j], v_j = squash(s_j), then
     logits[i, j] += votes[i, j] . v_j (the update is skipped after the final
-    iteration).
+    iteration). The first coefficients, the softmax of zero logits, are
+    exactly 1/K.
 
     Returns the (B, K, n) output capsules and a RoutingTrace of the
     per-iteration state the backward pass needs.
 
-    Votes too large to square (above about 1e154) raise DivergenceError
-    with the batch position of the first utterance affected.
+    Votes that are not 4-D raise ShapeError. Votes too large to square
+    (above about 1e154) raise DivergenceError with the batch position of
+    the first utterance affected.
     """
+    if np.ndim(votes) != 4:
+        raise ShapeError(f"routing needs (P, B, K, n) votes, got shape {np.shape(votes)}")
     if iters < 1:
         raise ShapeError(f"routing needs at least one iteration, got {iters}")
-    logits = np.zeros(votes.shape[:-1])
+    P, B, K, n = votes.shape
+    pairs = _pairs(votes)
+    coeff = np.full((B, K, P), 1.0 / K)
     trace = RoutingTrace(votes=votes)
     for it in range(iters):
-        coeff = softmax(logits)
-        pooled = np.einsum("p...k,p...kn->...kn", coeff, votes)
+        if it:
+            coeff = softmax(logits, axis=1)
+        pooled = (coeff.reshape(B * K, 1, P) @ pairs).reshape(B, K, n)
         out = squash(pooled)
         if not np.isfinite(out).all():
             finite = np.isfinite(out).all(axis=(-2, -1))
@@ -169,22 +191,27 @@ def dynamic_routing(votes: np.ndarray, iters: int):
         trace.pooled.append(pooled)
         trace.outputs.append(out)
         if it < iters - 1:
-            logits = logits + np.einsum("p...kn,...kn->p...k", votes, out)
+            agreement = (pairs @ out.reshape(B * K, n, 1)).reshape(B, K, P)
+            logits = agreement if it == 0 else np.add(logits, agreement, out=logits)
     return out, trace
 
 
 def routing_backward(trace: RoutingTrace, d_out: np.ndarray) -> np.ndarray:
-    """Backprop through the full routing unroll; returns gradient on votes.
+    """Backprop through the full routing unroll; returns the gradient on the
+    votes as a C-contiguous (P, B, K, n) array.
 
     Coefficients are *not* treated as constants: gradient flows through every
-    softmax and every logit update of every iteration.
+    softmax and every logit update of every iteration but the first, whose
+    logits are constant zeros.
     """
     votes = trace.votes
+    P, B, K, n = votes.shape
+    pairs = _pairs(votes)
     iters = len(trace.outputs)
     # every pooling (coefficients x pooled gradient) and every logit update
     # (logit gradient x output) adds a[i, j] * b_j to d_votes[i, j]; the
-    # terms are collected and contracted once, with no votes-sized temporary
-    # per term
+    # terms are collected and contracted once, one (P, t) @ (t, n) product
+    # per pair written in place, with no votes-sized temporary per term
     left, right = [], []
     d_logits = None
     d_v = np.asarray(d_out, dtype=np.float64)
@@ -194,14 +221,20 @@ def routing_backward(trace: RoutingTrace, d_out: np.ndarray) -> np.ndarray:
             # logits' = logits + votes . v  contributed d_logits; split it
             left.append(d_logits)
             right.append(trace.outputs[it])
-            d_v = np.einsum("p...k,p...kn->...kn", d_logits, votes)
+            d_v = (d_logits.reshape(B * K, 1, P) @ pairs).reshape(B, K, n)
         d_pooled = squash_grad(d_v, trace.pooled[it])
         left.append(coeff)
         right.append(d_pooled)
-        d_softmax = softmax_grad(np.einsum("...kn,p...kn->p...k", d_pooled, votes), coeff)
-        d_logits = d_softmax if d_logits is None else d_logits + d_softmax
-    return np.einsum("p...kt,...ktn->p...kn", np.stack(left, axis=-1), np.stack(right, axis=-2),
-                     optimize=True)
+        if it:   # the first logits are constant zeros
+            d_coeff = (pairs @ d_pooled.reshape(B * K, n, 1)).reshape(B, K, P)
+            d_softmax = softmax_grad(d_coeff, coeff, axis=1)
+            # into d_softmax: the last d_logits is held in ``left``
+            d_logits = d_softmax if d_logits is None else np.add(d_logits, d_softmax,
+                                                                  out=d_softmax)
+    d_votes = np.empty_like(votes, order="C")
+    np.matmul(np.stack(left, axis=-2).reshape(B * K, -1, P).transpose(0, 2, 1),
+              np.stack(right, axis=-2).reshape(B * K, -1, n), out=_pairs(d_votes))
+    return d_votes
 
 
 def margin_loss(caps: np.ndarray, target: np.ndarray):

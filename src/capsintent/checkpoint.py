@@ -27,7 +27,7 @@ from .capsnet import MARGIN_ABSENT, MARGIN_PRESENT, ModelConfig
 from .datasets import LabelVocabulary, SlotGroup
 from .errors import DataError, FormatError, ShapeError, UsageError
 from .features import atomic_write
-from .model import init_params
+from .model import param_shapes
 from .numeric import Params
 
 FORMAT_VERSION = 3
@@ -75,8 +75,7 @@ def load_checkpoint(path: str):
     except (OSError, ValueError, zipfile.BadZipFile) as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
     config = _config_from(meta.get("config"), path)
-    # every name and shape init_params draws, at the cost of one throwaway draw
-    expected = {name: value.shape for name, value in init_params(config).items()}
+    expected = param_shapes(config)
     _upgrade(params, version, expected, path)
     if set(params) != set(expected):
         raise FormatError(f"{path}: parameters missing {sorted(set(expected) - set(params))}, "

@@ -129,23 +129,24 @@ def gru_backward(p, cache, d_states):
     """BPTT through both directions of a layer, given its ``gru_forward``
     cache and the (T, 2, B, H) gradients on the emitted states, the one
     gradient input; a final-state (readout) gradient sits at step T - 1.
-    Returns (param grads stacked like ``p`` and summed over the batch,
-    (T, 2, B, in_dim) input gradients).
+    Returns (param grads stacked like ``p`` and summed over the batch, the
+    (2, T*B, 3H) gradients on each direction's input side ``xs @ Wx + b``,
+    whose product with ``Wx[d].T`` is that direction's input gradient).
 
     Each gate pre-activation's gradient is the state gradient times a factor
     that depends only on the forward pass, so all factors are computed up
     front over every (step, sequence) pair and the frame loop runs only the
-    recurrence. The weight and input gradients are then one matrix product
-    each over all pairs.
+    recurrence. The weight gradients are then one matrix product each over
+    all pairs.
     """
     hidden = p["Wh"].shape[-2]
     grads = {key: np.empty_like(value) for key, value in p.items()}
-    # direction-major, so each direction's input product writes its half in place
-    dxs = np.empty((2,) + cache["xs"][:, 0].shape)
+    T, _, B = d_states.shape[:3]
+    d_pre_x = np.empty((2, T * B, 3 * hidden))
     for direction in range(2):
         xs, states, r, z, n = (cache[key][:, direction]
                                for key in ("xs", "states", "r", "z", "n"))
-        Wx, Wh = p["Wx"][direction], p["Wh"][direction]
+        Wh = p["Wh"][direction]
         h_prev = np.concatenate([np.zeros_like(states[:1]), states[:-1]])
         hh_n = h_prev @ Wh[:, 2 * hidden:]
         d_n = (1.0 - z) * (1.0 - n * n)
@@ -163,16 +164,16 @@ def gru_backward(p, cache, d_states):
             dh = dh + d_steps[t]
             np.multiply(dh[..., None, :], factors[t], out=d_pre[t])
             dh = dh * z[t] + d_pre_h[t] @ Wh_T
-        d_pre_x = np.concatenate([d_pre[..., :2, :], d_pre[..., 3:, :]], axis=-2)
-        d_pre_x = d_pre_x.reshape(-1, 3 * hidden)
-        np.matmul(xs.reshape(-1, xs.shape[-1]).T, d_pre_x, out=grads["Wx"][direction])
+        d_x = d_pre_x[direction]
+        np.concatenate([d_pre[..., :2, :], d_pre[..., 3:, :]], axis=-2,
+                       out=d_x.reshape(T, B, 3, hidden))
+        np.matmul(xs.reshape(-1, xs.shape[-1]).T, d_x, out=grads["Wx"][direction])
         np.matmul(h_prev.reshape(-1, hidden).T, d_pre_h.reshape(-1, 3 * hidden),
                   out=grads["Wh"][direction])
-        d_pre_x.sum(axis=0, out=grads["b"][direction])
-        np.matmul(d_pre_x, Wx.T, out=dxs[direction].reshape(-1, xs.shape[-1]))
+        d_x.sum(axis=0, out=grads["b"][direction])
         # holding both directions' temporaries at once raises a fit's peak memory
-        del h_prev, hh_n, d_n, factors, d_pre, d_pre_h, d_pre_x
-    return grads, dxs.swapaxes(0, 1)
+        del h_prev, hh_n, d_n, factors, d_pre, d_pre_h
+    return grads, d_pre_x
 
 
 def _layer_params(params: Params, layer: int) -> dict[str, np.ndarray]:
@@ -230,12 +231,16 @@ def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
     d_states = np.zeros((cache["T"], 2, len(d_readout), hidden))
     d_states[-1] = d_readout.reshape(-1, 2, hidden).swapaxes(0, 1)
     for layer in range(len(cache["caches"]) - 1, -1, -1):
-        layer_grads, dxs = gru_backward(_layer_params(params, layer), cache["caches"][layer],
-                                        d_states)
+        layer_params = _layer_params(params, layer)
+        layer_grads, d_pre_x = gru_backward(layer_params, cache["caches"][layer], d_states)
         grads.update({f"enc.{layer}.{key}": value for key, value in layer_grads.items()})
         if layer > 0:
-            # undo encoder_forward's split, reversal and stack of this layer's input
-            d_xs = dxs[:, 0] + dxs[:, 1][reversal]  # (T, B, in_dim of this layer)
+            # the input gradients, formed only above layer 0 (the features
+            # take none); then undo encoder_forward's split, reversal and
+            # stack of this layer's input
+            dxs = (d_pre_x @ layer_params["Wx"].transpose(0, 2, 1)).reshape(
+                2, cache["T"], len(d_readout), 2 * hidden)
+            d_xs = dxs[0] + dxs[1][reversal]  # (T, B, in_dim of this layer)
             d_xs[..., hidden:] = d_xs[..., hidden:][reversal]
             d_states = d_xs.reshape(d_xs.shape[:2] + (2, hidden)).swapaxes(1, 2)
     return grads

@@ -36,7 +36,26 @@ def init_params(config: ModelConfig) -> Params:
     The speaker head is initialized at every speaker_weight, so runs that
     differ only in the weight start from identical parameters.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
+    return _init_from(config, np.random.default_rng(np.random.SeedSequence([config.seed, 0])))
+
+
+class _Undrawn:
+    """A generator stand-in whose every draw is an uninitialized array of
+    the requested size, so the init functions give shapes without drawing."""
+
+    def uniform(self, low, high, size):
+        return np.empty(size)
+
+    normal = uniform
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple]:
+    """The name and shape of every parameter ``init_params`` draws, found
+    by running the same init functions without drawing."""
+    return {name: value.shape for name, value in _init_from(config, _Undrawn()).items()}
+
+
+def _init_from(config: ModelConfig, rng) -> Params:
     params = capsnet.init_core_params(config, rng)
     params.update(multitask.init_head_params(rng, config.output_dim, config.speaker_count))
     return params
@@ -59,9 +78,10 @@ def evaluate(feats: Sequence[np.ndarray], params: Params, config: ModelConfig):
 
 # Utterances go through the model in slices of at most this many: training
 # sums the slices' gradients, decoding holds one slice's outputs at a time.
-# The votes and their routing temporaries grow with the slice: at the grid
-# configuration (bench/NOTES.md), whole 32-utterance train batches peaked at
-# 88.5 MB resident against 82.2 MB per utterance; slices of 16 peak at 81.9 MB.
+# The votes and their routing temporaries grow with the slice: in the train
+# workload at the grid configuration (bench/NOTES.md, corpus seed 3), whole
+# 32-utterance batches peak at 93.6 MB resident and single utterances at
+# 82.6 MB; slices of 16 peak at 83.6 MB.
 _SLICE = 16
 
 

@@ -19,22 +19,25 @@ REL_ERR_FLOOR = 1e-12
 FD_STEP = 1e-5       # central-difference step of grad_check
 
 
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Numerically stable last-axis softmax (max-subtracted before exponentiation)."""
+def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Numerically stable softmax along ``axis`` (max-subtracted before exponentiation)."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise UsageError("softmax of an empty vector is undefined")
     if not np.all(np.isfinite(v)):
         raise UsageError("softmax requires finite inputs")
-    shifted = v - np.max(v, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    # in place: every fresh routing-sized temporary costs page faults
+    e = v - np.max(v, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
-def softmax_grad(upstream: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Backprop through the last-axis softmax given its output ``probs``."""
-    dot = np.sum(upstream * probs, axis=-1, keepdims=True)
-    return probs * (upstream - dot)
+def softmax_grad(upstream: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Backprop through the softmax along ``axis`` given its output ``probs``."""
+    grad = upstream - np.sum(upstream * probs, axis=axis, keepdims=True)
+    grad *= probs
+    return grad
 
 
 @dataclass

@@ -271,18 +271,18 @@ def _():
 
 @example("capsnet", "dynamic_routing", "single_pass_hand")
 def _():
-    votes = np.random.default_rng(4).normal(size=(1, 2, 3))
+    votes = np.random.default_rng(4).normal(size=(1, 1, 2, 3))
     caps, trace = capsnet.dynamic_routing(votes, iters=1)
     assert np.allclose(trace.coefficients[-1], 0.5, atol=1e-12)
     for j in range(2):
-        assert np.allclose(caps[j], capsnet.squash(0.5 * votes[0, j]), atol=1e-12)
+        assert np.allclose(caps[0, j], capsnet.squash(0.5 * votes[0, 0, j]), atol=1e-12)
 
 
 @example("capsnet", "dynamic_routing", "symmetric_votes_stay_uniform")
 def _():
     rng = np.random.default_rng(5)
-    base = rng.normal(size=(6, 1, 4))
-    votes = np.repeat(base, 3, axis=1)  # identical predictions for every output
+    base = rng.normal(size=(6, 1, 1, 4))
+    votes = np.repeat(base, 3, axis=2)  # identical predictions for every output
     for iters in (1, 2, 4):
         caps, trace = capsnet.dynamic_routing(votes, iters)
         for c in trace.coefficients:
@@ -291,7 +291,7 @@ def _():
 
 @example("capsnet", "dynamic_routing", "zero_votes")
 def _():
-    caps, trace = capsnet.dynamic_routing(np.zeros((4, 3, 2)), iters=3)
+    caps, trace = capsnet.dynamic_routing(np.zeros((4, 1, 3, 2)), iters=3)
     assert np.all(caps == 0.0)
     assert np.allclose(trace.coefficients[-1], 1.0 / 3.0, atol=1e-12)
 

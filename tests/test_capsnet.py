@@ -8,7 +8,7 @@ import capsintent.model as model
 from capsintent import capsnet, datasets
 from capsintent.errors import ContractError, DataError, DivergenceError, ShapeError, UsageError
 
-from helpers import tiny_model_config
+from helpers import einsum_routing, einsum_routing_backward, tiny_model_config
 from opexamples import by_module
 
 
@@ -41,9 +41,9 @@ def test_squash_norm_formula():
 def test_routing_simplex_invariant(seed, iters):
     rng = np.random.default_rng(seed)
     P, K, n = rng.integers(1, 8), rng.integers(2, 6), rng.integers(2, 5)
-    votes = rng.normal(size=(P, K, n))
+    votes = rng.normal(size=(P, 1, K, n))
     caps, trace = capsnet.dynamic_routing(votes, iters)
-    for coeff in trace.coefficients:
+    for coeff in trace.coefficients:      # (B, K, P): sums over the output axis
         assert np.all(coeff >= 0)
         assert np.allclose(coeff.sum(axis=1), 1.0, atol=1e-9)
     norms = np.linalg.norm(caps, axis=-1)
@@ -52,8 +52,35 @@ def test_routing_simplex_invariant(seed, iters):
 
 
 def test_routing_rejects_zero_iters():
-    with pytest.raises(ShapeError):
-        capsnet.dynamic_routing(np.zeros((2, 2, 2)), 0)
+    with pytest.raises(ShapeError, match="at least one iteration"):
+        capsnet.dynamic_routing(np.zeros((2, 1, 2, 2)), 0)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2), (2, 1, 1, 2, 2)])
+def test_routing_rejects_votes_that_are_not_4d(shape):
+    with pytest.raises(ShapeError, match=r"\(P, B, K, n\) votes"):
+        capsnet.dynamic_routing(np.zeros(shape), 2)
+
+
+@pytest.mark.parametrize("B", [1, 3, 16])
+def test_routing_matches_einsum_reference(B):
+    rng = np.random.default_rng(B)
+    votes = rng.normal(0.0, 0.7, size=(64, B, 33, 8))
+    d_out = rng.normal(size=(B, 33, 8))
+    for iters in (1, 3):
+        caps, trace = capsnet.dynamic_routing(votes, iters)
+        ref, coefficients, pooled, outputs = einsum_routing(votes, iters)
+        pairs = [(caps, ref)]
+        pairs += [(c, np.moveaxis(r, 0, -1)) for c, r in zip(trace.coefficients, coefficients)]
+        pairs += list(zip(trace.pooled, pooled)) + list(zip(trace.outputs, outputs))
+        d_votes = capsnet.routing_backward(trace, d_out)
+        pairs.append((d_votes, einsum_routing_backward(votes, coefficients, pooled, outputs,
+                                                      d_out)))
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        # a C-contiguous gradient reshapes into the vote backward's matrices without a copy
+        assert d_votes.flags.c_contiguous
 
 
 def test_routing_agreement_mostly_monotone():
@@ -63,10 +90,10 @@ def test_routing_agreement_mostly_monotone():
     trials = 120
     for seed in range(trials):
         rng = np.random.default_rng(seed)
-        votes = rng.normal(size=(6, 4, 3))
+        votes = rng.normal(size=(6, 1, 4, 3))
         _, trace = capsnet.dynamic_routing(votes, 4)
         agreements = [
-            float(np.einsum("pk,pkn,kn->", c, votes, v))
+            float(np.einsum("bkp,pbkn,bkn->", c, votes, v))
             for c, v in zip(trace.coefficients, trace.outputs)
         ]
         diffs = np.diff(agreements)
@@ -200,7 +227,7 @@ def test_model_config_rejects_values_of_the_wrong_type(field, value):
 
 def test_routing_overflow_is_divergence():
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
-        capsnet.dynamic_routing(np.full((2, 2, 2), 1e160), 2)
+        capsnet.dynamic_routing(np.full((2, 1, 2, 2), 1e160), 2)
     assert info.value.index == 0
     votes = np.ones((2, 3, 2, 2))      # (P, B, K, n): only utterance 1 overflows
     votes[:, 1] = 1e160
