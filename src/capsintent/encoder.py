@@ -241,6 +241,8 @@ def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
             dxs = (d_pre_x @ layer_params["Wx"].transpose(0, 2, 1)).reshape(
                 2, cache["T"], len(d_readout), 2 * hidden)
             d_xs = dxs[0] + dxs[1][reversal]  # (T, B, in_dim of this layer)
+            # let both go before the next layer's backward: a fit's peak memory
+            del d_pre_x, dxs
             d_xs[..., hidden:] = d_xs[..., hidden:][reversal]
             d_states = d_xs.reshape(d_xs.shape[:2] + (2, hidden)).swapaxes(1, 2)
     return grads

@@ -31,6 +31,8 @@ def test_init_params_covers_all_blocks():
     assert params["caps.W"].shape == (cfg.num_primary, cfg.primary_dim,
                                       cfg.num_labels, cfg.output_dim)
     assert params["spk.W"].shape == (cfg.output_dim, cfg.speaker_count)
+    # what a checkpoint load checks against, found without drawing
+    assert model.param_shapes(cfg) == {name: value.shape for name, value in params.items()}
 
 
 def test_init_params_deterministic():
