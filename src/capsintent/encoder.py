@@ -6,24 +6,30 @@ along the last axis of the weight matrices:
     r = sigmoid(x Wx[:, :H]   + h Wh[:, :H]   + b[:H])
     z = sigmoid(x Wx[:, H:2H] + h Wh[:, H:2H] + b[H:2H])
     n = tanh   (x Wx[:, 2H:]  + r * (h Wh[:, 2H:]) + b[2H:])
-    h' = z * h + (1 - z) * n
+    h' = z * h + (1 - z) * n,  computed as  h + (1 - z) * (n - h)
+
+The forward pass scales the reset columns of Wx, Wh and b by 1/2 and the
+update columns by -1/2 (exact, a power of two), so one 0.5 * (1 + tanh(.))
+per step yields r and 1 - z; it caches 1 - z, and the backward pass forms
+z from it.
 
 Sequences are time-major and always batched: a zero-padded (T_max, B, dim)
 array with per-utterance lengths (``pad_batch``); one utterance is a batch
 of one. Every step runs all B sequences at once. Past a sequence's end a
 per-frame mask forces its update gate to exactly 1 (pre-activation +inf),
-so the cell copies its state unchanged and every gradient through that
-frame is exactly zero: the state at T_max - 1 is the sequence's final
-state, with no masking work inside the frame loops. Every batch is masked
-alike; an unpadded one gets an all-True mask. The backward direction
-reads each sequence reversed within its own length, so its final state is
-also at T_max - 1. Both directions of a layer run in one frame loop over a
-(T_max, 2, B, dim) array, direction 0 forward and 1 backward. A layer's
-two cells are stored stacked in that order, and its cache and gradients
-carry the same direction axis. The encoder reads out the concatenated
-final states of both directions of the top layer. Backprop takes one input
-per layer, the gradients on its (T_max, 2, B, H) states: the top layer's
-are zero but for the readout gradient at step T_max - 1.
+so 1 - z is exactly 0, the update adds exactly zero and the state is held
+bit for bit, and every gradient through that frame is exactly zero: the
+state at T_max - 1 is the sequence's final state, with no masking work
+inside the frame loops. Every batch is masked alike; an unpadded one gets
+an all-True mask. The backward direction reads each sequence reversed
+within its own length, so its final state is also at T_max - 1. Both
+directions of a layer run in one frame loop over a (T_max, 2, B, dim)
+array, direction 0 forward and 1 backward. A layer's two cells are stored
+stacked in that order, and its cache and gradients carry the same
+direction axis. The encoder reads out the concatenated final states of
+both directions of the top layer. Backprop takes one input per layer, the
+gradients on its (T_max, 2, B, H) states: the top layer's are zero but for
+the readout gradient at step T_max - 1.
 """
 
 from __future__ import annotations
@@ -81,47 +87,54 @@ def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
 
     ``mask`` (T, 1, B, 1) is False on padding frames, where the update gate is
     forced to 1 so the state is held; it is all True for an unpadded batch.
-    Returns (states (T, 2, B, H), the cache ``gru_backward`` takes).
+    Returns (states (T, 2, B, H), the cache ``gru_backward`` takes: the
+    inputs, states, r, 1 - z and n).
+
+    The sigmoid is 0.5 * (1 + tanh(a / 2)), which never overflows. The
+    cell's reset columns are scaled by 1/2 and its update columns by -1/2
+    once per call, which is exact, so each step's 0.5 * (1 + tanh(.)) gives
+    r and 1 - z directly. The state update is h + (1 - z) * (n - h): on a
+    padding frame the update pre-activation is +inf, scaled to -inf, so
+    1 - z is exactly 0 and the state is held bit for bit, where
+    n + z * (h - n) would round.
     """
-    hidden = p["Wh"].shape[-2]
-    T, _, B = xs.shape[:3]
-    xx = xs @ p["Wx"] + p["b"][:, None]
-    np.copyto(xx[..., hidden:2 * hidden], np.inf, where=~mask)
-    xx_rz, xx_n = xx[..., :2 * hidden], xx[..., 2 * hidden:]
-    states = np.empty((T, 2, B, hidden))
-    rz = np.empty((T, 2, B, 2 * hidden))
-    n_all = np.empty_like(states)
+    hidden, B = p["Wh"].shape[-2], xs.shape[2]
+    scale = np.array([0.5, -0.5]).repeat(hidden)
+    Wh = p["Wh"].copy()
+    Wh[..., :2 * hidden] *= scale
+    # the input side, biases added in place, is written straight into the
+    # gate and candidate buffers the steps update: an input-sized temporary
+    # costs page faults on every call
+    gates = xs @ (p["Wx"][..., :2 * hidden] * scale)
+    gates += p["b"][:, None, :2 * hidden] * scale
+    np.copyto(gates[..., hidden:], -np.inf, where=~mask)
+    n_all = xs @ p["Wx"][..., 2 * hidden:]
+    n_all += p["b"][:, None, 2 * hidden:]
+    states = np.empty_like(n_all)
     # The frame step writes into preallocated buffers through local names:
     # at B=1, allocating temporaries and looking up attributes cost as much
-    # as the arithmetic, which is why both directions share one loop. The
-    # sigmoid is 0.5 * (1 + tanh(x / 2)), which never overflows; the other
-    # operations are those of the formulas above, in the order they are
-    # written.
+    # as the arithmetic, which is why both directions share one loop.
     hh = np.empty((2, B, 3 * hidden))
     hh_rz, hh_n = hh[..., :2 * hidden], hh[..., 2 * hidden:]
-    keep = np.empty((2, B, hidden))
+    reset_h = np.empty((2, B, hidden))
     h = np.zeros((2, B, hidden))
-    Wh, add, subtract, multiply, tanh = p["Wh"], np.add, np.subtract, np.multiply, np.tanh
-    for t in range(T):
-        np.matmul(h, Wh, out=hh)
-        gates = rz[t]
-        add(xx_rz[t], hh_rz, out=gates)
-        multiply(gates, 0.5, out=gates)
-        tanh(gates, out=gates)
-        add(gates, 1.0, out=gates)
-        multiply(gates, 0.5, out=gates)
-        r, z = gates[..., :hidden], gates[..., hidden:]
-        n = n_all[t]
-        multiply(r, hh_n, out=n)
-        add(xx_n[t], n, out=n)
+    add, subtract, multiply, matmul, tanh = np.add, np.subtract, np.multiply, np.matmul, np.tanh
+    for g, r, u, n, h_new in zip(gates, gates[..., :hidden], gates[..., hidden:], n_all,
+                                 states):
+        matmul(h, Wh, out=hh)
+        add(g, hh_rz, out=g)
+        tanh(g, out=g)
+        add(g, 1.0, out=g)
+        multiply(g, 0.5, out=g)
+        multiply(r, hh_n, out=reset_h)
+        add(n, reset_h, out=n)
         tanh(n, out=n)
-        multiply(z, h, out=keep)
-        h = states[t]
-        subtract(1.0, z, out=h)
-        multiply(h, n, out=h)
-        add(keep, h, out=h)
-    cache = {"xs": xs, "states": states, "r": rz[..., :hidden], "z": rz[..., hidden:],
-             "n": n_all}
+        subtract(n, h, out=h_new)
+        multiply(u, h_new, out=h_new)
+        add(h, h_new, out=h_new)
+        h = h_new
+    cache = {"xs": xs, "states": states, "r": gates[..., :hidden],
+             "one_minus_z": gates[..., hidden:], "n": n_all}
     return states, cache
 
 
@@ -144,16 +157,17 @@ def gru_backward(p, cache, d_states):
     T, _, B = d_states.shape[:3]
     d_pre_x = np.empty((2, T * B, 3 * hidden))
     for direction in range(2):
-        xs, states, r, z, n = (cache[key][:, direction]
-                               for key in ("xs", "states", "r", "z", "n"))
+        xs, states, r, u, n = (cache[key][:, direction]
+                               for key in ("xs", "states", "r", "one_minus_z", "n"))
+        z = 1.0 - u
         Wh = p["Wh"][direction]
         h_prev = np.concatenate([np.zeros_like(states[:1]), states[:-1]])
         hh_n = h_prev @ Wh[:, 2 * hidden:]
-        d_n = (1.0 - z) * (1.0 - n * n)
+        d_n = u * (1.0 - n * n)
         # per unit state gradient: [reset, update, candidate] pre-activations
         # on the h @ Wh side (the candidate's is scaled by r), then the
         # candidate's on the x @ Wx side
-        factors = np.stack([d_n * hh_n * r * (1.0 - r), (h_prev - n) * z * (1.0 - z),
+        factors = np.stack([d_n * hh_n * r * (1.0 - r), (h_prev - n) * z * u,
                             d_n * r, d_n], axis=-2)
         d_pre = np.empty_like(factors)
         d_pre_h = d_pre[..., :3, :].reshape(d_pre.shape[:-2] + (3 * hidden,))
@@ -172,7 +186,7 @@ def gru_backward(p, cache, d_states):
                   out=grads["Wh"][direction])
         d_x.sum(axis=0, out=grads["b"][direction])
         # holding both directions' temporaries at once raises a fit's peak memory
-        del h_prev, hh_n, d_n, factors, d_pre, d_pre_h
+        del z, h_prev, hh_n, d_n, factors, d_pre, d_pre_h
     return grads, d_pre_x
 
 

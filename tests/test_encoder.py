@@ -77,11 +77,12 @@ def test_gru_state_shapes():
 
 def _reference_gru(p, xs, lengths):
     """One direction, one sequence and one frame at a time, from the module
-    docstring's formulas; past its length a sequence holds its state."""
+    docstring's formulas; past its length a sequence holds its state.
+    Returns the states and each frame's r, z and n (zero past the length)."""
     H = p["Wh"].shape[0]
     Wx, Wh, b = p["Wx"], p["Wh"], p["b"]
     sigmoid = lambda a: 1.0 / (1.0 + np.exp(-a))   # noqa: E731
-    states = np.zeros(xs.shape[:2] + (H,))
+    states, r_all, z_all, n_all = (np.zeros(xs.shape[:2] + (H,)) for _ in range(4))
     for seq in range(xs.shape[1]):
         h = np.zeros(H)
         for t in range(xs.shape[0]):
@@ -91,25 +92,53 @@ def _reference_gru(p, xs, lengths):
                 z = sigmoid(x @ Wx[:, H:2 * H] + h @ Wh[:, H:2 * H] + b[H:2 * H])
                 n = np.tanh(x @ Wx[:, 2 * H:] + r * (h @ Wh[:, 2 * H:]) + b[2 * H:])
                 h = z * h + (1 - z) * n
+                r_all[t, seq], z_all[t, seq], n_all[t, seq] = r, z, n
             states[t, seq] = h
-    return states
+    return states, r_all, z_all, n_all
+
+
+def _random_cells(rng, in_dim, hidden):
+    # random biases too: the two cells' initial biases are equal
+    return {k[len("enc.0."):]: rng.normal(0.0, 0.5, size=v.shape)
+            for k, v in encoder.init_encoder_params(rng, in_dim, hidden, 1).items()}
+
+
+def _padded_inputs(rng, lengths, in_dim):
+    T = int(max(lengths))
+    xs = rng.normal(size=(T, 2, len(lengths), in_dim))
+    for seq, length in enumerate(lengths):
+        xs[length:, :, seq] = 0.0
+    mask = (np.arange(T)[:, None] < lengths)[:, None, :, None]
+    return xs, mask
 
 
 def test_fused_directions_match_the_reference_cell_per_direction():
     rng = np.random.default_rng(3)
-    # random biases too: the two cells' initial biases are equal
-    params = {k[len("enc.0."):]: rng.normal(0.0, 0.5, size=v.shape)
-              for k, v in encoder.init_encoder_params(rng, 3, 5, 1).items()}
-    lengths = np.array([7, 3, 5])             # a padded batch of three
-    xs = rng.normal(size=(7, 2, 3, 3))
+    params = _random_cells(rng, 3, 5)
+    for lengths in (np.array([7]), np.array([7, 3, 5])):   # one, and a padded batch of three
+        xs, mask = _padded_inputs(rng, lengths, 3)
+        states, cache = encoder.gru_forward(params, xs, mask)
+        valid = mask[:, 0]             # (T, B, 1): the frames a sequence has
+        for direction in range(2):
+            ref_states, r, z, n = _reference_gru(
+                {k: v[direction] for k, v in params.items()}, xs[:, direction], lengths)
+            # the states, and on real frames every gate the backward pass reads
+            for got, ref in ((states[:, direction], ref_states),
+                             (cache["states"][:, direction], ref_states),
+                             (cache["r"][:, direction] * valid, r),
+                             (cache["one_minus_z"][:, direction] * valid, (1.0 - z) * valid),
+                             (cache["n"][:, direction] * valid, n)):
+                assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_padded_frames_hold_the_state_bit_for_bit():
+    rng = np.random.default_rng(4)
+    lengths = np.array([30, 10, 17, 3])
+    xs, mask = _padded_inputs(rng, lengths, 6)
+    states, _ = encoder.gru_forward(_random_cells(rng, 6, 8), xs, mask)
     for seq, length in enumerate(lengths):
-        xs[length:, :, seq] = 0.0
-    mask = (np.arange(7)[:, None] < lengths)[:, None, :, None]
-    states, _ = encoder.gru_forward(params, xs, mask)
-    for direction in range(2):
-        ref = _reference_gru({k: v[direction] for k, v in params.items()}, xs[:, direction],
-                             lengths)
-        assert np.max(np.abs(states[:, direction] - ref)) <= 1e-10 * np.max(np.abs(ref))
+        held = states[length:, :, seq]
+        assert np.array_equal(held, np.broadcast_to(states[length - 1, :, seq], held.shape))
 
 
 def test_encoder_rejects_unbatched_features():
