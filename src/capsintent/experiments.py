@@ -16,7 +16,7 @@ import dataclasses
 import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -231,6 +231,10 @@ class LearningCurvePoint:
     speaker_acc: float
     repeats: int
     failed: bool = False
+    # per completed repeat, each job's {"seed", "f1", "speaker_acc"}: every
+    # sweep value derives the same seeds, so its jobs train on the same
+    # utterances from the same initial parameters and pair exactly
+    repeat_jobs: list[list[dict]] = field(default_factory=list)
 
 
 @dataclass
@@ -312,7 +316,8 @@ def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
 
     Each (point, repeat) fits and evaluates the jobs of ``curve_jobs``, each
     a fresh model with its own derived seed, and averages their metrics:
-    speaker-dependent splits average over speakers. Diverging points are
+    speaker-dependent splits average over speakers. Every completed
+    repeat's job scores are kept with their seeds. Diverging points are
     flagged failed and the run continues. A point's size is the rounded mean
     training-set size of its jobs, which all its repeats share, failed or not.
     """
@@ -323,41 +328,41 @@ def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
     for p_idx, k in enumerate(schedule):
         size = int(round(np.mean([len(train_ids) for train_ids, _, _
                                   in curve_jobs(split, k, config.seed, p_idx, 0)])))
-        reps = []                      # (f1, speaker accuracy) per repeat
+        repeat_jobs = []
         failed = False
         for rep in range(point_repeats(k, repeats)):
-            runs = []
+            jobs = []
             try:
                 for train_ids, test_ids, seed in curve_jobs(split, k, config.seed, p_idx, rep):
                     cfg = dataclasses.replace(config, seed=seed)
                     result = fit(corpus.subset(train_ids), cfg, **fit_options)
                     job = evaluate_model(corpus.subset(test_ids), result.params, cfg,
                                          corpus.vocab)
-                    runs.append((job["f1"], job["speaker_accuracy"]))
+                    jobs.append({"seed": seed, "f1": job["f1"],
+                                 "speaker_acc": job["speaker_accuracy"]})
             except DivergenceError as exc:
                 log.warning("curve point %d blocks, repeat %d diverged: %s", k, rep, exc)
                 failed = True
                 continue
-            reps.append(_means(runs))
-        if not reps:
+            repeat_jobs.append(jobs)
+        if not repeat_jobs:
             nan = float("nan")
             points.append(LearningCurvePoint(size, nan, nan, nan, repeats=0, failed=True))
             continue
-        f1, speaker_acc = _means(reps)
-        f1s = [r[0] for r in reps]
+        reps = [_means(jobs) for jobs in repeat_jobs]
+        f1s = [r["f1"] for r in reps]
         points.append(LearningCurvePoint(
-            train_utterances=size, f1=f1,
+            train_utterances=size, **_means(reps),
             stddev_f1=float(np.std(f1s, ddof=1)) if len(f1s) > 1 else 0.0,
-            speaker_acc=speaker_acc, repeats=len(reps), failed=failed,
+            repeats=len(reps), failed=failed, repeat_jobs=repeat_jobs,
         ))
     return points
 
 
-def _means(rows) -> tuple[float, float]:
-    """Column means of (f1, speaker accuracy) rows; 1-D means, as a 2-D
+def _means(rows: Sequence[dict]) -> dict[str, float]:
+    """The mean "f1" and "speaker_acc" of ``rows``; 1-D means, as a 2-D
     mean sums in another order."""
-    f1s, accs = zip(*rows)
-    return float(np.mean(f1s)), float(np.mean(accs))
+    return {key: float(np.mean([row[key] for row in rows])) for key in ("f1", "speaker_acc")}
 
 
 def run_sweep(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
@@ -416,7 +421,7 @@ def write_curve_csv(path: str, points: Sequence[LearningCurvePoint]) -> None:
 
 def points_payload(points: Sequence[LearningCurvePoint]) -> list[dict]:
     """Each point's fields as a plain-JSON mapping, a NaN written as None."""
-    return [{key: None if np.isnan(value) else value
+    return [{key: None if isinstance(value, float) and np.isnan(value) else value
              for key, value in dataclasses.asdict(pt).items()} for pt in points]
 
 

@@ -775,8 +775,10 @@ def test_curve_flags_diverged_repeats_and_leaves_out_failed_points(tmp_path, cap
     assert "train=11: FAILED" in out
     gone, kept = json.loads((out_dir / "summary.json").read_text())["points"]
     assert gone == {"train_utterances": 11, "f1": None, "stddev_f1": None,
-                    "speaker_acc": None, "repeats": 0, "failed": True}
+                    "speaker_acc": None, "repeats": 0, "failed": True, "repeat_jobs": []}
     assert kept["failed"] and kept["repeats"] == 1 and kept["stddev_f1"] == 0.0
+    (job,), = kept["repeat_jobs"]      # the surviving second repeat
+    assert job["seed"] == experiments.derive_seed(1, 1, 1) and job["f1"] == kept["f1"]
     assert kept["train_utterances"] == 22 and 0.0 <= kept["f1"] <= 1.0
     assert "train=22: FAILED" in out
     rows = (out_dir / "curve.csv").read_text().strip().split("\n")
@@ -795,8 +797,9 @@ def test_curve_failed_speaker_dependent_point_keeps_its_size(tmp_path, capsys, m
     assert "train=2: FAILED" in capsys.readouterr().out
     gone, kept = json.loads((out_dir / "summary.json").read_text())["points"]
     assert gone == {"train_utterances": 2, "f1": None, "stddev_f1": None,
-                    "speaker_acc": None, "repeats": 0, "failed": True}
+                    "speaker_acc": None, "repeats": 0, "failed": True, "repeat_jobs": []}
     assert kept["train_utterances"] == 3 and kept["repeats"] == 2 and not kept["failed"]
+    assert [len(jobs) for jobs in kept["repeat_jobs"]] == [11, 11]   # one job per speaker
     rows = (out_dir / "curve.csv").read_text().strip().split("\n")
     assert [row.split(",")[0] for row in rows[1:]] == ["3"]
 

@@ -166,6 +166,20 @@ def test_learning_curve_repeats_and_stddev():
     assert points[0].repeats == 2
     assert points[0].stddev_f1 >= 0.0
     assert not points[0].failed
+    # each repeat's job is kept with its derived seed, and refitting from
+    # that seed alone reproduces its scores
+    first, second = points[0].repeat_jobs
+    assert [job["seed"] for job in first + second] == [experiments.derive_seed(cfg.seed, 0, rep)
+                                                       for rep in range(2)]
+    assert points[0].f1 == float(np.mean([first[0]["f1"], second[0]["f1"]]))
+    assert points[0].stddev_f1 == float(np.std([first[0]["f1"], second[0]["f1"]], ddof=1))
+    train, test = experiments._blocks_train_test(split.blocks, 2)
+    job_cfg = dataclasses.replace(cfg, seed=second[0]["seed"])
+    result = experiments.fit(corpus.subset(train), job_cfg, epochs=2)
+    scores = experiments.evaluate_model(corpus.subset(test), result.params, job_cfg,
+                                        corpus.vocab)
+    assert (scores["f1"], scores["speaker_accuracy"]) == (second[0]["f1"],
+                                                          second[0]["speaker_acc"])
 
 
 @pytest.mark.parametrize("repeats", [0, -1])
@@ -364,5 +378,8 @@ def test_dependent_point_is_the_mean_over_speakers():
         sizes.append(len(train))
     assert point.f1 == float(np.mean(f1s))
     assert point.speaker_acc == float(np.mean(accs))
+    assert point.repeat_jobs == [[
+        {"seed": experiments.derive_seed(cfg.seed, 0, 0, spk), "f1": f1, "speaker_acc": acc}
+        for spk, f1, acc in zip(sorted(split.per_speaker), f1s, accs)]]
     assert point.train_utterances == int(round(np.mean(sizes)))
     assert (point.repeats, point.stddev_f1, point.failed) == (1, 0.0, False)
