@@ -124,7 +124,6 @@ def test_fused_directions_match_the_reference_cell_per_direction():
                 {k: v[direction] for k, v in params.items()}, xs[:, direction], lengths)
             # the states, and on real frames every gate the backward pass reads
             for got, ref in ((states[:, direction], ref_states),
-                             (cache["states"][:, direction], ref_states),
                              (cache["r"][:, direction] * valid, r),
                              (cache["one_minus_z"][:, direction] * valid, (1.0 - z) * valid),
                              (cache["n"][:, direction] * valid, n)):
