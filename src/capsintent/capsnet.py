@@ -307,8 +307,8 @@ def init_core_params(config: ModelConfig, rng: np.random.Generator) -> Params:
     params["proj.W"] = rng.uniform(-bound, bound, size=(readout_dim, proj_out))
     params["proj.b"] = np.zeros(proj_out)
     sigma = TRANSFORM_INIT_SIGMA / np.sqrt(config.primary_dim)
-    # drawn in (P, K, d_p, n) order, the layout before checkpoint version 2,
-    # so a seed draws the same transforms; stored (P, d_p, K, n)
+    # drawn in (P, K, d_p, n) order and stored (P, d_p, K, n): the draw order
+    # fixes the transforms a seed draws, so fits stay bit-identical
     draw = rng.normal(
         0.0, sigma,
         size=(config.num_primary, config.num_labels, config.primary_dim, config.output_dim),

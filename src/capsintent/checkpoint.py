@@ -7,11 +7,8 @@ parameter path prefixed with ``param/``. Writes are atomic
 (``features.atomic_write``). Loading validates the header's config, the
 vocabulary and roster, every parameter's name and shape against that config
 and its values (finite float64), so a bad file fails when it is read, not at
-first use. Earlier versions load through one upgrade step before validation,
-and their top-level seed is ignored. Version 1 stored the capsule transforms
-``caps.W`` as (P, K, d_p, n), not (P, d_p, K, n); shapes alone cannot tell
-the two apart when K == d_p, so the version decides. Versions 1 and 2 stored
-a layer's encoder cells as ``enc.{l}.f.*`` and ``enc.{l}.b.*``, not stacked.
+first use. Only ``FORMAT_VERSION`` loads: a change of layout bumps it, and a
+file of any other version is refused.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capsnet import MARGIN_ABSENT, MARGIN_PRESENT, ModelConfig
+from .capsnet import ModelConfig
 from .datasets import LabelVocabulary, SlotGroup
 from .errors import DataError, FormatError, ShapeError, UsageError
 from .features import atomic_write
@@ -31,10 +28,6 @@ from .model import param_shapes
 from .numeric import Params
 
 FORMAT_VERSION = 3
-
-# config keys of earlier versions, at the one value each setting now has
-RETIRED_KEYS = {"margin_present": MARGIN_PRESENT, "margin_absent": MARGIN_ABSENT,
-                "absent_loss_scale": 1.0, "speaker_bias": True}
 
 
 def save_checkpoint(path: str, config: ModelConfig, params: Params,
@@ -63,20 +56,22 @@ def load_checkpoint(path: str):
             if "__meta__" not in data:
                 raise FormatError(f"{path} is not a capsintent checkpoint (missing header)")
             meta = json.loads(bytes(data["__meta__"]).decode())
+            if not isinstance(meta, dict):
+                raise FormatError(f"{path} is not a capsintent checkpoint "
+                                  "(header is not a JSON object)")
             if meta.get("format") != "capsintent-checkpoint":
                 raise FormatError(f"{path} has unknown checkpoint format {meta.get('format')!r}")
             version = meta.get("version")
-            if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
-                raise FormatError(f"unsupported checkpoint version {version!r}")
+            if type(version) is not int or version != FORMAT_VERSION:
+                raise FormatError(f"{path}: unsupported checkpoint version {version!r}")
             params = {
                 key[len("param/"):]: np.array(data[key])
                 for key in data.files if key.startswith("param/")
             }
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        config = _config_from(meta.get("config"), path)
+        expected = param_shapes(config)   # too large a config: MemoryError or ValueError
+    except (OSError, ValueError, MemoryError, zipfile.BadZipFile) as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    config = _config_from(meta.get("config"), path)
-    expected = param_shapes(config)
-    _upgrade(params, version, expected, path)
     if set(params) != set(expected):
         raise FormatError(f"{path}: parameters missing {sorted(set(expected) - set(params))}, "
                           f"unexpected {sorted(set(params) - set(expected))}")
@@ -101,21 +96,6 @@ def load_checkpoint(path: str):
                           f"{len(speakers)} speakers, the config needs "
                           f"{config.num_labels} and {config.speaker_count}")
     return config, params, (vocab, speakers)
-
-
-def _upgrade(params: Params, version: int, expected: dict, path: str) -> None:
-    """Bring an earlier version's parameters to the current layout, in place."""
-    if version == 1 and np.ndim(params.get("caps.W")) == 4:
-        params["caps.W"] = np.ascontiguousarray(params["caps.W"].transpose(0, 2, 1, 3))
-    for name in [name for name in expected if name.startswith("enc.")] if version < 3 else ():
-        layer, key = name.rsplit(".", 1)
-        pair = [params.pop(f"{layer}.{direction}.{key}", None) for direction in "fb"]
-        found = ["missing" if cell is None else f"{cell.dtype} {cell.shape}" for cell in pair]
-        if found[0] != found[1]:   # np.stack would upcast a float32 cell past validation
-            raise FormatError(f"{path}: parameters {layer}.f.{key} and {layer}.b.{key} must "
-                              f"match in shape and dtype, got {found[0]} and {found[1]}")
-        if found[0] != "missing":
-            params[name] = np.stack(pair)
 
 
 def vocab_payload(vocab: LabelVocabulary, speakers: Sequence[str]) -> dict:
@@ -161,13 +141,6 @@ def vocab_from_payload(payload: dict) -> tuple[LabelVocabulary, list[str]]:
 def _config_from(raw, path: str) -> ModelConfig:
     if not isinstance(raw, dict):
         raise FormatError(f"{path}: checkpoint header carries no model config")
-    for key, fixed in RETIRED_KEYS.items():
-        # True == 1.0, but a bool was never a valid number, nor a number a bool
-        if key in raw and not (raw[key] == fixed
-                               and isinstance(raw[key], bool) == isinstance(fixed, bool)):
-            raise FormatError(f"{path}: invalid model config: {key} must be {fixed!r}, "
-                              f"got {raw[key]!r}")
-    raw = {key: value for key, value in raw.items() if key not in RETIRED_KEYS}
     unknown = set(raw) - {f.name for f in dataclasses.fields(ModelConfig)}
     if unknown:
         raise FormatError(f"{path}: unknown model config keys {sorted(unknown)}")
