@@ -67,7 +67,12 @@ class ModelConfig:
         """Fields must conform to their annotations, speaker_weight be finite
         and >= 0, seed >= 0 (UsageError); counts >= 1, output_dim >= 2 (ShapeError)."""
         check_types(vars(self), ModelConfig, "")
-        if not (math.isfinite(self.speaker_weight) and self.speaker_weight >= 0):
+        try:
+            finite = math.isfinite(self.speaker_weight)
+        except OverflowError:   # an int too large for a float
+            raise UsageError("speaker_weight must be finite and >= 0, got an integer too "
+                             "large for a float") from None
+        if not (finite and self.speaker_weight >= 0):
             raise UsageError(f"speaker_weight must be finite and >= 0, got {self.speaker_weight}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
@@ -107,18 +112,24 @@ def squash(s: np.ndarray) -> np.ndarray:
     to exactly zero (computed as s * |s|/(1+|s|^2), so no division occurs).
     """
     s = np.asarray(s, dtype=np.float64)
-    sq = np.sum(s * s, axis=-1, keepdims=True)
+    sq = np.add.reduce(s * s, axis=-1, keepdims=True)
     return s * (np.sqrt(sq) / (1.0 + sq))
 
 
 def squash_grad(upstream: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Backprop through squash given the pre-squash input ``s``."""
-    sq = np.sum(s * s, axis=-1, keepdims=True)
+    sq = np.add.reduce(s * s, axis=-1, keepdims=True)
     nrm = np.sqrt(sq)
     scale = nrm / (1.0 + sq)
-    proj = np.sum(upstream * s, axis=-1, keepdims=True)
+    proj = np.add.reduce(upstream * s, axis=-1, keepdims=True)
     radial = (1.0 - sq) / ((1.0 + sq) ** 2 * (nrm + NORM_GUARD))
     return upstream * scale + s * (proj * radial)
+
+
+def capsule_norms(caps: np.ndarray) -> np.ndarray:
+    """The lengths of capsules along the last axis: ``np.linalg.norm(caps,
+    axis=-1)`` bit for bit, without the wrapper's cost."""
+    return np.sqrt(np.add.reduce(caps * caps, axis=-1))
 
 
 def predict_capsules(primary: np.ndarray, transforms: np.ndarray) -> np.ndarray:
@@ -245,18 +256,18 @@ def margin_loss(caps: np.ndarray, target: np.ndarray):
     labels pay max(0, |v_k| - MARGIN_ABSENT), unweighted.
     """
     target = np.asarray(target, dtype=np.float64)
-    norms = np.linalg.norm(caps, axis=-1)
+    norms = capsule_norms(caps)
     if target.shape != norms.shape:
         raise ShapeError(f"target shape {target.shape} != capsule count {norms.shape}")
     present = np.maximum(0.0, MARGIN_PRESENT - norms)
     absent = np.maximum(0.0, norms - MARGIN_ABSENT)
-    return np.sum(target * present + (1.0 - target) * absent, axis=-1)
+    return np.add.reduce(target * present + (1.0 - target) * absent, axis=-1)
 
 
 def margin_loss_grad(caps: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Gradient of margin_loss with respect to the (B, K, n) output capsules."""
     target = np.asarray(target, dtype=np.float64)
-    norms = np.linalg.norm(caps, axis=-1)
+    norms = capsule_norms(caps)
     d_norm = np.where((target > 0) & (norms < MARGIN_PRESENT), -1.0, 0.0)
     d_norm = d_norm + np.where((target == 0) & (norms > MARGIN_ABSENT), 1.0, 0.0)
     unit = caps / (norms[..., None] + NORM_GUARD)
@@ -272,7 +283,7 @@ def decode_labels(caps: np.ndarray, vocab: "LabelVocabulary") -> list[list[str]]
     Labels outside any group are emitted independently when their norm
     exceeds 0.5.
     """
-    norms = np.linalg.norm(caps, axis=-1)
+    norms = capsule_norms(caps)
     if len(vocab.labels) != norms.shape[-1]:
         raise ShapeError(f"vocabulary size {len(vocab.labels)} != capsule count {norms.shape[-1]}")
     decoded = []
@@ -331,7 +342,7 @@ def encode(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.n
     readout, cache = enc.encoder_forward(params, feats, config.encoder_layers, lengths)
     primary_pre = (readout @ params["proj.W"] + params["proj.b"]).reshape(
         -1, config.num_primary, config.primary_dim)
-    caps = np.moveaxis(squash(primary_pre), -2, 0)
+    caps = squash(primary_pre).swapaxes(0, 1)
     return caps, (cache, readout, primary_pre)
 
 
@@ -345,7 +356,7 @@ def forward(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.
     primary, intermediates = encode(feats, params, config, lengths=lengths)
     votes = predict_capsules(primary, params["caps.W"])
     finite = np.isfinite(votes).all(axis=(0, 2, 3))
-    if not np.all(finite):
+    if not finite.all():
         raise DivergenceError("non-finite capsule predictions", index=int(np.argmin(finite)))
     caps, routing = dynamic_routing(votes, config.routing_iters)
     return caps, ForwardTrace(*intermediates, primary, routing)
@@ -361,7 +372,7 @@ def backward(trace: ForwardTrace, d_out: np.ndarray, params: Params) -> Params:
     d_transforms, d_primary = predict_capsules_backward(
         routing_backward(trace.routing, d_out), trace.primary, params["caps.W"]
     )
-    d_primary_pre = squash_grad(np.moveaxis(d_primary, 0, -2), trace.primary_pre)
+    d_primary_pre = squash_grad(d_primary.swapaxes(0, 1), trace.primary_pre)
     flat = d_primary_pre.reshape(len(d_primary_pre), -1)
     grads = enc.encoder_backward(params, trace.encoder_cache, flat @ params["proj.W"].T)
     grads["proj.W"] = trace.readout.T @ flat

@@ -34,6 +34,7 @@ the readout gradient at step T_max - 1.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +47,22 @@ from .numeric import Params
 # early-sequence content long before the final-state readout; biasing it
 # positive starts the cell with multi-frame memory.
 UPDATE_GATE_BIAS = 2.0
+
+# the frame step's 0-d operands (see numeric), read-only: one shared array
+# written to would change every later forward pass
+ONE = np.array(1.0)
+HALF = np.array(0.5)
+ONE.flags.writeable = HALF.flags.writeable = False
+
+
+@lru_cache(maxsize=None)
+def _gate_scale(hidden: int) -> np.ndarray:
+    """The (3H,) factors ``gru_forward`` scales a cell's columns by: 1/2 on
+    the reset columns, -1/2 on the update columns and 1 on the candidate's,
+    read-only because one array serves every call at this size."""
+    scale = np.array([0.5, -0.5, 1.0]).repeat(hidden)
+    scale.flags.writeable = False
+    return scale
 
 
 def gru_param_init(rng: np.random.Generator, in_dim: int, hidden: int) -> dict[str, np.ndarray]:
@@ -99,14 +116,14 @@ def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
     n + z * (h - n) would round.
     """
     hidden, B = p["Wh"].shape[-2], xs.shape[2]
-    scale = np.array([0.5, -0.5]).repeat(hidden)
-    Wh = p["Wh"].copy()
-    Wh[..., :2 * hidden] *= scale
+    scale = _gate_scale(hidden)
+    Wh = p["Wh"] * scale
+    rz_scale = scale[:2 * hidden]
     # the input side, biases added in place, is written straight into the
     # gate and candidate buffers the steps update: an input-sized temporary
     # costs page faults on every call
-    gates = xs @ (p["Wx"][..., :2 * hidden] * scale)
-    gates += p["b"][:, None, :2 * hidden] * scale
+    gates = xs @ (p["Wx"][..., :2 * hidden] * rz_scale)
+    gates += p["b"][:, None, :2 * hidden] * rz_scale
     np.copyto(gates[..., hidden:], -np.inf, where=~mask)
     n_all = xs @ p["Wx"][..., 2 * hidden:]
     n_all += p["b"][:, None, 2 * hidden:]
@@ -121,17 +138,17 @@ def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
     add, subtract, multiply, matmul, tanh = np.add, np.subtract, np.multiply, np.matmul, np.tanh
     for g, r, u, n, h_new in zip(gates, gates[..., :hidden], gates[..., hidden:], n_all,
                                  states):
-        matmul(h, Wh, out=hh)
-        add(g, hh_rz, out=g)
-        tanh(g, out=g)
-        add(g, 1.0, out=g)
-        multiply(g, 0.5, out=g)
-        multiply(r, hh_n, out=reset_h)
-        add(n, reset_h, out=n)
-        tanh(n, out=n)
-        subtract(n, h, out=h_new)
-        multiply(u, h_new, out=h_new)
-        add(h, h_new, out=h_new)
+        matmul(h, Wh, hh)
+        add(g, hh_rz, g)
+        tanh(g, g)
+        add(g, ONE, g)
+        multiply(g, HALF, g)
+        multiply(r, hh_n, reset_h)
+        add(n, reset_h, n)
+        tanh(n, n)
+        subtract(n, h, h_new)
+        multiply(u, h_new, h_new)
+        add(h, h_new, h_new)
         h = h_new
     cache = {"xs": xs, "states": states, "r": gates[..., :hidden],
              "one_minus_z": gates[..., hidden:], "n": n_all}
@@ -219,14 +236,17 @@ def encoder_forward(params: Params, feats: np.ndarray, layers: int, lengths: np.
     # the padding mask, and the gather index (rows, cols) that reverses each
     # sequence within its own length and leaves padding in place
     t = np.arange(T)[:, None]
-    mask = (t < lengths)[:, None, :, None]
-    reversal = np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
+    inside = t < lengths
+    mask = inside[:, None, :, None]
+    reversal = np.where(inside, lengths - 1 - t, t), np.arange(len(lengths))
     xs = feats
     caches = []
     for layer in range(layers):
         # direction 1 reads each sequence reversed within its length
-        states, cache = gru_forward(_layer_params(params, layer),
-                                    np.stack([xs, xs[reversal]], axis=1), mask)
+        both = np.empty((T, 2) + xs.shape[1:])
+        both[:, 0] = xs
+        both[:, 1] = xs[reversal]
+        states, cache = gru_forward(_layer_params(params, layer), both, mask)
         caches.append(cache)
         if layer < layers - 1:
             xs = np.concatenate([states[:, 0], states[:, 1][reversal]], axis=-1)

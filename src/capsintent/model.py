@@ -70,7 +70,7 @@ def evaluate(feats: Sequence[np.ndarray], params: Params, config: ModelConfig):
     diverged model.
     """
     xs, lengths = encoder.pad_batch(feats)
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise DataError("features contain non-finite values")
     caps, _ = capsnet.forward(xs, params, config, lengths)
     return caps, multitask.speaker_distribution(multitask.average_capsule(caps), params)
@@ -128,7 +128,7 @@ def _loss_and_grads(xs, lengths, target, speaker_index, params, config):
     spk_loss, head_trace = multitask.head_forward(caps, params, speaker_index)
     breakdown = multitask.total_loss(label_loss, spk_loss, config.speaker_weight)
     finite = np.isfinite(breakdown.total_loss)
-    if not np.all(finite):
+    if not finite.all():
         raise DivergenceError("non-finite loss", index=int(np.argmin(finite)))
 
     head_grads, d_caps_head = multitask.head_backward(

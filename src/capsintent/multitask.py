@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capsnet import NORM_GUARD
+from .capsnet import NORM_GUARD, capsule_norms
 from .errors import ShapeError
 from .numeric import Params, softmax
 
@@ -57,7 +57,7 @@ def init_head_params(rng: np.random.Generator, output_dim: int, speaker_count: i
 def _norm_total(norms: np.ndarray):
     """Sum of each row of (B, K) capsule norms, 1 where they are all zero,
     and that all-zero flag: (B,) arrays."""
-    total = np.sum(norms, axis=-1)
+    total = np.add.reduce(norms, axis=-1)
     degenerate = total <= 0.0
     return np.where(degenerate, 1.0, total), degenerate
 
@@ -69,8 +69,8 @@ def average_capsule(caps: np.ndarray) -> np.ndarray:
     All-zero capsules make the ratio undefined; that case returns the zero
     vector instead of raising.
     """
-    total, degenerate = _norm_total(np.linalg.norm(caps, axis=-1))
-    vector = np.sum(caps, axis=-2) / total[..., None]
+    total, degenerate = _norm_total(capsule_norms(caps))
+    vector = np.add.reduce(caps, axis=-2) / total[..., None]
     return np.where(degenerate[..., None], 0.0, vector)
 
 
@@ -89,7 +89,7 @@ def speaker_loss(probs: np.ndarray, speaker_index) -> np.ndarray:
     """Cross entropy of (B, M) probabilities against the B true speakers:
     -log P[speaker], a (B,) array."""
     index = np.asarray(speaker_index)
-    if np.any((index < 0) | (index >= probs.shape[-1])):
+    if ((index < 0) | (index >= probs.shape[-1])).any():
         raise ShapeError(f"speaker index {speaker_index} out of range {probs.shape[-1]}")
     p = np.take_along_axis(probs, index[..., None], axis=-1)[..., 0]
     return -np.log(np.maximum(p, PROB_FLOOR))
@@ -107,7 +107,7 @@ def total_loss(label_loss, spk_loss, speaker_weight: float) -> LossBreakdown:
 def decode_speaker(probs: np.ndarray) -> list[int]:
     """Most probable speaker of every row of (B, M) probabilities; ties
     resolve to the lowest index."""
-    return np.argmax(probs, axis=-1).tolist()
+    return probs.argmax(axis=-1).tolist()
 
 
 def head_forward(caps: np.ndarray, params: Params, speaker_index):
@@ -127,7 +127,7 @@ def head_backward(trace: HeadTrace, speaker_index, speaker_weight: float, params
     average: d z / d v_k goes through both sum(v) and sum(|v|). A degenerate
     average (all-zero capsules) contributes zero gradient everywhere.
     """
-    norms = np.linalg.norm(trace.capsules, axis=-1)
+    norms = capsule_norms(trace.capsules)
     total, degenerate = _norm_total(norms)
     M = trace.probs.shape[-1]
     onehot = np.arange(M) == np.asarray(speaker_index)[..., None]
@@ -137,5 +137,5 @@ def head_backward(trace: HeadTrace, speaker_index, speaker_weight: float, params
     grads = {"spk.W": z.T @ d_logits, "spk.b": d_logits.sum(axis=0)}
     d_z = d_logits @ params["spk.W"].T
     unit = trace.capsules / (norms[..., None] + NORM_GUARD)
-    d_caps = d_z[..., None, :] - np.sum(d_z * z, axis=-1)[..., None, None] * unit
+    d_caps = d_z[..., None, :] - np.add.reduce(d_z * z, axis=-1)[..., None, None] * unit
     return grads, d_caps / total[..., None, None]

@@ -2,6 +2,15 @@
 
 All math in this package runs at double precision; parameters live in flat
 dicts mapping a path string (e.g. ``"enc.0.Wx"``) to a float64 ndarray.
+
+Code that runs on every ``predict`` or training step calls ufuncs and their
+reductions directly (``np.add.reduce``, ``np.maximum.reduce``,
+``ndarray.all``, ``np.sqrt(np.add.reduce(x * x))`` for a vector norm) rather
+than the ``np.sum``, ``np.max``, ``np.all`` and ``np.linalg.norm`` wrappers,
+and passes ``out`` positionally: at a batch of one the arrays are small
+enough that the wrappers' argument handling, 1-2.5 us a call, rivals the
+arithmetic. The reductions underneath are the same, so the results are
+bit for bit those of the wrappers.
 """
 
 from __future__ import annotations
@@ -24,18 +33,18 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise UsageError("softmax of an empty vector is undefined")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise UsageError("softmax requires finite inputs")
     # in place: every fresh routing-sized temporary costs page faults
-    e = v - np.max(v, axis=axis, keepdims=True)
-    np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e = v - np.maximum.reduce(v, axis=axis, keepdims=True)
+    np.exp(e, e)
+    e /= np.add.reduce(e, axis=axis, keepdims=True)
     return e
 
 
 def softmax_grad(upstream: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Backprop through the softmax along ``axis`` given its output ``probs``."""
-    grad = upstream - np.sum(upstream * probs, axis=axis, keepdims=True)
+    grad = upstream - np.add.reduce(upstream * probs, axis=axis, keepdims=True)
     grad *= probs
     return grad
 

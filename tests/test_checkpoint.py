@@ -176,7 +176,10 @@ def test_checkpoint_header_not_an_object_rejected(tmp_path, header):
     (lambda path, out, cfg: _resave(path, out, config={**dataclasses.asdict(cfg),
                                                        "encoder_hidden": 10**7}),
      "Unable to allocate"),
-], ids=["version_2", "header_list", "oversized_config"])
+    (lambda path, out, cfg: _resave(path, out, config={**dataclasses.asdict(cfg),
+                                                       "speaker_weight": 10**400}),
+     "speaker_weight must be finite and >= 0, got an integer too large for a float"),
+], ids=["version_2", "header_list", "oversized_config", "huge_int_speaker_weight"])
 def test_eval_with_unloadable_checkpoint_is_data_error(tmp_path, capsys, make_bad, match):
     from capsintent import cli
 
@@ -187,8 +190,9 @@ def test_eval_with_unloadable_checkpoint_is_data_error(tmp_path, capsys, make_ba
     manifest = tmp_path / "m.csv"
     manifest.write_text("id,audio,speaker,labels\nu,a.wav,x,a\n")
     assert cli.main(["eval", "--checkpoint", bad, "--manifest", str(manifest)]) == 4
-    err = capsys.readouterr().err
-    assert match in err and bad in err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert match in lines[0] and bad in lines[0]
 
 
 def test_eval_without_vocabulary_is_usage_error(tmp_path, capsys):
@@ -301,6 +305,7 @@ INVALID_VALUES = [
     ("routing_iters", 2.0, "float_routing_iters"), ("encoder_hidden", 5.0, "float_hidden"),
     ("encoder_layers", 0, "zero_layers"), ("speaker_weight", float("nan"), "nan_speaker_weight"),
     ("speaker_weight", -2.0, "negative_speaker_weight"), ("seed", -1, "negative_seed"),
+    ("speaker_weight", 10**400, "huge_int_speaker_weight"),
 ]
 # settings no longer in the config, at values an earlier layout wrote: unknown
 # keys, as in run configs

@@ -178,6 +178,8 @@ def test_train_with_zero_encoder_layers_is_usage_error(tmp_path, capsys):
     ({"model": {"output_dim": 1}}, "output_dim must be >= 2"),
     ({"model": {"speaker_weight": float("nan")}}, "speaker_weight must be finite and >= 0"),
     ({"model": {"speaker_weight": -2.0}}, "speaker_weight must be finite and >= 0"),
+    ({"model": {"speaker_weight": 10**400}},
+     "speaker_weight must be finite and >= 0, got an integer too large for a float"),
     ({"experiment": {"sweep": {"axis": "output_dim", "values": [4, 1]}}},
      "output_dim must be >= 2"),
     ({"experiment": {"sweep": {"axis": "speaker_weight", "values": [0.0, -2.0]}}},
@@ -187,7 +189,7 @@ def test_train_with_zero_encoder_layers_is_usage_error(tmp_path, capsys):
     ({"experiment": {"sweep": {"values": [0, 1]}}}, "experiment.sweep.axis is required"),
     ({"training": {"epochs": 0}}, "epochs must be at least 1, got 0"),
 ], ids=["zero_layers", "output_dim_1", "nan_speaker_weight", "negative_speaker_weight",
-        "output_dim_1_in_sweep", "negative_speaker_weight_in_sweep", "empty_sweep",
+        "huge_int_speaker_weight", "output_dim_1_in_sweep", "negative_speaker_weight_in_sweep", "empty_sweep",
         "sweep_without_values", "sweep_without_axis", "zero_epochs"])
 @pytest.mark.parametrize("command", ["train", "curve"])
 def test_invalid_model_section_is_usage_error_before_the_corpus(tmp_path, capsys, monkeypatch,
@@ -203,6 +205,14 @@ def test_invalid_model_section_is_usage_error_before_the_corpus(tmp_path, capsys
     assert cli.main([command, path]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_validate_config_with_huge_integer_speaker_weight_prints_one_error_line(tmp_path, capsys):
+    # YAML reads it as an int, which math.isfinite cannot convert to a float
+    path = write_config(tmp_path, model={"speaker_weight": 10**400})
+    assert cli.main(["validate-config", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: speaker_weight must be finite and >= 0, got an integer too large for a float"]
 
 
 @pytest.mark.parametrize("experiment, message", [
