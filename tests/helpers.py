@@ -91,3 +91,103 @@ def einsum_routing_backward(votes, coefficients, pooled, outputs, d_out):
         d_logits = d_softmax if d_logits is None else d_logits + d_softmax
     return np.einsum("p...kt,...ktn->p...kn", np.stack(left, axis=-1), np.stack(right, axis=-2),
                      optimize=True)
+
+
+# The formulations below use NumPy's wrapper functions (np.sum, np.max,
+# np.all, np.linalg.norm, np.stack) and keyword ``out``: the code the
+# package's per-call paths replaced with direct ufunc calls. They are the
+# byte-identity oracles of those paths.
+
+def assert_same_bits(got, want):
+    """Same shape, dtype and bytes: equal bit for bit, -0.0 and NaNs included."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def wrapper_softmax(v, axis=-1):
+    v = np.asarray(v, dtype=np.float64)
+    assert np.all(np.isfinite(v))
+    e = v - np.max(v, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
+
+
+def wrapper_softmax_grad(upstream, probs, axis=-1):
+    grad = upstream - np.sum(upstream * probs, axis=axis, keepdims=True)
+    grad *= probs
+    return grad
+
+
+def wrapper_squash(s):
+    sq = np.sum(s * s, axis=-1, keepdims=True)
+    return s * (np.sqrt(sq) / (1.0 + sq))
+
+
+def wrapper_squash_grad(upstream, s):
+    from capsintent.capsnet import NORM_GUARD
+
+    sq = np.sum(s * s, axis=-1, keepdims=True)
+    nrm = np.sqrt(sq)
+    scale = nrm / (1.0 + sq)
+    proj = np.sum(upstream * s, axis=-1, keepdims=True)
+    radial = (1.0 - sq) / ((1.0 + sq) ** 2 * (nrm + NORM_GUARD))
+    return upstream * scale + s * (proj * radial)
+
+
+def wrapper_capsule_norms(caps):
+    return np.linalg.norm(caps, axis=-1)
+
+
+def wrapper_gru_forward(p, xs, mask):
+    """``encoder.gru_forward`` with a per-call scale array, a copied and
+    slice-scaled ``Wh``, and keyword ``out`` and Python-float operands in the
+    frame step: (states, cache)."""
+    hidden, B = p["Wh"].shape[-2], xs.shape[2]
+    scale = np.array([0.5, -0.5]).repeat(hidden)
+    Wh = p["Wh"].copy()
+    Wh[..., :2 * hidden] *= scale
+    gates = xs @ (p["Wx"][..., :2 * hidden] * scale)
+    gates += p["b"][:, None, :2 * hidden] * scale
+    np.copyto(gates[..., hidden:], -np.inf, where=~mask)
+    n_all = xs @ p["Wx"][..., 2 * hidden:]
+    n_all += p["b"][:, None, 2 * hidden:]
+    states = np.empty_like(n_all)
+    hh = np.empty((2, B, 3 * hidden))
+    hh_rz, hh_n = hh[..., :2 * hidden], hh[..., 2 * hidden:]
+    reset_h = np.empty((2, B, hidden))
+    h = np.zeros((2, B, hidden))
+    for g, r, u, n, h_new in zip(gates, gates[..., :hidden], gates[..., hidden:], n_all,
+                                 states):
+        np.matmul(h, Wh, out=hh)
+        np.add(g, hh_rz, out=g)
+        np.tanh(g, out=g)
+        np.add(g, 1.0, out=g)
+        np.multiply(g, 0.5, out=g)
+        np.multiply(r, hh_n, out=reset_h)
+        np.add(n, reset_h, out=n)
+        np.tanh(n, out=n)
+        np.subtract(n, h, out=h_new)
+        np.multiply(u, h_new, out=h_new)
+        np.add(h, h_new, out=h_new)
+        h = h_new
+    cache = {"xs": xs, "states": states, "r": gates[..., :hidden],
+             "one_minus_z": gates[..., hidden:], "n": n_all}
+    return states, cache
+
+
+def wrapper_encoder_readout(params, feats, layers, lengths):
+    """``encoder.encoder_forward``'s readout, built with ``np.stack`` over
+    ``wrapper_gru_forward``."""
+    T = feats.shape[0]
+    t = np.arange(T)[:, None]
+    mask = (t < lengths)[:, None, :, None]
+    reversal = np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
+    xs = feats
+    for layer in range(layers):
+        p = {key: params[f"enc.{layer}.{key}"] for key in ("Wx", "Wh", "b")}
+        states, _ = wrapper_gru_forward(p, np.stack([xs, xs[reversal]], axis=1), mask)
+        if layer < layers - 1:
+            xs = np.concatenate([states[:, 0], states[:, 1][reversal]], axis=-1)
+    return np.concatenate([states[-1, 0], states[-1, 1]], axis=-1)

@@ -8,7 +8,9 @@ import capsintent.model as model
 from capsintent import capsnet, datasets
 from capsintent.errors import ContractError, DataError, DivergenceError, ShapeError, UsageError
 
-from helpers import einsum_routing, einsum_routing_backward, tiny_model_config
+from helpers import (assert_same_bits, einsum_routing, einsum_routing_backward,
+                     tiny_model_config, wrapper_capsule_norms, wrapper_squash,
+                     wrapper_squash_grad)
 from opexamples import by_module
 
 
@@ -234,3 +236,17 @@ def test_routing_overflow_is_divergence():
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
         capsnet.dynamic_routing(votes, 2)
     assert info.value.index == 1
+
+
+# output capsules (B, K, n), squashed over axis -1, and pre-squash primary
+# capsules (B, P, d_p); the norms of output capsules with a zero capsule
+@pytest.mark.parametrize("B", [1, 3, 16])
+@pytest.mark.parametrize("shape", [(33, 8), (64, 8)], ids=["output", "primary"])
+def test_squash_and_norms_match_the_wrapper_formulation_bit_for_bit(B, shape):
+    rng = np.random.default_rng(B)
+    s = rng.normal(0.0, 2.0, size=(B,) + shape)
+    s[0, 0] = 0.0
+    upstream = rng.normal(size=s.shape)
+    assert_same_bits(capsnet.squash(s), wrapper_squash(s))
+    assert_same_bits(capsnet.squash_grad(upstream, s), wrapper_squash_grad(upstream, s))
+    assert_same_bits(capsnet.capsule_norms(s), wrapper_capsule_norms(s))

@@ -196,7 +196,8 @@ def test_invalid_model_section_is_usage_error_before_the_corpus(tmp_path, capsys
                                                                 override, message, command):
     path = write_config(tmp_path, **override)
     assert cli.main(["validate-config", path]) == 2
-    assert message in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
 
     def no_corpus(*args, **kw):
         raise AssertionError(f"{command} built a corpus for an invalid model section")
@@ -205,14 +206,6 @@ def test_invalid_model_section_is_usage_error_before_the_corpus(tmp_path, capsys
     assert cli.main([command, path]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
-
-
-def test_validate_config_with_huge_integer_speaker_weight_prints_one_error_line(tmp_path, capsys):
-    # YAML reads it as an int, which math.isfinite cannot convert to a float
-    path = write_config(tmp_path, model={"speaker_weight": 10**400})
-    assert cli.main(["validate-config", path]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: speaker_weight must be finite and >= 0, got an integer too large for a float"]
 
 
 @pytest.mark.parametrize("experiment, message", [

@@ -5,6 +5,8 @@ from capsintent import encoder
 from capsintent.errors import DataError
 from capsintent.numeric import grad_check
 
+from helpers import assert_same_bits, wrapper_encoder_readout, wrapper_gru_forward
+
 
 def _setup(feat_dim=3, hidden=4, layers=2, T=6, seed=0):
     rng = np.random.default_rng(seed)
@@ -160,3 +162,48 @@ def test_encoder_forward_hands_the_stored_cells_to_gru_forward(monkeypatch):
     for layer, p in enumerate(seen):
         assert all(p[key] is params[f"enc.{layer}.{key}"] for key in ("Wx", "Wh", "b"))
 
+
+
+def _batch_lengths(rng, B):
+    """B lengths up to 33 frames, the longest first; padded unless B is 1."""
+    lengths = rng.integers(1, 34, size=B)
+    lengths[0] = 33
+    return lengths
+
+
+@pytest.mark.parametrize("B", [1, 3, 16])
+@pytest.mark.parametrize("in_dim", [16, 64], ids=["layer0", "layer1"])
+def test_gru_forward_matches_the_wrapper_formulation_bit_for_bit(B, in_dim):
+    rng = np.random.default_rng(B)
+    params = _random_cells(rng, in_dim, 32)
+    xs, mask = _padded_inputs(rng, _batch_lengths(rng, B), in_dim)
+    states, cache = encoder.gru_forward(params, xs, mask)
+    ref_states, ref_cache = wrapper_gru_forward(params, xs, mask)
+    assert_same_bits(states, ref_states)
+    assert cache.keys() == ref_cache.keys()
+    for key in cache:
+        assert_same_bits(cache[key], ref_cache[key])
+
+
+@pytest.mark.parametrize("B", [1, 3, 16])
+def test_encoder_readout_matches_the_wrapper_formulation_bit_for_bit(B):
+    rng = np.random.default_rng(B)
+    params = encoder.init_encoder_params(rng, 16, 32, 2)
+    feats, lengths = encoder.pad_batch(
+        [rng.normal(size=(length, 16)) for length in _batch_lengths(rng, B)])
+    readout, _ = encoder.encoder_forward(params, feats, 2, lengths)
+    assert_same_bits(readout, wrapper_encoder_readout(params, feats, 2, lengths))
+
+
+def test_frame_step_constants_are_read_only():
+    scale = encoder._gate_scale(4)
+    assert scale is encoder._gate_scale(4)       # one array per hidden size
+    assert scale.tolist() == [0.5] * 4 + [-0.5] * 4 + [1.0] * 4
+    assert (encoder.ONE.shape, float(encoder.ONE)) == ((), 1.0)
+    assert (encoder.HALF.shape, float(encoder.HALF)) == ((), 0.5)
+    for constant in (encoder.ONE, encoder.HALF, scale):
+        with pytest.raises(ValueError, match="read-only"):
+            constant[...] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(constant, 1.0, out=constant)
+    assert scale.tolist() == [0.5] * 4 + [-0.5] * 4 + [1.0] * 4

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from capsintent import numeric
 from capsintent.errors import ContractError, UsageError
 
+from helpers import assert_same_bits, wrapper_softmax, wrapper_softmax_grad
 from opexamples import by_module
 
 
@@ -87,3 +88,16 @@ def test_grad_check_does_not_mutate_params():
         theta,
     )
     assert np.array_equal(theta["x"], np.array([1.0, -2.0]))
+
+
+# routing's (B, K, P) logits over axis 1 and the speaker head's (B, M) logits
+@pytest.mark.parametrize("B", [1, 3, 16])
+@pytest.mark.parametrize("shape, axis", [((33, 64), 1), ((11,), -1)], ids=["axis1", "axis-1"])
+def test_softmax_matches_the_wrapper_formulation_bit_for_bit(B, shape, axis):
+    rng = np.random.default_rng(B)
+    logits = rng.normal(0.0, 3.0, size=(B,) + shape)
+    upstream = rng.normal(size=logits.shape)
+    probs = numeric.softmax(logits, axis=axis)
+    assert_same_bits(probs, wrapper_softmax(logits, axis=axis))
+    assert_same_bits(numeric.softmax_grad(upstream, probs, axis=axis),
+                     wrapper_softmax_grad(upstream, probs, axis=axis))
