@@ -239,17 +239,22 @@ def encoder_forward(params: Params, feats: np.ndarray, layers: int, lengths: np.
     inside = t < lengths
     mask = inside[:, None, :, None]
     reversal = np.where(inside, lengths - 1 - t, t), np.arange(len(lengths))
-    xs = feats
+    # direction 1 reads each sequence reversed within its length
+    both = np.empty((T, 2) + feats.shape[1:])
+    both[:, 0] = feats
+    both[:, 1] = feats[reversal]
     caches = []
     for layer in range(layers):
-        # direction 1 reads each sequence reversed within its length
-        both = np.empty((T, 2) + xs.shape[1:])
-        both[:, 0] = xs
-        both[:, 1] = xs[reversal]
         states, cache = gru_forward(_layer_params(params, layer), both, mask)
         caches.append(cache)
         if layer < layers - 1:
-            xs = np.concatenate([states[:, 0], states[:, 1][reversal]], axis=-1)
+            # the next layer's input, both directions' states side by side,
+            # written straight into its direction-stacked buffer
+            hidden = states.shape[-1]
+            both = np.empty((T, 2, len(lengths), 2 * hidden))
+            both[:, 0, :, :hidden] = states[:, 0]
+            both[:, 0, :, hidden:] = states[:, 1][reversal]
+            both[:, 1] = both[:, 0][reversal]
     readout = np.concatenate([states[-1, 0], states[-1, 1]], axis=-1)
     return readout, {"caches": caches, "T": T, "reversal": reversal}
 

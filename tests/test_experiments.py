@@ -100,6 +100,25 @@ def test_fit_seed_reproducibility():
         assert a.params[key].tobytes() == b.params[key].tobytes()
 
 
+def test_fit_results_do_not_depend_on_heap_state():
+    corpus = _small_corpus(per_speaker=11)
+    cfg = _small_config(encoder_hidden=32, num_primary=64, primary_dim=8, output_dim=8,
+                        routing_iters=3, speaker_weight=1.0, seed=17)
+    a = experiments.fit(corpus.utterances, cfg, epochs=3)
+    # unrelated allocations, some freed and some held, leave the heap in
+    # another state for the second fit: pages reused, blocks moved, arrays
+    # on either side of the mmap threshold
+    held = [np.ones(size) for size in (3_000, 70_000, 600_000, 5_000_000)]
+    for size in (40_000, 2_000_000, 6_000_000):
+        np.ones(size)
+    held += [np.ones(size) for size in (1_500, 250_000)]
+    b = experiments.fit(corpus.utterances, cfg, epochs=3)
+    del held
+    assert a.history == b.history
+    for key in a.params:
+        assert a.params[key].tobytes() == b.params[key].tobytes()
+
+
 def test_fit_validation_selection(monkeypatch):
     corpus = _small_corpus(per_speaker=12, noise=0.1)
     cfg = _small_config(speaker_weight=0.0)

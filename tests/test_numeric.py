@@ -1,3 +1,10 @@
+import ctypes
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,3 +108,75 @@ def test_softmax_matches_the_wrapper_formulation_bit_for_bit(B, shape, axis):
     assert_same_bits(probs, wrapper_softmax(logits, axis=axis))
     assert_same_bits(numeric.softmax_grad(upstream, probs, axis=axis),
                      wrapper_softmax_grad(upstream, probs, axis=axis))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# one warm-up loss_and_grads on a 32-utterance batch at the grid config,
+# then the mean minor page faults of ten more calls
+FAULTS_PER_STEP = """
+import resource
+import numpy as np
+import capsintent
+from capsintent import model
+rng = np.random.default_rng(0)
+cfg = capsintent.ModelConfig(feat_dim=16, num_labels=33, speaker_count=11,
+                             encoder_hidden=32, encoder_layers=2, num_primary=64,
+                             primary_dim=8, output_dim=8, routing_iters=3, seed=42)
+params = model.init_params(cfg)
+feats = [rng.normal(size=(int(n), 16)) for n in rng.integers(18, 35, size=32)]
+target = (rng.random((32, 33)) < 0.1).astype(float)
+speakers = rng.integers(0, 11, size=32)
+model.loss_and_grads(feats, target, speakers, params, cfg)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    model.loss_and_grads(feats, target, speakers, params, cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_training_steps_reuse_the_heap_instead_of_faulting_it_back_in():
+    # with glibc's default thresholds each call takes about 1500 faults
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_PER_STEP], capture_output=True,
+                          text=True, env=env, timeout=300, check=True)
+    assert float(proc.stdout) < 100
+
+
+class _Libc:
+    """A C library stand-in whose ``mallopt`` records each call and its result."""
+
+    def __init__(self, mallopt):
+        self.calls = []
+
+        def recorded(param, value):
+            result = mallopt(param, value)
+            self.calls.append((param, value, result))
+            return result
+        self.mallopt = recorded
+
+
+@pytest.mark.parametrize("libc", [OSError("no C library"), object(),
+                                  _Libc(lambda param, value: 0)],
+                         ids=["no_library", "no_mallopt", "refused"])
+def test_malloc_thresholds_are_left_alone_without_a_working_mallopt(monkeypatch, libc):
+    def cdll(name):
+        if isinstance(libc, OSError):
+            raise libc
+        return libc
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert numeric._pin_malloc_thresholds() is False
+    if isinstance(libc, _Libc):   # a refused mmap threshold: no trim threshold
+        assert libc.calls == [(numeric.M_MMAP_THRESHOLD, numeric.MMAP_THRESHOLD, 0)]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_glibc_accepts_both_malloc_thresholds(monkeypatch):
+    libc = _Libc(ctypes.CDLL(None).mallopt)
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    assert numeric._pin_malloc_thresholds() is True
+    assert libc.calls == [(numeric.M_MMAP_THRESHOLD, 32 << 20, 1),
+                          (numeric.M_TRIM_THRESHOLD, 64 << 20, 1)]
