@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate every analytic gradient of a small model against central finite
 differences on a ragged batch of three utterances: encoder BPTT with
-length masking, the routing unroll, the margin loss, and the speaker head
+padded sequences, the routing unroll, the margin loss, and the speaker head
 including the average-capsule quotient rule."""
 
 import numpy as np

@@ -36,7 +36,7 @@ from capsintent import datasets, experiments  # noqa: E402
 from capsintent.capsnet import ModelConfig  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "speaker_weight")
-MODES = ("speaker_independent", "speaker_dependent")
+MODES = datasets.SPLIT_MODES
 CORPUS_SEEDS = (21, 22, 23)
 NOISE = 0.2
 NUM_BLOCKS = 150

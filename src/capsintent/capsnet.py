@@ -203,7 +203,7 @@ def dynamic_routing(votes: np.ndarray, iters: int):
         trace.outputs.append(out)
         if it < iters - 1:
             agreement = (pairs @ out.reshape(B * K, n, 1)).reshape(B, K, P)
-            logits = agreement if it == 0 else np.add(logits, agreement, out=logits)
+            logits = agreement if it == 0 else logits + agreement
     return out, trace
 
 
@@ -239,7 +239,7 @@ def routing_backward(trace: RoutingTrace, d_out: np.ndarray) -> np.ndarray:
         if it:   # the first logits are constant zeros
             d_coeff = (pairs @ d_pooled.reshape(B * K, n, 1)).reshape(B, K, P)
             d_softmax = softmax_grad(d_coeff, coeff, axis=1)
-            # into d_softmax: the last d_logits is held in ``left``
+            # into d_softmax, as d_logits is held in ``left``: a fresh sum raises peak memory
             d_logits = d_softmax if d_logits is None else np.add(d_logits, d_softmax,
                                                                   out=d_softmax)
     d_votes = np.empty_like(votes, order="C")

@@ -143,7 +143,7 @@ def load_run_config(path: str) -> RunConfig:
     if sweep is not None:
         sweep = SweepSpec(**_section(exp_raw, "experiment.sweep", SweepSpec))
     experiment = ExperimentConfig(**{**exp_raw, "sweep": sweep})
-    if experiment.mode not in ("speaker_independent", "speaker_dependent"):
+    if experiment.mode not in datasets.SPLIT_MODES:
         raise UsageError(f"unknown experiment.mode {experiment.mode!r}")
     if experiment.schedule is None:
         experiment.schedule = experiments.default_schedule(experiment.num_blocks)

@@ -550,10 +550,13 @@ def fluent_partial_ids(corpus: Corpus) -> list[str]:
 # ---------------------------------------------------------------------------
 # cross-validation blocks
 
+# the modes ``split_blocks`` takes and an experiment config's ``mode`` names
+SPLIT_MODES = ("speaker_independent", "speaker_dependent")
+
 
 @dataclass
 class BlockSplit:
-    mode: str                        # "speaker_independent" | "speaker_dependent"
+    mode: str                        # one of SPLIT_MODES
     seed: int
     num_blocks: int
     blocks: Optional[list[list[str]]] = None                 # independent mode
@@ -567,7 +570,7 @@ def split_blocks(corpus: Corpus, num_blocks: int, mode: str, seed: int) -> Block
     has <n> utterances < <num_blocks> blocks"), permutes it with the one RNG
     and deals it: once for the corpus, or per speaker in roster order.
     """
-    if mode not in ("speaker_independent", "speaker_dependent"):
+    if mode not in SPLIT_MODES:
         raise UsageError(f"unknown split mode {mode!r}")
     rng = np.random.default_rng(seed)
 

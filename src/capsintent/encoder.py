@@ -15,21 +15,18 @@ z from it.
 
 Sequences are time-major and always batched: a zero-padded (T_max, B, dim)
 array with per-utterance lengths (``pad_batch``); one utterance is a batch
-of one. Every step runs all B sequences at once. Past a sequence's end a
-per-frame mask forces its update gate to exactly 1 (pre-activation +inf),
-so 1 - z is exactly 0, the update adds exactly zero and the state is held
-bit for bit, and every gradient through that frame is exactly zero: the
-state at T_max - 1 is the sequence's final state, with no masking work
-inside the frame loops. Every batch is masked alike; an unpadded one gets
-an all-True mask. The backward direction reads each sequence reversed
-within its own length, so its final state is also at T_max - 1. Both
-directions of a layer run in one frame loop over a (T_max, 2, B, dim)
-array, direction 0 forward and 1 backward. A layer's two cells are stored
-stacked in that order, and its cache and gradients carry the same
-direction axis. The encoder reads out the concatenated final states of
-both directions of the top layer. Backprop takes one input per layer, the
-gradients on its (T_max, 2, B, H) states: the top layer's are zero but for
-the readout gradient at step T_max - 1.
+of one. Every step runs all B sequences at once, padding frames included:
+they come after a sequence's real frames, so nothing they compute reaches
+its final state at frame length - 1. The backward direction reads each
+sequence reversed within its own length, so its final state is at
+length - 1 too. Both directions of a layer run in one frame loop over a
+(T_max, 2, B, dim) array, direction 0 forward and 1 backward. A layer's two
+cells are stored stacked in that order, and its cache and gradients carry
+the same direction axis. The encoder reads out the concatenated final
+states of both directions of the top layer. Backprop takes one input per
+layer, the gradients on its (T_max, 2, B, H) states: the top layer's are
+zero but for the readout gradient at each sequence's last frame, so every
+gradient through a padding frame is exactly zero.
 """
 
 from __future__ import annotations
@@ -96,35 +93,28 @@ def pad_batch(feats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return xs, lengths
 
 
-def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
+def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray):
     """Run both directions of a layer over time-major ``xs`` (T, 2, B, in_dim)
     in one frame loop: direction 0 with the cell ``p["Wx"][0]``,
     ``p["Wh"][0]``, ``p["b"][0]`` and direction 1 with index 1. Each
     direction's states are exactly those of the cell run over its own input.
-
-    ``mask`` (T, 1, B, 1) is False on padding frames, where the update gate is
-    forced to 1 so the state is held; it is all True for an unpadded batch.
     Returns (states (T, 2, B, H), the cache ``gru_backward`` takes: the
     inputs, states, r, 1 - z and n).
 
     The sigmoid is 0.5 * (1 + tanh(a / 2)), which never overflows. The
     cell's reset columns are scaled by 1/2 and its update columns by -1/2
     once per call, which is exact, so each step's 0.5 * (1 + tanh(.)) gives
-    r and 1 - z directly. The state update is h + (1 - z) * (n - h): on a
-    padding frame the update pre-activation is +inf, scaled to -inf, so
-    1 - z is exactly 0 and the state is held bit for bit, where
-    n + z * (h - n) would round.
+    r and 1 - z directly. The state update is h + (1 - z) * (n - h).
     """
     hidden, B = p["Wh"].shape[-2], xs.shape[2]
     scale = _gate_scale(hidden)
     Wh = p["Wh"] * scale
     rz_scale = scale[:2 * hidden]
-    # the input side, biases added in place, is written straight into the
-    # gate and candidate buffers the steps update: an input-sized temporary
-    # costs page faults on every call
+    # the input side, biases added in place, becomes the buffers the steps
+    # update: a fresh input-sized sum costs 12-35 us a product at B=16, 6-9%
+    # of a B=16 encoder_forward, under the pinned malloc thresholds (numeric)
     gates = xs @ (p["Wx"][..., :2 * hidden] * rz_scale)
     gates += p["b"][:, None, :2 * hidden] * rz_scale
-    np.copyto(gates[..., hidden:], -np.inf, where=~mask)
     n_all = xs @ p["Wx"][..., 2 * hidden:]
     n_all += p["b"][:, None, 2 * hidden:]
     states = np.empty_like(n_all)
@@ -158,7 +148,8 @@ def gru_forward(p: dict[str, np.ndarray], xs: np.ndarray, mask: np.ndarray):
 def gru_backward(p, cache, d_states):
     """BPTT through both directions of a layer, given its ``gru_forward``
     cache and the (T, 2, B, H) gradients on the emitted states, the one
-    gradient input; a final-state (readout) gradient sits at step T - 1.
+    gradient input; a final-state (readout) gradient sits at each
+    sequence's last frame.
     Returns (param grads stacked like ``p`` and summed over the batch, the
     (2, T*B, 3H) gradients on each direction's input side ``xs @ Wx + b``,
     whose product with ``Wx[d].T`` is that direction's input gradient).
@@ -228,35 +219,41 @@ def init_encoder_params(rng: np.random.Generator, feat_dim: int, hidden: int, la
 
 def encoder_forward(params: Params, feats: np.ndarray, layers: int, lengths: np.ndarray):
     """Encode a padded time-major (T_max, B, feat_dim) batch with its (B,)
-    ``lengths`` into the (B, 2H) final-state readout."""
+    ``lengths`` into the (B, 2H) final-state readout. Lengths that are not
+    one signed integer from 1 to T_max per batch column raise DataError."""
     feats = np.asarray(feats, dtype=np.float64)
     if feats.ndim != 3 or feats.shape[0] < 1:
         raise DataError(f"encoder needs a non-empty (T_max, B, dim) batch, got shape {feats.shape}")
-    T = feats.shape[0]
-    # the padding mask, and the gather index (rows, cols) that reverses each
-    # sequence within its own length and leaves padding in place
+    T, B = feats.shape[:2]
+    lengths = np.asarray(lengths)
+    if (lengths.shape != (B,) or lengths.dtype.kind != "i"
+            or not ((lengths >= 1) & (lengths <= T)).all()):
+        raise DataError(f"encoder needs {B} signed integer lengths from 1 to {T}, "
+                        f"got {lengths!r}")
+    # the gather index (rows, cols) that reverses each sequence within its
+    # own length and leaves padding in place
     t = np.arange(T)[:, None]
-    inside = t < lengths
-    mask = inside[:, None, :, None]
-    reversal = np.where(inside, lengths - 1 - t, t), np.arange(len(lengths))
+    reversal = np.where(t < lengths, lengths - 1 - t, t), np.arange(B)
     # direction 1 reads each sequence reversed within its length
     both = np.empty((T, 2) + feats.shape[1:])
     both[:, 0] = feats
     both[:, 1] = feats[reversal]
     caches = []
     for layer in range(layers):
-        states, cache = gru_forward(_layer_params(params, layer), both, mask)
+        states, cache = gru_forward(_layer_params(params, layer), both)
         caches.append(cache)
         if layer < layers - 1:
             # the next layer's input, both directions' states side by side,
             # written straight into its direction-stacked buffer
             hidden = states.shape[-1]
-            both = np.empty((T, 2, len(lengths), 2 * hidden))
+            both = np.empty((T, 2, B, 2 * hidden))
             both[:, 0, :, :hidden] = states[:, 0]
             both[:, 0, :, hidden:] = states[:, 1][reversal]
             both[:, 1] = both[:, 0][reversal]
-    readout = np.concatenate([states[-1, 0], states[-1, 1]], axis=-1)
-    return readout, {"caches": caches, "T": T, "reversal": reversal}
+    # both directions' states at each sequence's last frame, side by side
+    last = lengths - 1
+    readout = states[last, :, np.arange(B)].reshape(B, 2 * states.shape[-1])
+    return readout, {"caches": caches, "T": T, "reversal": reversal, "last": last}
 
 
 def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
@@ -266,9 +263,10 @@ def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
     reversal = cache["reversal"]
     hidden = d_readout.shape[-1] // 2
     grads: Params = {}
-    # the readout is both directions' states at step T_max - 1
-    d_states = np.zeros((cache["T"], 2, len(d_readout), hidden))
-    d_states[-1] = d_readout.reshape(-1, 2, hidden).swapaxes(0, 1)
+    # the readout is both directions' states at each sequence's last frame
+    B = len(d_readout)
+    d_states = np.zeros((cache["T"], 2, B, hidden))
+    d_states[cache["last"], :, np.arange(B)] = d_readout.reshape(B, 2, hidden)
     for layer in range(len(cache["caches"]) - 1, -1, -1):
         layer_params = _layer_params(params, layer)
         layer_grads, d_pre_x = gru_backward(layer_params, cache["caches"][layer], d_states)
@@ -278,7 +276,7 @@ def encoder_backward(params: Params, cache, d_readout: np.ndarray) -> Params:
             # take none); then undo encoder_forward's split, reversal and
             # stack of this layer's input
             dxs = (d_pre_x @ layer_params["Wx"].transpose(0, 2, 1)).reshape(
-                2, cache["T"], len(d_readout), 2 * hidden)
+                2, cache["T"], B, 2 * hidden)
             d_xs = dxs[0] + dxs[1][reversal]  # (T, B, in_dim of this layer)
             # let both go before the next layer's backward: a fit's peak memory
             del d_pre_x, dxs

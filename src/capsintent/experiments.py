@@ -3,9 +3,9 @@
 Training is one fixed recipe, bar the epoch budget: Adam with step ``ADAM_LR``
 over minibatches of ``BATCH_SIZE``, stopping early once the epoch-mean total
 loss fails to improve by ``EARLY_STOP_DELTA`` for ``EARLY_STOP_PATIENCE``
-consecutive epochs. Each minibatch goes through the model as one padded,
-length-masked batch (one ``model.loss_and_grads`` call) and the step uses the
-mean gradient.
+consecutive epochs. Each minibatch goes through the model as one padded
+batch with its lengths (one ``model.loss_and_grads`` call) and the step uses
+the mean gradient.
 Everything is deterministic from the config seed; curve points derive
 per-(point, repeat) seeds from it.
 """

@@ -130,9 +130,7 @@ def compute_fbank(samples: np.ndarray) -> np.ndarray:
         raise DataError(
             f"clip of {len(samples)} samples is shorter than one {WINDOW}-sample window"
         )
-    n_frames = 1 + (len(samples) - WINDOW) // HOP
-    starts = np.arange(n_frames) * HOP
-    frames = np.stack([samples[s:s + WINDOW] for s in starts]) * np.hamming(WINDOW)
+    frames = np.lib.stride_tricks.sliding_window_view(samples, WINDOW)[::HOP] * np.hamming(WINDOW)
     power = np.abs(np.fft.rfft(frames, n=N_FFT, axis=1)) ** 2 / N_FFT
     filters, _ = mel_filterbank()
     energies = power @ filters.T

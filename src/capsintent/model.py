@@ -3,8 +3,8 @@ model: parameter initialization, loss + gradient evaluation over a batch of
 utterances, and prediction.
 
 Utterances are (frames, feat_dim) matrices of any lengths. ``loss_and_grads``
-and ``evaluate`` take a list of them and run it as zero-padded,
-length-masked time-major batches (``encoder.pad_batch``); ``decode`` decodes
+and ``evaluate`` take a list of them and run it as zero-padded time-major
+batches with their lengths (``encoder.pad_batch``); ``decode`` decodes
 them slice by slice, and ``predict`` one utterance as a batch of one.
 
 The objective is label loss + speaker_weight * speaker loss, and the speaker
@@ -79,9 +79,9 @@ def evaluate(feats: Sequence[np.ndarray], params: Params, config: ModelConfig):
 # Utterances go through the model in slices of at most this many: training
 # sums the slices' gradients, decoding holds one slice's outputs at a time.
 # The votes and their routing temporaries grow with the slice: in the train
-# workload at the grid configuration (bench/NOTES.md, corpus seed 3), whole
-# 32-utterance batches peak at 93.6 MB resident and single utterances at
-# 82.6 MB; slices of 16 peak at 83.6 MB.
+# workload at the grid configuration (bench/NOTES.md, corpus seed 3, pinned
+# malloc thresholds), whole 32-utterance batches peak at 94.2 MB resident and
+# single utterances at 83.7 MB; slices of 16 peak at 85.0 MB.
 _SLICE = 16
 
 

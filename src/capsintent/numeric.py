@@ -74,7 +74,7 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
         raise UsageError("softmax of an empty vector is undefined")
     if not np.isfinite(v).all():
         raise UsageError("softmax requires finite inputs")
-    # in place: every fresh routing-sized temporary costs page faults
+    # in place: a fresh routing-sized array raises every predict's peak memory
     e = v - np.maximum.reduce(v, axis=axis, keepdims=True)
     np.exp(e, e)
     e /= np.add.reduce(e, axis=axis, keepdims=True)
@@ -83,9 +83,7 @@ def softmax(v: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def softmax_grad(upstream: np.ndarray, probs: np.ndarray, axis: int = -1) -> np.ndarray:
     """Backprop through the softmax along ``axis`` given its output ``probs``."""
-    grad = upstream - np.add.reduce(upstream * probs, axis=axis, keepdims=True)
-    grad *= probs
-    return grad
+    return (upstream - np.add.reduce(upstream * probs, axis=axis, keepdims=True)) * probs
 
 
 @dataclass

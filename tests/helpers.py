@@ -140,7 +140,7 @@ def wrapper_capsule_norms(caps):
     return np.linalg.norm(caps, axis=-1)
 
 
-def wrapper_gru_forward(p, xs, mask):
+def wrapper_gru_forward(p, xs):
     """``encoder.gru_forward`` with a per-call scale array, a copied and
     slice-scaled ``Wh``, and keyword ``out`` and Python-float operands in the
     frame step: (states, cache)."""
@@ -150,7 +150,6 @@ def wrapper_gru_forward(p, xs, mask):
     Wh[..., :2 * hidden] *= scale
     gates = xs @ (p["Wx"][..., :2 * hidden] * scale)
     gates += p["b"][:, None, :2 * hidden] * scale
-    np.copyto(gates[..., hidden:], -np.inf, where=~mask)
     n_all = xs @ p["Wx"][..., 2 * hidden:]
     n_all += p["b"][:, None, 2 * hidden:]
     states = np.empty_like(n_all)
@@ -179,15 +178,15 @@ def wrapper_gru_forward(p, xs, mask):
 
 def wrapper_encoder_readout(params, feats, layers, lengths):
     """``encoder.encoder_forward``'s readout, built with ``np.stack`` over
-    ``wrapper_gru_forward``."""
+    ``wrapper_gru_forward`` and read one sequence at a time."""
     T = feats.shape[0]
     t = np.arange(T)[:, None]
-    mask = (t < lengths)[:, None, :, None]
     reversal = np.where(t < lengths, lengths - 1 - t, t), np.arange(len(lengths))
     xs = feats
     for layer in range(layers):
         p = {key: params[f"enc.{layer}.{key}"] for key in ("Wx", "Wh", "b")}
-        states, _ = wrapper_gru_forward(p, np.stack([xs, xs[reversal]], axis=1), mask)
+        states, _ = wrapper_gru_forward(p, np.stack([xs, xs[reversal]], axis=1))
         if layer < layers - 1:
             xs = np.concatenate([states[:, 0], states[:, 1][reversal]], axis=-1)
-    return np.concatenate([states[-1, 0], states[-1, 1]], axis=-1)
+    return np.stack([np.concatenate(states[length - 1, :, seq])
+                     for seq, length in enumerate(lengths)])

@@ -64,15 +64,14 @@ def test_reversed_direction_sees_sequence_order():
 def test_gru_zero_input_zero_state():
     params = encoder.init_encoder_params(np.random.default_rng(1), 3, 4, 1)
     hs, _ = encoder.gru_forward({k[len("enc.0."):]: np.zeros_like(v) for k, v in params.items()},
-                                np.zeros((5, 2, 1, 3)), np.ones((5, 1, 1, 1), dtype=bool))
+                                np.zeros((5, 2, 1, 3)))
     assert np.all(hs == 0.0)
 
 
 def test_gru_state_shapes():
     rng = np.random.default_rng(2)
     params = {k[len("enc.0."):]: v for k, v in encoder.init_encoder_params(rng, 3, 7, 1).items()}
-    hs, cache = encoder.gru_forward(params, rng.normal(size=(9, 2, 1, 3)),
-                                    np.ones((9, 1, 1, 1), dtype=bool))
+    hs, cache = encoder.gru_forward(params, rng.normal(size=(9, 2, 1, 3)))
     assert hs.shape == (9, 2, 1, 7)
     assert cache["r"].shape == (9, 2, 1, 7)
 
@@ -110,36 +109,26 @@ def _padded_inputs(rng, lengths, in_dim):
     xs = rng.normal(size=(T, 2, len(lengths), in_dim))
     for seq, length in enumerate(lengths):
         xs[length:, :, seq] = 0.0
-    mask = (np.arange(T)[:, None] < lengths)[:, None, :, None]
-    return xs, mask
+    return xs
 
 
 def test_fused_directions_match_the_reference_cell_per_direction():
     rng = np.random.default_rng(3)
     params = _random_cells(rng, 3, 5)
     for lengths in (np.array([7]), np.array([7, 3, 5])):   # one, and a padded batch of three
-        xs, mask = _padded_inputs(rng, lengths, 3)
-        states, cache = encoder.gru_forward(params, xs, mask)
-        valid = mask[:, 0]             # (T, B, 1): the frames a sequence has
+        xs = _padded_inputs(rng, lengths, 3)
+        states, cache = encoder.gru_forward(params, xs)
+        # (T, B, 1): the frames a sequence has
+        valid = (np.arange(len(xs))[:, None] < lengths)[..., None]
         for direction in range(2):
             ref_states, r, z, n = _reference_gru(
                 {k: v[direction] for k, v in params.items()}, xs[:, direction], lengths)
-            # the states, and on real frames every gate the backward pass reads
-            for got, ref in ((states[:, direction], ref_states),
+            # on real frames, the states and every gate the backward pass reads
+            for got, ref in ((states[:, direction] * valid, ref_states * valid),
                              (cache["r"][:, direction] * valid, r),
                              (cache["one_minus_z"][:, direction] * valid, (1.0 - z) * valid),
                              (cache["n"][:, direction] * valid, n)):
                 assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
-
-
-def test_padded_frames_hold_the_state_bit_for_bit():
-    rng = np.random.default_rng(4)
-    lengths = np.array([30, 10, 17, 3])
-    xs, mask = _padded_inputs(rng, lengths, 6)
-    states, _ = encoder.gru_forward(_random_cells(rng, 6, 8), xs, mask)
-    for seq, length in enumerate(lengths):
-        held = states[length:, :, seq]
-        assert np.array_equal(held, np.broadcast_to(states[length - 1, :, seq], held.shape))
 
 
 def test_encoder_rejects_unbatched_features():
@@ -148,13 +137,44 @@ def test_encoder_rejects_unbatched_features():
         encoder.encoder_forward(params, feats[:, 0], layers, np.array([len(feats)]))
 
 
+@pytest.mark.parametrize("lengths", [
+    np.array([5, 0]), np.array([5, 6]), np.array([5]), np.array([5, 3, 2]),
+    np.array([5.0, 3.0]), np.array([5, 3], dtype=np.uint64), np.array([[5, 3]])],
+    ids=["zero", "past_t_max", "too_few", "too_many", "float", "unsigned", "2d"])
+def test_encoder_rejects_lengths_that_do_not_fit_the_batch(lengths):
+    params, _, _, _, layers = _setup()
+    with pytest.raises(DataError, match="2 signed integer lengths from 1 to 5"):
+        encoder.encoder_forward(params, np.zeros((5, 2, 3)), layers, lengths)
+
+
+@pytest.mark.parametrize("B", [3, 16])
+def test_padding_content_never_reaches_the_readout_or_the_gradients(B):
+    rng = np.random.default_rng(B)
+    params = encoder.init_encoder_params(rng, 16, 32, 2)
+    lengths = _batch_lengths(rng, B)
+    lengths[1] = 1
+    zero_padded, _ = encoder.pad_batch([rng.normal(size=(length, 16)) for length in lengths])
+    noise_padded = rng.normal(scale=1e6, size=zero_padded.shape)
+    inside = np.arange(len(zero_padded))[:, None] < lengths
+    noise_padded[inside] = zero_padded[inside]
+    d_readout = rng.normal(size=(B, 64))
+    readout, cache = encoder.encoder_forward(params, zero_padded, 2, lengths)
+    grads = encoder.encoder_backward(params, cache, d_readout)
+    noisy_readout, noisy_cache = encoder.encoder_forward(params, noise_padded, 2, lengths)
+    noisy_grads = encoder.encoder_backward(params, noisy_cache, d_readout)
+    assert_same_bits(noisy_readout, readout)
+    assert noisy_grads.keys() == grads.keys()
+    for key in grads:
+        assert_same_bits(noisy_grads[key], grads[key])
+
+
 def test_encoder_forward_hands_the_stored_cells_to_gru_forward(monkeypatch):
     params, feats, _, _, layers = _setup()
     gru_forward, seen = encoder.gru_forward, []
 
-    def spy(p, xs, mask):
+    def spy(p, xs):
         seen.append(p)
-        return gru_forward(p, xs, mask)
+        return gru_forward(p, xs)
 
     monkeypatch.setattr(encoder, "gru_forward", spy)
     encoder.encoder_forward(params, feats, layers, np.array([len(feats)]))
@@ -176,9 +196,9 @@ def _batch_lengths(rng, B):
 def test_gru_forward_matches_the_wrapper_formulation_bit_for_bit(B, in_dim):
     rng = np.random.default_rng(B)
     params = _random_cells(rng, in_dim, 32)
-    xs, mask = _padded_inputs(rng, _batch_lengths(rng, B), in_dim)
-    states, cache = encoder.gru_forward(params, xs, mask)
-    ref_states, ref_cache = wrapper_gru_forward(params, xs, mask)
+    xs = _padded_inputs(rng, _batch_lengths(rng, B), in_dim)
+    states, cache = encoder.gru_forward(params, xs)
+    ref_states, ref_cache = wrapper_gru_forward(params, xs)
     assert_same_bits(states, ref_states)
     assert cache.keys() == ref_cache.keys()
     for key in cache:
