@@ -7,7 +7,10 @@ The CLI ties the split and model seeds to one top-level ``seed``; this
 script sets them apart (split seed 5, model seed 42), as the grid
 configuration does.
 
-Run one (mode, corpus seed) per process, from the repository root::
+Run one (mode, corpus seed) per process, from the repository root, and
+one such run at a time: ``run_sweep`` runs the sweep's jobs on every CPU
+the process may use (``taskset`` restricts them), so two runs at once would
+oversubscribe the CPUs::
 
     PYTHONPATH=src python results/speaker_weight.py run speaker_independent 21
 
@@ -26,7 +29,8 @@ import os
 import sys
 import time
 
-# one BLAS thread, set before NumPy loads its BLAS: two runs share two cores
+# one BLAS thread, set before NumPy loads its BLAS: the sweep's job processes
+# already use every usable core
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 

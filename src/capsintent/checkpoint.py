@@ -69,8 +69,9 @@ def load_checkpoint(path: str):
                 for key in data.files if key.startswith("param/")
             }
         config = _config_from(meta.get("config"), path)
-        expected = param_shapes(config)   # too large a config: MemoryError or ValueError
-    except (OSError, ValueError, MemoryError, zipfile.BadZipFile) as exc:
+        # a config larger than the file fails here, before it allocates
+        expected = param_shapes(config, max_values=sum(v.size for v in params.values()))
+    except (OSError, ValueError, MemoryError, ShapeError, zipfile.BadZipFile) as exc:
         raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
     if set(params) != set(expected):
         raise FormatError(f"{path}: parameters missing {sorted(set(expected) - set(params))}, "

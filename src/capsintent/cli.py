@@ -384,7 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-dir")
     p.add_argument("--output", help="directory for predictions and metrics")
 
-    p = add("curve", cmd_curve, help="run the cross-validation learning curve (and sweep)")
+    p = add("curve", cmd_curve, help="run the cross-validation learning curve (and sweep)",
+            description="Run the cross-validation learning curve (and sweep). Its training "
+                        "jobs run in parallel, one process per CPU this process may use, "
+                        "with results identical to a serial run; restrict the CPUs with "
+                        "taskset (taskset -c 0 runs them one after another).")
     p.add_argument("config")
     p.add_argument("--cache-dir")
     p.add_argument("--output")

@@ -67,13 +67,11 @@ def gru_param_init(rng: np.random.Generator, in_dim: int, hidden: int) -> dict[s
     gate's, which starts at +2 so states persist across segments."""
     sx = 1.0 / np.sqrt(in_dim)
     sh = 1.0 / np.sqrt(hidden)
-    b = np.zeros(3 * hidden)
+    wx = rng.uniform(-sx, sx, size=(in_dim, 3 * hidden))
+    wh = rng.uniform(-sh, sh, size=(hidden, 3 * hidden))
+    b = np.zeros(3 * hidden)   # after the draws, which model.param_shapes bounds
     b[hidden:2 * hidden] = UPDATE_GATE_BIAS
-    return {
-        "Wx": rng.uniform(-sx, sx, size=(in_dim, 3 * hidden)),
-        "Wh": rng.uniform(-sh, sh, size=(hidden, 3 * hidden)),
-        "b": b,
-    }
+    return {"Wx": wx, "Wh": wh, "b": b}
 
 
 def pad_batch(feats: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

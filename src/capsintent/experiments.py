@@ -8,23 +8,34 @@ batch with its lengths (one ``model.loss_and_grads`` call) and the step uses
 the mean gradient.
 Everything is deterministic from the config seed; curve points derive
 per-(point, repeat) seeds from it.
+
+A sweep's curve jobs are independent and each is fixed by its own seed, so
+they run in parallel, one process per CPU this process may use
+(``_map_jobs``), with results identical to a serial run. CPU affinity is the
+only control: under ``taskset -c 0`` they run one after another in this
+process.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
+import os
+import pickle
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import model
 from .capsnet import ModelConfig
 from .datasets import BlockSplit, Corpus, LabelVocabulary, Utterance, fluent_partial_ids
-from .errors import ContractError, DivergenceError, UsageError
+from .errors import CapsIntentError, ContractError, DivergenceError, UsageError
 from .features import atomic_write
 from .multitask import LossBreakdown
 from .numeric import Params
@@ -220,6 +231,164 @@ def evaluate_model(utts: Sequence[Utterance], params: Params, config: ModelConfi
 
 
 # ---------------------------------------------------------------------------
+# independent jobs on every usable CPU
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform reports one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_jobs(fn: Callable, jobs: Sequence) -> list:
+    """``[fn(job) for job in jobs]``, with the jobs dealt round-robin over
+    ``min(len(jobs), _usable_cpus())`` workers.
+
+    This process works the first share; a child forked for each other
+    share works it on its copy of this process's memory and sends back its
+    results, pickled, over a pipe. So ``fn`` and the jobs need not pickle,
+    and what ``fn`` changes or logs in a child stays there. A raising job
+    ends its worker's share, and once every child has exited the exception
+    of the earliest raising job, the one a serial loop would meet, reaches
+    the caller. A child that ends without sending its share raises
+    CapsIntentError naming its jobs. Worker w runs on the w-th usable CPU
+    alone (``_on_one_cpu``) and runs BLAS on one thread
+    (``_one_blas_thread``). With one worker, or without ``os.fork``, this is
+    the plain loop.
+    """
+    jobs = list(jobs)
+    workers = min(len(jobs), _usable_cpus())
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(job) for job in jobs]
+    children = []
+    with _one_blas_thread():
+        try:
+            for w in range(1, workers):
+                children.append(_fork_share(fn, jobs[w::workers], w))
+            with _on_one_cpu(0):
+                shares = [_work_share(fn, jobs[::workers])]
+        finally:
+            ended = [_join(pid, read_fd) for pid, read_fd in children]
+    for w, (share, code) in enumerate(ended, 1):
+        if share is None:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise CapsIntentError(f"the worker process for jobs "
+                                  f"{list(range(w, len(jobs), workers))} of {len(jobs)} "
+                                  f"{how} before sending its results")
+        shares.append(share)
+    failures = [(w + len(results) * workers, exc)
+                for w, (results, exc) in enumerate(shares) if exc is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [shares[i % workers][0][i // workers] for i in range(len(jobs))]
+
+
+@contextlib.contextmanager
+def _on_one_cpu(index: int):
+    """Run the block on the ``index``-th CPU this process may use alone
+    (counting round), then restore its CPU set. Left to itself the scheduler
+    can keep a forked child on its parent's CPU while another idles: on a
+    two-CPU host a 2-job sweep then ran 0.74x as fast as serially, and
+    1.46x with each worker bound. A no-op without CPU affinity."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield
+        return
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {sorted(allowed)[index % len(allowed)]})
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold the OpenBLAS this process has loaded at one thread, and restore
+    its thread count on exit. Forked workers inherit the setting, so N
+    workers run N BLAS threads rather than N times OpenBLAS's default of one
+    per CPU, whose idle threads spin. A no-op without OpenBLAS."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get_threads, set_threads = calls
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
+@functools.cache
+def _openblas_thread_calls() -> Optional[tuple[Callable, Callable]]:
+    """The thread count getter and setter of the OpenBLAS mapped into this
+    process (NumPy's wheels export them with a ``scipy_`` prefix and a
+    ``64_`` suffix), or None where there is none or no ``/proc``. Looked up
+    once: NumPy has loaded its BLAS before this module runs."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
+                            if "openblas" in line.rpartition("/")[2]})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:   # a mapped file since removed
+            continue
+        for prefix in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+                if get_threads and set_threads:
+                    return get_threads, set_threads
+    return None
+
+
+def _work_share(fn: Callable, jobs: Sequence) -> tuple[list, Optional[Exception]]:
+    """(results, exception): ``fn`` of each job in turn until one raises."""
+    results = []
+    try:
+        for job in jobs:
+            results.append(fn(job))
+    except Exception as exc:
+        return results, exc
+    return results, None
+
+
+def _fork_share(fn: Callable, jobs: Sequence, cpu: int) -> tuple[int, int]:
+    """Fork a child that, on the ``cpu``-th usable CPU, writes
+    ``_work_share(fn, jobs)`` pickled to a pipe and exits, code 0 once it is
+    written. Returns (child pid, read end)."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    code = 1
+    try:   # the child leaves through os._exit, never returning into the caller
+        os.close(read_fd)
+        with _on_one_cpu(cpu), open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(_work_share(fn, jobs), pickle.HIGHEST_PROTOCOL))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _join(pid: int, read_fd: int) -> tuple[Optional[tuple], int]:
+    """Read a child's pipe to its end and reap it: (its share, or None when
+    it did not exit with code 0, and its exit code, -signal if killed)."""
+    with open(read_fd, "rb") as pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    return (pickle.loads(data) if code == 0 else None), code
+
+
+# ---------------------------------------------------------------------------
 # learning curves
 
 
@@ -312,50 +481,11 @@ def curve_jobs(split: BlockSplit, k: int, seed: int, p_idx: int, rep: int) -> li
 def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
                    config: ModelConfig, repeats: Optional[int] = None,
                    fit_options: Optional[dict] = None) -> list[LearningCurvePoint]:
-    """Train on the first k blocks and test on the rest, for each k.
-
-    Each (point, repeat) fits and evaluates the jobs of ``curve_jobs``, each
-    a fresh model with its own derived seed, and averages their metrics:
-    speaker-dependent splits average over speakers. Every completed
-    repeat's job scores are kept with their seeds. Diverging points are
-    flagged failed and the run continues. A point's size is the rounded mean
-    training-set size of its jobs, which all its repeats share, failed or not.
-    """
-    schedule = validate_schedule(schedule, split.num_blocks)
-    validate_repeats(repeats)
-    fit_options = fit_options or {}
-    points = []
-    for p_idx, k in enumerate(schedule):
-        size = int(round(np.mean([len(train_ids) for train_ids, _, _
-                                  in curve_jobs(split, k, config.seed, p_idx, 0)])))
-        repeat_jobs = []
-        failed = False
-        for rep in range(point_repeats(k, repeats)):
-            jobs = []
-            try:
-                for train_ids, test_ids, seed in curve_jobs(split, k, config.seed, p_idx, rep):
-                    cfg = dataclasses.replace(config, seed=seed)
-                    result = fit(corpus.subset(train_ids), cfg, **fit_options)
-                    job = evaluate_model(corpus.subset(test_ids), result.params, cfg,
-                                         corpus.vocab)
-                    jobs.append({"seed": seed, "f1": job["f1"],
-                                 "speaker_acc": job["speaker_accuracy"]})
-            except DivergenceError as exc:
-                log.warning("curve point %d blocks, repeat %d diverged: %s", k, rep, exc)
-                failed = True
-                continue
-            repeat_jobs.append(jobs)
-        if not repeat_jobs:
-            nan = float("nan")
-            points.append(LearningCurvePoint(size, nan, nan, nan, repeats=0, failed=True))
-            continue
-        reps = [_means(jobs) for jobs in repeat_jobs]
-        f1s = [r["f1"] for r in reps]
-        points.append(LearningCurvePoint(
-            train_utterances=size, **_means(reps),
-            stddev_f1=float(np.std(f1s, ddof=1)) if len(f1s) > 1 else 0.0,
-            repeats=len(reps), failed=failed, repeat_jobs=repeat_jobs,
-        ))
+    """Train on the first k blocks and test on the rest, for each k: the
+    one curve of a ``run_sweep`` over ``config`` alone."""
+    [points] = run_sweep(corpus, split, schedule, config,
+                         SweepSpec("speaker_weight", [config.speaker_weight]),
+                         repeats=repeats, fit_options=fit_options).values()
     return points
 
 
@@ -368,13 +498,67 @@ def _means(rows: Sequence[dict]) -> dict[str, float]:
 def run_sweep(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
               config: ModelConfig, sweep: SweepSpec, repeats: Optional[int] = None,
               fit_options: Optional[dict] = None) -> dict:
-    """One learning curve per sweep value, everything else held fixed."""
-    curves = {}
-    for value in sweep.values:
-        cfg = dataclasses.replace(config, **{sweep.axis: value})
-        curves[value] = learning_curve(corpus, split, schedule, cfg,
-                                       repeats=repeats, fit_options=fit_options)
-    return curves
+    """One learning curve per sweep value, everything else held fixed:
+    train on the first k blocks and test on the rest, for each k.
+
+    Each (value, point, repeat) fits and evaluates the jobs of
+    ``curve_jobs``, each a fresh model with its own derived seed, and
+    averages their metrics: speaker-dependent splits average over speakers.
+    Every value derives the same seeds. The whole sweep's jobs go through
+    one ``_map_jobs`` call. Every completed repeat's job scores are kept
+    with their seeds. A diverging job fails its repeat, which is logged and
+    flagged on the point, and the run continues. A point's size is the
+    rounded mean training-set size of its jobs, which all its repeats
+    share, failed or not.
+    """
+    schedule = validate_schedule(schedule, split.num_blocks)
+    validate_repeats(repeats)
+    fit_options = fit_options or {}
+    configs = [dataclasses.replace(config, **{sweep.axis: value}) for value in sweep.values]
+    # per point, per repeat, its jobs: the same for every value
+    plan = [[curve_jobs(split, k, config.seed, p_idx, rep)
+             for rep in range(point_repeats(k, repeats))] for p_idx, k in enumerate(schedule)]
+
+    def run_job(job):
+        cfg, (train_ids, test_ids, seed) = job
+        cfg = dataclasses.replace(cfg, seed=seed)
+        try:
+            result = fit(corpus.subset(train_ids), cfg, **fit_options)
+            scored = evaluate_model(corpus.subset(test_ids), result.params, cfg, corpus.vocab)
+        except DivergenceError as exc:
+            return exc
+        return {"seed": seed, "f1": scored["f1"], "speaker_acc": scored["speaker_accuracy"]}
+
+    results = iter(_map_jobs(run_job, [(cfg, job) for cfg in configs for reps in plan
+                                       for jobs in reps for job in jobs]))
+    return {value: [_curve_point(k, reps, results) for k, reps in zip(schedule, plan)]
+            for value in sweep.values}
+
+
+def _curve_point(k: int, reps: list[list[tuple]], results) -> LearningCurvePoint:
+    """The point of ``k`` blocks from the next results of its repeats' jobs
+    (``reps``); a repeat with a diverged job is logged and left out."""
+    size = int(round(np.mean([len(train_ids) for train_ids, _, _ in reps[0]])))
+    repeat_jobs = []
+    failed = False
+    for rep, jobs in enumerate(reps):
+        done = [next(results) for _ in jobs]
+        diverged = [exc for exc in done if isinstance(exc, DivergenceError)]
+        if diverged:
+            log.warning("curve point %d blocks, repeat %d diverged: %s", k, rep, diverged[0])
+            failed = True
+        else:
+            repeat_jobs.append(done)
+    if not repeat_jobs:
+        nan = float("nan")
+        return LearningCurvePoint(size, nan, nan, nan, repeats=0, failed=True)
+    means = [_means(jobs) for jobs in repeat_jobs]
+    f1s = [m["f1"] for m in means]
+    return LearningCurvePoint(
+        train_utterances=size, **_means(means),
+        stddev_f1=float(np.std(f1s, ddof=1)) if len(f1s) > 1 else 0.0,
+        repeats=len(means), failed=failed, repeat_jobs=repeat_jobs,
+    )
 
 
 def train_test_replication(corpus: Corpus, config: ModelConfig,

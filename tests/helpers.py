@@ -1,5 +1,6 @@
 """Shared test utilities."""
 
+import functools
 import wave
 
 import numpy as np
@@ -190,3 +191,21 @@ def wrapper_encoder_readout(params, feats, layers, lengths):
             xs = np.concatenate([states[:, 0], states[:, 1][reversal]], axis=-1)
     return np.stack([np.concatenate(states[length - 1, :, seq])
                      for seq, length in enumerate(lengths)])
+
+
+def diverge_on_seeds(monkeypatch, seeds):
+    """Make ``experiments.fit`` raise DivergenceError for a job whose model
+    seed is in ``seeds`` and fit as usual otherwise. A job's seed names it
+    in whichever process a curve runs it."""
+    from capsintent import experiments
+    from capsintent.errors import DivergenceError
+
+    real_fit = experiments.fit
+
+    @functools.wraps(real_fit)   # the config loader reads fit's annotations
+    def fit(utterances, config, **options):
+        if config.seed in seeds:
+            raise DivergenceError(f"forced on seed {config.seed}")
+        return real_fit(utterances, config, **options)
+
+    monkeypatch.setattr(experiments, "fit", fit)

@@ -12,7 +12,7 @@ from capsintent.checkpoint import load_checkpoint
 from capsintent.errors import DivergenceError, UsageError
 from capsintent.features import FeatureCache
 
-from helpers import write_wav
+from helpers import diverge_on_seeds, write_wav
 
 
 def make_audio_corpus_tree(tmp_path, n_speakers=2, per_speaker=6):
@@ -769,7 +769,9 @@ def test_curve_flags_diverged_repeats_and_leaves_out_failed_points(tmp_path, cap
     # two repeats per point: both fits of the first point diverge, and the
     # first of the second; the failed point keeps its size (one of 4 blocks
     # of 44 utterances)
-    _diverge_on_calls(monkeypatch, {1, 2, 3})
+    diverge_on_seeds(monkeypatch, {experiments.derive_seed(1, 0, 0),
+                                    experiments.derive_seed(1, 0, 1),
+                                    experiments.derive_seed(1, 1, 0)})
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, experiment={"num_blocks": 4, "schedule": [1, 2],
                                               "repeats": 2})
@@ -792,7 +794,7 @@ def test_curve_failed_speaker_dependent_point_keeps_its_size(tmp_path, capsys, m
     # a speaker-dependent repeat fits one model per speaker; the first fit of
     # each of the two repeats of the first point diverges, so no repeat
     # survives. Each speaker's 4 utterances deal into blocks of 2, 1 and 1.
-    _diverge_on_calls(monkeypatch, {1, 2})
+    diverge_on_seeds(monkeypatch, {experiments.derive_seed(1, 0, rep, 0) for rep in (0, 1)})
     out_dir = tmp_path / "out"
     path = write_config(tmp_path, experiment={"mode": "speaker_dependent", "num_blocks": 3,
                                               "schedule": [1, 2], "repeats": 2})

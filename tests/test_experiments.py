@@ -1,14 +1,19 @@
+import contextlib
 import dataclasses
 import json
 import os
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import capsintent.model as model
 from capsintent import capsnet, datasets, experiments
-from capsintent.errors import ContractError, DivergenceError, UsageError
+from capsintent.errors import CapsIntentError, ContractError, DivergenceError, UsageError
 
+from helpers import diverge_on_seeds
 from opexamples import _small_config, _small_corpus, by_module
 
 
@@ -402,3 +407,222 @@ def test_dependent_point_is_the_mean_over_speakers():
         for spk, f1, acc in zip(sorted(split.per_speaker), f1s, accs)]]
     assert point.train_utterances == int(round(np.mean(sizes)))
     assert (point.repeats, point.stddev_f1, point.failed) == (1, 0.0, False)
+
+
+# ---------------------------------------------------------------------------
+# one job runner: forked workers give the serial results
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test here ends with no child process left, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs past ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _with_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_map_jobs_deals_round_robin_and_returns_job_order(monkeypatch, cpus):
+    _with_cpus(monkeypatch, cpus)
+    parent = os.getpid()
+    with _deadline(60):
+        done = experiments._map_jobs(lambda job: (job, os.getpid()), range(7))
+    assert [job for job, _ in done] == list(range(7))
+    pids = [pid for _, pid in done]
+    # this process works jobs 0, cpus, 2 * cpus, ...; one child each other share
+    assert [i for i, pid in enumerate(pids) if pid == parent] == list(range(0, 7, cpus))
+    assert len(set(pids)) == cpus
+    assert all(pids[i] == pids[i % cpus] for i in range(7))
+
+
+def test_map_jobs_without_fork_is_the_plain_loop(monkeypatch):
+    _with_cpus(monkeypatch, 3)
+    monkeypatch.delattr(os, "fork")
+    assert experiments._map_jobs(lambda job: (job, os.getpid()), range(4)) == \
+        [(job, os.getpid()) for job in range(4)]
+
+
+def _sweep_payloads(mode: str):
+    corpus = _small_corpus(per_speaker=8, noise=0.1)
+    split = datasets.split_blocks(corpus, 4, mode, seed=1)
+    curves = experiments.run_sweep(corpus, split, [1, 2], _small_config(),
+                                   experiments.SweepSpec("speaker_weight", [0.0, 1.0]),
+                                   repeats=2, fit_options={"epochs": 1})
+    return json.dumps({str(value): experiments.points_payload(points)
+                       for value, points in curves.items()}).encode()
+
+
+@pytest.mark.parametrize("mode", datasets.SPLIT_MODES)
+def test_sweep_points_are_the_same_bytes_at_any_cpu_count(monkeypatch, mode):
+    payloads = []
+    for cpus in (1, 2, 3):
+        _with_cpus(monkeypatch, cpus)
+        with _deadline(120):
+            payloads.append(_sweep_payloads(mode))
+    assert payloads[1] == payloads[0] and payloads[2] == payloads[0]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_job_diverging_in_a_child_gives_the_serial_points_and_warnings(monkeypatch, caplog,
+                                                                       cpus):
+    # two values x two points x two repeats: job 1, the first point's second
+    # repeat of the first value, and job 5, the same repeat of the second
+    # value, share a seed and land in child shares at 2 and at 3 workers
+    cfg = _small_config()
+    diverge_on_seeds(monkeypatch, {experiments.derive_seed(cfg.seed, 0, 1)})
+    runs = []
+    for n in (1, cpus):
+        _with_cpus(monkeypatch, n)
+        caplog.clear()
+        with _deadline(120):
+            payload = _sweep_payloads("speaker_independent")
+        runs.append((payload, caplog.record_tuples))
+    assert runs[1] == runs[0]
+    assert [message for _, _, message in runs[0][1]] == \
+        [f"curve point 1 blocks, repeat 1 diverged: forced on seed "
+         f"{experiments.derive_seed(cfg.seed, 0, 1)}"] * 2
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("raising", [[0], [1], [1, 2], [2, 4]],
+                         ids=["parent", "child", "child_first", "parent_and_child"])
+def test_map_jobs_raises_the_first_error_a_serial_loop_would(monkeypatch, cpus, raising):
+    # jobs 0 and (at 2 workers) 2 and 4 are this process's own; the
+    # earliest raising job's error reaches the caller with its type and text
+    _with_cpus(monkeypatch, cpus)
+
+    def fn(job):
+        if job in raising:
+            raise UsageError(f"job {job} refused")
+        return job
+
+    with _deadline(60), pytest.raises(UsageError) as info:
+        experiments._map_jobs(fn, range(6))
+    assert type(info.value) is UsageError and str(info.value) == f"job {raising[0]} refused"
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_map_jobs_names_the_jobs_of_a_killed_worker(monkeypatch, cpus):
+    _with_cpus(monkeypatch, cpus)
+    parent = os.getpid()
+
+    def fn(job):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return job
+
+    with _deadline(60), pytest.raises(CapsIntentError) as info:
+        experiments._map_jobs(fn, range(5))
+    assert str(info.value) == (f"the worker process for jobs {list(range(1, 5, cpus))} of 5 "
+                               f"was killed by signal {int(signal.SIGKILL)} before sending "
+                               f"its results")
+
+
+def test_map_jobs_runs_its_workers_on_one_blas_thread(monkeypatch):
+    calls = experiments._openblas_thread_calls()
+    if calls is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    get_threads, set_threads = calls
+    _with_cpus(monkeypatch, 2)
+    threads = get_threads()
+    set_threads(2)   # OpenBLAS's default on two CPUs
+    try:
+        with _deadline(60):
+            seen = experiments._map_jobs(lambda job: get_threads(), range(4))
+        after = get_threads()
+    finally:
+        set_threads(threads)
+    assert (seen, after) == ([1] * 4, 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_map_jobs_runs_each_worker_on_a_cpu_of_its_own(monkeypatch):
+    allowed = os.sched_getaffinity(0)
+    cpus = sorted(allowed)
+    _with_cpus(monkeypatch, 3)
+    with _deadline(60):
+        seen = experiments._map_jobs(lambda job: os.sched_getaffinity(0), range(6))
+    # job i is worker i % 3's, bound to that usable CPU, counting round
+    assert seen == [{cpus[i % 3 % len(cpus)]} for i in range(6)]
+    assert os.sched_getaffinity(0) == allowed
+
+
+def test_map_jobs_without_openblas_or_cpu_affinity_gives_the_same_results(monkeypatch):
+    _with_cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "_openblas_thread_calls", lambda: None)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    with _deadline(60):
+        assert experiments._map_jobs(lambda job: -job, range(3)) == [0, -1, -2]
+
+
+THREADS_AT_EACH_FORK = """
+import os
+import numpy as np
+from capsintent import experiments
+
+def threads():
+    with open("/proc/self/stat") as stat:
+        return int(stat.read().rpartition(")")[2].split()[17])
+
+real_fork, seen = os.fork, []
+
+def fork():
+    pid = real_fork()
+    if pid:
+        seen.append(threads())
+    return pid
+
+os.fork = fork
+experiments._usable_cpus = lambda: 3
+a = np.ones((600, 600))
+a @ a   # OpenBLAS's threads, one per CPU by default, now run
+experiments._map_jobs(lambda job: job, range(6))
+print(*seen)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="counts threads in /proc")
+def test_map_jobs_forks_from_a_single_thread_at_the_default_blas_threads():
+    # from Python 3.12 a fork in a process running more than one thread
+    # warns; OpenBLAS stops its threads before a fork, so none runs then
+    env = {var: value for var, value in os.environ.items()
+           if var not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(experiments.__file__)), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", THREADS_AT_EACH_FORK], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.split() == ["1", "1"]
+
+
+def test_map_jobs_reaps_the_children_it_forked_when_a_fork_fails(monkeypatch):
+    _with_cpus(monkeypatch, 3)
+    real_fork, forks = os.fork, []
+
+    def fork():
+        if forks:
+            raise BlockingIOError("no second child")
+        forks.append(real_fork())
+        return forks[-1]
+
+    monkeypatch.setattr(os, "fork", fork)
+    with _deadline(60), pytest.raises(BlockingIOError, match="no second child"):
+        experiments._map_jobs(lambda job: job, range(6))

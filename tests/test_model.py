@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import capsintent.model as model
 from capsintent import capsnet, datasets, encoder, experiments, multitask
-from capsintent.errors import DataError, DivergenceError
+from capsintent.errors import DataError, DivergenceError, ShapeError
 from capsintent.numeric import grad_check
 
 from helpers import tiny_model_config, well_conditioned_params
@@ -31,8 +31,14 @@ def test_init_params_covers_all_blocks():
     assert params["caps.W"].shape == (cfg.num_primary, cfg.primary_dim,
                                       cfg.num_labels, cfg.output_dim)
     assert params["spk.W"].shape == (cfg.output_dim, cfg.speaker_count)
-    # what a checkpoint load checks against, found without drawing
-    assert model.param_shapes(cfg) == {name: value.shape for name, value in params.items()}
+    # what a checkpoint load checks against, found without drawing, within a
+    # bound of the values the parameters hold; below the first draw it fails
+    stored = sum(value.size for value in params.values())
+    assert model.param_shapes(cfg, max_values=stored) == \
+        {name: value.shape for name, value in params.items()}
+    first = params["enc.0.Wx"][0].size
+    with pytest.raises(ShapeError, match=f"the config draws more than {first - 1} parameter"):
+        model.param_shapes(cfg, max_values=first - 1)
 
 
 def test_init_params_deterministic():
