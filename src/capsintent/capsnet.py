@@ -46,6 +46,8 @@ NORM_GUARD = 1e-12
 MARGIN_PRESENT = 0.9
 MARGIN_ABSENT = 0.1
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass
 class ModelConfig:
@@ -65,7 +67,9 @@ class ModelConfig:
 
     def __post_init__(self):
         """Fields must conform to their annotations, speaker_weight be finite
-        and >= 0, seed >= 0 (UsageError); counts >= 1, output_dim >= 2 (ShapeError)."""
+        and >= 0, seed >= 0 (UsageError); counts >= 1, output_dim >= 2, and
+        every count and output_dim within int64, which NumPy computes sizes
+        in (ShapeError)."""
         check_types(vars(self), ModelConfig, "")
         try:
             finite = math.isfinite(self.speaker_weight)
@@ -77,11 +81,13 @@ class ModelConfig:
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
         for name in ("feat_dim", "num_labels", "speaker_count", "encoder_hidden",
-                     "encoder_layers", "num_primary", "primary_dim", "routing_iters"):
-            if getattr(self, name) < 1:
-                raise ShapeError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.output_dim < 2:
-            raise ShapeError(f"output_dim must be >= 2, got {self.output_dim}")
+                     "encoder_layers", "num_primary", "primary_dim", "routing_iters",
+                     "output_dim"):
+            value, least = getattr(self, name), 2 if name == "output_dim" else 1
+            if value < least:
+                raise ShapeError(f"{name} must be >= {least}, got {value}")
+            if value > INT64_MAX:
+                raise ShapeError(f"{name} must be <= {INT64_MAX}, got {value}")
 
 
 @dataclass

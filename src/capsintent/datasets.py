@@ -209,6 +209,9 @@ class SynthSpec:
     def __post_init__(self):
         if min(self.speaker_count, self.num_labels, self.per_speaker_count, self.feat_dim) < 1:
             raise UsageError("synthetic spec counts must all be >= 1")
+        for group in self.groups:
+            if group.size < 1:
+                raise UsageError(f"slot group {group.name!r} has size {group.size}, must be >= 1")
         if not (math.isfinite(self.noise_level) and self.noise_level >= 0):
             raise UsageError(f"noise_level must be finite and >= 0, got {self.noise_level}")
         if sum(g.size for g in self.groups) > self.num_labels:
@@ -270,56 +273,105 @@ def synth_truth(spec: SynthSpec, seed: int) -> SynthTruth:
     )
 
 
-def _resample_frames(mat: np.ndarray, n_out: int) -> np.ndarray:
-    if n_out == mat.shape[0]:
-        return mat
-    pos = np.linspace(0.0, mat.shape[0] - 1.0, n_out)
+def _resample_weights(n_in: int, n_out: int):
+    """Linear time-warp from ``n_in`` to ``n_out`` frames: output frame ``j``
+    is ``frames[lo[j]] * w_lo[j] + frames[hi[j]] * w_hi[j]``."""
+    pos = np.linspace(0.0, n_in - 1.0, n_out)
     lo = np.floor(pos).astype(int)
-    hi = np.minimum(lo + 1, mat.shape[0] - 1)
+    hi = np.minimum(lo + 1, n_in - 1)
     frac = (pos - lo)[:, None]
-    return mat[lo] * (1.0 - frac) + mat[hi] * frac
+    return lo, hi, 1.0 - frac, frac
 
 
 def synth_generate(spec: SynthSpec, seed: int) -> Corpus:
     """Deterministic synthetic corpus.
 
     Every label owns a prototype feature segment; an utterance concatenates
-    the segments of its active labels (in label order), applies its speaker's
-    additive offset and speaking-rate time warp, and adds Gaussian noise.
+    the segments of its active labels (in a random order), applies its
+    speaker's speaking-rate time warp and additive offset, and adds Gaussian
+    noise.
+
+    Draw-order contract (a corpus is a function of ``(spec, seed)``, pinned
+    byte for byte by the test suite's per-utterance reference generator):
+    utterances run speaker by speaker, and per utterance the sample stream
+    gives, in this order, for each slot group a ``random()`` unless it is
+    required and, if the group is present, an ``integers(group size)``
+    pick; one ``random()`` per ungrouped label; an ``integers(num_labels)``
+    fallback label only when nothing was drawn; a ``permutation`` of the
+    sorted active labels, the order they are spoken in; and, when
+    ``noise_level > 0``, the noise as ``standard_normal((frames, feat_dim))``
+    scaled by ``noise_level``.
+
+    Every draw is made first; the arithmetic then runs once per (label
+    count, speaker), whose utterances share their frame counts, and writes
+    each utterance's features into its own noise array (without noise they
+    are rows of their batch's array).
     """
     vocab = _synth_vocab(spec)
     truth = synth_truth(spec, seed)
     sample_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    ungrouped = [i for i in range(len(vocab)) if i not in vocab.grouped]
-    utterances = []
+    groups = [(group.required, [vocab.index_of(name) for name in group.labels])
+              for group in vocab.slot_groups]
+    ungrouped = np.array([i for i in range(len(vocab)) if i not in vocab.grouped], dtype=int)
+    noisy = spec.noise_level > 0
+    targets = np.zeros((spec.speaker_count * spec.per_speaker_count, len(vocab)))
+    utterances: list[Utterance] = []
+    noise: list[np.ndarray] = []
+    # (label count, speaker) -> (output frames, utterance rows, spoken labels end to end)
+    batches: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
     for s in range(spec.speaker_count):
         for u in range(spec.per_speaker_count):
             active: list[int] = []
-            for group in vocab.slot_groups:
-                if group.required or sample_rng.random() < OPTIONAL_GROUP_PRESENCE:
-                    pick = sample_rng.integers(len(group.labels))
-                    active.append(vocab.index_of(group.labels[pick]))
-            for i in ungrouped:
-                if sample_rng.random() < UNGROUPED_PRESENCE:
-                    active.append(i)
+            for required, labels in groups:
+                if required or sample_rng.random() < OPTIONAL_GROUP_PRESENCE:
+                    active.append(labels[sample_rng.integers(len(labels))])
+            if len(ungrouped):
+                active.extend(ungrouped[sample_rng.random(len(ungrouped)) < UNGROUPED_PRESENCE])
             if not active:
                 active.append(int(sample_rng.integers(len(vocab))))
-            active = sorted(active)
+            active.sort()
             order = sample_rng.permutation(len(active))  # slots speak in any order
-            feats = np.concatenate([truth.prototypes[active[i]] for i in order], axis=0)
-            n_out = int(round(truth.speaker_rates[s] * feats.shape[0]))
-            feats = _resample_frames(feats, max(n_out, 1))
-            feats = feats + truth.speaker_offsets[s]
-            if spec.noise_level > 0:
-                feats = feats + sample_rng.normal(0.0, spec.noise_level, size=feats.shape)
-            target = np.zeros(len(vocab))
-            target[active] = 1.0
-            utterances.append(Utterance(
-                id=f"synth-s{s:02d}-u{u:04d}",
-                target=target,
-                speaker_index=s,
-                features=feats,
-            ))
+            key = (len(active), s)
+            if key not in batches:
+                n_in = len(active) * SEGMENT_FRAMES
+                batches[key] = max(int(round(truth.speaker_rates[s] * n_in)), 1), [], []
+            n_out, rows, spoken = batches[key]
+            if noisy:
+                noise.append(sample_rng.standard_normal((n_out, spec.feat_dim)))
+            rows.append(len(utterances))
+            spoken.extend([active[i] for i in order])
+            utterances.append(Utterance(id=f"synth-s{s:02d}-u{u:04d}",
+                                        target=targets[len(utterances)], speaker_index=s))
+
+    flat_prototypes = truth.prototypes.reshape(-1, spec.feat_dim)
+    weights = {}
+    for (n_labels, s), (n_out, rows, spoken) in batches.items():
+        spoken = np.array(spoken)
+        targets[np.repeat(rows, n_labels), spoken] = 1.0
+        # the prototype row behind every input frame of every utterance
+        n_in = n_labels * SEGMENT_FRAMES
+        src = np.add.outer(spoken * SEGMENT_FRAMES, np.arange(SEGMENT_FRAMES)).reshape(-1, n_in)
+        if n_out == n_in:
+            base = flat_prototypes[src]
+        else:
+            if (n_in, n_out) not in weights:
+                weights[n_in, n_out] = _resample_weights(n_in, n_out)
+            lo, hi, w_lo, w_hi = weights[n_in, n_out]
+            base = flat_prototypes[src[:, lo]]
+            base *= w_lo
+            upper = flat_prototypes[src[:, hi]]
+            upper *= w_hi
+            base += upper
+            del upper
+        base += truth.speaker_offsets[s]
+        for row, frames in zip(rows, base):
+            if noisy:
+                feats = noise[row]
+                feats *= spec.noise_level
+                feats += frames
+                frames = feats
+            utterances[row].features = frames
+        del base, frames   # at most one batch's frames live beside the corpus
     return Corpus(
         name="synth",
         utterances=utterances,

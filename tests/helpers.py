@@ -209,3 +209,51 @@ def diverge_on_seeds(monkeypatch, seeds):
         return real_fit(utterances, config, **options)
 
     monkeypatch.setattr(experiments, "fit", fit)
+
+
+def reference_synth_generate(spec, seed):
+    """``datasets.synth_generate`` one utterance at a time, each draw
+    followed by its arithmetic: the byte-identity oracle of the generator,
+    which makes every draw first and batches the arithmetic."""
+    from capsintent import datasets
+
+    def resample(mat, n_out):
+        if n_out == mat.shape[0]:
+            return mat
+        pos = np.linspace(0.0, mat.shape[0] - 1.0, n_out)
+        lo = np.floor(pos).astype(int)
+        hi = np.minimum(lo + 1, mat.shape[0] - 1)
+        frac = (pos - lo)[:, None]
+        return mat[lo] * (1.0 - frac) + mat[hi] * frac
+
+    vocab = datasets._synth_vocab(spec)
+    truth = datasets.synth_truth(spec, seed)
+    sample_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
+    ungrouped = [i for i in range(len(vocab)) if i not in vocab.grouped]
+    utterances = []
+    for s in range(spec.speaker_count):
+        for u in range(spec.per_speaker_count):
+            active = []
+            for group in vocab.slot_groups:
+                if group.required or sample_rng.random() < datasets.OPTIONAL_GROUP_PRESENCE:
+                    pick = sample_rng.integers(len(group.labels))
+                    active.append(vocab.index_of(group.labels[pick]))
+            for i in ungrouped:
+                if sample_rng.random() < datasets.UNGROUPED_PRESENCE:
+                    active.append(i)
+            if not active:
+                active.append(int(sample_rng.integers(len(vocab))))
+            active = sorted(active)
+            order = sample_rng.permutation(len(active))
+            feats = np.concatenate([truth.prototypes[active[i]] for i in order], axis=0)
+            n_out = int(round(truth.speaker_rates[s] * feats.shape[0]))
+            feats = resample(feats, max(n_out, 1))
+            feats = feats + truth.speaker_offsets[s]
+            if spec.noise_level > 0:
+                feats = feats + sample_rng.normal(0.0, spec.noise_level, size=feats.shape)
+            target = np.zeros(len(vocab))
+            target[active] = 1.0
+            utterances.append(datasets.Utterance(id=f"synth-s{s:02d}-u{u:04d}", target=target,
+                                                 speaker_index=s, features=feats))
+    return datasets.Corpus(name="synth", utterances=utterances, vocab=vocab,
+                           speakers=[f"spk{s:02d}" for s in range(spec.speaker_count)])

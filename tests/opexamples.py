@@ -677,7 +677,8 @@ def _():
     for utt in corpus.utterances:
         T = utt.features.shape[0]
         n_seg = int(round(T / L))
-        feats = datasets._resample_frames(utt.features, n_seg * L)
+        lo, hi, w_lo, w_hi = datasets._resample_weights(T, n_seg * L)
+        feats = utt.features[lo] * w_lo + utt.features[hi] * w_hi
         decoded = []
         for s in range(n_seg):
             chunk = feats[s * L:(s + 1) * L]

@@ -203,6 +203,8 @@ def test_model_config_validation():
         tiny_model_config(output_dim=1)
     with pytest.raises(ShapeError):
         tiny_model_config(routing_iters=0)
+    with pytest.raises(ShapeError, match="^encoder_hidden must be <= 9223372036854775807, got "):
+        tiny_model_config(encoder_hidden=10**30)
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf"), -2.0])

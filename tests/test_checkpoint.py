@@ -342,6 +342,7 @@ INVALID_VALUES = [
     ("encoder_layers", 0, "zero_layers"), ("speaker_weight", float("nan"), "nan_speaker_weight"),
     ("speaker_weight", -2.0, "negative_speaker_weight"), ("seed", -1, "negative_seed"),
     ("speaker_weight", 10**400, "huge_int_speaker_weight"),
+    ("encoder_hidden", 10**30, "huge_int_hidden"), ("num_primary", 2**63, "num_primary_past_int64"),
 ]
 # settings no longer in the config, at values an earlier layout wrote: unknown
 # keys, as in run configs
@@ -359,7 +360,7 @@ RETIRED_CASES = [
 # first draw larger than the file, before anything of that size is allocated
 OVERSIZED = [
     (10**12, r"the config draws more than \d+ parameter values", "past_memory"),
-    (10**19, r"the config draws more than \d+ parameter values", "past_address_range"),
+    (10**18, r"the config draws more than \d+ parameter values", "past_address_range"),
 ]
 
 

@@ -180,6 +180,7 @@ def test_train_with_zero_encoder_layers_is_usage_error(tmp_path, capsys):
     ({"model": {"speaker_weight": -2.0}}, "speaker_weight must be finite and >= 0"),
     ({"model": {"speaker_weight": 10**400}},
      "speaker_weight must be finite and >= 0, got an integer too large for a float"),
+    ({"model": {"encoder_hidden": 10**30}}, "encoder_hidden must be <= 9223372036854775807"),
     ({"experiment": {"sweep": {"axis": "output_dim", "values": [4, 1]}}},
      "output_dim must be >= 2"),
     ({"experiment": {"sweep": {"axis": "speaker_weight", "values": [0.0, -2.0]}}},
@@ -189,7 +190,7 @@ def test_train_with_zero_encoder_layers_is_usage_error(tmp_path, capsys):
     ({"experiment": {"sweep": {"values": [0, 1]}}}, "experiment.sweep.axis is required"),
     ({"training": {"epochs": 0}}, "epochs must be at least 1, got 0"),
 ], ids=["zero_layers", "output_dim_1", "nan_speaker_weight", "negative_speaker_weight",
-        "huge_int_speaker_weight", "output_dim_1_in_sweep", "negative_speaker_weight_in_sweep", "empty_sweep",
+        "huge_int_speaker_weight", "huge_int_hidden", "output_dim_1_in_sweep", "negative_speaker_weight_in_sweep", "empty_sweep",
         "sweep_without_values", "sweep_without_axis", "zero_epochs"])
 @pytest.mark.parametrize("command", ["train", "curve"])
 def test_invalid_model_section_is_usage_error_before_the_corpus(tmp_path, capsys, monkeypatch,

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from capsintent import datasets
 from capsintent.errors import DataError, UsageError
 
-from helpers import write_wav
+from helpers import reference_synth_generate, write_wav
 from opexamples import by_module
 
 
@@ -84,6 +85,11 @@ def test_synth_spec_validation():
         datasets.SynthSpec(speaker_count=1, num_labels=2,
                            groups=(datasets.SynthGroup("g", 5, True),),
                            per_speaker_count=1, feat_dim=2, noise_level=0.0)
+    for size in (0, -1):
+        with pytest.raises(UsageError, match=f"^slot group 'g' has size {size}, must be >= 1$"):
+            datasets.SynthSpec(speaker_count=1, num_labels=2,
+                               groups=(datasets.SynthGroup("g", size, False),),
+                               per_speaker_count=1, feat_dim=2, noise_level=0.0)
 
 
 @pytest.mark.parametrize("noise", [-1.0, float("nan"), float("inf")])
@@ -112,6 +118,59 @@ def test_synth_speaker_rate_changes_length():
     for utt in corpus.utterances:
         expected = int(round(truth.speaker_rates[utt.speaker_index] * datasets.SEGMENT_FRAMES))
         assert utt.features.shape[0] == expected
+
+
+SynthGroup = datasets.SynthGroup
+BYTE_IDENTITY_SPECS = [
+    (datasets.mimic_grabo_spec(noise_level=0.2), 3),
+    (datasets.mimic_grabo_spec(per_speaker_count=30, noise_level=0.0), 1),
+    (datasets.mimic_grabo_spec(per_speaker_count=30, feat_dim=1), 2),
+    (datasets.SynthSpec(speaker_count=3, num_labels=9,
+                        groups=(SynthGroup("a", 3), SynthGroup("b", 2, required=False)),
+                        per_speaker_count=40, feat_dim=5, noise_level=0.3), 4),
+    (datasets.SynthSpec(speaker_count=3, num_labels=4, groups=(), per_speaker_count=40,
+                        feat_dim=3, noise_level=0.1), 5),
+    # every group optional and no ungrouped label: 16 of the 180 utterances
+    # draw no label and take the fallback one
+    (datasets.SynthSpec(speaker_count=3, num_labels=5,
+                        groups=(SynthGroup("a", 2, required=False),
+                                SynthGroup("b", 3, required=False)),
+                        per_speaker_count=60, feat_dim=4, noise_level=0.5), 6),
+]
+
+
+@pytest.mark.parametrize("spec, seed", BYTE_IDENTITY_SPECS,
+                         ids=["bench_corpus", "noise_0", "feat_dim_1", "ungrouped_labels",
+                              "no_groups", "all_groups_optional"])
+def test_synth_generate_matches_the_per_utterance_reference_byte_for_byte(spec, seed):
+    got = datasets.synth_generate(spec, seed)
+    want = reference_synth_generate(spec, seed)
+    assert [u.id for u in got.utterances] == [u.id for u in want.utterances]
+    assert ([u.speaker_index for u in got.utterances]
+            == [u.speaker_index for u in want.utterances])
+    for g, w in zip(got.utterances, want.utterances):
+        assert g.target.tobytes() == w.target.tobytes()
+        assert g.features.shape == w.features.shape
+        assert g.features.dtype == np.float64 and g.features.flags.c_contiguous
+        assert g.features.tobytes() == w.features.tobytes()
+
+
+def _peak_traced_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_generate_peaks_within_115_percent_of_the_reference():
+    spec = datasets.mimic_grabo_spec(noise_level=0.2)
+    reference_synth_generate(spec, 3)   # first-call work out of the way
+    datasets.synth_generate(spec, 3)
+    want = _peak_traced_bytes(reference_synth_generate, spec, 3)
+    got = _peak_traced_bytes(datasets.synth_generate, spec, 3)
+    assert got <= 1.15 * want
 
 
 # ---------------------------------------------------------------------------
