@@ -608,11 +608,30 @@ SPLIT_MODES = ("speaker_independent", "speaker_dependent")
 
 @dataclass
 class BlockSplit:
+    """``num_blocks`` disjoint, non-empty blocks of utterance ids, dealt by
+    ``split_blocks`` from ``seed``. In ``speaker_dependent`` mode block b is
+    every speaker's own block b, concatenated in roster order, so one
+    speaker's blocks are the list filtered to that speaker. Built by hand,
+    it is checked: a mode outside SPLIT_MODES, a block count below 1 or
+    other than ``len(blocks)``, an empty block or an id in two blocks is a
+    UsageError."""
+
     mode: str                        # one of SPLIT_MODES
     seed: int
     num_blocks: int
-    blocks: Optional[list[list[str]]] = None                 # independent mode
-    per_speaker: Optional[dict[int, list[list[str]]]] = None  # dependent mode
+    blocks: list[list[str]]
+
+    def __post_init__(self):
+        if self.mode not in SPLIT_MODES:
+            raise UsageError(f"unknown split mode {self.mode!r}")
+        if self.num_blocks < 1 or self.num_blocks != len(self.blocks):
+            raise UsageError(f"a split needs num_blocks >= 1 equal to its {len(self.blocks)} "
+                             f"blocks, got {self.num_blocks}")
+        if not all(self.blocks):
+            raise UsageError("a split's blocks must each hold at least one utterance")
+        ids = [i for block in self.blocks for i in block]
+        if len(set(ids)) != len(ids):
+            raise UsageError("an utterance is in two blocks of the split")
 
 
 def split_blocks(corpus: Corpus, num_blocks: int, mode: str, seed: int) -> BlockSplit:
@@ -620,7 +639,10 @@ def split_blocks(corpus: Corpus, num_blocks: int, mode: str, seed: int) -> Block
 
     One routine checks that a list holds ``num_blocks`` ids (UsageError "<who>
     has <n> utterances < <num_blocks> blocks"), permutes it with the one RNG
-    and deals it: once for the corpus, or per speaker in roster order.
+    and deals it: once for the corpus, or per speaker in roster order, block
+    b then joining every speaker's block b in that order. A mode outside
+    SPLIT_MODES is refused before any dealing; a ``num_blocks`` below 1 is
+    refused by ``BlockSplit``.
     """
     if mode not in SPLIT_MODES:
         raise UsageError(f"unknown split mode {mode!r}")
@@ -633,9 +655,9 @@ def split_blocks(corpus: Corpus, num_blocks: int, mode: str, seed: int) -> Block
         return [shuffled[b::num_blocks] for b in range(num_blocks)]
 
     if mode == "speaker_independent":
-        return BlockSplit(mode=mode, seed=seed, num_blocks=num_blocks,
-                          blocks=blocks([u.id for u in corpus.utterances], f"corpus {corpus.name}"))
-    per_speaker = {spk: blocks([u.id for u in corpus.utterances if u.speaker_index == spk],
-                               f"speaker {name}")
-                   for spk, name in enumerate(corpus.speakers)}
-    return BlockSplit(mode=mode, seed=seed, num_blocks=num_blocks, per_speaker=per_speaker)
+        dealt = [blocks([u.id for u in corpus.utterances], f"corpus {corpus.name}")]
+    else:
+        dealt = [blocks([u.id for u in corpus.utterances if u.speaker_index == spk],
+                        f"speaker {name}") for spk, name in enumerate(corpus.speakers)]
+    return BlockSplit(mode=mode, seed=seed, num_blocks=num_blocks,
+                      blocks=[[i for own in dealt for i in own[b]] for b in range(num_blocks)])

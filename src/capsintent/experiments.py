@@ -468,14 +468,17 @@ def _blocks_train_test(blocks: list[list[str]], k: int):
     return train, test
 
 
-def curve_jobs(split: BlockSplit, k: int, seed: int, p_idx: int, rep: int) -> list[tuple]:
+def curve_jobs(corpus: Corpus, split: BlockSplit, k: int, seed: int, p_idx: int, rep: int) -> list:
     """The (train_ids, test_ids, seed) of every model one curve repeat
-    trains on the first ``k`` blocks: one job on a speaker-independent
-    split, one per speaker (in sorted order) on a speaker-dependent one."""
+    trains on the first ``k`` blocks and tests on the rest: one job on a
+    speaker-independent split; on a speaker-dependent one, one job per
+    roster speaker, whose ids are the two lists filtered to that speaker
+    (``corpus`` gives each id's speaker), in block order."""
+    train, test = _blocks_train_test(split.blocks, k)
     if split.mode == "speaker_independent":
-        return [(*_blocks_train_test(split.blocks, k), derive_seed(seed, p_idx, rep))]
-    return [(*_blocks_train_test(split.per_speaker[spk], k), derive_seed(seed, p_idx, rep, spk))
-            for spk in sorted(split.per_speaker)]
+        return [(train, test, derive_seed(seed, p_idx, rep))]
+    return [(*([i for i in ids if corpus.by_id(i).speaker_index == spk] for ids in (train, test)),
+             derive_seed(seed, p_idx, rep, spk)) for spk in range(len(corpus.speakers))]
 
 
 def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
@@ -516,7 +519,7 @@ def run_sweep(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
     fit_options = fit_options or {}
     configs = [dataclasses.replace(config, **{sweep.axis: value}) for value in sweep.values]
     # per point, per repeat, its jobs: the same for every value
-    plan = [[curve_jobs(split, k, config.seed, p_idx, rep)
+    plan = [[curve_jobs(corpus, split, k, config.seed, p_idx, rep)
              for rep in range(point_repeats(k, repeats))] for p_idx, k in enumerate(schedule)]
 
     def run_job(job):

@@ -257,3 +257,36 @@ def reference_synth_generate(spec, seed):
                                                  speaker_index=s, features=feats))
     return datasets.Corpus(name="synth", utterances=utterances, vocab=vocab,
                            speakers=[f"spk{s:02d}" for s in range(spec.speaker_count)])
+
+
+def reference_split_blocks(corpus, num_blocks, mode, seed):
+    """``datasets.split_blocks``' dealing as it was before the split kept
+    one block list: the corpus's blocks in ``speaker_independent`` mode,
+    else a {roster index: that speaker's own blocks} dict, each speaker
+    dealt in roster order from the one RNG. The oracle of the block list
+    that ``experiments.curve_jobs`` filters per speaker."""
+    rng = np.random.default_rng(seed)
+
+    def blocks(ids):
+        shuffled = [ids[i] for i in rng.permutation(len(ids))]
+        return [shuffled[b::num_blocks] for b in range(num_blocks)]
+
+    if mode == "speaker_independent":
+        return blocks([u.id for u in corpus.utterances])
+    return {spk: blocks([u.id for u in corpus.utterances if u.speaker_index == spk])
+            for spk in range(len(corpus.speakers))}
+
+
+def reference_curve_jobs(dealt, k, seed, p_idx, rep):
+    """The (train_ids, test_ids, seed) jobs of ``experiments.curve_jobs``
+    read off ``reference_split_blocks``' dealing: the first ``k`` blocks and
+    the rest, of the corpus or of each speaker in roster order."""
+    from capsintent import experiments
+
+    def train_test(blocks):
+        return [i for b in blocks[:k] for i in b], [i for b in blocks[k:] for i in b]
+
+    if isinstance(dealt, list):
+        return [(*train_test(dealt), experiments.derive_seed(seed, p_idx, rep))]
+    return [(*train_test(dealt[spk]), experiments.derive_seed(seed, p_idx, rep, spk))
+            for spk in sorted(dealt)]

@@ -753,7 +753,7 @@ def _():
     corpus = datasets.synth_generate(spec, seed=2)
     a = datasets.split_blocks(corpus, 10, "speaker_dependent", seed=9)
     b = datasets.split_blocks(corpus, 10, "speaker_dependent", seed=9)
-    assert a.per_speaker == b.per_speaker
+    assert a.blocks == b.blocks
 
 
 # ===========================================================================

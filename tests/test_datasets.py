@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -183,7 +184,10 @@ def test_split_blocks_dependent_partitions_per_speaker():
                               per_speaker_count=12, feat_dim=3, noise_level=0.0)
     corpus = datasets.synth_generate(spec, seed=1)
     split = datasets.split_blocks(corpus, 4, "speaker_dependent", seed=0)
-    for spk, blocks in split.per_speaker.items():
+    for spk in range(len(corpus.speakers)):
+        # a speaker's own blocks: the one block list filtered to that speaker
+        blocks = [[i for i in b if corpus.by_id(i).speaker_index == spk] for b in split.blocks]
+        assert [len(b) for b in blocks] == [3] * 4
         ids = [i for b in blocks for i in b]
         expected = [u.id for u in corpus.utterances if u.speaker_index == spk]
         assert sorted(ids) == sorted(expected)
@@ -207,6 +211,36 @@ def test_split_blocks_unknown_mode():
     corpus = datasets.synth_generate(spec, seed=1)
     with pytest.raises(UsageError):
         datasets.split_blocks(corpus, 2, "bogus", seed=0)
+    # refused before any dealing, which would fail on the 5 utterances
+    with pytest.raises(UsageError, match="^unknown split mode 'bogus'$"):
+        datasets.split_blocks(corpus, 10, "bogus", seed=0)
+
+
+@pytest.mark.parametrize("mode", datasets.SPLIT_MODES)
+@pytest.mark.parametrize("num_blocks", [0, -2])
+def test_split_blocks_needs_one_block(mode, num_blocks):
+    spec = datasets.SynthSpec(speaker_count=2, num_labels=2,
+                              groups=(datasets.SynthGroup("g", 2, True),),
+                              per_speaker_count=5, feat_dim=3, noise_level=0.0)
+    corpus = datasets.synth_generate(spec, seed=1)
+    with pytest.raises(UsageError, match=f"^a split needs num_blocks >= 1 equal to its 0 "
+                                         f"blocks, got {num_blocks}$"):
+        datasets.split_blocks(corpus, num_blocks, mode, seed=0)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"mode": "speaker-independent"}, "unknown split mode 'speaker-independent'"),
+    ({"num_blocks": 5}, "a split needs num_blocks >= 1 equal to its 4 blocks, got 5"),
+    ({"num_blocks": 0, "blocks": []}, "a split needs num_blocks >= 1 equal to its 0 blocks, got 0"),
+    ({"blocks": [["a"], ["b"], [], ["c"]]}, "a split's blocks must each hold at least one"),
+    ({"blocks": [["a"], ["b", "c"], ["d"], ["b"]]}, "an utterance is in two blocks of the split"),
+], ids=["unknown_mode", "count_not_len", "no_blocks", "empty_block", "id_in_two_blocks"])
+def test_block_split_refuses_malformed_fields(fields, message):
+    valid = {"mode": "speaker_independent", "seed": 0, "num_blocks": 4,
+             "blocks": [["a"], ["b"], ["c"], ["d"]]}
+    datasets.BlockSplit(**valid)
+    with pytest.raises(UsageError, match="^" + re.escape(message)):
+        datasets.BlockSplit(**{**valid, **fields})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import capsintent.model as model
 from capsintent import capsnet, datasets, experiments
 from capsintent.errors import CapsIntentError, ContractError, DivergenceError, UsageError
 
-from helpers import diverge_on_seeds
+from helpers import diverge_on_seeds, reference_curve_jobs, reference_split_blocks
 from opexamples import _small_config, _small_corpus, by_module
 
 
@@ -356,21 +356,46 @@ def test_fit_rejects_counts_below_one_before_training(monkeypatch, option):
 def test_curve_jobs_per_mode():
     corpus = _small_corpus(per_speaker=8)
     split = datasets.split_blocks(corpus, 4, "speaker_independent", seed=1)
-    (train, test, seed), = experiments.curve_jobs(split, 1, 5, 2, 1)
+    (train, test, seed), = experiments.curve_jobs(corpus, split, 1, 5, 2, 1)
     assert (train, test) == experiments._blocks_train_test(split.blocks, 1)
     assert seed == experiments.derive_seed(5, 2, 1)
     split = datasets.split_blocks(corpus, 4, "speaker_dependent", seed=1)
-    jobs = experiments.curve_jobs(split, 2, 5, 0, 0)
+    jobs = experiments.curve_jobs(corpus, split, 2, 5, 0, 0)
     assert [s for _, _, s in jobs] == [experiments.derive_seed(5, 0, 0, spk)
-                                       for spk in sorted(split.per_speaker)]
+                                       for spk in range(len(corpus.speakers))]
+
+
+def _uneven_corpus():
+    """Speakers with 12, 12 and 7 utterances."""
+    full = _small_corpus(per_speaker=12)
+    kept = [u for u in full.utterances if u.speaker_index < 2 or u.id < "synth-s02-u0007"]
+    return datasets.Corpus(name="uneven", utterances=kept, vocab=full.vocab,
+                           speakers=full.speakers)
+
+
+def _grid_corpus():
+    """``results/speaker_weight.py``'s corpus, split there into 150 blocks:
+    ``mimic_grabo`` at noise 0.2, corpus seed 21."""
+    return datasets.synth_generate(datasets.mimic_grabo_spec(noise_level=0.2), seed=21)
+
+
+@pytest.mark.parametrize("mode", datasets.SPLIT_MODES)
+@pytest.mark.parametrize("make, num_blocks", [(_grid_corpus, 150), (_uneven_corpus, 4)],
+                         ids=["grid", "uneven"])
+def test_curve_jobs_are_the_reference_dealing_jobs(make, num_blocks, mode):
+    corpus = make()
+    split = datasets.split_blocks(corpus, num_blocks, mode, seed=5)
+    dealt = reference_split_blocks(corpus, num_blocks, mode, seed=5)
+    for k in (1, 2, num_blocks - 1):
+        for p_idx in (0, 1):
+            for rep in (0, 1):
+                assert experiments.curve_jobs(corpus, split, k, 42, p_idx, rep) == \
+                    reference_curve_jobs(dealt, k, 42, p_idx, rep)
 
 
 def test_failed_dependent_point_keeps_the_mean_per_speaker_size(monkeypatch):
-    full = _small_corpus(per_speaker=12)
     # speakers with 12, 12 and 7 utterances train on 6, 6 and 4 of them at k=2
-    kept = [u for u in full.utterances if u.speaker_index < 2 or u.id < "synth-s02-u0007"]
-    corpus = datasets.Corpus(name="uneven", utterances=kept, vocab=full.vocab,
-                             speakers=full.speakers)
+    corpus = _uneven_corpus()
     split = datasets.split_blocks(corpus, 4, "speaker_dependent", seed=1)
 
     def diverge(*args, **kwargs):
@@ -390,9 +415,11 @@ def test_dependent_point_is_the_mean_over_speakers():
     point, = experiments.learning_curve(corpus, split, [2], cfg, repeats=1,
                                         fit_options=fit_options)
     f1s, accs, sizes = [], [], []
-    for spk in sorted(split.per_speaker):
-        train = [i for block in split.per_speaker[spk][:2] for i in block]
-        test = [i for block in split.per_speaker[spk][2:] for i in block]
+    for spk in range(len(corpus.speakers)):
+        train = [i for block in split.blocks[:2] for i in block
+                 if corpus.by_id(i).speaker_index == spk]
+        test = [i for block in split.blocks[2:] for i in block
+                if corpus.by_id(i).speaker_index == spk]
         job_cfg = dataclasses.replace(cfg, seed=experiments.derive_seed(cfg.seed, 0, 0, spk))
         result = experiments.fit(corpus.subset(train), job_cfg, **fit_options)
         scores = experiments.evaluate_model(corpus.subset(test), result.params, job_cfg,
@@ -404,7 +431,7 @@ def test_dependent_point_is_the_mean_over_speakers():
     assert point.speaker_acc == float(np.mean(accs))
     assert point.repeat_jobs == [[
         {"seed": experiments.derive_seed(cfg.seed, 0, 0, spk), "f1": f1, "speaker_acc": acc}
-        for spk, f1, acc in zip(sorted(split.per_speaker), f1s, accs)]]
+        for spk, f1, acc in zip(range(len(corpus.speakers)), f1s, accs)]]
     assert point.train_utterances == int(round(np.mean(sizes)))
     assert (point.repeats, point.stddev_f1, point.failed) == (1, 0.0, False)
 
