@@ -117,7 +117,10 @@ class Utterance:
 class Corpus:
     """Utterances with their vocabulary and speaker roster, checked (unique
     ids, non-empty targets over the vocabulary, speakers in the roster, else
-    DataError) and indexed by id when built."""
+    DataError) and indexed by id when built. Each check runs over the whole
+    corpus in that order and names its first offending utterance, so a
+    corpus with several faults reports the first fault of the first check
+    that fails."""
 
     name: str
     utterances: list[Utterance]
@@ -145,17 +148,25 @@ class Corpus:
         K, M = len(self.vocab), len(self.speakers)
         if M < 1:
             raise DataError("corpus needs at least one speaker")
-        self._by_id: dict[str, Utterance] = {}
-        for utt in self.utterances:
-            if utt.id in self._by_id:
-                raise DataError(f"duplicate utterance id {utt.id!r}")
-            self._by_id[utt.id] = utt
+        utts = self.utterances
+        self._by_id: dict[str, Utterance] = {utt.id: utt for utt in utts}
+        if len(self._by_id) < len(utts):
+            seen: set[str] = set()
+            for utt in utts:
+                if utt.id in seen:
+                    raise DataError(f"duplicate utterance id {utt.id!r}")
+                seen.add(utt.id)
+        for utt in utts:
             if utt.target.shape != (K,):
                 raise DataError(f"{utt.id}: target length {utt.target.shape} != {K}")
-            if not utt.target.any():
-                raise DataError(f"{utt.id}: no active label")
-            if not 0 <= utt.speaker_index < M:
-                raise DataError(f"{utt.id}: speaker index {utt.speaker_index} out of range")
+        empty = ~np.array([utt.target for utt in utts]).reshape(len(utts), K).any(axis=1)
+        if empty.any():
+            raise DataError(f"{utts[empty.argmax()].id}: no active label")
+        speakers = np.fromiter((utt.speaker_index for utt in utts), np.float64, len(utts))
+        outside = ~((speakers >= 0) & (speakers < M))
+        if outside.any():
+            utt = utts[outside.argmax()]
+            raise DataError(f"{utt.id}: speaker index {utt.speaker_index} out of range")
 
 
 def ensure_features(corpus: Corpus, cache_dir: Optional[str] = None,

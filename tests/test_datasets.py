@@ -610,6 +610,26 @@ def test_corpus_is_checked_when_built(target, speakers, match):
         datasets.Corpus(name="x", utterances=utts, vocab=vocab, speakers=speakers)
 
 
+@pytest.mark.parametrize("faults, match", [
+    ({0: dict(speaker_index=3), 2: dict(target=[0.0, 0.0])}, "u2: no active label"),
+    ({0: dict(target=[1.0]), 1: dict(id="u3")}, "duplicate utterance id 'u3'"),
+    ({1: dict(speaker_index=-1), 3: dict(target=[1.0, 0.0, 0.0])},
+     r"u3: target length \(3,\) != 2"),
+    ({1: dict(speaker_index=-1), 2: dict(speaker_index=2)}, "u1: speaker index -1 out of range"),
+], ids=["target_before_speaker", "id_before_length", "length_before_speaker", "first_speaker"])
+def test_corpus_reports_the_first_offender_of_the_first_failing_check(faults, match):
+    # the checks run over the whole corpus in turn: ids, target lengths,
+    # active labels, then speakers
+    vocab = datasets.LabelVocabulary(labels=("a", "b"))
+    fields = [dict(id=f"u{i}", target=[1.0, 0.0], speaker_index=i % 2) for i in range(4)]
+    for i, fault in faults.items():
+        fields[i].update(fault)
+    utts = [datasets.Utterance(id=f["id"], target=np.array(f["target"]),
+                               speaker_index=f["speaker_index"]) for f in fields]
+    with pytest.raises(DataError, match=match):
+        datasets.Corpus(name="x", utterances=utts, vocab=vocab, speakers=["s", "t"])
+
+
 def test_feat_dim_needs_features():
     vocab = datasets.LabelVocabulary(labels=("a",))
     utt = datasets.Utterance(id="u", target=np.array([1.0]), speaker_index=0)

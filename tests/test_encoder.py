@@ -215,6 +215,17 @@ def test_encoder_readout_matches_the_wrapper_formulation_bit_for_bit(B):
     assert_same_bits(readout, wrapper_encoder_readout(params, feats, 2, lengths))
 
 
+@pytest.mark.parametrize("B", [1, 3])
+def test_every_frame_step_operand_is_contiguous(B):
+    """The frame loop reads and writes each frame's r, 1 - z and n in place;
+    a strided operand costs about a quarter of a batch-of-one step."""
+    rng = np.random.default_rng(B)
+    xs = _padded_inputs(rng, _batch_lengths(rng, B), 16)
+    _, cache = encoder.gru_forward(_random_cells(rng, 16, 32), xs)
+    for key in ("r", "one_minus_z", "n"):
+        assert all(frame.flags.c_contiguous for frame in cache[key])
+
+
 def test_frame_step_constants_are_read_only():
     scale = encoder._gate_scale(4)
     assert scale is encoder._gate_scale(4)       # one array per hidden size
