@@ -184,9 +184,9 @@ def dynamic_routing(votes: np.ndarray, iters: int):
     Returns the (B, K, n) output capsules and a RoutingTrace of the
     per-iteration state the backward pass needs.
 
-    Votes that are not 4-D raise ShapeError. Votes too large to square
-    (above about 1e154) raise DivergenceError with the batch position of
-    the first utterance affected.
+    Votes that are not 4-D raise ShapeError. Votes that are not finite or
+    too large to square (above about 1e154) raise DivergenceError with the
+    batch position of the first utterance affected.
     """
     if np.ndim(votes) != 4:
         raise ShapeError(f"routing needs (P, B, K, n) votes, got shape {np.shape(votes)}")
@@ -357,13 +357,11 @@ def forward(feats: np.ndarray, params: Params, config: ModelConfig, lengths: np.
     (B, K, n) output capsules and a trace sufficient to replay backward().
 
     Raises DivergenceError, with the batch position of the first utterance
-    affected, when capsule predictions are non-finite.
+    affected, when capsule predictions are non-finite or too large to square
+    (``dynamic_routing`` finds them: its first iteration pools every vote).
     """
     primary, intermediates = encode(feats, params, config, lengths=lengths)
     votes = predict_capsules(primary, params["caps.W"])
-    finite = np.isfinite(votes).all(axis=(0, 2, 3))
-    if not finite.all():
-        raise DivergenceError("non-finite capsule predictions", index=int(np.argmin(finite)))
     caps, routing = dynamic_routing(votes, config.routing_iters)
     return caps, ForwardTrace(*intermediates, primary, routing)
 

@@ -20,13 +20,14 @@ they come after a sequence's real frames, so nothing they compute reaches
 its final state at frame length - 1. The backward direction reads each
 sequence reversed within its own length, so its final state is at
 length - 1 too. Both directions of a layer run in one frame loop over a
-(T_max, 2, B, dim) array, direction 0 forward and 1 backward. A layer's two
-cells are stored stacked in that order, and its cache and gradients carry
-the same direction axis. The encoder reads out the concatenated final
-states of both directions of the top layer. Backprop takes one input per
-layer, the gradients on its (T_max, 2, B, H) states: the top layer's are
-zero but for the readout gradient at each sequence's last frame, so every
-gradient through a padding frame is exactly zero.
+(T_max, 2, B, dim) array, direction 0 forward and 1 backward, in the
+forward pass and in backprop alike. A layer's two cells are stored stacked
+in that order, and its cache and gradients carry the same direction axis.
+The encoder reads out the concatenated final states of both directions of
+the top layer. Backprop takes one input per layer, the gradients on its
+(T_max, 2, B, H) states: the top layer's are zero but for the readout
+gradient at each sequence's last frame, so every gradient through a
+padding frame is exactly zero.
 """
 
 from __future__ import annotations
@@ -165,45 +166,45 @@ def gru_backward(p, cache, d_states):
 
     Each gate pre-activation's gradient is the state gradient times a factor
     that depends only on the forward pass, so all factors are computed up
-    front over every (step, sequence) pair and the frame loop runs only the
-    recurrence. The weight gradients are then one matrix product each over
-    all pairs.
+    front and one reverse frame loop runs only the recurrence, of both
+    directions. The weight gradients are then one matrix product each over
+    all (step, sequence) pairs, per direction: one product over both would
+    hand BLAS other operands, and its sums would differ in the last bits.
     """
-    hidden = p["Wh"].shape[-2]
+    hidden, (T, _, B) = p["Wh"].shape[-2], d_states.shape[:3]
+    states, r, u, n = (cache[key] for key in ("states", "r", "one_minus_z", "n"))
+    # each direction's previous states in one block, read in place by its
+    # weight-gradient product
+    h_prev = np.zeros((2, T, B, hidden))
+    h_prev[:, 1:] = states[:-1].swapaxes(0, 1)
+    h_prev = h_prev.swapaxes(0, 1)
+    # per unit state gradient, turned into the gradients in place by the
+    # frame loop: [reset, update, candidate] pre-activations on the h @ Wh
+    # side (the candidate's is scaled by r), then the candidate's on x @ Wx
+    d_pre = np.empty((T, 2, B, 4, hidden))
+    z = 1.0 - u
+    d_n = np.multiply(u, 1.0 - n * n, out=d_pre[..., 3, :])
+    np.multiply(d_n, r, out=d_pre[..., 2, :])
+    np.multiply(d_n * (h_prev @ p["Wh"][..., 2 * hidden:]) * r, 1.0 - r, out=d_pre[..., 0, :])
+    np.multiply((h_prev - n) * z, u, out=d_pre[..., 1, :])
+    d_pre_h = d_pre[..., :3, :].reshape(T, 2, B, 3 * hidden)
+    Wh_T = p["Wh"].transpose(0, 2, 1)
+    dh = np.zeros((2, B, hidden))
+    for t in range(T - 1, -1, -1):
+        dh = dh + d_states[t]
+        np.multiply(dh[..., None, :], d_pre[t], out=d_pre[t])
+        dh = dh * z[t] + d_pre_h[t] @ Wh_T
     grads = {key: np.empty_like(value) for key, value in p.items()}
-    T, _, B = d_states.shape[:3]
     d_pre_x = np.empty((2, T * B, 3 * hidden))
-    for direction in range(2):
-        xs, states, r, u, n = (cache[key][:, direction]
-                               for key in ("xs", "states", "r", "one_minus_z", "n"))
-        z = 1.0 - u
-        Wh = p["Wh"][direction]
-        h_prev = np.concatenate([np.zeros_like(states[:1]), states[:-1]])
-        hh_n = h_prev @ Wh[:, 2 * hidden:]
-        d_n = u * (1.0 - n * n)
-        # per unit state gradient: [reset, update, candidate] pre-activations
-        # on the h @ Wh side (the candidate's is scaled by r), then the
-        # candidate's on the x @ Wx side
-        factors = np.stack([d_n * hh_n * r * (1.0 - r), (h_prev - n) * z * u,
-                            d_n * r, d_n], axis=-2)
-        d_pre = np.empty_like(factors)
-        d_pre_h = d_pre[..., :3, :].reshape(d_pre.shape[:-2] + (3 * hidden,))
-        Wh_T = Wh.T
-        d_steps = d_states[:, direction]
-        dh = np.zeros(d_steps.shape[1:])
-        for t in range(xs.shape[0] - 1, -1, -1):
-            dh = dh + d_steps[t]
-            np.multiply(dh[..., None, :], factors[t], out=d_pre[t])
-            dh = dh * z[t] + d_pre_h[t] @ Wh_T
-        d_x = d_pre_x[direction]
-        np.concatenate([d_pre[..., :2, :], d_pre[..., 3:, :]], axis=-2,
-                       out=d_x.reshape(T, B, 3, hidden))
+    for direction, d_x in enumerate(d_pre_x):
+        # the h @ Wh side first, then the candidate's x @ Wx side over it
+        d_gates = d_x.reshape(T, B, 3, hidden)
+        d_gates[...] = d_pre[:, direction, :, :3]
+        np.matmul(h_prev[:, direction].reshape(-1, hidden).T, d_x, out=grads["Wh"][direction])
+        d_gates[:, :, 2] = d_pre[:, direction, :, 3]
+        xs = cache["xs"][:, direction]
         np.matmul(xs.reshape(-1, xs.shape[-1]).T, d_x, out=grads["Wx"][direction])
-        np.matmul(h_prev.reshape(-1, hidden).T, d_pre_h.reshape(-1, 3 * hidden),
-                  out=grads["Wh"][direction])
         d_x.sum(axis=0, out=grads["b"][direction])
-        # holding both directions' temporaries at once raises a fit's peak memory
-        del z, h_prev, hh_n, d_n, factors, d_pre, d_pre_h
     return grads, d_pre_x
 
 

@@ -193,6 +193,43 @@ def wrapper_encoder_readout(params, feats, layers, lengths):
                      for seq, length in enumerate(lengths)])
 
 
+def reference_gru_backward(p, cache, d_states):
+    """``encoder.gru_backward`` as it was with one frame loop per direction
+    over strided views of the cache: (grads, d_pre_x). The bit-for-bit
+    oracle of the two-direction frame loop."""
+    hidden = p["Wh"].shape[-2]
+    grads = {key: np.empty_like(value) for key, value in p.items()}
+    T, _, B = d_states.shape[:3]
+    d_pre_x = np.empty((2, T * B, 3 * hidden))
+    for direction in range(2):
+        xs, states, r, u, n = (cache[key][:, direction]
+                               for key in ("xs", "states", "r", "one_minus_z", "n"))
+        z = 1.0 - u
+        Wh = p["Wh"][direction]
+        h_prev = np.concatenate([np.zeros_like(states[:1]), states[:-1]])
+        hh_n = h_prev @ Wh[:, 2 * hidden:]
+        d_n = u * (1.0 - n * n)
+        factors = np.stack([d_n * hh_n * r * (1.0 - r), (h_prev - n) * z * u,
+                            d_n * r, d_n], axis=-2)
+        d_pre = np.empty_like(factors)
+        d_pre_h = d_pre[..., :3, :].reshape(d_pre.shape[:-2] + (3 * hidden,))
+        Wh_T = Wh.T
+        d_steps = d_states[:, direction]
+        dh = np.zeros(d_steps.shape[1:])
+        for t in range(xs.shape[0] - 1, -1, -1):
+            dh = dh + d_steps[t]
+            np.multiply(dh[..., None, :], factors[t], out=d_pre[t])
+            dh = dh * z[t] + d_pre_h[t] @ Wh_T
+        d_x = d_pre_x[direction]
+        np.concatenate([d_pre[..., :2, :], d_pre[..., 3:, :]], axis=-2,
+                       out=d_x.reshape(T, B, 3, hidden))
+        np.matmul(xs.reshape(-1, xs.shape[-1]).T, d_x, out=grads["Wx"][direction])
+        np.matmul(h_prev.reshape(-1, hidden).T, d_pre_h.reshape(-1, 3 * hidden),
+                  out=grads["Wh"][direction])
+        d_x.sum(axis=0, out=grads["b"][direction])
+    return grads, d_pre_x
+
+
 def diverge_on_seeds(monkeypatch, seeds):
     """Make ``experiments.fit`` raise DivergenceError for a job whose model
     seed is in ``seeds`` and fit as usual otherwise. A job's seed names it

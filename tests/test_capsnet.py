@@ -229,15 +229,23 @@ def test_model_config_rejects_values_of_the_wrong_type(field, value):
         tiny_model_config(**{field: value})
 
 
-def test_routing_overflow_is_divergence():
+# votes that overflow when squared, and votes that are not finite: the
+# first iteration pools every vote, so routing finds each in its outputs
+@pytest.mark.parametrize("bad", [1e160, 1e300, np.inf, -np.inf, np.nan])
+def test_routing_overflow_is_divergence(bad):
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
-        capsnet.dynamic_routing(np.full((2, 1, 2, 2), 1e160), 2)
+        capsnet.dynamic_routing(np.full((2, 1, 2, 2), bad), 2)
     assert info.value.index == 0
-    votes = np.ones((2, 3, 2, 2))      # (P, B, K, n): only utterance 1 overflows
-    votes[:, 1] = 1e160
+    votes = np.ones((2, 4, 2, 2))      # (P, B, K, n): only utterance 2 is bad
+    votes[:, 2] = bad
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
         capsnet.dynamic_routing(votes, 2)
-    assert info.value.index == 1
+    assert info.value.index == 2
+    votes[:, 2] = 1.0                  # one vote of one pair is enough
+    votes[1, 2, 1, 0] = bad
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
+        capsnet.dynamic_routing(votes, 2)
+    assert info.value.index == 2
 
 
 # output capsules (B, K, n), squashed over axis -1, and pre-squash primary

@@ -5,7 +5,8 @@ from capsintent import encoder
 from capsintent.errors import DataError
 from capsintent.numeric import grad_check
 
-from helpers import assert_same_bits, wrapper_encoder_readout, wrapper_gru_forward
+from helpers import (assert_same_bits, reference_gru_backward, wrapper_encoder_readout,
+                     wrapper_gru_forward)
 
 
 def _setup(feat_dim=3, hidden=4, layers=2, T=6, seed=0):
@@ -203,6 +204,25 @@ def test_gru_forward_matches_the_wrapper_formulation_bit_for_bit(B, in_dim):
     assert cache.keys() == ref_cache.keys()
     for key in cache:
         assert_same_bits(cache[key], ref_cache[key])
+
+
+@pytest.mark.parametrize("B", [1, 3, 16])
+@pytest.mark.parametrize("in_dim", [16, 64], ids=["layer0", "layer1"])
+def test_gru_backward_matches_the_per_direction_reference_bit_for_bit(B, in_dim):
+    rng = np.random.default_rng(B)
+    params = _random_cells(rng, in_dim, 32)
+    lengths = _batch_lengths(rng, B)
+    xs = _padded_inputs(rng, lengths, in_dim)
+    _, cache = encoder.gru_forward(params, xs)
+    # state gradients on real frames only, as encoder_backward hands them down
+    d_states = rng.normal(size=cache["states"].shape)
+    d_states *= (np.arange(len(xs))[:, None] < lengths)[:, None, :, None]
+    grads, d_pre_x = encoder.gru_backward(params, cache, d_states)
+    ref_grads, ref_d_pre_x = reference_gru_backward(params, cache, d_states)
+    assert grads.keys() == ref_grads.keys()
+    for key in grads:
+        assert_same_bits(grads[key], ref_grads[key])
+    assert_same_bits(d_pre_x, ref_d_pre_x)
 
 
 @pytest.mark.parametrize("B", [1, 3, 16])
