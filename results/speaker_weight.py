@@ -29,15 +29,10 @@ import os
 import sys
 import time
 
-# one BLAS thread, set before NumPy loads its BLAS: the sweep's job processes
-# already use every usable core
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import numpy as np
 
-import numpy as np  # noqa: E402
-
-from capsintent import datasets, experiments  # noqa: E402
-from capsintent.capsnet import ModelConfig  # noqa: E402
+from capsintent import datasets, experiments
+from capsintent.capsnet import ModelConfig
 
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "speaker_weight")
 MODES = datasets.SPLIT_MODES

@@ -174,6 +174,8 @@ def ensure_features(corpus: Corpus, cache_dir: Optional[str] = None,
     """Fill in missing features from the cache or the audio; returns the
     computed/cached/inline/failed counts. With ``on_error="skip"`` an
     utterance whose audio fails keeps ``features=None``, counted as failed."""
+    if on_error not in ("raise", "skip"):
+        raise UsageError(f"on_error must be 'raise' or 'skip', not {on_error!r}")
     cache = FeatureCache(cache_dir) if cache_dir else None
     counts = {"computed": 0, "cached": 0, "inline": 0, "failed": 0}
     for utt in corpus.utterances:

@@ -10,6 +10,7 @@ mean/variance normalization. Features are cached keyed by the audio hash.
 from __future__ import annotations
 
 import hashlib
+import io
 import logging
 import os
 import tempfile
@@ -58,14 +59,27 @@ def resample_linear(samples: np.ndarray, src_rate: int) -> np.ndarray:
     return np.interp(t_out, np.arange(len(samples)), samples)
 
 
+def _read_audio(path: str) -> bytes:
+    """The bytes of an audio file, the package's one reader of them."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read audio ({exc})") from exc
+
+
 def load_wav(path: str) -> np.ndarray:
     """Read a PCM WAV file as a non-empty 1-D float64 array in [-1, 1], mono at TARGET_RATE.
 
     Multi-channel audio is downmixed by channel average; sample rates other
     than the target are converted by linear interpolation.
     """
+    return _decode_wav(_read_audio(path), path)
+
+
+def _decode_wav(data: bytes, path: str) -> np.ndarray:
     try:
-        with wave.open(str(path), "rb") as fh:
+        with wave.open(io.BytesIO(data), "rb") as fh:
             channels = fh.getnchannels()
             sampwidth = fh.getsampwidth()
             rate = fh.getframerate()
@@ -75,8 +89,6 @@ def load_wav(path: str) -> np.ndarray:
         raise FormatError(f"{path}: not a readable PCM WAV file ({exc})") from exc
     except EOFError as exc:
         raise FormatError(f"{path}: truncated WAV file") from exc
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read audio ({exc})") from exc
     if rate == 0:
         raise FormatError(f"{path}: WAV header gives a sample rate of 0 Hz")
     if len(raw) % (channels * sampwidth):
@@ -193,58 +205,46 @@ def atomic_write(path: str, write: Callable[[BinaryIO], object]) -> None:
             os.unlink(tmp)
 
 
-def _file_digest(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()[:24]
+def _read_entry(key: str) -> np.ndarray:
+    """Cache entry ``key``'s finite float64 (frames >= 1, 3 * N_MELS) matrix, or FormatError."""
+    try:
+        feats = np.load(key)
+    except (OSError, ValueError, EOFError) as exc:
+        raise FormatError(f"cannot read feature cache entry {key}: "
+                          "not a readable .npy array") from exc
+    if not (isinstance(feats, np.ndarray) and feats.dtype == np.float64
+            and feats.shape[1:] == (3 * N_MELS,) and len(feats) >= 1):
+        raise FormatError(f"feature cache entry {key} is not a float64 "
+                          f"(frames >= 1, {3 * N_MELS}) matrix")
+    if not np.isfinite(feats).all():
+        raise FormatError(f"feature cache entry {key} holds non-finite values")
+    return feats
 
 
 class FeatureCache:
     """Disk cache of per-utterance feature matrices.
 
-    One ``.npy`` file per utterance, named ``<audio-sha256-prefix>_<RECIPE_DIGEST>.npy``,
-    checked at lookup to hold a finite float64 (frames, 3 * N_MELS) matrix. Writes go
-    through ``atomic_write``, so concurrent writers of the same key are safe.
+    One ``.npy`` file per utterance, named ``<audio-sha256-prefix>_<RECIPE_DIGEST>.npy``
+    after the bytes decoded into it, and checked when read (``_read_entry``).
+    Writes go through ``atomic_write``, so concurrent writers of the same key are safe.
     """
 
     def __init__(self, directory: str):
         self.directory = str(directory)
         os.makedirs(self.directory, exist_ok=True)
 
-    def _key_path(self, audio_path: str) -> str:
-        return os.path.join(self.directory, f"{_file_digest(audio_path)}_{RECIPE_DIGEST}.npy")
-
-    def lookup(self, audio_path: str):
-        key = self._key_path(audio_path)
-        if not os.path.exists(key):
-            return None
-        try:
-            feats = np.load(key)
-        except (OSError, ValueError, EOFError) as exc:
-            raise FormatError(f"cannot read feature cache entry {key}: "
-                              "not a readable .npy array") from exc
-        if not (isinstance(feats, np.ndarray) and feats.dtype == np.float64
-                and feats.shape[1:] == (3 * N_MELS,) and len(feats) >= 1):
-            raise FormatError(f"feature cache entry {key} is not a float64 "
-                              f"(frames >= 1, {3 * N_MELS}) matrix")
-        if not np.isfinite(feats).all():
-            raise FormatError(f"feature cache entry {key} holds non-finite values")
-        return feats
-
-    def store(self, audio_path: str, feats: np.ndarray) -> None:
-        atomic_write(self._key_path(audio_path), lambda fh: np.save(fh, feats))
-
     def get_or_compute(self, audio_path: str):
-        """Returns (features, was_cached). An entry that fails ``lookup``'s
-        checks is derived data: it is logged, recomputed and replaced."""
-        try:
-            cached = self.lookup(audio_path)
-            if cached is not None:
-                return cached, True
-        except FormatError as exc:
-            log.warning("%s; recomputing it from %s", exc, audio_path)
-        feats = compute_features(load_wav(audio_path))
-        self.store(audio_path, feats)
+        """Returns (features, was_cached), reading the audio file once: its bytes name
+        the entry and, on a miss, are decoded into it. An entry that fails the checks
+        of ``_read_entry`` is derived data: it is logged, recomputed and replaced."""
+        data = _read_audio(audio_path)
+        key = os.path.join(self.directory,
+                           f"{hashlib.sha256(data).hexdigest()[:24]}_{RECIPE_DIGEST}.npy")
+        if os.path.exists(key):
+            try:
+                return _read_entry(key), True
+            except FormatError as exc:
+                log.warning("%s; recomputing it from %s", exc, audio_path)
+        feats = compute_features(_decode_wav(data, audio_path))
+        atomic_write(key, lambda fh: np.save(fh, feats))
         return feats, False

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -10,7 +11,7 @@ import yaml
 from capsintent import cli, datasets, experiments
 from capsintent.checkpoint import load_checkpoint
 from capsintent.errors import DivergenceError, UsageError
-from capsintent.features import FeatureCache
+from capsintent.features import RECIPE_DIGEST, FeatureCache
 
 from helpers import diverge_on_seeds, write_wav
 
@@ -368,6 +369,21 @@ def test_features_command_counts_a_corrupt_wav_as_failed(tmp_path, capsys):
                                        "skipped(inline)=0 failed=2 total=6\n")
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache"])
+def test_missing_audio_file_is_a_data_error(tmp_path, capsys, monkeypatch, cached):
+    monkeypatch.delenv(cli.CACHE_ENV_VAR, raising=False)
+    (tmp_path / "m.csv").write_bytes(MANIFEST_TEXT)   # names a.wav, which is not there
+    corpus = {"kind": "manifest", "manifest": str(tmp_path / "m.csv")}
+    if cached:
+        corpus["cache_dir"] = str(tmp_path / "cache")
+    path = write_config(tmp_path, corpus=corpus)
+    assert cli.main(["features", path]) == 0
+    assert "failed=1 total=1" in capsys.readouterr().out
+    assert cli.main(["train", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{tmp_path / 'a.wav'}: cannot read audio (" in err
+
+
 def test_features_command_rejects_synth(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["features", path]) == 2
@@ -596,7 +612,8 @@ def test_malformed_cache_entry_is_rebuilt(tmp_path, capsys, caplog, content):
     (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert f"cannot read feature cache entry {entry}: not a readable .npy array" in warning
     assert "allow_pickle" not in warning
-    assert FeatureCache(str(cache)).lookup(wav) is not None
+    _, was_cached = FeatureCache(str(cache)).get_or_compute(wav)
+    assert was_cached
 
 
 def test_eval_missing_checkpoint(tmp_path):
@@ -711,7 +728,8 @@ def test_eval_rebuilds_a_non_finite_cache_entry(tmp_path, caplog):
     assert was_cached
     feats = feats.copy()
     feats[0, 0] = np.nan
-    FeatureCache(cache).store(wav, feats)
+    digest = hashlib.sha256(Path(wav).read_bytes()).hexdigest()[:24]
+    np.save(os.path.join(cache, f"{digest}_{RECIPE_DIGEST}.npy"), feats)
     with caplog.at_level("WARNING", logger="capsintent"):
         assert run_eval("evalout") == 0
     assert any("holds non-finite values" in r.getMessage() for r in caplog.records)

@@ -1,3 +1,4 @@
+import builtins
 import os
 import re
 import tracemalloc
@@ -354,6 +355,38 @@ def test_ensure_features_rebuilds_a_bad_cache_entry(tmp_path, caplog):
     assert counts == {"computed": 0, "cached": len(corpus), "inline": 0, "failed": 0}
 
 
+def test_ensure_features_counts_filled_utterances_as_inline(tmp_path, monkeypatch):
+    corpus = _audio_corpus(tmp_path)
+    datasets.ensure_features(corpus, cache_dir=str(tmp_path / "cache"))
+
+    audio, real_open = {utt.audio_path for utt in corpus.utterances}, builtins.open
+
+    def guarded_open(file, *args, **kwargs):
+        assert str(file) not in audio, f"opened {file} again"
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", guarded_open)
+    counts = datasets.ensure_features(corpus, cache_dir=str(tmp_path / "cache"))
+    assert counts == {"computed": 0, "cached": 0, "inline": len(corpus), "failed": 0}
+
+
+@pytest.mark.parametrize("on_error", ["raise", "skip", "rasie"])
+def test_ensure_features_on_error(tmp_path, on_error):
+    corpus = _audio_corpus(tmp_path)
+    os.unlink(corpus.utterances[1].audio_path)
+    if on_error == "raise":
+        with pytest.raises(DataError, match="cannot read audio"):
+            datasets.ensure_features(corpus, on_error=on_error)
+    elif on_error == "skip":
+        counts = datasets.ensure_features(corpus, on_error=on_error)
+        assert counts == {"computed": len(corpus) - 1, "cached": 0, "inline": 0, "failed": 1}
+        assert corpus.utterances[1].features is None
+    else:
+        with pytest.raises(UsageError, match="on_error must be 'raise' or 'skip', not 'rasie'"):
+            datasets.ensure_features(corpus, on_error=on_error)
+        assert all(utt.features is None for utt in corpus.utterances)
+
+
 # ---------------------------------------------------------------------------
 # directory loaders (fabricated miniature corpora)
 
@@ -384,6 +417,16 @@ def test_load_grabo_layout(tmp_path):
     groups = {g.name: g for g in corpus.vocab.slot_groups}
     assert groups["action"].required
     assert not groups["speed"].required
+
+
+def test_load_grabo_reads_a_speakers_subdirectory(tmp_path):
+    root = tmp_path / "grabo"
+    _make_grabo_tree(root / "speakers")
+    (root / "docs").mkdir()        # a sibling of speakers/, not a speaker
+    corpus = datasets.load_grabo(str(root))
+    assert corpus.speakers == ["pp01", "pp02", "pp03"]
+    assert len(corpus) == 12
+    assert corpus.utterances[0].audio_path == str(root / "speakers" / "pp01" / "rec0.wav")
 
 
 def test_load_grabo_missing_annotation_skipped(tmp_path):

@@ -1,7 +1,9 @@
+import builtins
 import hashlib
 import io
 import math
 import os
+import re
 import threading
 import wave
 from pathlib import Path
@@ -193,6 +195,32 @@ def test_cache_roundtrip_and_hits(tmp_path, wav_factory):
     assert first.tobytes() == second.tobytes()
 
 
+def test_cache_reads_the_audio_file_once(tmp_path, wav_factory, monkeypatch):
+    path = wav_factory("o.wav", np.random.default_rng(11).uniform(-0.5, 0.5, 8000))
+    cache = features.FeatureCache(str(tmp_path / "cache"))
+    real_open, opens = builtins.open, []
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == path:
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    for expect_cached in (False, True):
+        opens.clear()
+        _, was_cached = cache.get_or_compute(path)
+        assert was_cached is expect_cached
+        assert len(opens) == 1
+
+
+def test_cache_missing_audio_is_a_data_error(tmp_path):
+    missing = str(tmp_path / "gone.wav")
+    cache = features.FeatureCache(str(tmp_path / "cache"))
+    with pytest.raises(DataError, match=f"^{re.escape(missing)}: cannot read audio \\("):
+        cache.get_or_compute(missing)
+    assert os.listdir(tmp_path / "cache") == []
+
+
 def test_cache_key_depends_on_content(tmp_path, wav_factory):
     rng = np.random.default_rng(7)
     p1 = wav_factory("k1.wav", rng.uniform(-0.5, 0.5, 8000))
@@ -225,7 +253,7 @@ def test_cache_rejects_bad_entries(tmp_path, wav_factory, content, match):
     (entry,) = (tmp_path / "cache").iterdir()
     entry.write_bytes(content)
     with pytest.raises(FormatError, match=match) as info:
-        cache.lookup(path)
+        features._read_entry(str(entry))
     assert entry.name in str(info.value)
 
 
