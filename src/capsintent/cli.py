@@ -151,7 +151,8 @@ def load_run_config(path: str) -> RunConfig:
     experiments.validate_repeats(experiment.repeats)
 
     training = _section(raw, "training", experiments.fit, TRAINING_KEYS)
-    experiments.validate_epochs(training.get("epochs"))
+    if "epochs" in training:
+        experiments.validate_epochs(training["epochs"])
 
     run = RunConfig(
         corpus=corpus_cfg,
@@ -308,25 +309,24 @@ def cmd_curve(args) -> int:
                                    run.raw, corpus.name, _experiment_seeds(run))
     summary = {"corpus": corpus.name, "mode": run.experiment.mode,
                "num_blocks": run.experiment.num_blocks, "schedule": list(schedule)}
-    if run.experiment.sweep is not None:
-        curves = experiments.run_sweep(corpus, split, schedule, config,
-                                       run.experiment.sweep, repeats=run.experiment.repeats,
-                                       fit_options=run.training)
-        summary["sweep"] = {"axis": run.experiment.sweep.axis, "curves": {}}
-        for value, points in curves.items():
-            name = f"curve_{run.experiment.sweep.axis}_{value}.csv"
-            experiments.write_curve_csv(os.path.join(out_dir, name), points)
-            summary["sweep"]["curves"][str(value)] = experiments.points_payload(points)
-            print(f"{run.experiment.sweep.axis}={value}: wrote {name}")
-    else:
-        points = experiments.learning_curve(corpus, split, schedule, config,
-                                            repeats=run.experiment.repeats,
-                                            fit_options=run.training)
+    sweep = run.experiment.sweep
+    curves = experiments.run_sweep(corpus, split, schedule, config,
+                                   sweep or SweepSpec("speaker_weight", [config.speaker_weight]),
+                                   repeats=run.experiment.repeats, fit_options=run.training)
+    if sweep is None:
+        [points] = curves.values()
         experiments.write_curve_csv(os.path.join(out_dir, "curve.csv"), points)
         summary["points"] = experiments.points_payload(points)
         for pt in points:
             status = "FAILED" if pt.failed else f"f1={pt.f1:.4f} spk={pt.speaker_acc:.4f}"
             print(f"train={pt.train_utterances}: {status}")
+    else:
+        summary["sweep"] = {"axis": sweep.axis, "curves": {}}
+        for value, points in curves.items():
+            name = f"curve_{sweep.axis}_{value}.csv"
+            experiments.write_curve_csv(os.path.join(out_dir, name), points)
+            summary["sweep"]["curves"][str(value)] = experiments.points_payload(points)
+            print(f"{sweep.axis}={value}: wrote {name}")
     experiments.write_summary_json(os.path.join(out_dir, "summary.json"), summary)
     print(f"results: {out_dir}")
     return 0

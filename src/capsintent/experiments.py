@@ -18,7 +18,6 @@ process.
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import dataclasses
 import functools
@@ -35,7 +34,7 @@ import numpy as np
 from . import model
 from .capsnet import ModelConfig
 from .datasets import BlockSplit, Corpus, LabelVocabulary, Utterance, fluent_partial_ids
-from .errors import CapsIntentError, ContractError, DivergenceError, UsageError
+from .errors import CapsIntentError, ContractError, DivergenceError, UsageError, check_types
 from .features import atomic_write
 from .multitask import LossBreakdown
 from .numeric import Params
@@ -160,8 +159,8 @@ def fit(train: Sequence[Utterance], config: ModelConfig, *,
 
     With ``valid`` and ``vocab`` (which needs slot groups) the epoch
     checkpoint with the best intent accuracy on the validation set is
-    returned instead of the final one. An incomplete selection setup, or
-    ``epochs`` below 1, is a UsageError before the first step.
+    returned instead of the final one. An incomplete selection setup, or an
+    ``epochs`` that is not an int of at least 1, is a UsageError before any step.
     """
     if not train:
         raise UsageError("cannot fit on an empty training set")
@@ -254,24 +253,21 @@ def _map_jobs(fn: Callable, jobs: Sequence) -> list:
     ends its worker's share, and once every child has exited the exception
     of the earliest raising job, the one a serial loop would meet, reaches
     the caller. A child that ends without sending its share raises
-    CapsIntentError naming its jobs. Worker w runs on the w-th usable CPU
-    alone (``_on_one_cpu``) and runs BLAS on one thread
-    (``_one_blas_thread``). With one worker, or without ``os.fork``, this is
-    the plain loop.
+    CapsIntentError naming its jobs. Each worker runs its share alone on a
+    CPU with BLAS on one thread (``_work_share``). With one worker, or
+    without ``os.fork``, this is the plain loop.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(job) for job in jobs]
     children = []
-    with _one_blas_thread():
-        try:
-            for w in range(1, workers):
-                children.append(_fork_share(fn, jobs[w::workers], w))
-            with _on_one_cpu(0):
-                shares = [_work_share(fn, jobs[::workers])]
-        finally:
-            ended = [_join(pid, read_fd) for pid, read_fd in children]
+    try:
+        for w in range(1, workers):
+            children.append(_fork_share(fn, jobs[w::workers], w))
+        shares = [_work_share(fn, jobs[::workers], 0)]
+    finally:
+        ended = [_join(pid, read_fd) for pid, read_fd in children]
     for w, (share, code) in enumerate(ended, 1):
         if share is None:
             how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
@@ -286,41 +282,37 @@ def _map_jobs(fn: Callable, jobs: Sequence) -> list:
     return [shares[i % workers][0][i // workers] for i in range(len(jobs))]
 
 
-@contextlib.contextmanager
-def _on_one_cpu(index: int):
-    """Run the block on the ``index``-th CPU this process may use alone
-    (counting round), then restore its CPU set. Left to itself the scheduler
-    can keep a forked child on its parent's CPU while another idles: on a
-    two-CPU host a 2-job sweep then ran 0.74x as fast as serially, and
-    1.46x with each worker bound. A no-op without CPU affinity."""
-    if not hasattr(os, "sched_setaffinity"):
-        yield
-        return
-    allowed = os.sched_getaffinity(0)
-    os.sched_setaffinity(0, {sorted(allowed)[index % len(allowed)]})
-    try:
-        yield
-    finally:
-        os.sched_setaffinity(0, allowed)
+def _work_share(fn: Callable, jobs: Sequence, index: int) -> tuple[list, Optional[Exception]]:
+    """(results, exception): ``fn`` of each job in turn until one raises,
+    run on the ``index``-th CPU this process may use alone (counting round)
+    with the OpenBLAS it has loaded on one thread; both are restored after.
 
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold the OpenBLAS this process has loaded at one thread, and restore
-    its thread count on exit. Forked workers inherit the setting, so N
-    workers run N BLAS threads rather than N times OpenBLAS's default of one
-    per CPU, whose idle threads spin. A no-op without OpenBLAS."""
-    calls = _openblas_thread_calls()
-    if calls is None:
-        yield
-        return
-    get_threads, set_threads = calls
-    threads = get_threads()
-    set_threads(1)
+    Left to itself the scheduler can keep a forked child on its parent's
+    CPU while another idles: on a two-CPU host a 2-job sweep then ran 0.74x
+    as fast as serially, and 1.46x with each worker bound. OpenBLAS's
+    default of one thread per CPU would spin idle threads beside every
+    worker. Each setting is skipped where the platform has no CPU affinity
+    or no OpenBLAS.
+    """
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
+    blas = _openblas_thread_calls()
+    threads = blas and blas[0]()
+    if allowed:
+        os.sched_setaffinity(0, {sorted(allowed)[index % len(allowed)]})
+    if blas:
+        blas[1](1)
+    results = []
     try:
-        yield
+        for job in jobs:
+            results.append(fn(job))
+    except Exception as exc:
+        return results, exc
     finally:
-        set_threads(threads)
+        if allowed:
+            os.sched_setaffinity(0, allowed)
+        if blas:
+            blas[1](threads)
+    return results, None
 
 
 @functools.cache
@@ -349,21 +341,10 @@ def _openblas_thread_calls() -> Optional[tuple[Callable, Callable]]:
     return None
 
 
-def _work_share(fn: Callable, jobs: Sequence) -> tuple[list, Optional[Exception]]:
-    """(results, exception): ``fn`` of each job in turn until one raises."""
-    results = []
-    try:
-        for job in jobs:
-            results.append(fn(job))
-    except Exception as exc:
-        return results, exc
-    return results, None
-
-
-def _fork_share(fn: Callable, jobs: Sequence, cpu: int) -> tuple[int, int]:
-    """Fork a child that, on the ``cpu``-th usable CPU, writes
-    ``_work_share(fn, jobs)`` pickled to a pipe and exits, code 0 once it is
-    written. Returns (child pid, read end)."""
+def _fork_share(fn: Callable, jobs: Sequence, index: int) -> tuple[int, int]:
+    """Fork a child that writes ``_work_share(fn, jobs, index)`` pickled to
+    a pipe and exits, code 0 once it is written. Returns (child pid, read
+    end)."""
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid:
@@ -372,8 +353,8 @@ def _fork_share(fn: Callable, jobs: Sequence, cpu: int) -> tuple[int, int]:
     code = 1
     try:   # the child leaves through os._exit, never returning into the caller
         os.close(read_fd)
-        with _on_one_cpu(cpu), open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(_work_share(fn, jobs), pickle.HIGHEST_PROTOCOL))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(_work_share(fn, jobs, index), pickle.HIGHEST_PROTOCOL))
         code = 0
     finally:
         os._exit(code)
@@ -437,14 +418,16 @@ def validate_schedule(schedule: Sequence[int], num_blocks: int) -> list[int]:
     return schedule
 
 
-def validate_epochs(epochs: Optional[int]) -> None:
-    """``epochs`` is None (``fit``'s default) or at least 1."""
-    if epochs is not None and epochs < 1:
+def validate_epochs(epochs: int) -> None:
+    """``epochs`` is an int of at least 1; a bool is not an int."""
+    check_types({"epochs": epochs}, validate_epochs, "")
+    if epochs < 1:
         raise UsageError(f"epochs must be at least 1, got {epochs}")
 
 
 def validate_repeats(repeats: Optional[int]) -> None:
-    """``repeats`` is None (the per-point default) or at least 1."""
+    """``repeats`` is None (the per-point default) or an int of at least 1."""
+    check_types({"repeats": repeats}, validate_repeats, "")
     if repeats is not None and repeats < 1:
         raise UsageError(f"repeats must be at least 1, got {repeats}")
 

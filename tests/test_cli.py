@@ -496,6 +496,25 @@ def test_eval_vocab_mismatch(tmp_path, capsys):
     assert "vocabulary" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_speaker_outside_the_checkpoint_roster(tmp_path, capsys):
+    # the label is known; only the speaker is new to the model
+    from capsintent.checkpoint import save_checkpoint
+    from helpers import tiny_model_config
+    import capsintent.model as model
+
+    cfg = tiny_model_config()
+    ckpt = tmp_path / "m.npz"
+    save_checkpoint(str(ckpt), cfg, model.init_params(cfg),
+                    vocab_payload={"labels": ["a", "b", "c", "d"], "slot_groups": [],
+                                   "speakers": ["x", "y", "z"]})
+    wav = write_wav(tmp_path / "a.wav", 0.3 * np.sin(np.arange(6000) / 5.0))
+    manifest = tmp_path / "unheard.csv"
+    manifest.write_text(f"id,audio,speaker,labels\nu1,{wav},w,a\n")
+    code = cli.main(["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+    assert code == 2
+    assert "manifest speakers not in checkpoint roster: ['w']" in capsys.readouterr().err
+
+
 def test_eval_empty_manifest(tmp_path):
     from capsintent.checkpoint import save_checkpoint
     from helpers import tiny_model_config
@@ -648,6 +667,20 @@ def test_curve_command_sweep(tmp_path):
     assert (out_dir / "curve_speaker_weight_1.0.csv").is_file()
     summary = json.loads((out_dir / "summary.json").read_text())
     assert set(summary["sweep"]["curves"]) == {"0.0", "1.0"}
+
+
+def test_curve_without_a_sweep_is_the_one_value_sweep_of_its_speaker_weight(tmp_path):
+    # write_config's model has speaker_weight 0.5
+    path = write_config(tmp_path)
+    assert cli.main(["curve", path, "--output", str(tmp_path / "plain")]) == 0
+    path = write_config(tmp_path, experiment={"sweep": {"axis": "speaker_weight",
+                                                        "values": [0.5]}})
+    assert cli.main(["curve", path, "--output", str(tmp_path / "swept")]) == 0
+    assert (tmp_path / "plain" / "curve.csv").read_bytes() == \
+        (tmp_path / "swept" / "curve_speaker_weight_0.5.csv").read_bytes()
+    plain, swept = (json.loads((tmp_path / run / "summary.json").read_text())
+                    for run in ("plain", "swept"))
+    assert plain["points"] == swept["sweep"]["curves"]["0.5"]
 
 
 def test_curve_reproducible(tmp_path):

@@ -206,8 +206,13 @@ def test_learning_curve_repeats_and_stddev():
                                                           second[0]["speaker_acc"])
 
 
-@pytest.mark.parametrize("repeats", [0, -1])
-def test_learning_curve_rejects_repeats_below_one_before_fitting(monkeypatch, repeats):
+@pytest.mark.parametrize("repeats, message", [
+    pytest.param(0, "repeats must be at least 1, got 0", id="0"),
+    pytest.param(-1, "repeats must be at least 1, got -1", id="-1"),
+    pytest.param(1.5, "repeats must be Optional[int], got float 1.5", id="1.5"),
+    pytest.param(True, "repeats must be Optional[int], got bool True", id="True"),
+])
+def test_learning_curve_rejects_repeats_below_one_before_fitting(monkeypatch, repeats, message):
     corpus = _small_corpus(per_speaker=8)
     split = datasets.split_blocks(corpus, 4, "speaker_independent", seed=1)
 
@@ -215,8 +220,9 @@ def test_learning_curve_rejects_repeats_below_one_before_fitting(monkeypatch, re
         raise AssertionError("learning_curve fitted before checking repeats")
 
     monkeypatch.setattr(experiments, "fit", no_fit)
-    with pytest.raises(UsageError, match="repeats must be at least 1"):
+    with pytest.raises(UsageError) as info:
         experiments.learning_curve(corpus, split, [1], _small_config(), repeats=repeats)
+    assert str(info.value) == message
 
 
 def test_learning_curve_dependent_mode():
@@ -337,16 +343,22 @@ def test_fit_rejects_bad_selection_before_training(monkeypatch, kwargs, match):
         experiments.fit(corpus.utterances, _small_config(), epochs=1, **options)
 
 
-@pytest.mark.parametrize("option", ["epochs"])
-def test_fit_rejects_counts_below_one_before_training(monkeypatch, option):
+@pytest.mark.parametrize("option, value, message", [
+    pytest.param("epochs", 0, "epochs must be at least 1, got 0", id="epochs"),
+    pytest.param("epochs", None, "epochs must be int, got NoneType None", id="epochs_none"),
+    pytest.param("epochs", 2.5, "epochs must be int, got float 2.5", id="epochs_float"),
+    pytest.param("epochs", True, "epochs must be int, got bool True", id="epochs_bool"),
+])
+def test_fit_rejects_counts_below_one_before_training(monkeypatch, option, value, message):
     corpus = _small_corpus(per_speaker=4)
 
     def no_training(*args, **kw):
         raise AssertionError("fit trained before checking its options")
 
     monkeypatch.setattr(model, "loss_and_grads", no_training)
-    with pytest.raises(UsageError, match=f"{option} must be at least 1"):
-        experiments.fit(corpus.utterances, _small_config(), **{option: 0})
+    with pytest.raises(UsageError) as info:
+        experiments.fit(corpus.utterances, _small_config(), **{option: value})
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -542,9 +554,21 @@ def test_map_jobs_raises_the_first_error_a_serial_loop_would(monkeypatch, cpus, 
             raise UsageError(f"job {job} refused")
         return job
 
-    with _deadline(60), pytest.raises(UsageError) as info:
-        experiments._map_jobs(fn, range(6))
+    # a raising sweep leaves this process's CPU set and BLAS threads as they were
+    calls = experiments._openblas_thread_calls()
+    threads = calls and calls[0]()
+    if calls:
+        calls[1](2)   # OpenBLAS's default on two CPUs
+    try:
+        allowed = os.sched_getaffinity(0)
+        with _deadline(60), pytest.raises(UsageError) as info:
+            experiments._map_jobs(fn, range(6))
+        after = (os.sched_getaffinity(0), calls and calls[0]())
+    finally:
+        if calls:
+            calls[1](threads)
     assert type(info.value) is UsageError and str(info.value) == f"job {raising[0]} refused"
+    assert after == (allowed, calls and 2)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
