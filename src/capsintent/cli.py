@@ -310,8 +310,7 @@ def cmd_curve(args) -> int:
     summary = {"corpus": corpus.name, "mode": run.experiment.mode,
                "num_blocks": run.experiment.num_blocks, "schedule": list(schedule)}
     sweep = run.experiment.sweep
-    curves = experiments.run_sweep(corpus, split, schedule, config,
-                                   sweep or SweepSpec("speaker_weight", [config.speaker_weight]),
+    curves = experiments.run_sweep(corpus, split, schedule, config, sweep,
                                    repeats=run.experiment.repeats, fit_options=run.training)
     if sweep is None:
         [points] = curves.values()

@@ -254,13 +254,21 @@ def _map_jobs(fn: Callable, jobs: Sequence) -> list:
     of the earliest raising job, the one a serial loop would meet, reaches
     the caller. A child that ends without sending its share raises
     CapsIntentError naming its jobs. Each worker runs its share alone on a
-    CPU with BLAS on one thread (``_work_share``). With one worker, or
-    without ``os.fork``, this is the plain loop.
+    CPU (``_work_share``), with the OpenBLAS this process has loaded held at
+    one thread from before the first fork, so that N workers run N BLAS
+    threads rather than N times OpenBLAS's default of one per CPU, whose
+    idle threads spin. Children inherit the hold: a child that set the
+    count itself would re-create OpenBLAS's threads, which a fork stops.
+    With one worker, or without ``os.fork``, this is the plain loop.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
         return [fn(job) for job in jobs]
+    blas = _openblas_thread_calls()
+    threads = blas and blas[0]()
+    if blas:
+        blas[1](1)
     children = []
     try:
         for w in range(1, workers):
@@ -268,6 +276,8 @@ def _map_jobs(fn: Callable, jobs: Sequence) -> list:
         shares = [_work_share(fn, jobs[::workers], 0)]
     finally:
         ended = [_join(pid, read_fd) for pid, read_fd in children]
+        if blas:
+            blas[1](threads)
     for w, (share, code) in enumerate(ended, 1):
         if share is None:
             how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
@@ -284,23 +294,14 @@ def _map_jobs(fn: Callable, jobs: Sequence) -> list:
 
 def _work_share(fn: Callable, jobs: Sequence, index: int) -> tuple[list, Optional[Exception]]:
     """(results, exception): ``fn`` of each job in turn until one raises,
-    run on the ``index``-th CPU this process may use alone (counting round)
-    with the OpenBLAS it has loaded on one thread; both are restored after.
-
-    Left to itself the scheduler can keep a forked child on its parent's
-    CPU while another idles: on a two-CPU host a 2-job sweep then ran 0.74x
-    as fast as serially, and 1.46x with each worker bound. OpenBLAS's
-    default of one thread per CPU would spin idle threads beside every
-    worker. Each setting is skipped where the platform has no CPU affinity
-    or no OpenBLAS.
-    """
+    run on the ``index``-th CPU this process may use alone (counting round),
+    then restoring its CPU set. Left to itself the scheduler can keep a
+    forked child on its parent's CPU while another idles: on a two-CPU host
+    a 2-job sweep then ran 0.74x as fast as serially, and 1.46x with each
+    worker bound. Without CPU affinity, the plain loop."""
     allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
-    blas = _openblas_thread_calls()
-    threads = blas and blas[0]()
     if allowed:
         os.sched_setaffinity(0, {sorted(allowed)[index % len(allowed)]})
-    if blas:
-        blas[1](1)
     results = []
     try:
         for job in jobs:
@@ -310,8 +311,6 @@ def _work_share(fn: Callable, jobs: Sequence, index: int) -> tuple[list, Optiona
     finally:
         if allowed:
             os.sched_setaffinity(0, allowed)
-        if blas:
-            blas[1](threads)
     return results, None
 
 
@@ -469,8 +468,7 @@ def learning_curve(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
                    fit_options: Optional[dict] = None) -> list[LearningCurvePoint]:
     """Train on the first k blocks and test on the rest, for each k: the
     one curve of a ``run_sweep`` over ``config`` alone."""
-    [points] = run_sweep(corpus, split, schedule, config,
-                         SweepSpec("speaker_weight", [config.speaker_weight]),
+    [points] = run_sweep(corpus, split, schedule, config, None,
                          repeats=repeats, fit_options=fit_options).values()
     return points
 
@@ -482,10 +480,11 @@ def _means(rows: Sequence[dict]) -> dict[str, float]:
 
 
 def run_sweep(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
-              config: ModelConfig, sweep: SweepSpec, repeats: Optional[int] = None,
+              config: ModelConfig, sweep: Optional[SweepSpec], repeats: Optional[int] = None,
               fit_options: Optional[dict] = None) -> dict:
     """One learning curve per sweep value, everything else held fixed:
-    train on the first k blocks and test on the rest, for each k.
+    train on the first k blocks and test on the rest, for each k. Without
+    a sweep, the one-value sweep of ``config``'s own speaker weight.
 
     Each (value, point, repeat) fits and evaluates the jobs of
     ``curve_jobs``, each a fresh model with its own derived seed, and
@@ -500,6 +499,7 @@ def run_sweep(corpus: Corpus, split: BlockSplit, schedule: Sequence[int],
     schedule = validate_schedule(schedule, split.num_blocks)
     validate_repeats(repeats)
     fit_options = fit_options or {}
+    sweep = sweep or SweepSpec("speaker_weight", [config.speaker_weight])
     configs = [dataclasses.replace(config, **{sweep.axis: value}) for value in sweep.values]
     # per point, per repeat, its jobs: the same for every value
     plan = [[curve_jobs(corpus, split, k, config.seed, p_idx, rep)

@@ -664,6 +664,36 @@ def test_map_jobs_forks_from_a_single_thread_at_the_default_blas_threads():
     assert proc.stdout.split() == ["1", "1"]
 
 
+
+THREADS_IN_EACH_JOB = """
+import numpy as np
+from capsintent import experiments
+
+def threads(job):
+    a = np.ones((300, 300))
+    a @ a   # a BLAS call in the job itself
+    with open("/proc/self/stat") as stat:
+        return int(stat.read().rpartition(")")[2].split()[17])
+
+experiments._usable_cpus = lambda: 3
+a = np.ones((600, 600))
+a @ a   # OpenBLAS's threads, one per CPU by default, now run
+print(*experiments._map_jobs(threads, range(6)))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="counts threads in /proc")
+def test_map_jobs_runs_each_worker_on_one_thread_at_the_default_blas_threads():
+    # a worker that set OpenBLAS's count after the fork would re-create its
+    # threads, which spin beside the job on the worker's CPU
+    env = {var: value for var, value in os.environ.items()
+           if var not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(experiments.__file__)), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", THREADS_IN_EACH_JOB], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.split() == ["1"] * 6
+
 def test_map_jobs_reaps_the_children_it_forked_when_a_fork_fails(monkeypatch):
     _with_cpus(monkeypatch, 3)
     real_fork, forks = os.fork, []
