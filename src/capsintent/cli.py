@@ -3,24 +3,25 @@
 Subcommands: ``features``, ``train``, ``eval``, ``curve``,
 ``replicate-fluent``, ``validate-config``. Runs are described by a single
 YAML config file; flags only override paths and verbosity. Exit codes: 0
-success, 2 usage/config errors, 3 training divergence, 4 data errors.
+success, 2 usage/config errors (an output path that cannot be created, a
+size too large to allocate), 3 training divergence, 4 data errors.
 
 Configs, manifests and index tables are read as UTF-8, whatever the locale.
 Config keys (unknown keys, missing required keys, and values not of the key's
 declared type, are rejected): ``output_dir`` (required); ``seed`` (>= 0);
 ``corpus`` (required): ``kind`` (required: synth | grabo | fluent | manifest),
 ``root``, ``manifest``, ``cache_dir``, and for synth (the ``mimic_grabo``
-corpus) ``per_speaker_count`` and ``feat_dim`` (>= 1), ``noise_level``
+corpus) ``per_speaker_count`` and ``feat_dim`` (>= 1, within int64), ``noise_level``
 (finite, >= 0), ``seed`` (>= 0, left out: the top-level seed); ``model``:
 ``encoder_hidden``, ``encoder_layers``, ``num_primary``, ``primary_dim``,
 ``output_dim``, ``routing_iters``, ``speaker_weight`` (the corpus sets ``feat_dim``,
 ``num_labels`` and ``speaker_count``); ``experiment``: ``mode``
 (speaker_independent | speaker_dependent), ``num_blocks``, ``schedule``,
-``repeats`` (>= 1), ``sweep`` (both required: ``axis`` output_dim |
-speaker_weight, ``values``), where ``schedule`` (left out: the default points below
-``num_blocks``) is non-empty, strictly increasing and below ``num_blocks``;
-``training``: ``epochs`` (>= 1), passed to ``experiments.fit``, whose default
-applies when it is left out; the rest of the training recipe is fixed.
+``repeats`` (>= 1), ``sweep`` (both required: ``axis``, any ``model`` key, and
+``values``, distinct, each checked as that key), where ``schedule`` (left out: the
+default points below ``num_blocks``) is non-empty, strictly increasing, >= 1 and
+below ``num_blocks``; ``training``: ``epochs`` (>= 1), passed to ``experiments.fit``,
+whose default applies when it is left out; the rest of the training recipe is fixed.
 """
 
 from __future__ import annotations
@@ -40,15 +41,12 @@ from .checkpoint import load_checkpoint, save_checkpoint, vocab_payload
 from .datasets import Corpus, ensure_features, load_manifest
 from .errors import (CapsIntentError, ContractError, DataError, DivergenceError,
                      UsageError, check_types)
-from .experiments import SweepSpec
+from .experiments import MODEL_KEYS, SweepSpec
 
 log = logging.getLogger("capsintent")
 
 CACHE_ENV_VAR = "CAPSINTENT_CACHE_DIR"
 
-# the corpus sets feat_dim, num_labels and speaker_count, the top-level seed sets seed
-MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"feat_dim", "num_labels", "speaker_count",
-                                                      "seed"}
 TRAINING_KEYS = {"epochs"}
 
 
@@ -412,6 +410,9 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:   # a size NumPy could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except CapsIntentError as exc:   # UsageError, ContractError and the rest
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .capsnet import INT64_MAX
+from .errors import DataError, ShapeError, UsageError
 from .features import FeatureCache, atomic_write, compute_features, load_wav
 
 EXPECTED_FLUENT_LABELS = 31
@@ -220,8 +221,11 @@ class SynthSpec:
     noise_level: float
 
     def __post_init__(self):
-        if min(self.speaker_count, self.num_labels, self.per_speaker_count, self.feat_dim) < 1:
+        counts = (self.speaker_count, self.num_labels, self.per_speaker_count, self.feat_dim)
+        if min(counts) < 1:
             raise UsageError("synthetic spec counts must all be >= 1")
+        if max(counts) > INT64_MAX:   # NumPy computes sizes in int64
+            raise ShapeError(f"synthetic spec counts must all be <= {INT64_MAX}, got {max(counts)}")
         for group in self.groups:
             if group.size < 1:
                 raise UsageError(f"slot group {group.name!r} has size {group.size}, must be >= 1")

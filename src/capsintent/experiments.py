@@ -34,7 +34,7 @@ import numpy as np
 from . import model
 from .capsnet import ModelConfig
 from .datasets import BlockSplit, Corpus, LabelVocabulary, Utterance, fluent_partial_ids
-from .errors import CapsIntentError, ContractError, DivergenceError, UsageError, check_types
+from .errors import CapsIntentError, DivergenceError, UsageError, check_types
 from .features import atomic_write
 from .multitask import LossBreakdown
 from .numeric import Params
@@ -386,20 +386,24 @@ class LearningCurvePoint:
     repeat_jobs: list[list[dict]] = field(default_factory=list)
 
 
+# the ModelConfig fields a run sets, and so may sweep: the corpus sets feat_dim,
+# num_labels and speaker_count, the run's seed (which pairs the jobs) sets seed
+MODEL_KEYS = {f.name for f in dataclasses.fields(ModelConfig)} - {
+    "feat_dim", "num_labels", "speaker_count", "seed"}
+
+
 @dataclass
 class SweepSpec:
-    axis: str                 # "output_dim" | "speaker_weight"
-    values: list[float]
+    axis: str                 # one of MODEL_KEYS
+    values: list[float]       # each checked by the ModelConfig run_sweep builds from it
 
     def __post_init__(self):
-        if self.axis not in ("output_dim", "speaker_weight"):
+        if self.axis not in MODEL_KEYS:
             raise UsageError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise UsageError("sweep needs at least one value")
         if len(set(self.values)) < len(self.values):   # run_sweep keys curves by value
             raise UsageError(f"sweep values must differ, got {self.values}")
-        if self.axis == "output_dim" and not all(isinstance(v, int) for v in self.values):
-            raise UsageError(f"output_dim sweep values must be integers, got {self.values}")
 
 
 def default_schedule(num_blocks: int) -> list[int]:
@@ -412,6 +416,8 @@ def validate_schedule(schedule: Sequence[int], num_blocks: int) -> list[int]:
         raise UsageError("schedule is empty")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise UsageError(f"schedule must be strictly increasing, got {schedule}")
+    if schedule[0] < 1:
+        raise UsageError(f"schedule points must be >= 1 block, got {schedule}")
     if schedule[-1] >= num_blocks:
         raise UsageError(f"largest schedule point {schedule[-1]} must be < {num_blocks} blocks")
     return schedule
@@ -445,8 +451,6 @@ def point_repeats(train_blocks: int, repeats: Optional[int]) -> int:
 def _blocks_train_test(blocks: list[list[str]], k: int):
     train = [i for block in blocks[:k] for i in block]
     test = [i for block in blocks[k:] for i in block]
-    if set(train) & set(test):
-        raise ContractError("train and test blocks intersect")
     return train, test
 
 

@@ -19,7 +19,7 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -192,10 +192,14 @@ def atomic_write(path: str, write: Callable[[BinaryIO], object]) -> None:
     (here because every writer can import this module): ``write`` fills a
     binary temp file in the same directory, which is then renamed over
     ``path``; if it raises, ``path`` is left as it was and the temp file is
-    removed. Missing parent directories are created."""
+    removed. Missing parent directories are created; a directory that
+    cannot be is a UsageError."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "wb") as fh:
             write(fh)

@@ -11,7 +11,7 @@ import yaml
 from capsintent import cli, datasets, experiments
 from capsintent.checkpoint import load_checkpoint
 from capsintent.errors import DivergenceError, UsageError
-from capsintent.features import RECIPE_DIGEST, FeatureCache
+from capsintent.features import N_MELS, RECIPE_DIGEST, FeatureCache
 
 from helpers import diverge_on_seeds, write_wav
 
@@ -142,11 +142,32 @@ def test_repeated_sweep_values_are_usage_error(tmp_path, capsys):
     ({"noise_level": float("nan")}, "noise_level must be finite and >= 0"),
     ({"per_speaker_count": 0}, "counts must all be >= 1"),
     ({"feat_dim": 0}, "counts must all be >= 1"),
-], ids=["negative_noise", "nan_noise", "zero_per_speaker", "zero_feat_dim"])
+    ({"feat_dim": 10**30}, f"counts must all be <= 9223372036854775807, got {10**30}"),
+    ({"per_speaker_count": 2**63}, f"counts must all be <= 9223372036854775807, got {2**63}"),
+], ids=["negative_noise", "nan_noise", "zero_per_speaker", "zero_feat_dim", "huge_feat_dim",
+        "huge_per_speaker"])
 def test_validate_config_rejects_bad_synth_values(tmp_path, capsys, corpus, message):
     path = write_config(tmp_path, corpus=corpus)
     assert cli.main(["validate-config", path]) == 2
     assert message in capsys.readouterr().err
+    assert cli.main(["train", path]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+
+
+def test_an_allocation_too_large_is_usage_error(tmp_path, capsys, monkeypatch):
+    # numpy refuses such sizes before allocating; raise its error without asking for one
+    def no_memory(*args, **kw):
+        raise MemoryError("Unable to allocate 258. PiB for an array with shape (10**14, 33)")
+
+    monkeypatch.setattr(datasets, "synth_generate", no_memory)
+    path = write_config(tmp_path, corpus={"per_speaker_count": 10**14})
+    assert cli.main(["validate-config", path]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", path]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: out of memory: Unable to allocate 258. PiB for an array with shape (10**14, 33)"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_logs_what_the_loader_skipped(tmp_path, caplog):
@@ -214,7 +235,10 @@ def test_invalid_model_section_is_usage_error_before_the_corpus(tmp_path, capsys
     ({"num_blocks": 4, "schedule": [5]}, "largest schedule point 5 must be < 4 blocks"),
     ({"num_blocks": 4, "schedule": []}, "schedule is empty"),
     ({"num_blocks": 4, "schedule": [1], "repeats": 0}, "repeats must be at least 1"),
-], ids=["schedule_beyond_blocks", "empty_schedule", "zero_repeats"])
+    ({"num_blocks": 4, "schedule": [0, 1]}, "schedule points must be >= 1 block, got [0, 1]"),
+    ({"num_blocks": 4, "schedule": [-1, 1]}, "schedule points must be >= 1 block, got [-1, 1]"),
+], ids=["schedule_beyond_blocks", "empty_schedule", "zero_repeats", "zero_point",
+        "negative_point"])
 def test_invalid_curve_plan_is_usage_error_before_the_corpus(tmp_path, capsys, monkeypatch,
                                                               experiment, message):
     path = write_config(tmp_path, experiment=experiment)
@@ -254,7 +278,7 @@ def test_retired_and_corpus_set_model_keys_are_unknown(tmp_path, capsys, model):
 @pytest.mark.parametrize("sweep, message", [
     ({"axis": "speaker_weight", "values": "ab"}, "experiment.sweep.values must be"),
     ({"axis": "speaker_weight", "values": [0, "1"]}, "experiment.sweep.values must be"),
-    ({"axis": "output_dim", "values": [2, 3.5]}, "must be integers"),
+    ({"axis": "output_dim", "values": [2, 3.5]}, "error: output_dim must be int, got float 3.5"),
 ], ids=["string_values", "string_in_values", "fractional_output_dim"])
 def test_mistyped_sweep_is_usage_error(tmp_path, capsys, sweep, message):
     path = write_config(tmp_path, experiment={"sweep": sweep})
@@ -515,6 +539,34 @@ def test_eval_refuses_a_speaker_outside_the_checkpoint_roster(tmp_path, capsys):
     assert "manifest speakers not in checkpoint roster: ['w']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_an_output_path_under_a_regular_file_is_usage_error(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    out = blocker / "sub"
+    if command == "train":
+        argv, written = ["train", write_config(tmp_path)], out / "model.npz"
+    else:
+        from capsintent.checkpoint import save_checkpoint
+        from helpers import tiny_model_config
+        import capsintent.model as model
+
+        cfg = tiny_model_config(feat_dim=3 * N_MELS)
+        ckpt = tmp_path / "m.npz"
+        save_checkpoint(str(ckpt), cfg, model.init_params(cfg),
+                        vocab_payload={"labels": ["a", "b", "c", "d"], "slot_groups": [],
+                                       "speakers": ["x", "y", "z"]})
+        wav = write_wav(tmp_path / "a.wav", 0.3 * np.sin(np.arange(6000) / 5.0))
+        manifest = tmp_path / "m.csv"
+        manifest.write_text(f"id,audio,speaker,labels\nu1,{wav},x,a\n")
+        argv = ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]
+        written = out / "predictions.csv"
+    assert cli.main([*argv, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {written}: Not a directory"]
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_eval_empty_manifest(tmp_path):
     from capsintent.checkpoint import save_checkpoint
     from helpers import tiny_model_config
@@ -681,6 +733,21 @@ def test_curve_without_a_sweep_is_the_one_value_sweep_of_its_speaker_weight(tmp_
     plain, swept = (json.loads((tmp_path / run / "summary.json").read_text())
                     for run in ("plain", "swept"))
     assert plain["points"] == swept["sweep"]["curves"]["0.5"]
+
+
+def test_curve_sweeps_any_model_key(tmp_path):
+    # write_config's model has routing_iters 2
+    path = write_config(tmp_path)
+    assert cli.main(["curve", path, "--output", str(tmp_path / "plain")]) == 0
+    path = write_config(tmp_path, experiment={"sweep": {"axis": "routing_iters",
+                                                        "values": [1, 2]}})
+    assert cli.main(["curve", path, "--output", str(tmp_path / "swept")]) == 0
+    assert (tmp_path / "plain" / "curve.csv").read_bytes() == \
+        (tmp_path / "swept" / "curve_routing_iters_2.csv").read_bytes()
+    plain, swept = (json.loads((tmp_path / run / "summary.json").read_text())
+                    for run in ("plain", "swept"))
+    assert plain["points"] == swept["sweep"]["curves"]["2"]
+    assert swept["sweep"]["curves"]["1"] != swept["sweep"]["curves"]["2"]
 
 
 def test_curve_reproducible(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 import capsintent.model as model
 from capsintent import capsnet, datasets, experiments
-from capsintent.errors import CapsIntentError, ContractError, DivergenceError, UsageError
+from capsintent.errors import CapsIntentError, DivergenceError, UsageError
 
 from helpers import diverge_on_seeds, reference_curve_jobs, reference_split_blocks
 from opexamples import _small_config, _small_corpus, by_module
@@ -158,6 +158,10 @@ def test_schedule_validation():
         experiments.validate_schedule([1, 1], 10)
     with pytest.raises(UsageError):
         experiments.validate_schedule([1, 10], 10)
+    for schedule in ([0, 1], [-1, 1]):
+        with pytest.raises(UsageError) as info:
+            experiments.validate_schedule(schedule, 10)
+        assert str(info.value) == f"schedule points must be >= 1 block, got {schedule}"
     assert experiments.validate_schedule([1, 5, 9], 10) == [1, 5, 9]
 
 
@@ -177,8 +181,6 @@ def test_blocks_train_test_disjoint():
     train, test = experiments._blocks_train_test(blocks, 1)
     assert train == ["a", "b"]
     assert test == ["c", "d", "e"]
-    with pytest.raises(ContractError):
-        experiments._blocks_train_test([["a"], ["a", "b"]], 1)
 
 
 def test_learning_curve_repeats_and_stddev():
@@ -250,13 +252,27 @@ def test_run_sweep_axes():
     assert set(curves) == {2, 4}
 
 
-def test_sweep_spec_validation():
-    with pytest.raises(UsageError):
-        experiments.SweepSpec("bogus", [1])
+def test_sweep_spec_validation(monkeypatch):
+    # the run's seed pairs the jobs and the corpus sets feat_dim: neither is an axis
+    for axis in ("bogus", "seed", "feat_dim"):
+        with pytest.raises(UsageError, match=f"^unknown sweep axis '{axis}'$"):
+            experiments.SweepSpec(axis, [1, 2])
+    for axis in experiments.MODEL_KEYS:
+        assert experiments.SweepSpec(axis, [1, 2]).axis == axis
     with pytest.raises(UsageError):
         experiments.SweepSpec("output_dim", [])
-    with pytest.raises(UsageError, match="integers"):
-        experiments.SweepSpec("output_dim", [2, 4.0])
+    # a value is checked by the ModelConfig run_sweep builds from it, before any fit
+    corpus = _small_corpus(per_speaker=8)
+    split = datasets.split_blocks(corpus, 4, "speaker_independent", seed=1)
+
+    def no_fit(*args, **kw):
+        raise AssertionError("run_sweep fitted before checking its values")
+
+    monkeypatch.setattr(experiments, "fit", no_fit)
+    with pytest.raises(UsageError) as info:
+        experiments.run_sweep(corpus, split, [1], _small_config(),
+                              experiments.SweepSpec("output_dim", [2, 4.0]))
+    assert str(info.value) == "output_dim must be int, got float 4.0"
     for axis, values in (("speaker_weight", [1, 1.0, 0]), ("output_dim", [4, 2, 4])):
         with pytest.raises(UsageError, match="sweep values must differ"):
             experiments.SweepSpec(axis, values)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from capsintent import features
-from capsintent.errors import DataError, FormatError
+from capsintent.errors import DataError, FormatError, UsageError
 
 from helpers import write_wav
 from opexamples import by_module
@@ -301,3 +301,21 @@ def test_atomic_write_creates_directories(tmp_path):
     target = tmp_path / "a" / "b" / "out.bin"
     features.atomic_write(str(target), lambda fh: fh.write(b"x"))
     assert target.read_bytes() == b"x"
+
+
+def test_atomic_write_where_it_cannot_create_is_usage_error(tmp_path, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_bytes(b"x")
+    target = blocker / "sub" / "out.bin"
+    with pytest.raises(UsageError, match=f"^cannot write {re.escape(str(target))}: "
+                                         "Not a directory$"):
+        features.atomic_write(str(target), lambda fh: fh.write(b"y"))
+
+    def full(**kw):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(features.tempfile, "mkstemp", full)
+    target = tmp_path / "out.bin"
+    with pytest.raises(UsageError, match="No space left on device$"):
+        features.atomic_write(str(target), lambda fh: fh.write(b"y"))
+    assert sorted(os.listdir(tmp_path)) == ["file"]
