@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from capsintent import FeatureCache, add_deltas, compute_fbank, load_wav, normalize
+from capsintent import add_deltas, audio_features, compute_fbank, load_wav, normalize
 from capsintent.features import TARGET_RATE, mel_filterbank
 
 with tempfile.TemporaryDirectory() as tmp:
@@ -37,8 +37,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"with deltas + normalization: {full.shape}, per-coefficient mean ~ "
           f"{np.abs(full.mean(axis=0)).max():.2e}")
 
-    cache = FeatureCache(str(Path(tmp) / "cache"))
-    _, hit = cache.get_or_compute(str(path))
+    cache = str(Path(tmp) / "cache")
+    _, hit = audio_features(str(path), cache)
     print(f"first cache lookup was a hit: {hit}")
-    _, hit = cache.get_or_compute(str(path))
+    _, hit = audio_features(str(path), cache)
     print(f"second cache lookup was a hit: {hit}")

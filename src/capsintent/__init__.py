@@ -12,7 +12,7 @@ from .errors import (CapsIntentError, ContractError, DataError, DivergenceError,
 from .experiments import (LearningCurvePoint, SweepSpec, f1_score, fit,
                           intent_accuracy, learning_curve, run_sweep,
                           speaker_accuracy, train_test_replication)
-from .features import (FeatureCache, add_deltas, compute_fbank, compute_features, load_wav,
+from .features import (add_deltas, audio_features, compute_fbank, compute_features, load_wav,
                        normalize)
 from .model import init_params, loss_and_grads, predict
 from .multitask import (LossBreakdown, average_capsule, decode_speaker, speaker_distribution,

@@ -47,6 +47,7 @@ MARGIN_PRESENT = 0.9
 MARGIN_ABSENT = 0.1
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+MAX_ARRAY_VALUES = INT64_MAX // 8   # the most float64 values one NumPy array holds
 
 
 @dataclass
@@ -294,7 +295,7 @@ def decode_labels(caps: np.ndarray, vocab: "LabelVocabulary") -> list[list[str]]
         raise ShapeError(f"vocabulary size {len(vocab.labels)} != capsule count {norms.shape[-1]}")
     decoded = []
     for row in norms.tolist():
-        chosen = [i for i, norm in enumerate(row) if i not in vocab.grouped and norm > 0.5]
+        chosen = [i for i in vocab.ungrouped if row[i] > 0.5]
         for idxs, required in vocab.slots:
             best = max(idxs, key=row.__getitem__)
             if required or row[best] > 0.5:

@@ -15,7 +15,8 @@ corpus) ``per_speaker_count`` and ``feat_dim`` (>= 1, within int64), ``noise_lev
 (finite, >= 0), ``seed`` (>= 0, left out: the top-level seed); ``model``:
 ``encoder_hidden``, ``encoder_layers``, ``num_primary``, ``primary_dim``,
 ``output_dim``, ``routing_iters``, ``speaker_weight`` (the corpus sets ``feat_dim``,
-``num_labels`` and ``speaker_count``); ``experiment``: ``mode``
+``num_labels`` and ``speaker_count``); the corpus's and the model's arrays must
+each fit NumPy's largest array; ``experiment``: ``mode``
 (speaker_independent | speaker_dependent), ``num_blocks``, ``schedule``,
 ``repeats`` (>= 1), ``sweep`` (both required: ``axis``, any ``model`` key, and
 ``values``, distinct, each checked as that key), where ``schedule`` (left out: the
@@ -35,8 +36,8 @@ from typing import Optional
 
 import yaml
 
-from . import datasets, experiments
-from .capsnet import ModelConfig
+from . import datasets, experiments, model
+from .capsnet import MAX_ARRAY_VALUES, ModelConfig
 from .checkpoint import load_checkpoint, save_checkpoint, vocab_payload
 from .datasets import Corpus, ensure_features, load_manifest
 from .errors import (CapsIntentError, ContractError, DataError, DivergenceError,
@@ -161,12 +162,7 @@ def load_run_config(path: str) -> RunConfig:
         training=training,
         raw=raw,
     )
-    # the model section, and each sweep value in it, must make a valid
-    # ModelConfig before any corpus is built
-    config = model_config_from(run)
-    if sweep is not None:
-        for value in sweep.values:
-            replace(config, **{sweep.axis: value})
+    model_config_from(run)   # the model section is checked before any corpus is built
     return run
 
 
@@ -206,11 +202,18 @@ def build_corpus(run: RunConfig, cache_override: Optional[str] = None,
 
 def model_config_from(run: RunConfig, corpus: Optional[Corpus] = None) -> ModelConfig:
     """The run's model for ``corpus``; without one, placeholder corpus
-    dimensions let a config be checked before its corpus is built."""
+    dimensions let a config be checked before its corpus is built. It, and
+    each sweep value in it, must make a valid ModelConfig whose parameters
+    NumPy can hold (else ShapeError)."""
     feat_dim, num_labels, speaker_count = (
         (corpus.feat_dim(), len(corpus.vocab), len(corpus.speakers)) if corpus else (1, 1, 1))
-    return ModelConfig(feat_dim=feat_dim, num_labels=num_labels, speaker_count=speaker_count,
-                       seed=run.seed, **run.model)
+    config = ModelConfig(feat_dim=feat_dim, num_labels=num_labels, speaker_count=speaker_count,
+                         seed=run.seed, **run.model)
+    sweep = run.experiment.sweep
+    swept = [replace(config, **{sweep.axis: value}) for value in sweep.values] if sweep else []
+    for each in (config, *swept):
+        model.param_shapes(each, max_values=MAX_ARRAY_VALUES)
+    return config
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .capsnet import INT64_MAX
+from .capsnet import INT64_MAX, MAX_ARRAY_VALUES
 from .errors import DataError, ShapeError, UsageError
-from .features import FeatureCache, atomic_write, compute_features, load_wav
+from .features import atomic_write, audio_features
 
 EXPECTED_FLUENT_LABELS = 31
 FLUENT_PARTIAL_FRACTION = 0.1   # share of each speaker's training utterances
@@ -47,8 +47,9 @@ class SlotGroup:
 @dataclass
 class LabelVocabulary:
     """Label names and slot groups, checked when built. ``grouped`` is the
-    set of indices of the labels in a group, and ``slots`` holds each
-    group's label indices, sorted, with its ``required`` flag."""
+    set of indices of the labels in a group, ``ungrouped`` lists the other
+    indices in order, and ``slots`` holds each group's label indices,
+    sorted, with its ``required`` flag."""
 
     labels: tuple[str, ...]
     slot_groups: tuple[SlotGroup, ...] = ()
@@ -67,6 +68,7 @@ class LabelVocabulary:
                     raise DataError(f"label {name!r} appears in more than one slot group")
                 self.grouped.add(self._index[name])
             self.slots.append((sorted(self._index[name] for name in group.labels), group.required))
+        self.ungrouped = [i for i in range(len(self.labels)) if i not in self.grouped]
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -177,7 +179,6 @@ def ensure_features(corpus: Corpus, cache_dir: Optional[str] = None,
     utterance whose audio fails keeps ``features=None``, counted as failed."""
     if on_error not in ("raise", "skip"):
         raise UsageError(f"on_error must be 'raise' or 'skip', not {on_error!r}")
-    cache = FeatureCache(cache_dir) if cache_dir else None
     counts = {"computed": 0, "cached": 0, "inline": 0, "failed": 0}
     for utt in corpus.utterances:
         if utt.features is not None:
@@ -186,10 +187,7 @@ def ensure_features(corpus: Corpus, cache_dir: Optional[str] = None,
         if utt.audio_path is None:
             raise DataError(f"{utt.id}: neither features nor audio available")
         try:
-            if cache is not None:
-                feats, was_cached = cache.get_or_compute(utt.audio_path)
-            else:
-                feats, was_cached = compute_features(load_wav(utt.audio_path)), False
+            feats, was_cached = audio_features(utt.audio_path, cache_dir)
         except DataError:
             if on_error == "raise":
                 raise
@@ -226,6 +224,15 @@ class SynthSpec:
             raise UsageError("synthetic spec counts must all be >= 1")
         if max(counts) > INT64_MAX:   # NumPy computes sizes in int64
             raise ShapeError(f"synthetic spec counts must all be <= {INT64_MAX}, got {max(counts)}")
+        # synth_generate's largest arrays: the targets, the speaker offsets and
+        # one speaker's frames at the longest utterance (every label spoken)
+        frames = math.ceil(RATE_RANGE[1] * self.num_labels * SEGMENT_FRAMES)
+        largest = max(self.speaker_count * self.per_speaker_count * self.num_labels,
+                      self.speaker_count * self.feat_dim,
+                      self.per_speaker_count * frames * self.feat_dim)
+        if largest > MAX_ARRAY_VALUES:
+            raise ShapeError(f"synthetic spec needs an array of {largest} values, more than "
+                             f"NumPy's {MAX_ARRAY_VALUES}")
         for group in self.groups:
             if group.size < 1:
                 raise UsageError(f"slot group {group.name!r} has size {group.size}, must be >= 1")
@@ -327,9 +334,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> Corpus:
     vocab = _synth_vocab(spec)
     truth = synth_truth(spec, seed)
     sample_rng = np.random.default_rng(np.random.SeedSequence([seed, 2]))
-    groups = [(group.required, [vocab.index_of(name) for name in group.labels])
-              for group in vocab.slot_groups]
-    ungrouped = np.array([i for i in range(len(vocab)) if i not in vocab.grouped], dtype=int)
+    ungrouped = np.array(vocab.ungrouped, dtype=int)
     noisy = spec.noise_level > 0
     targets = np.zeros((spec.speaker_count * spec.per_speaker_count, len(vocab)))
     utterances: list[Utterance] = []
@@ -339,7 +344,7 @@ def synth_generate(spec: SynthSpec, seed: int) -> Corpus:
     for s in range(spec.speaker_count):
         for u in range(spec.per_speaker_count):
             active: list[int] = []
-            for required, labels in groups:
+            for labels, required in vocab.slots:
                 if required or sample_rng.random() < OPTIONAL_GROUP_PRESENCE:
                     active.append(labels[sample_rng.integers(len(labels))])
             if len(ungrouped):

@@ -9,13 +9,14 @@ mean/variance normalization. Features are cached keyed by the audio hash.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import logging
 import os
 import tempfile
 import wave
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Optional
 
 import numpy as np
 
@@ -115,12 +116,14 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
+@functools.cache
 def mel_filterbank():
     """Triangular mel filters; returns (filters (N_MELS, N_FFT//2+1),
     band edges (N_MELS, 3) as [low, center, high] in Hz). With lo, ctr and
     hi the FFT bins of a band's edges, its filter rises over bins [lo, ctr)
     as (k - lo) / (ctr - lo) and falls over [ctr, hi) as (hi - k) / (hi - ctr);
-    at these constants no band is zero-width, so neither divides by zero."""
+    at these constants no band is zero-width, so neither divides by zero.
+    Built once, read-only, because every clip's ``compute_fbank`` reads it."""
     mel_points = np.linspace(hz_to_mel(0.0), hz_to_mel(TARGET_RATE / 2.0), N_MELS + 2)
     hz_points = mel_to_hz(mel_points)
     bins = np.floor((N_FFT + 1) * hz_points / TARGET_RATE).astype(int)
@@ -129,6 +132,7 @@ def mel_filterbank():
     filters = np.where((lo <= k) & (k < ctr), (k - lo) / (ctr - lo),
                        np.where((ctr <= k) & (k < hi), (hi - k) / (hi - ctr), 0.0))
     edges = np.stack([hz_points[:-2], hz_points[1:-1], hz_points[2:]], axis=1)
+    filters.flags.writeable = edges.flags.writeable = False
     return filters, edges
 
 
@@ -225,30 +229,28 @@ def _read_entry(key: str) -> np.ndarray:
     return feats
 
 
-class FeatureCache:
-    """Disk cache of per-utterance feature matrices.
+def audio_features(audio_path: str,
+                   cache_dir: Optional[str] = None) -> tuple[np.ndarray, bool]:
+    """The fixed front end's features of an audio file, and whether they came
+    from the cache: (features, was_cached). The file is read once.
 
-    One ``.npy`` file per utterance, named ``<audio-sha256-prefix>_<RECIPE_DIGEST>.npy``
-    after the bytes decoded into it, and checked when read (``_read_entry``).
-    Writes go through ``atomic_write``, so concurrent writers of the same key are safe.
-    """
-
-    def __init__(self, directory: str):
-        self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
-
-    def get_or_compute(self, audio_path: str):
-        """Returns (features, was_cached), reading the audio file once: its bytes name
-        the entry and, on a miss, are decoded into it. An entry that fails the checks
-        of ``_read_entry`` is derived data: it is logged, recomputed and replaced."""
-        data = _read_audio(audio_path)
-        key = os.path.join(self.directory,
+    With ``cache_dir``, its bytes name the entry
+    ``<audio-sha256-prefix>_<RECIPE_DIGEST>.npy``, which is checked when read
+    (``_read_entry``). An entry that fails the checks is derived data: it is
+    logged, recomputed and replaced. A miss is stored through ``atomic_write``,
+    so concurrent writers of the same entry are safe, and the directory is
+    created with the first entry."""
+    data = _read_audio(audio_path)
+    key = None
+    if cache_dir:
+        key = os.path.join(cache_dir,
                            f"{hashlib.sha256(data).hexdigest()[:24]}_{RECIPE_DIGEST}.npy")
         if os.path.exists(key):
             try:
                 return _read_entry(key), True
             except FormatError as exc:
                 log.warning("%s; recomputing it from %s", exc, audio_path)
-        feats = compute_features(_decode_wav(data, audio_path))
+    feats = compute_features(_decode_wav(data, audio_path))
+    if key is not None:
         atomic_write(key, lambda fh: np.save(fh, feats))
-        return feats, False
+    return feats, False

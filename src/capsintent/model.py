@@ -41,10 +41,10 @@ def init_params(config: ModelConfig) -> Params:
 
 
 class _Undrawn:
-    """A generator stand-in whose every draw is an uninitialized array of
-    the requested size, so the init functions give shapes without drawing.
-    A draw that would take the values drawn past ``max_values`` raises
-    ShapeError before it allocates."""
+    """A generator stand-in whose every draw is an array of the requested
+    size with zero-byte values, so the init functions give shapes without
+    drawing or storing values. A draw that would take the values drawn past
+    ``max_values`` raises ShapeError before it allocates."""
 
     def __init__(self, max_values: int):
         self.max_values = max_values
@@ -54,7 +54,7 @@ class _Undrawn:
         self.drawn += math.prod(size)
         if self.drawn > self.max_values:
             raise ShapeError(f"the config draws more than {self.max_values} parameter values")
-        return np.empty(size)
+        return np.empty(size, dtype=[])
 
     normal = uniform
 
@@ -65,8 +65,9 @@ def param_shapes(config: ModelConfig, max_values: int) -> dict[str, tuple]:
 
     Every value drawn is stored in a parameter, so a config that draws more
     than ``max_values`` values needs parameters that hold more than that:
-    ShapeError, raised before the draw past the limit allocates. The init
-    functions allocate nothing larger than what they have drawn so far."""
+    ShapeError, raised before the draw past the limit allocates. The draws
+    take no memory; the biases the init functions allocate are no larger
+    than what they have drawn so far."""
     return {name: value.shape for name, value in _init_from(config, _Undrawn(max_values)).items()}
 
 

@@ -11,7 +11,7 @@ import yaml
 from capsintent import cli, datasets, experiments
 from capsintent.checkpoint import load_checkpoint
 from capsintent.errors import DivergenceError, UsageError
-from capsintent.features import N_MELS, RECIPE_DIGEST, FeatureCache
+from capsintent.features import N_MELS, RECIPE_DIGEST, audio_features
 
 from helpers import diverge_on_seeds, write_wav
 
@@ -144,8 +144,11 @@ def test_repeated_sweep_values_are_usage_error(tmp_path, capsys):
     ({"feat_dim": 0}, "counts must all be >= 1"),
     ({"feat_dim": 10**30}, f"counts must all be <= 9223372036854775807, got {10**30}"),
     ({"per_speaker_count": 2**63}, f"counts must all be <= 9223372036854775807, got {2**63}"),
+    # 4 utterances per speaker of up to ceil(1.05 * 33 labels * 8 frames) = 278 frames
+    ({"feat_dim": 2**62}, f"synthetic spec needs an array of {4 * 278 * 2**62} values, "
+                          "more than NumPy's 1152921504606846975"),
 ], ids=["negative_noise", "nan_noise", "zero_per_speaker", "zero_feat_dim", "huge_feat_dim",
-        "huge_per_speaker"])
+        "huge_per_speaker", "feat_dim_past_numpy_arrays"])
 def test_validate_config_rejects_bad_synth_values(tmp_path, capsys, corpus, message):
     path = write_config(tmp_path, corpus=corpus)
     assert cli.main(["validate-config", path]) == 2
@@ -203,6 +206,10 @@ def test_train_with_zero_encoder_layers_is_usage_error(tmp_path, capsys):
     ({"model": {"speaker_weight": 10**400}},
      "speaker_weight must be finite and >= 0, got an integer too large for a float"),
     ({"model": {"encoder_hidden": 10**30}}, "encoder_hidden must be <= 9223372036854775807"),
+    ({"model": {"encoder_hidden": 2**62}},
+     "the config draws more than 1152921504606846975 parameter values"),
+    ({"experiment": {"sweep": {"axis": "encoder_hidden", "values": [4, 2**62]}}},
+     "the config draws more than 1152921504606846975 parameter values"),
     ({"experiment": {"sweep": {"axis": "output_dim", "values": [4, 1]}}},
      "output_dim must be >= 2"),
     ({"experiment": {"sweep": {"axis": "speaker_weight", "values": [0.0, -2.0]}}},
@@ -212,7 +219,8 @@ def test_train_with_zero_encoder_layers_is_usage_error(tmp_path, capsys):
     ({"experiment": {"sweep": {"values": [0, 1]}}}, "experiment.sweep.axis is required"),
     ({"training": {"epochs": 0}}, "epochs must be at least 1, got 0"),
 ], ids=["zero_layers", "output_dim_1", "nan_speaker_weight", "negative_speaker_weight",
-        "huge_int_speaker_weight", "huge_int_hidden", "output_dim_1_in_sweep", "negative_speaker_weight_in_sweep", "empty_sweep",
+        "huge_int_speaker_weight", "huge_int_hidden", "hidden_past_numpy_arrays",
+        "hidden_past_numpy_arrays_in_sweep", "output_dim_1_in_sweep", "negative_speaker_weight_in_sweep", "empty_sweep",
         "sweep_without_values", "sweep_without_axis", "zero_epochs"])
 @pytest.mark.parametrize("command", ["train", "curve"])
 def test_invalid_model_section_is_usage_error_before_the_corpus(tmp_path, capsys, monkeypatch,
@@ -539,6 +547,24 @@ def test_eval_refuses_a_speaker_outside_the_checkpoint_roster(tmp_path, capsys):
     assert "manifest speakers not in checkpoint roster: ['w']" in capsys.readouterr().err
 
 
+def _audio_eval_argv(tmp_path):
+    """``eval`` of an untrained audio-feature checkpoint on a one-utterance
+    manifest, and the path of that utterance's audio."""
+    from capsintent.checkpoint import save_checkpoint
+    from helpers import tiny_model_config
+    import capsintent.model as model
+
+    cfg = tiny_model_config(feat_dim=3 * N_MELS)
+    ckpt = tmp_path / "m.npz"
+    save_checkpoint(str(ckpt), cfg, model.init_params(cfg),
+                    vocab_payload={"labels": ["a", "b", "c", "d"], "slot_groups": [],
+                                   "speakers": ["x", "y", "z"]})
+    wav = write_wav(tmp_path / "a.wav", 0.3 * np.sin(np.arange(6000) / 5.0))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"id,audio,speaker,labels\nu1,{wav},x,a\n")
+    return ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)], wav
+
+
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_an_output_path_under_a_regular_file_is_usage_error(tmp_path, capsys, command):
     blocker = tmp_path / "file"
@@ -547,24 +573,32 @@ def test_an_output_path_under_a_regular_file_is_usage_error(tmp_path, capsys, co
     if command == "train":
         argv, written = ["train", write_config(tmp_path)], out / "model.npz"
     else:
-        from capsintent.checkpoint import save_checkpoint
-        from helpers import tiny_model_config
-        import capsintent.model as model
-
-        cfg = tiny_model_config(feat_dim=3 * N_MELS)
-        ckpt = tmp_path / "m.npz"
-        save_checkpoint(str(ckpt), cfg, model.init_params(cfg),
-                        vocab_payload={"labels": ["a", "b", "c", "d"], "slot_groups": [],
-                                       "speakers": ["x", "y", "z"]})
-        wav = write_wav(tmp_path / "a.wav", 0.3 * np.sin(np.arange(6000) / 5.0))
-        manifest = tmp_path / "m.csv"
-        manifest.write_text(f"id,audio,speaker,labels\nu1,{wav},x,a\n")
-        argv = ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)]
-        written = out / "predictions.csv"
+        argv, written = _audio_eval_argv(tmp_path)[0], out / "predictions.csv"
     assert cli.main([*argv, "--output", str(out)]) == 2
     assert capsys.readouterr().err.splitlines() == [
         f"error: cannot write {written}: Not a directory"]
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["features", "train", "eval"])
+def test_a_cache_dir_under_a_regular_file_is_usage_error(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n")
+    cache = blocker / "sub"
+    if command == "eval":
+        argv, wav = _audio_eval_argv(tmp_path)
+        argv += ["--cache-dir", str(cache), "--output", str(tmp_path / "out")]
+    else:
+        root = make_audio_corpus_tree(tmp_path)
+        wav = str(root / "spk0" / "u0.wav")    # the loader's first utterance
+        argv = [command, write_config(tmp_path, corpus={"kind": "grabo", "root": str(root),
+                                                        "cache_dir": str(cache)})]
+    digest = hashlib.sha256(Path(wav).read_bytes()).hexdigest()[:24]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: cannot write {cache / f'{digest}_{RECIPE_DIGEST}.npy'}: Not a directory"]
+    assert blocker.read_text() == "not a directory\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_empty_manifest(tmp_path):
@@ -683,7 +717,7 @@ def test_malformed_cache_entry_is_rebuilt(tmp_path, capsys, caplog, content):
     (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert f"cannot read feature cache entry {entry}: not a readable .npy array" in warning
     assert "allow_pickle" not in warning
-    _, was_cached = FeatureCache(str(cache)).get_or_compute(wav)
+    _, was_cached = audio_features(wav, str(cache))
     assert was_cached
 
 
@@ -824,7 +858,7 @@ def test_eval_rebuilds_a_non_finite_cache_entry(tmp_path, caplog):
     assert run_eval("clean") == 0
     # poison one cached feature matrix
     wav = corpus.utterances[3].audio_path
-    feats, was_cached = FeatureCache(cache).get_or_compute(wav)
+    feats, was_cached = audio_features(wav, cache)
     assert was_cached
     feats = feats.copy()
     feats[0, 0] = np.nan
@@ -836,7 +870,7 @@ def test_eval_rebuilds_a_non_finite_cache_entry(tmp_path, caplog):
     for name in ("predictions.csv", "metrics.json"):
         assert (tmp_path / "evalout" / name).read_text() == \
             (tmp_path / "clean" / name).read_text()
-    rebuilt, was_cached = FeatureCache(cache).get_or_compute(wav)
+    rebuilt, was_cached = audio_features(wav, cache)
     assert was_cached and np.isfinite(rebuilt).all()
 
 

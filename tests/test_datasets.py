@@ -54,12 +54,14 @@ def test_vocabulary_unknown_label():
 
 def test_vocabulary_grouped_holds_the_indices_of_grouped_labels():
     vocab = datasets.LabelVocabulary(
-        labels=("g:a", "tag", "g:b", "h:c"),
+        labels=("g:a", "tag", "g:b", "h:c", "other"),
         slot_groups=(datasets.SlotGroup("g", ("g:b", "g:a"), True),
                      datasets.SlotGroup("h", ("h:c",), False)),
     )
     assert vocab.grouped == {0, 2, 3}
+    assert vocab.ungrouped == [1, 4]
     assert datasets.LabelVocabulary(labels=("a",)).grouped == set()
+    assert datasets.LabelVocabulary(labels=("b", "a")).ungrouped == [0, 1]
 
 
 def test_multi_hot_roundtrip():

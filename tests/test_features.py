@@ -23,6 +23,15 @@ def test_op_examples(ex):
     ex.fn()
 
 
+def test_mel_filterbank_is_built_once_and_read_only():
+    filters, edges = features.mel_filterbank()
+    again = features.mel_filterbank()
+    assert again[0] is filters and again[1] is edges
+    for array in (filters, edges):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+
+
 def test_mel_filterbank_matches_the_per_band_loop():
     mels = np.linspace(features.hz_to_mel(0.0), features.hz_to_mel(features.TARGET_RATE / 2.0),
                        features.N_MELS + 2)
@@ -180,24 +189,24 @@ def test_recipe_dim_and_digest():
 def test_cache_file_name(tmp_path, wav_factory):
     path = wav_factory("n.wav", np.random.default_rng(9).uniform(-0.5, 0.5, 8000))
     cache_dir = tmp_path / "cache"
-    features.FeatureCache(str(cache_dir)).get_or_compute(path)
+    features.audio_features(path, str(cache_dir))
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:24]
     assert os.listdir(cache_dir) == [f"{digest}_9c5e0bf70774413e.npy"]
 
 
 def test_cache_roundtrip_and_hits(tmp_path, wav_factory):
     path = wav_factory("c.wav", np.random.default_rng(6).uniform(-0.5, 0.5, 8000))
-    cache = features.FeatureCache(str(tmp_path / "cache"))
-    first, was_cached = cache.get_or_compute(path)
+    cache = str(tmp_path / "cache")
+    first, was_cached = features.audio_features(path, cache)
     assert not was_cached
-    second, was_cached = cache.get_or_compute(path)
+    second, was_cached = features.audio_features(path, cache)
     assert was_cached
     assert first.tobytes() == second.tobytes()
 
 
 def test_cache_reads_the_audio_file_once(tmp_path, wav_factory, monkeypatch):
     path = wav_factory("o.wav", np.random.default_rng(11).uniform(-0.5, 0.5, 8000))
-    cache = features.FeatureCache(str(tmp_path / "cache"))
+    cache = str(tmp_path / "cache")
     real_open, opens = builtins.open, []
 
     def counting_open(file, *args, **kwargs):
@@ -208,26 +217,24 @@ def test_cache_reads_the_audio_file_once(tmp_path, wav_factory, monkeypatch):
     monkeypatch.setattr(builtins, "open", counting_open)
     for expect_cached in (False, True):
         opens.clear()
-        _, was_cached = cache.get_or_compute(path)
+        _, was_cached = features.audio_features(path, cache)
         assert was_cached is expect_cached
         assert len(opens) == 1
 
 
 def test_cache_missing_audio_is_a_data_error(tmp_path):
     missing = str(tmp_path / "gone.wav")
-    cache = features.FeatureCache(str(tmp_path / "cache"))
     with pytest.raises(DataError, match=f"^{re.escape(missing)}: cannot read audio \\("):
-        cache.get_or_compute(missing)
-    assert os.listdir(tmp_path / "cache") == []
+        features.audio_features(missing, str(tmp_path / "cache"))
+    assert os.listdir(tmp_path) == []   # neither an entry nor its directory
 
 
 def test_cache_key_depends_on_content(tmp_path, wav_factory):
     rng = np.random.default_rng(7)
     p1 = wav_factory("k1.wav", rng.uniform(-0.5, 0.5, 8000))
     p2 = wav_factory("k2.wav", rng.uniform(-0.5, 0.5, 8000))
-    cache = features.FeatureCache(str(tmp_path / "cache"))
-    cache.get_or_compute(p1)
-    cache.get_or_compute(p2)
+    features.audio_features(p1, str(tmp_path / "cache"))
+    features.audio_features(p2, str(tmp_path / "cache"))
     assert len(os.listdir(tmp_path / "cache")) == 2
 
 
@@ -248,8 +255,7 @@ def _entry_bytes(value):
 ], ids=["garbage", "empty", "1d_nan", "int64", "wrong_width", "no_frames", "inf"])
 def test_cache_rejects_bad_entries(tmp_path, wav_factory, content, match):
     path = wav_factory("b.wav", np.random.default_rng(10).uniform(-0.5, 0.5, 8000))
-    cache = features.FeatureCache(str(tmp_path / "cache"))
-    cache.get_or_compute(path)
+    features.audio_features(path, str(tmp_path / "cache"))
     (entry,) = (tmp_path / "cache").iterdir()
     entry.write_bytes(content)
     with pytest.raises(FormatError, match=match) as info:
@@ -259,12 +265,12 @@ def test_cache_rejects_bad_entries(tmp_path, wav_factory, content, match):
 
 def test_cache_concurrent_writers(tmp_path, wav_factory):
     path = wav_factory("cc.wav", np.random.default_rng(8).uniform(-0.5, 0.5, 8000))
-    cache = features.FeatureCache(str(tmp_path / "cache"))
+    cache = str(tmp_path / "cache")
     errors = []
 
     def worker():
         try:
-            cache.get_or_compute(path)
+            features.audio_features(path, cache)
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
@@ -274,7 +280,7 @@ def test_cache_concurrent_writers(tmp_path, wav_factory):
     for t in threads:
         t.join()
     assert not errors
-    feats, was_cached = cache.get_or_compute(path)
+    feats, was_cached = features.audio_features(path, cache)
     assert was_cached and feats.shape[1] == 120
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +40,21 @@ def test_init_params_covers_all_blocks():
     first = params["enc.0.Wx"][0].size
     with pytest.raises(ShapeError, match=f"the config draws more than {first - 1} parameter"):
         model.param_shapes(cfg, max_values=first - 1)
+
+
+def test_param_shapes_holds_no_parameter_values():
+    import tracemalloc
+
+    cfg = tiny_model_config(encoder_hidden=1000, num_primary=64, primary_dim=8)
+    tracemalloc.start()
+    try:
+        shapes = model.param_shapes(cfg, max_values=capsnet.MAX_ARRAY_VALUES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert shapes["enc.1.Wh"] == (2, 1000, 3000)
+    stored = 8 * sum(math.prod(shape) for shape in shapes.values())   # about 150 MB
+    assert peak < 1_000_000 < stored   # the biases only
 
 
 def test_init_params_deterministic():
