@@ -306,8 +306,6 @@ def cmd_curve(args) -> int:
                                   seed=run.seed)
     schedule = run.experiment.schedule     # checked by load_run_config
     out_dir = args.output or run.output_dir
-    experiments.write_run_manifest(os.path.join(out_dir, "run.json"),
-                                   run.raw, corpus.name, _experiment_seeds(run))
     summary = {"corpus": corpus.name, "mode": run.experiment.mode,
                "num_blocks": run.experiment.num_blocks, "schedule": list(schedule)}
     sweep = run.experiment.sweep
@@ -327,6 +325,8 @@ def cmd_curve(args) -> int:
             experiments.write_curve_csv(os.path.join(out_dir, name), points)
             summary["sweep"]["curves"][str(value)] = experiments.points_payload(points)
             print(f"{sweep.axis}={value}: wrote {name}")
+    experiments.write_run_manifest(os.path.join(out_dir, "run.json"),
+                                   run.raw, corpus.name, _experiment_seeds(run))
     experiments.write_summary_json(os.path.join(out_dir, "summary.json"), summary)
     print(f"results: {out_dir}")
     return 0

@@ -501,9 +501,10 @@ def _parse_frame_xml(path: Path) -> list[str]:
 
 def load_grabo(root: str) -> Corpus:
     """Per-speaker directories of WAV recordings with per-utterance XML
-    semantic frames (same stem, ``.xml`` extension). Speakers are indexed by
-    lexicographic directory order; recordings lacking an annotation are
-    skipped and counted."""
+    semantic frames (same stem, ``.xml`` extension), searched recursively.
+    A recording's id is ``<speaker>/<path under the speaker directory,
+    without suffix>``. Speakers are indexed by lexicographic directory
+    order; recordings lacking an annotation are skipped and counted."""
     base = Path(root)
     if not base.is_dir():
         raise UsageError(f"corpus root {root} does not exist")
@@ -521,7 +522,8 @@ def load_grabo(root: str) -> Corpus:
                 warnings["missing_annotation"] += 1
                 continue
             labels = _parse_frame_xml(ann)
-            rows.append((f"{spk_dir.name}/{wav.stem}", str(wav), spk_dir.name, labels))
+            name = wav.relative_to(spk_dir).with_suffix("").as_posix()
+            rows.append((f"{spk_dir.name}/{name}", str(wav), spk_dir.name, labels))
     if not rows:
         raise DataError(f"{root}: no annotated recordings found")
     return _corpus_from_rows("grabo", rows, speakers=[d.name for d in speaker_dirs],

@@ -254,12 +254,12 @@ def _map_jobs(fn: Callable, jobs: Sequence) -> list:
     of the earliest raising job, the one a serial loop would meet, reaches
     the caller. A child that ends without sending its share raises
     CapsIntentError naming its jobs. Each worker runs its share alone on a
-    CPU (``_work_share``), with the OpenBLAS this process has loaded held at
-    one thread from before the first fork, so that N workers run N BLAS
-    threads rather than N times OpenBLAS's default of one per CPU, whose
-    idle threads spin. Children inherit the hold: a child that set the
-    count itself would re-create OpenBLAS's threads, which a fork stops.
-    With one worker, or without ``os.fork``, this is the plain loop.
+    CPU (``_work_share``), with NumPy's OpenBLAS held at one thread from
+    before the first fork, so that N workers run N BLAS threads rather than
+    N times OpenBLAS's default of one per CPU, whose idle threads spin.
+    Children inherit the hold: a child that set the count itself would
+    re-create OpenBLAS's threads, which a fork stops. With one worker, or
+    without ``os.fork``, this is the plain loop.
     """
     jobs = list(jobs)
     workers = min(len(jobs), _usable_cpus())
@@ -316,27 +316,17 @@ def _work_share(fn: Callable, jobs: Sequence, index: int) -> tuple[list, Optiona
 
 @functools.cache
 def _openblas_thread_calls() -> Optional[tuple[Callable, Callable]]:
-    """The thread count getter and setter of the OpenBLAS mapped into this
-    process (NumPy's wheels export them with a ``scipy_`` prefix and a
-    ``64_`` suffix), or None where there is none or no ``/proc``. Looked up
-    once: NumPy has loaded its BLAS before this module runs."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
-                            if "openblas" in line.rpartition("/")[2]})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:   # a mapped file since removed
-            continue
-        for prefix in ("scipy_openblas", "openblas"):
-            for suffix in ("64_", ""):
-                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-                if get_threads and set_threads:
-                    return get_threads, set_threads
+    """The thread count getter and setter of the OpenBLAS that NumPy's
+    products use (NumPy's wheels export them with a ``scipy_`` prefix and a
+    ``64_`` suffix), found through NumPy's linear-algebra extension, whose
+    symbol search covers the libraries it links; None for another BLAS."""
+    lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("64_", ""):
+            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get_threads and set_threads:
+                return get_threads, set_threads
     return None
 
 

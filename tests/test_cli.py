@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
-from capsintent import cli, datasets, experiments
+from capsintent import cli, datasets, experiments, model
 from capsintent.checkpoint import load_checkpoint
-from capsintent.errors import DivergenceError, UsageError
+from capsintent.errors import DataError, DivergenceError, UsageError
 from capsintent.features import N_MELS, RECIPE_DIGEST, audio_features
 
 from helpers import diverge_on_seeds, write_wav
@@ -960,6 +960,20 @@ def test_curve_failed_speaker_dependent_point_keeps_its_size(tmp_path, capsys, m
     assert [len(jobs) for jobs in kept["repeat_jobs"]] == [11, 11]   # one job per speaker
     rows = (out_dir / "curve.csv").read_text().strip().split("\n")
     assert [row.split(",")[0] for row in rows[1:]] == ["3"]
+
+
+@pytest.mark.parametrize("error, code, message", [
+    (DataError("bad job"), 4, "error: bad job"),
+    (MemoryError("no room"), 2, "error: out of memory: no room"),
+], ids=["data_error", "out_of_memory"])
+def test_failed_curve_writes_nothing(tmp_path, capsys, monkeypatch, error, code, message):
+    def init_params(config):
+        raise error
+
+    monkeypatch.setattr(model, "init_params", init_params)
+    assert cli.main(["curve", write_config(tmp_path)]) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_divergence_exits_3(tmp_path, capsys, monkeypatch):

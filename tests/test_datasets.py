@@ -431,6 +431,16 @@ def test_load_grabo_reads_a_speakers_subdirectory(tmp_path):
     assert corpus.utterances[0].audio_path == str(root / "speakers" / "pp01" / "rec0.wav")
 
 
+def test_load_grabo_names_nested_recordings_by_their_path(tmp_path):
+    root = _make_grabo_tree(tmp_path / "grabo", n_speakers=1, per_speaker=1)
+    for session in ("rec1", "rec2"):
+        (root / "pp01" / session).mkdir()
+        write_wav(root / "pp01" / session / "u0.wav", np.zeros(4000))
+        (root / "pp01" / session / "u0.xml").write_text("<frame><action>lift</action></frame>")
+    corpus = datasets.load_grabo(str(root))
+    assert [u.id for u in corpus.utterances] == ["pp01/rec0", "pp01/rec1/u0", "pp01/rec2/u0"]
+
+
 def test_load_grabo_missing_annotation_skipped(tmp_path):
     root = _make_grabo_tree(tmp_path / "grabo")
     extra = root / "pp01" / "orphan.wav"

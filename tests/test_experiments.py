@@ -495,6 +495,40 @@ def _with_cpus(monkeypatch, cpus: int) -> None:
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
 
 
+def test_openblas_thread_calls_are_found_without_proc(monkeypatch):
+    experiments._openblas_thread_calls.cache_clear()
+    found = experiments._openblas_thread_calls()
+    if found is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    real_open = open
+
+    def refuse_proc(path, *args, **kwargs):
+        if str(path).startswith("/proc"):
+            raise FileNotFoundError(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", refuse_proc)
+    experiments._openblas_thread_calls.cache_clear()
+    try:
+        calls = experiments._openblas_thread_calls()
+    finally:
+        experiments._openblas_thread_calls.cache_clear()
+    assert calls is not None
+    assert [f.__name__ for f in calls] == [f.__name__ for f in found]
+    assert calls[0]() >= 1
+
+
+def test_openblas_thread_calls_find_the_openblas_numpy_was_built_with():
+    # a NumPy whose extension moved would otherwise drop the one-thread hold,
+    # and every runner test below that needs the calls would skip
+    config = getattr(np.__config__, "CONFIG", None)
+    if config is None:
+        pytest.skip("NumPy does not describe its build")
+    if "openblas" not in config["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    assert experiments._openblas_thread_calls() is not None
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_map_jobs_deals_round_robin_and_returns_job_order(monkeypatch, cpus):
     _with_cpus(monkeypatch, cpus)
