@@ -28,6 +28,8 @@ whose default applies when it is left out; the rest of the training recipe is fi
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import logging
 import os
 import sys
@@ -212,7 +214,7 @@ def model_config_from(run: RunConfig, corpus: Optional[Corpus] = None) -> ModelC
     sweep = run.experiment.sweep
     swept = [replace(config, **{sweep.axis: value}) for value in sweep.values] if sweep else []
     for each in (config, *swept):
-        model.param_shapes(each, max_values=MAX_ARRAY_VALUES)
+        model.check_param_count(each, max_values=MAX_ARRAY_VALUES)
     return config
 
 
@@ -281,12 +283,14 @@ def cmd_eval(args) -> int:
     spk_map = {name: i for i, name in enumerate(speakers)}
     metrics = experiments.scores(preds, pred_speakers, refs,
                                  [spk_map[name] for name in ref_names], vocab)
-    rows = [f"{u.id},{';'.join(labels)},{speakers[spk]},{';'.join(ref)},{ref_spk}"
-            for u, labels, spk, ref, ref_spk in zip(utts, preds, pred_speakers, refs, ref_names)]
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(
+        [("id", "predicted_labels", "predicted_speaker", "reference_labels", "reference_speaker"),
+         *((u.id, ";".join(labels), speakers[spk], ";".join(ref), ref_spk)
+           for u, labels, spk, ref, ref_spk in zip(utts, preds, pred_speakers, refs, ref_names))])
     out_dir = args.output or "."
     pred_path = os.path.join(out_dir, "predictions.csv")
-    header = "id,predicted_labels,predicted_speaker,reference_labels,reference_speaker"
-    experiments.write_text(pred_path, "\n".join([header, *rows]) + "\n")
+    experiments.write_text(pred_path, text.getvalue())
     experiments.write_summary_json(os.path.join(out_dir, "metrics.json"), metrics)
     for key, value in sorted(metrics.items()):
         print(f"{key}: {value:.4f}")

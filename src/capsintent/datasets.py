@@ -410,14 +410,19 @@ MANIFEST_HEADER = ["id", "audio", "speaker", "labels"]
 
 def write_manifest(corpus: Corpus, path: str) -> None:
     """One CSV row per utterance: id, audio path, speaker, ';'-joined labels;
-    written atomically, so a corpus that cannot be written leaves ``path`` as it was."""
+    written atomically, so a corpus that cannot be written leaves ``path`` as it was.
+    A relative audio path is written relative to the manifest's directory,
+    which ``load_manifest`` resolves it against."""
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(MANIFEST_HEADER)
     for utt in corpus.utterances:
         if utt.audio_path is None:
             raise UsageError(f"{utt.id}: manifests need audio-backed utterances")
-        writer.writerow([utt.id, utt.audio_path, corpus.speakers[utt.speaker_index],
+        audio = utt.audio_path
+        if not os.path.isabs(audio):
+            audio = os.path.relpath(audio, os.path.dirname(path))
+        writer.writerow([utt.id, audio, corpus.speakers[utt.speaker_index],
                          ";".join(corpus.vocab.names_of(utt.target))])
     atomic_write(path, lambda fh: fh.write(text.getvalue().encode()))
 
@@ -426,7 +431,15 @@ def _corpus_from_rows(name: str, rows: list[tuple], speakers: Optional[list[str]
                       warnings: Optional[dict[str, int]] = None,
                       splits: Optional[dict[str, list[str]]] = None) -> Corpus:
     """A validated corpus from ``(id, audio path, speaker, label names)``
-    rows; ``speakers`` defaults to the sorted speakers of the rows."""
+    rows; ``speakers`` defaults to the sorted speakers of the rows. A row
+    with two values for one slot is a DataError: decoding gives one per slot."""
+    for utt_id, _, _, labels in rows:
+        values: dict[str, list[str]] = {}
+        for slot, value in sorted(name.split(":", 1) for name in set(labels) if ":" in name):
+            values.setdefault(slot, []).append(value)
+        for slot, given in values.items():
+            if len(given) > 1:
+                raise DataError(f"utterance {utt_id!r} has values {given} for one slot {slot!r}")
     vocab = vocabulary_from_labels([labels for *_, labels in rows])
     if speakers is None:
         speakers = sorted({speaker for _, _, speaker, _ in rows})
@@ -445,10 +458,11 @@ def read_utf8(path, error=DataError) -> str:
     bytes that are not UTF-8 raise ``error`` naming the file and line."""
     raw = Path(path).read_bytes()
     try:
-        return raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{line}: not UTF-8 text") from exc
+    return text.removeprefix("\ufeff")   # a byte-order mark is not text
 
 
 def load_manifest(path: str) -> Corpus:

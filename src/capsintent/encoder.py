@@ -70,7 +70,7 @@ def gru_param_init(rng: np.random.Generator, in_dim: int, hidden: int) -> dict[s
     sh = 1.0 / np.sqrt(hidden)
     wx = rng.uniform(-sx, sx, size=(in_dim, 3 * hidden))
     wh = rng.uniform(-sh, sh, size=(hidden, 3 * hidden))
-    b = np.zeros(3 * hidden)   # after the draws, which model.param_shapes bounds
+    b = np.zeros(3 * hidden)
     b[hidden:2 * hidden] = UPDATE_GATE_BIAS
     return {"Wx": wx, "Wh": wh, "b": b}
 

@@ -15,7 +15,6 @@ speaker loss it reports is that frozen head's cross entropy.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -37,44 +36,36 @@ def init_params(config: ModelConfig) -> Params:
     The speaker head is initialized at every speaker_weight, so runs that
     differ only in the weight start from identical parameters.
     """
-    return _init_from(config, np.random.default_rng(np.random.SeedSequence([config.seed, 0])))
-
-
-class _Undrawn:
-    """A generator stand-in whose every draw is an array of the requested
-    size with zero-byte values, so the init functions give shapes without
-    drawing or storing values. A draw that would take the values drawn past
-    ``max_values`` raises ShapeError before it allocates."""
-
-    def __init__(self, max_values: int):
-        self.max_values = max_values
-        self.drawn = 0
-
-    def uniform(self, low, high, size):
-        self.drawn += math.prod(size)
-        if self.drawn > self.max_values:
-            raise ShapeError(f"the config draws more than {self.max_values} parameter values")
-        return np.empty(size, dtype=[])
-
-    normal = uniform
-
-
-def param_shapes(config: ModelConfig, max_values: int) -> dict[str, tuple]:
-    """The name and shape of every parameter ``init_params`` draws, found
-    by running the same init functions without drawing.
-
-    Every value drawn is stored in a parameter, so a config that draws more
-    than ``max_values`` values needs parameters that hold more than that:
-    ShapeError, raised before the draw past the limit allocates. The draws
-    take no memory; the biases the init functions allocate are no larger
-    than what they have drawn so far."""
-    return {name: value.shape for name, value in _init_from(config, _Undrawn(max_values)).items()}
-
-
-def _init_from(config: ModelConfig, rng) -> Params:
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0]))
     params = capsnet.init_core_params(config, rng)
     params.update(multitask.init_head_params(rng, config.output_dim, config.speaker_count))
     return params
+
+
+def check_param_count(config: ModelConfig, max_values: int) -> None:
+    """ShapeError if ``init_params`` draws more than ``max_values`` values,
+    counted from the config without building a parameter. It draws every
+    parameter but the biases, and each bias is smaller than a weight, so a
+    config over the bound needs parameters that hold more than that."""
+    H, P, d_p, n = config.encoder_hidden, config.num_primary, config.primary_dim, config.output_dim
+    drawn = (6 * H * (config.feat_dim + (3 * config.encoder_layers - 2) * H)
+             + P * d_p * (2 * H + config.num_labels * n) + n * config.speaker_count)
+    if drawn > max_values:
+        raise ShapeError(f"the config draws more than {max_values} parameter values")
+
+
+def param_shapes(config: ModelConfig, max_values: int) -> dict[str, tuple]:
+    """The name and shape of every parameter ``init_params`` draws, in its
+    order, once ``check_param_count`` passes."""
+    check_param_count(config, max_values)
+    H, P, d_p, n = config.encoder_hidden, config.num_primary, config.primary_dim, config.output_dim
+    shapes, M = {}, config.speaker_count
+    for layer in range(config.encoder_layers):
+        in_dim = 2 * H if layer else config.feat_dim
+        shapes |= {f"enc.{layer}.Wx": (2, in_dim, 3 * H), f"enc.{layer}.Wh": (2, H, 3 * H),
+                   f"enc.{layer}.b": (2, 3 * H)}
+    return shapes | {"proj.W": (2 * H, P * d_p), "proj.b": (P * d_p,),
+                     "caps.W": (P, d_p, config.num_labels, n), "spk.W": (n, M), "spk.b": (M,)}
 
 
 def evaluate(feats: Sequence[np.ndarray], params: Params, config: ModelConfig):

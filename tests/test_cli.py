@@ -528,6 +528,36 @@ def test_eval_vocab_mismatch(tmp_path, capsys):
     assert "vocabulary" in capsys.readouterr().err
 
 
+def test_checks_run_no_init_code(tmp_path, capsys, monkeypatch):
+    # a config's and a checkpoint's parameter checks count and list shapes
+    # from the config; the init functions run only to draw parameters
+    from capsintent import capsnet, encoder, multitask
+    from capsintent.checkpoint import save_checkpoint
+    from helpers import tiny_model_config
+
+    cfg = tiny_model_config()
+    ckpt = str(tmp_path / "m.npz")
+    save_checkpoint(ckpt, cfg, model.init_params(cfg))
+
+    def no_init(*args, **kw):
+        raise AssertionError("an init function ran")
+
+    for module, name in ((encoder, "init_encoder_params"), (capsnet, "init_core_params"),
+                         (multitask, "init_head_params")):
+        monkeypatch.setattr(module, name, no_init)
+    # 1.8e16 values, within NumPy's bound: refused by nothing, and counted at once
+    for settings in ({}, {"model": {"encoder_hidden": 1, "encoder_layers": 10**15}}):
+        assert cli.main(["validate-config", write_config(tmp_path, **settings)]) == 0
+    for settings in ({"model": {"encoder_hidden": 2**62}},
+                     {"experiment": {"sweep": {"axis": "encoder_hidden", "values": [4, 2**62]}}}):
+        capsys.readouterr()
+        assert cli.main(["validate-config", write_config(tmp_path, **settings)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the config draws more than 1152921504606846975 parameter values"]
+    loaded, params, _ = load_checkpoint(ckpt)
+    assert loaded == cfg and list(params) == list(model.param_shapes(cfg, 10**6))
+
+
 def test_eval_refuses_a_speaker_outside_the_checkpoint_roster(tmp_path, capsys):
     # the label is known; only the speaker is new to the model
     from capsintent.checkpoint import save_checkpoint
@@ -563,6 +593,19 @@ def _audio_eval_argv(tmp_path):
     manifest = tmp_path / "m.csv"
     manifest.write_text(f"id,audio,speaker,labels\nu1,{wav},x,a\n")
     return ["eval", "--checkpoint", str(ckpt), "--manifest", str(manifest)], wav
+
+
+def test_eval_quotes_an_id_that_holds_a_comma(tmp_path):
+    import csv
+
+    argv, wav = _audio_eval_argv(tmp_path)
+    manifest = Path(argv[argv.index("--manifest") + 1])
+    manifest.write_text(f'id,audio,speaker,labels\n"take 1, room 2",{wav},x,a\n')
+    assert cli.main([*argv, "--output", str(tmp_path / "out")]) == 0
+    with open(tmp_path / "out" / "predictions.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(row) for row in rows] == [5, 5]
+    assert rows[1][0] == "take 1, room 2"
 
 
 @pytest.mark.parametrize("command", ["train", "eval"])

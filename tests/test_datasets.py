@@ -292,6 +292,18 @@ def test_manifest_write_failure_leaves_old_file(tmp_path):
     assert not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]
 
 
+def test_manifest_of_a_corpus_loaded_by_a_relative_path(tmp_path, monkeypatch):
+    _make_grabo_tree(tmp_path / "corpus", n_speakers=2, per_speaker=2)
+    monkeypatch.chdir(tmp_path)
+    corpus = datasets.load_grabo("corpus")
+    datasets.write_manifest(corpus, "out/m.csv")
+    loaded = datasets.load_manifest("out/m.csv")
+    assert [u.id for u in loaded.utterances] == [u.id for u in corpus.utterances]
+    assert all(os.path.samefile(orig.audio_path, back.audio_path)
+               for orig, back in zip(corpus.utterances, loaded.utterances))
+    assert datasets.ensure_features(loaded)["computed"] == len(corpus)
+
+
 def test_manifest_missing_file():
     with pytest.raises(UsageError):
         datasets.load_manifest("/nonexistent/manifest.csv")
@@ -324,6 +336,31 @@ def test_manifest_duplicate_id_rejected(tmp_path):
     path.write_text("id,audio,speaker,labels\nu0,a.wav,s,x\nu1,b.wav,s,x\nu1,c.wav,t,y\n")
     with pytest.raises(DataError, match="duplicate utterance id 'u1'"):
         datasets.load_manifest(str(path))
+
+
+def test_manifest_row_with_two_values_for_one_slot(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("id,audio,speaker,labels\nu0,a.wav,s,action:go\n"
+                    "u1,b.wav,s,action:go;action:stop;speed:slow\n")
+    with pytest.raises(DataError, match=re.escape(
+            "utterance 'u1' has values ['go', 'stop'] for one slot 'action'")):
+        datasets.load_manifest(str(path))
+
+
+def _same_corpus(a, b):
+    assert a.vocab == b.vocab and a.speakers == b.speakers and a.splits == b.splits
+    for x, y in zip(a.utterances, b.utterances, strict=True):
+        assert (x.id, x.audio_path, x.speaker_index) == (y.id, y.audio_path, y.speaker_index)
+        assert np.array_equal(x.target, y.target)
+
+
+def test_manifest_with_a_byte_order_mark(tmp_path):
+    corpus = _audio_corpus(tmp_path)
+    manifest = tmp_path / "corpus.csv"
+    datasets.write_manifest(corpus, str(manifest))
+    plain = datasets.load_manifest(str(manifest))
+    manifest.write_bytes(b"\xef\xbb\xbf" + manifest.read_bytes())
+    _same_corpus(datasets.load_manifest(str(manifest)), plain)
 
 
 def test_ensure_features_from_audio(tmp_path):
@@ -458,6 +495,15 @@ def test_load_grabo_malformed_frame(tmp_path):
     assert "rec0.xml" in str(err.value)
 
 
+def test_load_grabo_frame_with_two_values_for_one_slot(tmp_path):
+    root = _make_grabo_tree(tmp_path / "grabo")
+    (root / "pp02" / "rec1.xml").write_text(
+        "<frame><action>drive</action><action>lift</action></frame>")
+    with pytest.raises(DataError, match=re.escape(
+            "utterance 'pp02/rec1' has values ['drive', 'lift'] for one slot 'action'")):
+        datasets.load_grabo(str(root))
+
+
 @pytest.mark.parametrize("frame, match", [
     ("<frame><action> </action></frame>", "slot 'action' has no value"),
     ("<frame></frame>", "frame annotation defines no slots"),
@@ -521,6 +567,18 @@ def test_load_fluent_layout(tmp_path):
         assert utt.target.sum() == 3
     # small fabricated corpus will not match the expected 31-label union
     assert "unexpected_label_count" in corpus.warnings
+
+
+def test_load_fluent_with_a_byte_order_mark(tmp_path):
+    root = _make_fluent_tree(tmp_path / "fluent")
+    tables = [root / "data" / table for table in datasets.FLUENT_TABLES.values()]
+    for path in tables:   # without the index column, so "path" comes first
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line.split(",", 1)[1] for line in lines))
+    plain = datasets.load_fluent(str(root))
+    for path in tables:
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    _same_corpus(datasets.load_fluent(str(root)), plain)
 
 
 def test_load_fluent_missing_table(tmp_path):

@@ -15,8 +15,16 @@ from helpers import tiny_model_config, well_conditioned_params
 from opexamples import _small_config, _small_corpus
 
 
-def test_init_params_covers_all_blocks():
-    cfg = tiny_model_config()
+@pytest.mark.parametrize("overrides", [
+    dict(encoder_layers=1, feat_dim=3, encoder_hidden=4, num_primary=2, primary_dim=5,
+         num_labels=6, output_dim=2, speaker_count=7),
+    {},
+    dict(encoder_layers=3, feat_dim=11, encoder_hidden=2, num_primary=3, primary_dim=2,
+         num_labels=5, output_dim=4, speaker_count=2),
+], ids=["one_layer", "two_layers", "three_layers"])
+def test_init_params_covers_all_blocks(overrides):
+    cfg = tiny_model_config(**overrides)
+    assert cfg.feat_dim != 2 * cfg.encoder_hidden
     params = model.init_params(cfg)
     expected = {"proj.W", "proj.b", "caps.W", "spk.W", "spk.b"}
     for layer in range(cfg.encoder_layers):
@@ -32,14 +40,18 @@ def test_init_params_covers_all_blocks():
     assert params["caps.W"].shape == (cfg.num_primary, cfg.primary_dim,
                                       cfg.num_labels, cfg.output_dim)
     assert params["spk.W"].shape == (cfg.output_dim, cfg.speaker_count)
-    # what a checkpoint load checks against, found without drawing, within a
-    # bound of the values the parameters hold; below the first draw it fails
+    # what a checkpoint load checks against, in init_params' order, within a
+    # bound of the values the parameters hold
     stored = sum(value.size for value in params.values())
-    assert model.param_shapes(cfg, max_values=stored) == \
-        {name: value.shape for name, value in params.items()}
-    first = params["enc.0.Wx"][0].size
-    with pytest.raises(ShapeError, match=f"the config draws more than {first - 1} parameter"):
-        model.param_shapes(cfg, max_values=first - 1)
+    assert list(model.param_shapes(cfg, max_values=stored).items()) == \
+        [(name, value.shape) for name, value in params.items()]
+    # the count is of the drawn values: every parameter but the biases
+    count = sum(value.size for name, value in params.items() if not name.endswith(".b"))
+    model.check_param_count(cfg, max_values=count)
+    for check in (model.check_param_count, model.param_shapes):
+        with pytest.raises(ShapeError) as exc:
+            check(cfg, max_values=count - 1)
+        assert str(exc.value) == f"the config draws more than {count - 1} parameter values"
 
 
 def test_param_shapes_holds_no_parameter_values():
@@ -54,7 +66,7 @@ def test_param_shapes_holds_no_parameter_values():
         tracemalloc.stop()
     assert shapes["enc.1.Wh"] == (2, 1000, 3000)
     stored = 8 * sum(math.prod(shape) for shape in shapes.values())   # about 150 MB
-    assert peak < 1_000_000 < stored   # the biases only
+    assert peak < 1_000_000 < stored   # no parameter values
 
 
 def test_init_params_deterministic():
